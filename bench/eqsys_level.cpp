@@ -35,8 +35,8 @@ SubsystemMetrics analyze(CompiledModel& cm) {
   std::vector<double> weight(part.num_subsystems(), 0.0);
   for (std::size_t c = 0; c < part.num_subsystems(); ++c) {
     for (int s : part.subsystems[c].states) {
-      const auto rhs = omx::codegen::inline_algebraics(
-          *cm.flat, cm.flat->states()[static_cast<std::size_t>(s)].rhs);
+      const auto rhs =
+          cm.assignments.inlined_rhs[static_cast<std::size_t>(s)];
       weight[c] += static_cast<double>(cm.ctx->pool.dag_op_count(rhs));
     }
   }

@@ -69,6 +69,15 @@ What is gated vs merely reported:
   tail means head-of-line blocking in the daemon, not overload.
   Absolute latencies and throughput are report-only. This file only
   runs under --only service: the default bench jobs don't produce it.
+* compile.* gauges (BENCH_compile.json, written by bench/compile_scaling)
+  gate how the compile path scales on the bearing at N in {10, 40, 160}
+  rollers. Per-state compile_model time at the largest N must stay
+  within 2x of the smallest (compile_model is linear in the states), and
+  task_planning at N=40 must take under 5 ms (the algebraics are inlined
+  once, in build_assignments, not per task). Both are ratios or bars
+  with a wide margin, so they hold on any host. Per-phase times, the C++
+  emission time of the four native forms (superlinear in N) and the
+  tape op counts are report-only.
 * Absolute wall-clock rates (backends.*.calls_per_s,
   ensemble.*.scen_per_s) vary with CI hardware and are reported for the
   log but never gated.
@@ -381,6 +390,30 @@ def gate_autotune(gate, current, baseline):
             gate.report(name, current[name], baseline.get(name))
 
 
+def gate_compile(gate, current, baseline):
+    suffix = ".per_state_ms"
+    sizes = sorted(int(name[len("compile.n"):-len(suffix)])
+                   for name in current
+                   if name.startswith("compile.n") and name.endswith(suffix))
+    if len(sizes) < 2:
+        gate.failures.append("compile.n*: need per_state_ms at two sizes")
+    else:
+        small, large = sizes[0], sizes[-1]
+        growth = (current[f"compile.n{large}{suffix}"]
+                  / current[f"compile.n{small}{suffix}"])
+        gate.check_max(f"compile.per_state_n{large}_over_n{small}", growth,
+                       2.0, "linear compile_model")
+    planning = "compile.n40.task_planning_ms"
+    if planning not in current:
+        gate.failures.append(f"{planning}: missing from current run")
+    else:
+        gate.check_max(planning, current[planning], 5.0, "inlined once")
+    for name in sorted(current):
+        if name.startswith("compile.n") and name != planning \
+                and not name.endswith(".states"):
+            gate.report(name, current[name], baseline.get(name))
+
+
 def gate_service(gate, current, baseline):
     jobs_total = current.get("service.jobs_total", 0.0)
     if jobs_total <= 0.0:
@@ -425,6 +458,7 @@ def main():
               ("BENCH_sparse.json", gate_sparse),
               ("BENCH_simd.json", gate_simd),
               ("BENCH_autotune.json", gate_autotune),
+              ("BENCH_compile.json", gate_compile),
               ("BENCH_service.json", gate_service))
     if args.only:
         suites = tuple(s for s in suites

@@ -255,6 +255,10 @@ python3 scripts/obs_report.py --tune "$BUILD_DIR"/BENCH_autotune_model.json \
   | tee "$BUILD_DIR"/tune_report.txt
 test -s "$BUILD_DIR"/tune_report.txt
 
+echo "== bench: compile-path scaling (no host compiler) =="
+(cd "$BUILD_DIR" && ./bench/compile_scaling)
+test -s "$BUILD_DIR"/BENCH_compile.json
+
 echo "== bench regression gate =="
 python3 scripts/bench_gate.py --current "$BUILD_DIR"
 

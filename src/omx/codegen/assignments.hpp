@@ -2,7 +2,15 @@
 // into the list of assignments that "really needs to be computed by the
 // generated code" — derivatives removed, equations replaced by assignments
 // whose right-hand sides are the equation right-hand sides.
+//
+// It is also the one place algebraic variables are inlined. Parallel tasks
+// are self-contained (no values are shared between tasks in the
+// distributed version), so every consumer that needs a state's
+// right-hand side in terms of states, parameters and time alone reads
+// `inlined_rhs` or applies `resolved_algebraics` instead of re-deriving it.
 #pragma once
+
+#include <unordered_map>
 
 #include "omx/model/flat_system.hpp"
 
@@ -21,6 +29,12 @@ struct AssignmentSet {
   std::vector<Assignment> algebraics;
   /// One per state: <name>dot = rhs.
   std::vector<Assignment> states;
+  /// Algebraic symbol -> its definition with every algebraic it reads
+  /// already substituted. Apply with one Pool::substitute to inline all
+  /// algebraics of any expression over the flat system.
+  std::unordered_map<SymbolId, expr::ExprId> resolved_algebraics;
+  /// One per state: states[i].rhs with `resolved_algebraics` applied.
+  std::vector<expr::ExprId> inlined_rhs;
 };
 
 struct TransformOptions {
@@ -30,11 +44,5 @@ struct TransformOptions {
 
 AssignmentSet build_assignments(const model::FlatSystem& flat,
                                 const TransformOptions& opts = {});
-
-/// Rewrites `e` with every algebraic variable replaced by its defining
-/// expression, recursively. Used when compiling self-contained parallel
-/// tasks (no values are shared between tasks in the distributed version).
-expr::ExprId inline_algebraics(const model::FlatSystem& flat,
-                               expr::ExprId e);
 
 }  // namespace omx::codegen

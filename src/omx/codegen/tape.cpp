@@ -20,7 +20,8 @@ class TapeBuilder {
     next_reg_ = prog_.n_state + 1;  // states + t
   }
 
-  /// Overrides the output-slot count (Jacobian programs use n_state^2).
+  /// Overrides the output-slot count (Jacobian programs use one per
+  /// structural nonzero).
   void set_num_outputs(std::uint32_t n_out) { prog_.n_out = n_out; }
 
   /// Clears cross-expression sharing (used between parallel tasks).
@@ -261,41 +262,8 @@ vm::Program compile_serial_tape(const model::FlatSystem& flat,
   return b.take();
 }
 
-vm::Program compile_jacobian_tape(const model::FlatSystem& flat) {
-  expr::Context& ctx = flat.ctx();
-  const std::size_t n = flat.num_states();
-
-  TapeBuilder b(flat);
-  b.set_num_outputs(static_cast<std::uint32_t>(n * n));
-  const std::uint32_t begin = b.begin_task();
-  std::vector<vm::Output> outputs;
-
-  // Jacobian entries are emitted into one big task sharing a global memo —
-  // entries of one row share most of their structure.
-  for (std::size_t i = 0; i < n; ++i) {
-    const expr::ExprId rhs =
-        inline_algebraics(flat, flat.states()[i].rhs);
-    for (std::size_t j = 0; j < n; ++j) {
-      const expr::ExprId d = expr::simplify(
-          ctx.pool,
-          expr::differentiate(ctx.pool, rhs, flat.states()[j].name));
-      if (ctx.pool.is_const(d, 0.0)) {
-        continue;  // structural zero: slot stays 0
-      }
-      const std::uint32_t reg = b.compile_expr(d);
-      outputs.push_back(vm::Output{
-          reg, static_cast<std::uint32_t>(i * n + j)});
-    }
-  }
-  std::vector<std::uint32_t> in_states;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    in_states.push_back(i);
-  }
-  b.finish_task(begin, std::move(outputs), std::move(in_states), "jacobian");
-  return b.take();
-}
-
 vm::Program compile_sparse_jacobian_tape(const model::FlatSystem& flat,
+                                         const AssignmentSet& set,
                                          const la::SparsityPattern& pattern) {
   expr::Context& ctx = flat.ctx();
   const std::size_t n = flat.num_states();
@@ -308,8 +276,7 @@ vm::Program compile_sparse_jacobian_tape(const model::FlatSystem& flat,
   std::vector<vm::Output> outputs;
 
   for (std::size_t i = 0; i < n; ++i) {
-    const expr::ExprId rhs =
-        inline_algebraics(flat, flat.states()[i].rhs);
+    const expr::ExprId rhs = set.inlined_rhs[i];
     for (std::size_t k = pattern.row_ptr[i]; k < pattern.row_ptr[i + 1];
          ++k) {
       const std::size_t j = pattern.col_idx[k];

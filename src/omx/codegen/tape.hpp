@@ -22,16 +22,14 @@ vm::Program compile_parallel_tape(const model::FlatSystem& flat,
 vm::Program compile_serial_tape(const model::FlatSystem& flat,
                                 const AssignmentSet& set);
 
-/// Compiles the analytic Jacobian J(i,j) = d f_i / d x_j as a program with
-/// n*n output slots (slot i*n+j). Row-major. Used by the implicit solvers.
-vm::Program compile_jacobian_tape(const model::FlatSystem& flat);
-
-/// Compiles only the structurally nonzero Jacobian entries: output slot k
-/// holds the derivative for CSR entry k of `pattern` (entries whose
-/// derivative simplifies to the constant 0 leave their slot at 0.0).
-/// nnz output slots instead of n*n — the symbolic analogue of the
-/// colored-FD compression.
+/// Compiles the analytic Jacobian J(i,j) = d f_i / d x_j of the inlined
+/// right-hand sides in `set`, for the structurally nonzero entries only:
+/// output slot k holds the derivative for CSR entry k of `pattern`
+/// (entries whose derivative simplifies to the constant 0 leave their slot
+/// at 0.0). nnz output slots instead of n*n — the symbolic analogue of the
+/// colored-FD compression. Used by the implicit solvers, dense and sparse.
 vm::Program compile_sparse_jacobian_tape(const model::FlatSystem& flat,
+                                         const AssignmentSet& set,
                                          const la::SparsityPattern& pattern);
 
 }  // namespace omx::codegen

@@ -67,7 +67,8 @@ TaskPlan plan_tasks(const model::FlatSystem& flat, const AssignmentSet& set,
   };
   std::vector<Candidate> candidates;
   for (const Assignment& a : set.states) {
-    const expr::ExprId inlined = inline_algebraics(flat, a.rhs);
+    const expr::ExprId inlined =
+        set.inlined_rhs[static_cast<std::size_t>(a.index)];
     const std::size_t ops = ctx.pool.dag_op_count(inlined);
     if (opts.max_ops_per_task != 0 && ops > opts.max_ops_per_task) {
       // Split through a top-level division (the common `force_sum / mass`

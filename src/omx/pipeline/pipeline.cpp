@@ -104,37 +104,34 @@ ode::Problem CompiledModel::make_problem(ode::RhsFn rhs, double t0,
 }
 
 void CompiledModel::bind_symbolic_jacobian(ode::Problem& p) const {
-  OMX_REQUIRE(jacobian_program.n_regs > 0, "jacobian program not built");
-  const vm::Program* jp = &jacobian_program;
-  auto ws = std::make_shared<vm::Workspace>(jacobian_program);
-  auto buf = std::make_shared<std::vector<double>>(jp->n_out, 0.0);
-  p.set_jacobian([jp, ws, buf](double t, std::span<const double> y,
-                               la::Matrix& jac) {
-    const std::size_t n = jp->n_state;
+  OMX_REQUIRE(sparse_jacobian_program.n_regs > 0,
+              "jacobian program not built");
+  // Each call gets its own workspace: solve_ensemble evaluates copies of
+  // one Problem on several workers at once.
+  const vm::Program* sp = &sparse_jacobian_program;
+  p.set_jacobian([sp, pattern = jac_sparsity](double t,
+                                              std::span<const double> y,
+                                              la::Matrix& jac) {
+    const std::size_t n = pattern->rows;
     OMX_REQUIRE(jac.rows() == n && jac.cols() == n, "jacobian shape");
-    vm::eval_rhs_serial(*jp, t, y, *buf, *ws);
+    std::vector<double> vals(sp->n_out);
+    vm::Workspace ws(*sp);
+    vm::eval_rhs_serial(*sp, t, y, vals, ws);
+    std::fill(jac.data().begin(), jac.data().end(), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        jac(i, j) = (*buf)[i * n + j];
+      for (std::size_t k = pattern->row_ptr[i]; k < pattern->row_ptr[i + 1];
+           ++k) {
+        jac(i, pattern->col_idx[k]) = vals[k];
       }
     }
   });
-  if (sparse_jacobian_program.n_regs > 0) {
-    const vm::Program* sp = &sparse_jacobian_program;
-    auto sws = std::make_shared<vm::Workspace>(sparse_jacobian_program);
-    auto sbuf = std::make_shared<std::vector<double>>(sp->n_out, 0.0);
-    p.set_sparse_jacobian([sp, sws, sbuf](double t,
-                                          std::span<const double> y,
-                                          la::CsrMatrix& jac) {
-      OMX_REQUIRE(jac.pattern().nnz() == sp->n_out,
-                  "sparse jacobian pattern mismatch");
-      // Analytically-zero slots have no output instruction; clear first
-      // so they stay exact 0.0.
-      std::fill(sbuf->begin(), sbuf->end(), 0.0);
-      vm::eval_rhs_serial(*sp, t, y, *sbuf, *sws);
-      std::copy(sbuf->begin(), sbuf->end(), jac.values().begin());
-    });
-  }
+  p.set_sparse_jacobian([sp](double t, std::span<const double> y,
+                             la::CsrMatrix& jac) {
+    OMX_REQUIRE(jac.pattern().nnz() == sp->n_out,
+                "sparse jacobian pattern mismatch");
+    vm::Workspace ws(*sp);
+    vm::eval_rhs_serial(*sp, t, y, jac.values(), ws);
+  });
 }
 
 CompiledModel compile_model(const ModelBuilder& builder,
@@ -173,11 +170,10 @@ CompiledModel compile_model(const ModelBuilder& builder,
                                                        cm.assignments);
     }
     if (opts.build_jacobian) {
-      cm.jacobian_program = codegen::compile_jacobian_tape(*cm.flat);
       cm.jac_sparsity = std::make_shared<la::SparsityPattern>(
           cm.sparsity->with_diagonal());
-      cm.sparse_jacobian_program =
-          codegen::compile_sparse_jacobian_tape(*cm.flat, *cm.jac_sparsity);
+      cm.sparse_jacobian_program = codegen::compile_sparse_jacobian_tape(
+          *cm.flat, cm.assignments, *cm.jac_sparsity);
     }
   }
   compiles.add();

@@ -20,8 +20,8 @@ struct CompileOptions {
   codegen::TaskPlanOptions tasks;
   /// Also compile the serial (globally CSE'd) tape.
   bool build_serial = true;
-  /// Also generate + compile the analytic Jacobian tape (n^2 outputs);
-  /// expensive for large systems.
+  /// Also generate + compile the analytic Jacobian tape (one output per
+  /// structural nonzero).
   bool build_jacobian = false;
 };
 
@@ -41,8 +41,7 @@ struct CompiledModel {
   codegen::AssignmentSet assignments;
   codegen::TaskPlan plan;
   vm::Program parallel_program;
-  vm::Program serial_program;    // empty unless build_serial
-  vm::Program jacobian_program;  // empty unless build_jacobian
+  vm::Program serial_program;  // empty unless build_serial
   /// Structural Jacobian sparsity derived from the dependency graph:
   /// (i, j) present iff state j appears in the (algebraic-inlined) RHS of
   /// state i. Attached to every Problem this model produces.
@@ -78,10 +77,10 @@ struct CompiledModel {
   /// owns the callable behind `rhs` and must keep it alive.
   ode::Problem make_problem(ode::RhsFn rhs, double t0, double tend) const;
 
-  /// Binds the analytic Jacobian from the compiled Jacobian tape into
-  /// `p` (owning: copies of `p` keep it alive). Also binds the sparse
-  /// (pattern-aligned, nnz-output) variant when it was compiled, so the
-  /// sparse stiff backend evaluates only structural nonzeros.
+  /// Binds the analytic Jacobian from `sparse_jacobian_program` into `p`
+  /// (owning: copies of `p` keep it alive), both as the sparse callback
+  /// and as the dense one, which scatters the structural nonzeros into
+  /// the zeroed n x n matrix. Requires build_jacobian.
   void bind_symbolic_jacobian(ode::Problem& p) const;
 };
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -126,6 +127,21 @@ ode::Method parse_method(const std::string& s) {
     }
   }
   throw omx::Error("svc: unknown method '" + s + "'");
+}
+
+/// Largest bearing a COMPILE may ask for by "rollers".
+constexpr int kMaxBuiltinRollers = 640;
+
+/// The optional "rollers" field of a builtin bearing COMPILE: an integer
+/// in [2, kMaxBuiltinRollers], else a clear error instead of a cast that
+/// overflows or a model builder that rejects it as an internal bug.
+int requested_rollers(const support::json::Value& req, int fallback) {
+  const double r = req.get_number("rollers", fallback);
+  if (!(r >= 2.0 && r <= kMaxBuiltinRollers) || r != std::floor(r)) {
+    throw omx::Error("svc: \"rollers\" must be an integer in [2, " +
+                     std::to_string(kMaxBuiltinRollers) + "]");
+  }
+  return static_cast<int>(r);
 }
 
 Message error_msg(const std::string& what) {
@@ -715,8 +731,7 @@ std::shared_ptr<ModelEntry> Server::Impl::compile_model_payload(
   const std::string builtin = req.get_string("builtin", "");
   if (builtin == "bearing2d") {
     models::BearingConfig cfg;
-    cfg.n_rollers =
-        static_cast<int>(req.get_number("rollers", cfg.n_rollers));
+    cfg.n_rollers = requested_rollers(req, cfg.n_rollers);
     builder = [cfg](expr::Context& ctx) {
       return models::build_bearing(ctx, cfg);
     };

@@ -18,6 +18,7 @@
 #include "omx/models/hydro.hpp"
 #include "omx/models/oscillator.hpp"
 #include "omx/models/servo.hpp"
+#include "omx/ode/ensemble.hpp"
 #include "omx/ode/jacobian.hpp"
 #include "omx/ode/solve.hpp"
 #include "omx/pipeline/pipeline.hpp"
@@ -211,6 +212,38 @@ TEST(SparseJacobianTape, MatchesDenseTapeOnHeatPde) {
     for (std::size_t j = 0; j < p.n; ++j) {
       EXPECT_EQ(sparse.at(i, j), dense(i, j)) << "entry " << i << "," << j;
     }
+  }
+}
+
+TEST(SparseJacobianTape, EnsembleWorkersEvaluateIndependently) {
+  // solve_ensemble runs the BDF scenarios on copies of one Problem from
+  // four workers at once; their symbolic Jacobian evaluations must not
+  // share scratch state (the TSan pass runs this suite too).
+  pipeline::CompiledModel cm = compile_with_jacobian(heat_builder(12));
+  ode::Problem base = cm.make_problem(exec::Backend::kReference, 0.0, 0.05);
+  cm.bind_symbolic_jacobian(base);
+  ode::EnsembleSpec spec;
+  spec.workers = 4;
+  for (int s = 0; s < 16; ++s) {
+    std::vector<double> y0 = base.y0;
+    for (std::size_t i = 0; i < y0.size(); ++i) {
+      y0[i] = std::sin(0.3 * (s + 1) * static_cast<double>(i + 1));
+    }
+    spec.initial_states.push_back(std::move(y0));
+  }
+  const ode::SolverOptions o;
+  const ode::EnsembleResult r =
+      ode::solve_ensemble(base, ode::Method::kBdf, o, spec);
+  ASSERT_EQ(r.solutions.size(), spec.initial_states.size());
+  for (std::size_t s = 0; s < spec.initial_states.size(); ++s) {
+    ode::Problem p = base;
+    p.y0 = spec.initial_states[s];
+    const ode::Solution want = ode::solve(p, ode::Method::kBdf, o);
+    const std::span<const double> got = r.solutions[s].final_state();
+    const std::span<const double> ref = want.final_state();
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), ref.begin(), ref.end()))
+        << "scenario " << s;
+    EXPECT_GT(want.stats.jac_calls, 0u);
   }
 }
 

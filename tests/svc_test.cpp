@@ -355,6 +355,19 @@ class RawConn {
     EXPECT_EQ(::send(fd_, data, n, 0), static_cast<ssize_t>(n));
   }
 
+  /// Reads until one message parses; false when the peer closes first.
+  bool read_reply(Message& out) {
+    char buf[4096];
+    while (!reader_.next(out)) {
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) {
+        return false;
+      }
+      reader_.feed(buf, static_cast<std::size_t>(n));
+    }
+    return true;
+  }
+
   /// Reads until one message parses or the peer closes; true when the
   /// peer closed the connection after (at most) one message.
   bool read_reply_then_eof(Message& out) {
@@ -375,6 +388,7 @@ class RawConn {
 
  private:
   int fd_ = -1;
+  FrameReader reader_;
 };
 
 TEST(SvcServer, MalformedFrameAnswersErrorAndCloses) {
@@ -406,6 +420,40 @@ TEST(SvcServer, OversizedFrameAnswersErrorAndCloses) {
   Message reply;
   ASSERT_TRUE(raw.read_reply_then_eof(reply));
   EXPECT_EQ(reply.type, MsgType::kError);
+  server.stop();
+}
+
+TEST(SvcServer, CompileRejectsOutOfRangeRollers) {
+  Server server(test_server_opts());
+  server.start();
+  RawConn raw(server.port());
+  for (const char* rollers : {"1", "2.5", "-3", "1e12"}) {
+    SCOPED_TRACE(rollers);
+    Message m;
+    m.type = MsgType::kCompile;
+    m.json = std::string("{\"builtin\": \"bearing2d\", \"rollers\": ") +
+             rollers + "}";
+    const std::string wire = encode(m);
+    raw.send_bytes(wire.data(), wire.size());
+    Message reply;
+    ASSERT_TRUE(raw.read_reply(reply));
+    EXPECT_EQ(reply.type, MsgType::kError);
+    EXPECT_NE(reply.json.find("rollers"), std::string::npos) << reply.json;
+
+    // The daemon keeps serving the same connection.
+    Message ping;
+    ping.type = MsgType::kPing;
+    const std::string pw = encode(ping);
+    raw.send_bytes(pw.data(), pw.size());
+    Message pong;
+    ASSERT_TRUE(raw.read_reply(pong));
+    EXPECT_EQ(pong.type, MsgType::kPong);
+  }
+  // The smallest legal bearing still compiles.
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  EXPECT_GT(client.compile_builtin("bearing2d", 2).n, 0u);
+  client.bye();
   server.stop();
 }
 

@@ -189,7 +189,12 @@ model M
   end
   instance i : A;
 end)");
-  const vm::Program jp = compile_jacobian_tape(f);
+  // A full 2x2 pattern: every entry has a slot, so the finite-difference
+  // check covers the analytically zero ones too.
+  const la::SparsityPattern pattern = la::SparsityPattern::dense(2);
+  const vm::Program jp =
+      compile_sparse_jacobian_tape(f, build_assignments(f), pattern);
+  ASSERT_EQ(jp.n_out, 4u);
   vm::Workspace ws(jp);
   std::vector<double> y{0.6, 0.3};
   std::vector<double> jbuf(jp.n_out, 0.0);
@@ -201,8 +206,10 @@ end)");
                      std::span<double> yd) { f.eval_rhs(t, yy, yd); };
   ode::finite_difference_jacobian(ref_rhs, 0.9, y, fd, calls);
   for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      EXPECT_NEAR(jbuf[i * 2 + j], fd(i, j),
+    for (std::size_t k = pattern.row_ptr[i]; k < pattern.row_ptr[i + 1];
+         ++k) {
+      const std::size_t j = pattern.col_idx[k];
+      EXPECT_NEAR(jbuf[k], fd(i, j),
                   1e-6 * std::max(1.0, std::fabs(fd(i, j))))
           << i << "," << j;
     }
