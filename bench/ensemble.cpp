@@ -6,6 +6,10 @@
 //                (isolates the scheduler from the SoA batching);
 //   batched    — solve_ensemble at 4 workers, 16-wide SoA batches.
 //
+// plus, for the native kernel, batched at 1 worker: its RHS lane-evals/s
+// against the kernel-only bench/simd figure at the same width measures
+// the stepper's own overhead (report only, no gate).
+//
 // All three run identical per-lane step control, so the ratios isolate
 // what the engine buys: worker parallelism plus tape dispatch amortized
 // across lanes (interp) / contiguous SoA inner loops (native). Exports
@@ -106,7 +110,8 @@ int main() {
   };
 
   auto run_backend = [&](exec::Backend backend, double* sequential,
-                         double* width1, double* batched) {
+                         double* width1, double* batched,
+                         double* one_worker_lane_evals) {
     pipeline::KernelOptions ko;
     ko.lanes = kWorkers;
     const exec::KernelInstance k = cm.make_kernel(backend, ko);
@@ -138,11 +143,20 @@ int main() {
       ode::solve_ensemble(p, ode::Method::kDopri5, o, spec, sink);
       *(width == 1 ? width1 : batched) = scen_per_sec(t0, kScenarios);
     }
+    if (one_worker_lane_evals != nullptr) {
+      spec.workers = 1;
+      spec.max_batch = kMaxBatch;
+      ode::StatsOnlySink sink(kScenarios);
+      ode::solve_ensemble(p, ode::Method::kDopri5, o, spec, sink);
+      *one_worker_lane_evals = obs::Registry::global()
+                                   .gauge("ensemble.rhs_calls_per_sec")
+                                   .value();
+    }
     return true;
   };
 
   double i_seq = 0.0, i_w1 = 0.0, i_bat = 0.0;
-  run_backend(exec::Backend::kInterp, &i_seq, &i_w1, &i_bat);
+  run_backend(exec::Backend::kInterp, &i_seq, &i_w1, &i_bat, nullptr);
   report("interp, sequential", i_seq);
   report("interp, width 1", i_w1);
   report("interp, batched", i_bat);
@@ -156,14 +170,16 @@ int main() {
                                               : "[MISMATCH]"));
   std::printf("interp batched/width-1:    %.2fx\n\n", i_amort);
 
-  double n_seq = 0.0, n_w1 = 0.0, n_bat = 0.0;
-  const bool have_native =
-      run_backend(exec::Backend::kNative, &n_seq, &n_w1, &n_bat);
+  double n_seq = 0.0, n_w1 = 0.0, n_bat = 0.0, n_lane_evals = 0.0;
+  const bool have_native = run_backend(exec::Backend::kNative, &n_seq,
+                                       &n_w1, &n_bat, &n_lane_evals);
   if (have_native) {
     report("native, sequential", n_seq);
     report("native, width 1", n_w1);
     report("native, batched", n_bat);
     std::printf("native batched/sequential: %.2fx\n", n_bat / n_seq);
+    std::printf("native batched, 1 worker: %.0f RHS lane-evals/s\n",
+                n_lane_evals);
   } else {
     std::printf("%-24s (no host compiler; skipped)\n", "native");
   }
@@ -251,6 +267,8 @@ int main() {
   metrics.gauge("ensemble.native.batched.scen_per_s").set(n_bat);
   metrics.gauge("ensemble.native.batched_over_sequential")
       .set(n_seq > 0.0 ? n_bat / n_seq : 0.0);
+  metrics.gauge("ensemble.native.batched_1worker.lane_evals_per_s")
+      .set(n_lane_evals);
   const char* out_path = "BENCH_ensemble.json";
   if (obs::write_file(out_path, obs::metrics_json(metrics.snapshot()))) {
     std::printf("wrote %s\n", out_path);

@@ -115,13 +115,14 @@ class Recorder {
 
 inline void record_step(StepEventKind kind, const char* method,
                         std::uint16_t order, double t, double h,
-                        double err) {
+                        double err, std::uint32_t scenario = 0) {
   Recorder& r = Recorder::global();
   if (r.enabled()) {
     StepEvent ev;
     ev.kind = kind;
     ev.method = method;
     ev.order = order;
+    ev.lane = scenario;
     ev.t = t;
     ev.h = h;
     ev.err = err;

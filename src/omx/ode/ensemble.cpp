@@ -1,6 +1,7 @@
 #include "omx/ode/ensemble.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -88,45 +89,7 @@ obs::Counter& lanes_event_stopped_counter() {
   return c;
 }
 
-// ---------------------------------------------------------- batched RHS
-
-/// Uniform batched view over a Problem: dispatches to the bound batched
-/// kernel when present, otherwise gathers/scatters lane-by-lane through
-/// the scalar rhs (in which case concurrent workers require a
-/// thread-safe rhs; pure function callables are, shared-workspace
-/// kernels are not — those always bind batch_rhs).
-class BatchEval {
- public:
-  BatchEval(const Problem& p, std::size_t lane) : p_(&p), lane_(lane) {
-    if (!p.batch_rhs) {
-      y_.resize(p.n);
-      f_.resize(p.n);
-    }
-  }
-
-  void operator()(std::size_t nb, const double* ts, const double* y_soa,
-                  double* ydot_soa) {
-    if (p_->batch_rhs) {
-      p_->batch_rhs(lane_, nb, ts, y_soa, ydot_soa);
-      return;
-    }
-    const std::size_t n = p_->n;
-    for (std::size_t j = 0; j < nb; ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        y_[i] = y_soa[i * nb + j];
-      }
-      p_->rhs(ts[j], y_, f_);
-      for (std::size_t i = 0; i < n; ++i) {
-        ydot_soa[i * nb + j] = f_[i];
-      }
-    }
-  }
-
- private:
-  const Problem* p_;
-  std::size_t lane_;
-  simd::aligned_vector<double> y_, f_;  // scalar-fallback scratch
-};
+// ----------------------------------------------------------- SoA staging
 
 void pack_col(std::span<const double> v, double* soa, std::size_t nb,
               std::size_t j) {
@@ -149,241 +112,114 @@ void unpack_col(const double* soa, std::size_t nb, std::size_t j,
 
 // ----------------------------------------------------------- steppers
 //
-// Each stepper integrates a set of lanes (scenarios) in lockstep: one
-// round() = one step attempt for every lane, with all RHS evaluations
-// fused into batched calls. The per-lane arithmetic — stage updates,
-// error norms, controller decisions — is written to mirror the scalar
-// drivers (fixed_step.cpp, dopri5.cpp) operation for operation, which
-// together with kernel lane-independence makes every lane's trajectory
-// bitwise equal to a plain ode::solve of the same scenario.
+// The one implementation of kExplicitEuler, kRk4 and kDopri5. A stepper
+// integrates a set of lanes (scenarios) in lockstep: one round() is one
+// step attempt for every lane, with each stage's RHS evaluations fused
+// into one batched call. Every lane keeps its own t, h, step control and
+// events, and batched kernels are lane-independent, so a lane's
+// trajectory is the same whichever lanes share its batch. ode::solve is
+// the same stepper with one lane (detail::solve_one_lane).
 
-/// Shared per-scenario retirement plumbing. Trajectories stream to the
-/// caller's TrajectorySink (one TrajectoryWriter per in-flight lane);
-/// nothing is accumulated solver-side.
-struct StepperBase {
-  const Problem& p;
-  const SolverOptions& o;
-  BatchEval rhs;
-  TrajectorySink* sink;
-  std::atomic<std::int64_t>* active_count;
-  std::atomic<std::uint64_t>* rhs_total;
-  const char* method_name = "ensemble";  // literal; set by derived ctors
+using Vec = std::vector<double>;
 
-  StepperBase(const Problem& pp, const SolverOptions& oo, std::size_t lane,
-              TrajectorySink* out_sink, std::atomic<std::int64_t>* active,
-              std::atomic<std::uint64_t>* total_rhs)
-      : p(pp),
-        o(oo),
-        rhs(pp, lane),
-        sink(out_sink),
-        active_count(active),
-        rhs_total(total_rhs) {}
-
-  /// `at_event` marks a lane stopped early by a terminal event (t_stop
-  /// is its stop time); an ordinary retirement reached tend.
-  void retire(std::uint32_t scenario, TrajectoryWriter& rec,
-              const SolverStats& stats, bool at_event = false,
-              double t_stop = 0.0) {
-    publish_solver_stats(stats);
-    obs::record_lane(at_event ? obs::StepEventKind::kLaneEventStop
-                              : obs::StepEventKind::kLaneRetire,
-                     method_name, scenario, at_event ? t_stop : p.tend);
-    lanes_retired_counter().add();
-    if (at_event) {
-      lanes_event_stopped_counter().add();
-    }
-    rec.finish(stats);
-    rhs_total->fetch_add(stats.rhs_calls, std::memory_order_relaxed);
-    active_count->fetch_sub(1, std::memory_order_relaxed);
-    active_gauge().set(
-        static_cast<double>(active_count->load(std::memory_order_relaxed)));
-  }
-
-  void on_add() {
-    active_count->fetch_add(1, std::memory_order_relaxed);
-    active_gauge().set(
-        static_cast<double>(active_count->load(std::memory_order_relaxed)));
-  }
-
-  /// A lane dropped by cancellation: its TrajectoryWriter abandons the
-  /// partial chunk (the pool reclaims it) and finish() is never sent.
-  void abandon(std::uint32_t scenario, double t) {
-    obs::record_lane(obs::StepEventKind::kLaneCancel, method_name,
-                     scenario, t);
-    active_count->fetch_sub(1, std::memory_order_relaxed);
-    active_gauge().set(
-        static_cast<double>(active_count->load(std::memory_order_relaxed)));
-  }
+/// Per-scenario state every stepper lane carries.
+struct LaneCore {
+  std::uint32_t scenario = 0;
+  double t = 0.0, h = 0.0;
+  bool done = false;           // reached tend, or stopped by an event
+  bool event_stopped = false;  // stopped at t by a terminal event
+  Vec y;
+  EventHandler events;  // per-lane guard-sign cache
+  TrajectoryWriter rec;
+  SolverStats stats;
 };
 
-/// kExplicitEuler / kRk4. All lanes share dt/t0/tend, so they take the
-/// same number of steps and retire together; the structure still handles
-/// mid-flight joins (a lane added later runs its own step counter).
-class FixedStepper : public StepperBase {
+/// Lane bookkeeping and RHS evaluation shared by the steppers. Lanes are
+/// laid out per lane (contiguous y and stage vectors), so dense output,
+/// events and FSAL swaps work on spans; a stage packs them into one SoA
+/// block only when several lanes share a batched kernel.
+///
+/// A finished lane is handed to the caller's `on_retire(const LaneCore&)`
+/// after its statistics are published and before its trajectory's
+/// finish(); the ensemble's lane accounting lives in that hook.
+template <typename Lane>
+class StepperBase {
  public:
-  FixedStepper(const Problem& pp, const SolverOptions& oo, Method method,
-               std::size_t lane, TrajectorySink* out_sink,
-               std::atomic<std::int64_t>* active,
-               std::atomic<std::uint64_t>* total_rhs)
-      : StepperBase(pp, oo, lane, out_sink, active, total_rhs),
-        rk4_(method == Method::kRk4) {
-    method_name = rk4_ ? "rk4" : "explicit_euler";
-    OMX_REQUIRE(oo.dt > 0.0, "dt must be positive");
-    steps_ = static_cast<std::size_t>(
-        std::ceil((pp.tend - pp.t0) / oo.dt - 1e-12));
-  }
+  const Problem& p;
+  const SolverOptions& o;
+  const char* const method_name;  // literal
 
   std::size_t active() const { return lanes_.size(); }
 
-  void add(std::uint32_t scenario, std::span<const double> y0) {
-    const std::size_t n = p.n;
-    Lane L;
-    L.scenario = scenario;
-    L.t = p.t0;
-    L.y.assign(y0.begin(), y0.end());
-    L.k1.resize(n);
-    if (rk4_) {
-      L.k2.resize(n);
-      L.k3.resize(n);
-      L.tmp.resize(n);
-    }
-    L.rec = TrajectoryWriter(*sink, scenario, n);
-    L.rec.append(L.t, L.y);
-    lanes_.push_back(std::move(L));
-    on_add();
-  }
-
-  void round() { rk4_ ? round_rk4() : round_euler(); }
-
-  std::size_t abandon_all() {
+  /// Drops every lane (cancellation): each writer abandons its partial
+  /// chunk and finish() is never sent. `on_drop(scenario, t)` sees each
+  /// lane; returns how many there were.
+  template <typename OnDrop>
+  std::size_t abandon_all(OnDrop on_drop) {
     for (const Lane& L : lanes_) {
-      abandon(L.scenario, L.t);
+      on_drop(L.scenario, L.t);
     }
     const std::size_t n = lanes_.size();
     lanes_.clear();
     return n;
   }
 
- private:
-  struct Lane {
-    std::uint32_t scenario = 0;
-    double t = 0.0, h = 0.0;
-    std::size_t k = 0;  // completed steps
-    std::vector<double> y, k1, k2, k3, tmp;
-    TrajectoryWriter rec;
-    SolverStats stats;
-  };
+ protected:
+  /// `batched`: fuse the lanes of a stage through p.batch_rhs on private
+  /// workspace `lane`; otherwise every lane calls p.rhs on its own
+  /// vectors.
+  StepperBase(const Problem& pp, const SolverOptions& oo, const char* method,
+              std::size_t lane, TrajectorySink& sink, bool batched)
+      : p(pp),
+        o(oo),
+        method_name(method),
+        sink_(&sink),
+        lane_(lane),
+        batched_(batched) {}
 
-  void pack_states(std::size_t nb) {
-    ts_.resize(nb);
-    ybuf_.resize(p.n * nb);
-    fbuf_.resize(p.n * nb);
+  /// A lane at (t0, y0) with its initial row recorded and its events
+  /// primed; the derived add() sizes its stage vectors.
+  Lane make_lane(std::uint32_t scenario, std::span<const double> y0) {
+    Lane L;
+    L.scenario = scenario;
+    L.t = p.t0;
+    L.y.assign(y0.begin(), y0.end());
+    L.events = EventHandler(p.events, p.n);
+    if (L.events.armed()) {
+      L.events.prime(L.t, L.y);
+    }
+    L.rec = TrajectoryWriter(*sink_, scenario, p.n);
+    L.rec.append(L.t, L.y);
+    return L;
   }
 
-  void round_euler() {
+  /// Joins `L` to the batch, or retires it at once when it has nothing
+  /// to integrate (a zero-length span). The staging buffers grow with
+  /// the widest batch and never shrink, so a round allocates nothing.
+  template <typename OnRetire>
+  void join(Lane&& L, OnRetire& on_retire) {
+    if (L.done) {
+      retire(L, on_retire);
+      return;
+    }
+    lanes_.push_back(std::move(L));
     const std::size_t nb = lanes_.size();
-    pack_states(nb);
-    for (std::size_t j = 0; j < nb; ++j) {
-      ts_[j] = lanes_[j].t;
-      pack_col(lanes_[j].y, ybuf_.data(), nb, j);
-    }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      unpack_col(fbuf_.data(), nb, j, L.k1);
-      const double h = std::min(o.dt, p.tend - L.t);
-      ++L.stats.rhs_calls;
-      for (std::size_t i = 0; i < p.n; ++i) {
-        L.y[i] += h * L.k1[i];
+    if (ts_.size() < nb) {
+      ts_.resize(nb);
+      if (batched_) {
+        ybuf_.resize(p.n * nb);
+        fbuf_.resize(p.n * nb);
       }
-      L.t += h;
-      finish_step(L, "explicit_euler");
     }
-    compact();
   }
 
-  void round_rk4() {
-    const std::size_t nb = lanes_.size();
-    pack_states(nb);
-    // k1 = f(t, y)
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      L.h = std::min(o.dt, p.tend - L.t);
-      ts_[j] = L.t;
-      pack_col(L.y, ybuf_.data(), nb, j);
-    }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      unpack_col(fbuf_.data(), nb, j, lanes_[j].k1);
-    }
-    // k2 = f(t + h/2, y + h/2 k1)
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      for (std::size_t i = 0; i < p.n; ++i) {
-        L.tmp[i] = L.y[i] + 0.5 * L.h * L.k1[i];
-      }
-      ts_[j] = L.t + 0.5 * L.h;
-      pack_col(L.tmp, ybuf_.data(), nb, j);
-    }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      unpack_col(fbuf_.data(), nb, j, lanes_[j].k2);
-    }
-    // k3 = f(t + h/2, y + h/2 k2)
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      for (std::size_t i = 0; i < p.n; ++i) {
-        L.tmp[i] = L.y[i] + 0.5 * L.h * L.k2[i];
-      }
-      pack_col(L.tmp, ybuf_.data(), nb, j);
-    }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      unpack_col(fbuf_.data(), nb, j, lanes_[j].k3);
-    }
-    // k4 = f(t + h, y + h k3); reuses k1's slot order as the scalar
-    // driver does (k4 only feeds the closing combination).
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      for (std::size_t i = 0; i < p.n; ++i) {
-        L.tmp[i] = L.y[i] + L.h * L.k3[i];
-      }
-      ts_[j] = L.t + L.h;
-      pack_col(L.tmp, ybuf_.data(), nb, j);
-    }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      unpack_col(fbuf_.data(), nb, j, L.tmp);  // k4
-      L.stats.rhs_calls += 4;
-      for (std::size_t i = 0; i < p.n; ++i) {
-        L.y[i] += L.h / 6.0 *
-                  (L.k1[i] + 2.0 * L.k2[i] + 2.0 * L.k3[i] + L.tmp[i]);
-      }
-      L.t += L.h;
-      finish_step(L, "rk4");
-    }
-    compact();
-  }
-
-  void finish_step(Lane& L, const char* method) {
-    ++L.stats.steps;
-    for (const double v : L.y) {
-      if (!std::isfinite(v)) {
-        throw_nonfinite(method, L.t);
-      }
-    }
-    if (L.k % o.record_every == o.record_every - 1 || L.k + 1 == steps_) {
-      L.rec.append(L.t, L.y);
-    }
-    ++L.k;
-  }
-
-  void compact() {
+  /// Retires the finished lanes and closes the gaps, keeping order.
+  template <typename OnRetire>
+  void compact(OnRetire& on_retire) {
     std::size_t w = 0;
     for (std::size_t j = 0; j < lanes_.size(); ++j) {
-      if (lanes_[j].k >= steps_) {
-        retire(lanes_[j].scenario, lanes_[j].rec, lanes_[j].stats);
+      if (lanes_[j].done) {
+        retire(lanes_[j], on_retire);
       } else {
         if (w != j) {
           lanes_[w] = std::move(lanes_[j]);
@@ -394,186 +230,345 @@ class FixedStepper : public StepperBase {
     lanes_.resize(w);
   }
 
-  bool rk4_;
-  std::size_t steps_ = 0;
+  /// f(t, y) for one lane's contiguous vectors: a width-1 SoA block is
+  /// the plain state vector, so nothing is packed.
+  void eval_one(double t, std::span<const double> y, std::span<double> f) {
+    if (batched_) {
+      p.batch_rhs(lane_, 1, &t, y.data(), f.data());
+    } else {
+      p.rhs(t, y, f);
+    }
+  }
+
+  /// f(ts_[j], in(lane j)) into out(lane j) for the lanes [j0, active()),
+  /// as one batched call when more than one lane shares a batched kernel.
+  template <typename In, typename Out>
+  void eval(std::size_t j0, In in, Out out) {
+    const std::size_t nb = lanes_.size() - j0;
+    if (nb == 1 || !batched_) {
+      for (std::size_t j = j0; j < lanes_.size(); ++j) {
+        eval_one(ts_[j], in(lanes_[j]), out(lanes_[j]));
+      }
+      return;
+    }
+    for (std::size_t j = 0; j < nb; ++j) {
+      pack_col(in(lanes_[j0 + j]), ybuf_.data(), nb, j);
+    }
+    p.batch_rhs(lane_, nb, ts_.data() + j0, ybuf_.data(), fbuf_.data());
+    for (std::size_t j = 0; j < nb; ++j) {
+      unpack_col(fbuf_.data(), nb, j, out(lanes_[j0 + j]));
+    }
+  }
+
   std::vector<Lane> lanes_;
-  // SoA staging buffers (64-byte aligned per the simd.hpp contract; the
-  // batched kernels' lane loops vectorize over them).
-  simd::aligned_vector<double> ts_, ybuf_, fbuf_;
+  simd::aligned_vector<double> ts_;  // per-lane stage times
+
+ private:
+  template <typename OnRetire>
+  void retire(Lane& L, OnRetire& on_retire) {
+    publish_solver_stats(L.stats);
+    on_retire(static_cast<const LaneCore&>(L));
+    L.rec.finish(L.stats);
+  }
+
+  TrajectorySink* sink_;
+  std::size_t lane_;
+  bool batched_;
+  // SoA staging (64-byte aligned per the simd.hpp contract; the batched
+  // kernels' lane loops vectorize over them).
+  simd::aligned_vector<double> ybuf_, fbuf_;
 };
 
-/// kDopri5: per-lane PI step control over batched stage evaluations.
-class Dopri5Stepper : public StepperBase {
+struct FixedLane : LaneCore {
+  std::size_t k = 0;  // grid steps since the start or the last event
+  Vec k1, k2, k3, k4, tmp;
+  Vec yprev;  // armed lanes: the step's start, for the Hermite interpolant
+};
+
+/// kExplicitEuler / kRk4. A lane without armed events takes the
+/// step-counted walk over the dt grid (every such lane takes the same
+/// number of steps); a lane whose EventHandler is armed walks to tend
+/// instead, because an event shifts it off the grid.
+class FixedStepper : public StepperBase<FixedLane> {
  public:
-  Dopri5Stepper(const Problem& pp, const SolverOptions& oo, std::size_t lane,
-                TrajectorySink* out_sink, std::atomic<std::int64_t>* active,
-                std::atomic<std::uint64_t>* total_rhs)
-      : StepperBase(pp, oo, lane, out_sink, active, total_rhs) {
-    method_name = "dopri5";
-    hmax_ = oo.hmax > 0.0 ? oo.hmax : (pp.tend - pp.t0);
+  FixedStepper(const Problem& pp, const SolverOptions& oo, Method method,
+               std::size_t lane, TrajectorySink& sink, bool batched)
+      : StepperBase(pp, oo, to_string(method), lane, sink, batched),
+        rk4_(method == Method::kRk4) {
+    OMX_REQUIRE(oo.dt > 0.0, "dt must be positive");
+    steps_ = static_cast<std::size_t>(
+        std::ceil((pp.tend - pp.t0) / oo.dt - 1e-12));
   }
 
-  std::size_t active() const { return lanes_.size(); }
-
-  void add(std::uint32_t scenario, std::span<const double> y0) {
-    const std::size_t n = p.n;
-    Lane L;
-    L.scenario = scenario;
-    L.t = p.t0;
-    L.y.assign(y0.begin(), y0.end());
-    for (auto* v : {&L.k1, &L.k2, &L.k3, &L.k4, &L.k5, &L.k6, &L.k7,
-                    &L.ytmp, &L.yerr, &L.w}) {
-      v->resize(n);
+  template <typename OnRetire>
+  void add(std::uint32_t scenario, std::span<const double> y0,
+           OnRetire& on_retire) {
+    FixedLane L = make_lane(scenario, y0);
+    for (Vec* v : {&L.k1, &L.k2, &L.k3, &L.k4, &L.tmp}) {
+      v->resize(p.n);
     }
-    L.events = EventHandler(p.events, n);
     if (L.events.armed()) {
-      L.events.prime(L.t, L.y);
+      L.yprev.resize(p.n);
+      L.done = !(L.t < p.tend);
+    } else {
+      L.done = steps_ == 0;
     }
-    L.rec = TrajectoryWriter(*sink, scenario, n);
-    L.rec.append(L.t, L.y);
-    lanes_.push_back(std::move(L));
-    on_add();
+    join(std::move(L), on_retire);
   }
 
-  void round() {
-    init_fresh();
-    const std::size_t nb = lanes_.size();
-    ts_.resize(nb);
-    ybuf_.resize(p.n * nb);
-    fbuf_.resize(p.n * nb);
-
-    for (Lane& L : lanes_) {
-      L.h = std::min(L.h, p.tend - L.t);
-    }
-    // Stages 2..6: ytmp = y + h * sum(coef * k); per-lane accumulation
-    // order matches the scalar driver's stage lambda.
-    stage(c2, [](Lane& L) { return Terms{{L.k1.data(), a21}}; },
-          [](Lane& L) { return L.k2.data(); });
-    stage(c3,
-          [](Lane& L) {
-            return Terms{{L.k1.data(), a31}, {L.k2.data(), a32}};
-          },
-          [](Lane& L) { return L.k3.data(); });
-    stage(c4,
-          [](Lane& L) {
-            return Terms{
-                {L.k1.data(), a41}, {L.k2.data(), a42}, {L.k3.data(), a43}};
-          },
-          [](Lane& L) { return L.k4.data(); });
-    stage(c5,
-          [](Lane& L) {
-            return Terms{{L.k1.data(), a51},
-                         {L.k2.data(), a52},
-                         {L.k3.data(), a53},
-                         {L.k4.data(), a54}};
-          },
-          [](Lane& L) { return L.k5.data(); });
-    stage(1.0,
-          [](Lane& L) {
-            return Terms{{L.k1.data(), a61},
-                         {L.k2.data(), a62},
-                         {L.k3.data(), a63},
-                         {L.k4.data(), a64},
-                         {L.k5.data(), a65}};
-          },
-          [](Lane& L) { return L.k6.data(); });
-    // 5th-order solution (FSAL: k7 = f at the new point).
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      for (std::size_t i = 0; i < p.n; ++i) {
-        L.ytmp[i] = L.y[i] +
-                    L.h * (a71 * L.k1[i] + a73 * L.k3[i] + a74 * L.k4[i] +
-                           a75 * L.k5[i] + a76 * L.k6[i]);
+  template <typename OnRetire>
+  void round(OnRetire& on_retire) {
+    for (std::size_t j = 0; j < lanes_.size(); ++j) {
+      FixedLane& L = lanes_[j];
+      L.h = std::min(o.dt, p.tend - L.t);
+      ts_[j] = L.t;
+      if (L.events.armed()) {
+        std::copy(L.y.begin(), L.y.end(), L.yprev.begin());
       }
-      ts_[j] = L.t + L.h;
-      pack_col(L.ytmp, ybuf_.data(), nb, j);
     }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      unpack_col(fbuf_.data(), nb, j, lanes_[j].k7);
+    // k1 = f(t, y)
+    eval(0, [](FixedLane& L) -> Vec& { return L.y; },
+         [](FixedLane& L) -> Vec& { return L.k1; });
+    if (rk4_) {
+      rk4_stages();
     }
-
-    for (Lane& L : lanes_) {
-      control(L);
+    for (FixedLane& L : lanes_) {
+      // A local h: stores into L.y may alias L.h, which would otherwise
+      // be reloaded (and h / 6 recomputed) for every element.
+      const double h = L.h;
+      if (rk4_) {
+        L.stats.rhs_calls += 4;
+        for (std::size_t i = 0; i < p.n; ++i) {
+          L.y[i] += h / 6.0 *
+                    (L.k1[i] + 2.0 * L.k2[i] + 2.0 * L.k3[i] + L.k4[i]);
+        }
+      } else {
+        ++L.stats.rhs_calls;
+        for (std::size_t i = 0; i < p.n; ++i) {
+          L.y[i] += h * L.k1[i];
+        }
+      }
+      const double t_prev = L.t;
+      L.t += L.h;
+      finish_step(L, t_prev);
     }
-    compact();
-  }
-
-  std::size_t abandon_all() {
-    for (const Lane& L : lanes_) {
-      abandon(L.scenario, L.t);
-    }
-    const std::size_t n = lanes_.size();
-    lanes_.clear();
-    return n;
+    compact(on_retire);
   }
 
  private:
-  struct Lane {
-    std::uint32_t scenario = 0;
-    double t = 0.0, h = 0.0, err_prev = 1.0;
-    bool fresh = true, done = false, event_stopped = false;
-    std::size_t recorded = 0, attempts = 0;
-    std::vector<double> y, k1, k2, k3, k4, k5, k6, k7, ytmp, yerr, w;
-    EventHandler events;  // per-lane guard-sign cache
-    TrajectoryWriter rec;
-    SolverStats stats;
-  };
-
-  using Terms = std::vector<std::pair<const double*, double>>;
-
-  template <typename MakeTerms, typename Dst>
-  void stage(double ci, MakeTerms make_terms, Dst dst) {
-    const std::size_t nb = lanes_.size();
-    for (std::size_t j = 0; j < nb; ++j) {
-      Lane& L = lanes_[j];
-      const Terms terms = make_terms(L);
+  void rk4_stages() {
+    // k2 = f(t + h/2, y + h/2 k1)
+    for (std::size_t j = 0; j < lanes_.size(); ++j) {
+      FixedLane& L = lanes_[j];
+      const double h = L.h;
       for (std::size_t i = 0; i < p.n; ++i) {
-        double acc = L.y[i];
-        for (const auto& [vec, coef] : terms) {
-          acc += L.h * coef * vec[i];
-        }
-        L.ytmp[i] = acc;
+        L.tmp[i] = L.y[i] + 0.5 * h * L.k1[i];
       }
-      ts_[j] = L.t + ci * L.h;
-      pack_col(L.ytmp, ybuf_.data(), nb, j);
+      ts_[j] = L.t + 0.5 * h;
     }
-    rhs(nb, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nb; ++j) {
-      unpack_col(fbuf_.data(), nb, j, {dst(lanes_[j]), p.n});
+    eval(0, [](FixedLane& L) -> Vec& { return L.tmp; },
+         [](FixedLane& L) -> Vec& { return L.k2; });
+    // k3 = f(t + h/2, y + h/2 k2)
+    for (FixedLane& L : lanes_) {
+      const double h = L.h;
+      for (std::size_t i = 0; i < p.n; ++i) {
+        L.tmp[i] = L.y[i] + 0.5 * h * L.k2[i];
+      }
     }
+    eval(0, [](FixedLane& L) -> Vec& { return L.tmp; },
+         [](FixedLane& L) -> Vec& { return L.k3; });
+    // k4 = f(t + h, y + h k3)
+    for (std::size_t j = 0; j < lanes_.size(); ++j) {
+      FixedLane& L = lanes_[j];
+      const double h = L.h;
+      for (std::size_t i = 0; i < p.n; ++i) {
+        L.tmp[i] = L.y[i] + h * L.k3[i];
+      }
+      ts_[j] = L.t + h;
+    }
+    eval(0, [](FixedLane& L) -> Vec& { return L.tmp; },
+         [](FixedLane& L) -> Vec& { return L.k4; });
   }
 
-  /// First evaluation + automatic initial step for lanes that just
-  /// joined (Hairer's d0/d1 heuristic, as in the scalar driver).
-  void init_fresh() {
-    std::vector<std::size_t> fresh;
-    for (std::size_t j = 0; j < lanes_.size(); ++j) {
-      if (lanes_[j].fresh) {
-        fresh.push_back(j);
+  void finish_step(FixedLane& L, double t_prev) {
+    ++L.stats.steps;
+    // No error control would notice a NaN/Inf from the RHS: without this
+    // check the lane would integrate garbage to tend.
+    for (const double v : L.y) {
+      if (!std::isfinite(v)) {
+        throw_nonfinite(method_name, L.t);
       }
     }
-    if (fresh.empty()) {
+    if (!L.events.armed()) {
+      if (L.k % o.record_every == o.record_every - 1 || L.k + 1 == steps_) {
+        L.rec.append(L.t, L.y);
+      }
+      L.done = ++L.k >= steps_;
       return;
     }
-    const std::size_t nbf = fresh.size();
-    ts_.resize(nbf);
-    ybuf_.resize(p.n * nbf);
-    fbuf_.resize(p.n * nbf);
-    for (std::size_t j = 0; j < nbf; ++j) {
-      ts_[j] = lanes_[fresh[j]].t;
-      pack_col(lanes_[fresh[j]].y, ybuf_.data(), nbf, j);
+    const EventHandler::Hit hit =
+        L.events.check(t_prev, L.t, L.y, method_name, L.stats, [&] {
+          // Cubic Hermite over the step; k2/k3 are free once the step is
+          // taken and hold the endpoint derivatives.
+          eval_one(t_prev, L.yprev, L.k2);
+          eval_one(L.t, L.y, L.k3);
+          L.stats.rhs_calls += 2;
+          return DenseOutput::hermite(t_prev, L.yprev, L.k2, L.t, L.y,
+                                      L.k3);
+        });
+    if (hit.fired) {
+      // Resume on a grid anchored at the event time.
+      L.t = hit.t;
+      L.rec.append(L.t, L.events.pre_state());
+      std::copy(L.events.post_state().begin(), L.events.post_state().end(),
+                L.y.begin());
+      L.rec.append(L.t, L.y);
+      L.event_stopped = hit.terminal;
+      L.done = hit.terminal || !(L.t < p.tend);
+      return;
     }
-    rhs(nbf, ts_.data(), ybuf_.data(), fbuf_.data());
-    for (std::size_t j = 0; j < nbf; ++j) {
-      Lane& L = lanes_[fresh[j]];
-      unpack_col(fbuf_.data(), nbf, j, L.k1);
+    if (L.k % o.record_every == o.record_every - 1 || L.t >= p.tend) {
+      L.rec.append(L.t, L.y);
+    }
+    ++L.k;
+    L.done = !(L.t < p.tend);
+  }
+
+  bool rk4_;
+  std::size_t steps_ = 0;  // grid steps of a lane without armed events
+};
+
+/// Dormand & Prince RK5(4)7M coefficients. Row s of `a` builds the input
+/// of stage k[s] at t + c[s] h; b (with b2 = 0) is the 5th-order
+/// solution, whose derivative is the FSAL stage k7; e = b5 - b4 weighs
+/// the error estimate (e2 = 0).
+struct Dopri5Tableau {
+  static constexpr double c[6] = {0.0, 1.0 / 5, 3.0 / 10, 4.0 / 5, 8.0 / 9,
+                                  1.0};
+  static constexpr double a[6][5] = {
+      {},
+      {1.0 / 5},
+      {3.0 / 40, 9.0 / 40},
+      {44.0 / 45, -56.0 / 15, 32.0 / 9},
+      {19372.0 / 6561, -25360.0 / 2187, 64448.0 / 6561, -212.0 / 729},
+      {9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176,
+       -5103.0 / 18656},
+  };
+  static constexpr double b1 = 35.0 / 384, b3 = 500.0 / 1113,
+                          b4 = 125.0 / 192, b5 = -2187.0 / 6784,
+                          b6 = 11.0 / 84;
+  static constexpr double e1 = 71.0 / 57600, e3 = -71.0 / 16695,
+                          e4 = 71.0 / 1920, e5 = -17253.0 / 339200,
+                          e6 = 22.0 / 525, e7 = -1.0 / 40;
+};
+
+struct Dopri5Lane : LaneCore {
+  double err_prev = 1.0;  // PI controller memory
+  bool fresh = true;      // awaiting its first f and initial step
+  std::size_t recorded = 0, attempts = 0;
+  std::array<Vec, 7> k;  // stages k1..k7
+  Vec ytmp, yerr, w;
+};
+
+/// kDopri5: per-lane PI step control over batched stage evaluations.
+class Dopri5Stepper : public StepperBase<Dopri5Lane> {
+  using T = Dopri5Tableau;
+
+ public:
+  Dopri5Stepper(const Problem& pp, const SolverOptions& oo, std::size_t lane,
+                TrajectorySink& sink, bool batched)
+      : StepperBase(pp, oo, "dopri5", lane, sink, batched),
+        hmax_(oo.hmax > 0.0 ? oo.hmax : (pp.tend - pp.t0)) {}
+
+  template <typename OnRetire>
+  void add(std::uint32_t scenario, std::span<const double> y0,
+           OnRetire& on_retire) {
+    Dopri5Lane L = make_lane(scenario, y0);
+    for (Vec& v : L.k) {
+      v.resize(p.n);
+    }
+    for (Vec* v : {&L.ytmp, &L.yerr, &L.w}) {
+      v->resize(p.n);
+    }
+    L.done = !(L.t < p.tend);
+    join(std::move(L), on_retire);
+  }
+
+  template <typename OnRetire>
+  void round(OnRetire& on_retire) {
+    init_fresh();
+    for (Dopri5Lane& L : lanes_) {
+      L.h = std::min(L.h, p.tend - L.t);
+    }
+    // Stages 2..6: ytmp = y + sum_r (h a[s][r]) k[r], accumulated term by
+    // term in r order.
+    for (std::size_t s = 1; s < 6; ++s) {
+      for (std::size_t j = 0; j < lanes_.size(); ++j) {
+        Dopri5Lane& L = lanes_[j];
+        const double h = L.h;
+        const double ha0 = h * T::a[s][0];
+        for (std::size_t i = 0; i < p.n; ++i) {
+          L.ytmp[i] = L.y[i] + ha0 * L.k[0][i];
+        }
+        for (std::size_t r = 1; r < s; ++r) {
+          const double ha = h * T::a[s][r];
+          const double* kr = L.k[r].data();
+          for (std::size_t i = 0; i < p.n; ++i) {
+            L.ytmp[i] += ha * kr[i];
+          }
+        }
+        ts_[j] = L.t + T::c[s] * h;
+      }
+      eval(0, [](Dopri5Lane& L) -> Vec& { return L.ytmp; },
+           [s](Dopri5Lane& L) -> Vec& { return L.k[s]; });
+    }
+    // 5th-order solution (FSAL: k7 = f at the new point).
+    for (std::size_t j = 0; j < lanes_.size(); ++j) {
+      Dopri5Lane& L = lanes_[j];
+      const auto& k = L.k;
+      const double h = L.h;
+      for (std::size_t i = 0; i < p.n; ++i) {
+        L.ytmp[i] = L.y[i] + h * (T::b1 * k[0][i] + T::b3 * k[2][i] +
+                                  T::b4 * k[3][i] + T::b5 * k[4][i] +
+                                  T::b6 * k[5][i]);
+      }
+      ts_[j] = L.t + h;
+    }
+    eval(0, [](Dopri5Lane& L) -> Vec& { return L.ytmp; },
+         [](Dopri5Lane& L) -> Vec& { return L.k[6]; });
+
+    for (Dopri5Lane& L : lanes_) {
+      control(L);
+    }
+    compact(on_retire);
+  }
+
+ private:
+  /// First evaluation and automatic initial step (Hairer's d0/d1
+  /// heuristic: h ~ 1% of ||y||_w / ||y'||_w) for the lanes that joined
+  /// since the last round. Lanes only join at the back, so those are a
+  /// suffix of lanes_.
+  void init_fresh() {
+    std::size_t j0 = lanes_.size();
+    while (j0 > 0 && lanes_[j0 - 1].fresh) {
+      --j0;
+    }
+    if (j0 == lanes_.size()) {
+      return;
+    }
+    for (std::size_t j = j0; j < lanes_.size(); ++j) {
+      ts_[j] = lanes_[j].t;
+    }
+    eval(j0, [](Dopri5Lane& L) -> Vec& { return L.y; },
+         [](Dopri5Lane& L) -> Vec& { return L.k[0]; });
+    for (std::size_t j = j0; j < lanes_.size(); ++j) {
+      Dopri5Lane& L = lanes_[j];
       ++L.stats.rhs_calls;
       double h = o.h0;
       if (h <= 0.0) {
         error_weights(L.y, o.tol, L.w);
         const double d0 = la::wrms_norm(L.y, L.w);
-        const double d1 = la::wrms_norm(L.k1, L.w);
+        const double d1 = la::wrms_norm(L.k[0], L.w);
         h = (d0 > 1e-5 && d1 > 1e-5) ? 0.01 * d0 / d1
                                      : 1e-3 * (p.tend - p.t0);
         h = std::min(h, hmax_);
@@ -583,33 +578,38 @@ class Dopri5Stepper : public StepperBase {
     }
   }
 
-  void control(Lane& L) {
+  void control(Dopri5Lane& L) {
+    const auto& k = L.k;
+    const double h = L.h;
     for (std::size_t i = 0; i < p.n; ++i) {
-      L.yerr[i] =
-          L.h * (e1 * L.k1[i] + e3 * L.k3[i] + e4 * L.k4[i] +
-                 e5 * L.k5[i] + e6 * L.k6[i] + e7 * L.k7[i]);
+      L.yerr[i] = h * (T::e1 * k[0][i] + T::e3 * k[2][i] + T::e4 * k[3][i] +
+                       T::e5 * k[4][i] + T::e6 * k[5][i] + T::e7 * k[6][i]);
     }
     error_weights(L.ytmp, o.tol, L.w);
     const double err = la::wrms_norm(L.yerr, L.w);
     L.stats.rhs_calls += 6;
     if (!std::isfinite(err)) {
+      // A NaN/Inf from the RHS fails every accept test, so without this
+      // check the controller would shrink h to underflow and report a
+      // misleading "step size underflow"; fail with the real cause.
       throw_nonfinite("dopri5", L.t);
     }
     if (err <= 1.0) {
-      // Event check mirrors the scalar driver's accept branch exactly:
-      // at this point L.y/L.k1..L.k7 still hold the step's inputs and
-      // stages, L.ytmp the candidate new state — the dense-output
-      // construction and restart arithmetic are operation-for-operation
-      // identical, which preserves ensemble == scalar bitwise equality
-      // for hybrid scenarios.
+      obs::record_step(obs::StepEventKind::kStepAccepted, "dopri5", 5, L.t,
+                       L.h, err, L.scenario);
+      // L.y and k hold the step's inputs and stages, L.ytmp the
+      // candidate new state: exactly what the dense output needs.
       EventHandler::Hit hit;
       if (L.events.armed()) {
         hit = L.events.check(L.t, L.t + L.h, L.ytmp, "dopri5", L.stats, [&] {
-          return DenseOutput::dopri5(L.t, L.h, L.y, L.ytmp, L.k1, L.k3,
-                                     L.k4, L.k5, L.k6, L.k7);
+          return DenseOutput::dopri5(L.t, L.h, L.y, L.ytmp, k[0], k[2], k[3],
+                                     k[4], k[5], k[6]);
         });
       }
       if (hit.fired) {
+        // The accepted step is truncated at the localized event time:
+        // commit the interpolated pre-event state, apply the reset, and
+        // restart with a fresh FSAL derivative and a conservative step.
         L.t = hit.t;
         ++L.stats.steps;
         ++L.recorded;
@@ -621,22 +621,22 @@ class Dopri5Stepper : public StepperBase {
           L.event_stopped = true;
           L.done = true;
         } else {
-          rhs(1, &L.t, L.y.data(), L.k1.data());
+          eval_one(L.t, L.y, L.k[0]);
           ++L.stats.rhs_calls;
-          L.h = event_restart_step(L.y, L.k1, o.tol, p.tend - p.t0, hmax_,
+          L.h = event_restart_step(L.y, L.k[0], o.tol, p.tend - p.t0, hmax_,
                                    L.w);
           L.err_prev = 1.0;
         }
       } else {
         L.t += L.h;
         L.y.swap(L.ytmp);
-        L.k1.swap(L.k7);  // FSAL
+        L.k[0].swap(L.k[6]);  // FSAL
         ++L.stats.steps;
         ++L.recorded;
         if (L.recorded % o.record_every == 0 || L.t >= p.tend) {
           L.rec.append(L.t, L.y);
         }
-        // PI controller (Gustafsson), as in the scalar driver.
+        // PI controller (Gustafsson).
         const double err_clamped = std::max(err, 1e-10);
         double fac = 0.9 * std::pow(err_clamped, -0.7 / 5.0) *
                      std::pow(L.err_prev, 0.4 / 5.0);
@@ -646,6 +646,8 @@ class Dopri5Stepper : public StepperBase {
       }
     } else {
       ++L.stats.rejected;
+      obs::record_step(obs::StepEventKind::kStepRejected, "dopri5", 5, L.t,
+                       L.h, err, L.scenario);
       const double fac = std::max(0.2, 0.9 * std::pow(err, -1.0 / 5.0));
       L.h *= fac;
       if (L.h < 1e-14 * std::max(1.0, std::fabs(L.t))) {
@@ -661,44 +663,7 @@ class Dopri5Stepper : public StepperBase {
     }
   }
 
-  void compact() {
-    std::size_t w = 0;
-    for (std::size_t j = 0; j < lanes_.size(); ++j) {
-      if (lanes_[j].done) {
-        retire(lanes_[j].scenario, lanes_[j].rec, lanes_[j].stats,
-               lanes_[j].event_stopped, lanes_[j].t);
-      } else {
-        if (w != j) {
-          lanes_[w] = std::move(lanes_[j]);
-        }
-        ++w;
-      }
-    }
-    lanes_.resize(w);
-  }
-
-  double hmax_ = 0.0;
-  std::vector<Lane> lanes_;
-  // SoA staging buffers (64-byte aligned per the simd.hpp contract).
-  simd::aligned_vector<double> ts_, ybuf_, fbuf_;
-
-  // Dormand & Prince RK5(4)7M coefficients (as in dopri5.cpp).
-  static constexpr double c2 = 1.0 / 5, c3 = 3.0 / 10, c4 = 4.0 / 5,
-                          c5 = 8.0 / 9;
-  static constexpr double a21 = 1.0 / 5;
-  static constexpr double a31 = 3.0 / 40, a32 = 9.0 / 40;
-  static constexpr double a41 = 44.0 / 45, a42 = -56.0 / 15, a43 = 32.0 / 9;
-  static constexpr double a51 = 19372.0 / 6561, a52 = -25360.0 / 2187,
-                          a53 = 64448.0 / 6561, a54 = -212.0 / 729;
-  static constexpr double a61 = 9017.0 / 3168, a62 = -355.0 / 33,
-                          a63 = 46732.0 / 5247, a64 = 49.0 / 176,
-                          a65 = -5103.0 / 18656;
-  static constexpr double a71 = 35.0 / 384, a73 = 500.0 / 1113,
-                          a74 = 125.0 / 192, a75 = -2187.0 / 6784,
-                          a76 = 11.0 / 84;
-  static constexpr double e1 = 71.0 / 57600, e3 = -71.0 / 16695,
-                          e4 = 71.0 / 1920, e5 = -17253.0 / 339200,
-                          e6 = 22.0 / 525, e7 = -1.0 / 40;
+  double hmax_;
 };
 
 // ----------------------------------------------------------- scheduling
@@ -751,6 +716,40 @@ struct WorkSource {
   }
 };
 
+
+/// Ensemble-only lane accounting: the active-scenario gauge, the
+/// retire/event-stop counters, the lane recorder events and the RHS total
+/// behind ensemble.rhs_calls_per_sec. Kept out of the steppers, so a
+/// single solve never touches it.
+struct LaneLedger {
+  std::atomic<std::int64_t> active{0};
+  std::atomic<std::uint64_t> rhs_total{0};
+
+  void joined() { move_active(1); }
+  void left() { move_active(-1); }
+
+  /// `at_event` marks a lane stopped early by a terminal event; an
+  /// ordinary retirement reached tend. `t` is the recorded stop time.
+  void retired(const char* method, std::uint32_t scenario,
+               const SolverStats& stats, bool at_event, double t) {
+    obs::record_lane(at_event ? obs::StepEventKind::kLaneEventStop
+                              : obs::StepEventKind::kLaneRetire,
+                     method, scenario, t);
+    lanes_retired_counter().add();
+    if (at_event) {
+      lanes_event_stopped_counter().add();
+    }
+    rhs_total.fetch_add(stats.rhs_calls, std::memory_order_relaxed);
+  }
+
+ private:
+  void move_active(std::int64_t d) {
+    active.fetch_add(d, std::memory_order_relaxed);
+    active_gauge().set(
+        static_cast<double>(active.load(std::memory_order_relaxed)));
+  }
+};
+
 /// Scenario-at-a-time path for the multistep/stiff methods: a plain
 /// streaming solve per scenario, routed through the batched kernel at
 /// width 1 when one is bound so concurrent workers each use their own
@@ -773,13 +772,24 @@ SolverStats solve_single(const Problem& p, Method method,
 
 template <typename Stepper>
 void run_batched_worker(Stepper& st, WorkSource& ws, std::size_t w,
-                        std::size_t max_batch, const EnsembleSpec& spec) {
+                        std::size_t max_batch, const EnsembleSpec& spec,
+                        LaneLedger& ledger) {
+  auto on_retire = [&](const LaneCore& L) {
+    ledger.retired(st.method_name, L.scenario, L.stats, L.event_stopped,
+                   L.event_stopped ? L.t : st.p.tend);
+    ledger.left();
+  };
   std::uint32_t s = 0;
   bool mid_flight = false;  // has this batch taken a round yet?
   for (;;) {
     if (st.o.cancel != nullptr &&
         st.o.cancel->load(std::memory_order_relaxed)) {
-      lanes_cancelled_counter().add(st.abandon_all());
+      lanes_cancelled_counter().add(
+          st.abandon_all([&](std::uint32_t scenario, double t) {
+            obs::record_lane(obs::StepEventKind::kLaneCancel,
+                             st.method_name, scenario, t);
+            ledger.left();
+          }));
       throw Cancelled(std::string(st.method_name) +
                       ": ensemble cancelled");
     }
@@ -787,16 +797,16 @@ void run_batched_worker(Stepper& st, WorkSource& ws, std::size_t w,
       obs::record_lane(mid_flight ? obs::StepEventKind::kLaneRefill
                                   : obs::StepEventKind::kLanePack,
                        st.method_name, s, st.p.t0);
-      st.add(s, spec.initial_states[s]);
+      ledger.joined();
+      st.add(s, spec.initial_states[s], on_retire);
     }
     const std::size_t nb = st.active();
     if (nb == 0) {
-      mid_flight = false;
       break;
     }
     occupancy_hist().observe(static_cast<double>(nb));
     Stopwatch timer;
-    st.round();
+    st.round(on_retire);
     // Per-lane share of the round: comparable across batch widths.
     lane_step_hist().observe(timer.seconds() / static_cast<double>(nb));
     mid_flight = true;
@@ -809,6 +819,34 @@ void run_batched_worker(Stepper& st, WorkSource& ws, std::size_t w,
 constexpr std::size_t kTuneBatchCap = 64;
 
 }  // namespace
+
+namespace detail {
+
+SolverStats solve_one_lane(const Problem& p, Method method,
+                           const SolverOptions& opts, TrajectorySink& sink,
+                           std::uint32_t scenario) {
+  p.validate();
+  obs::Span span(to_string(method), "ode");
+  SolverStats stats;
+  auto on_retire = [&](const LaneCore& L) { stats = L.stats; };
+  auto run = [&](auto& st) {
+    st.add(scenario, p.y0, on_retire);
+    while (st.active() > 0) {
+      poll_cancel(opts.cancel, st.method_name);
+      st.round(on_retire);
+    }
+  };
+  if (method == Method::kDopri5) {
+    Dopri5Stepper st(p, opts, 0, sink, /*batched=*/false);
+    run(st);
+  } else {
+    FixedStepper st(p, opts, method, 0, sink, /*batched=*/false);
+    run(st);
+  }
+  return stats;
+}
+
+}  // namespace detail
 
 void solve_ensemble(const Problem& p, Method method,
                     const SolverOptions& opts, const EnsembleSpec& spec,
@@ -885,30 +923,23 @@ void solve_ensemble(const Problem& p, Method method,
   }
 
   WorkSource ws(nw, ns);
-  std::atomic<std::int64_t> active{0};
-  std::atomic<std::uint64_t> total_rhs{0};
+  LaneLedger ledger;
   std::mutex err_mutex;
   std::exception_ptr first_error;
 
-  // Events shift a lane off the shared dt grid, which breaks the
-  // fixed-step lockstep assumption (all lanes share one step count) —
-  // hybrid euler/rk4 ensembles fall back to scenario-at-a-time. The
-  // dopri5 lanes already run per-lane step control and handle events
-  // natively.
-  const bool has_events = p.events != nullptr && !p.events->functions.empty();
-  const bool batched_method =
-      method == Method::kDopri5 ||
-      ((method == Method::kExplicitEuler || method == Method::kRk4) &&
-       !has_events);
+  const bool explicit_method = method == Method::kExplicitEuler ||
+                               method == Method::kRk4 ||
+                               method == Method::kDopri5;
+  const bool batched = static_cast<bool>(p.batch_rhs);
 
   auto worker = [&](std::size_t w) {
     try {
       if (method == Method::kDopri5) {
-        Dopri5Stepper st(p, opts, w, &sink, &active, &total_rhs);
-        run_batched_worker(st, ws, w, max_batch, spec);
-      } else if (batched_method) {
-        FixedStepper st(p, opts, method, w, &sink, &active, &total_rhs);
-        run_batched_worker(st, ws, w, max_batch, spec);
+        Dopri5Stepper st(p, opts, w, sink, batched);
+        run_batched_worker(st, ws, w, max_batch, spec, ledger);
+      } else if (explicit_method) {
+        FixedStepper st(p, opts, method, w, sink, batched);
+        run_batched_worker(st, ws, w, max_batch, spec, ledger);
       } else {
         std::uint32_t s = 0;
         while (ws.next(w, s)) {
@@ -927,18 +958,11 @@ void solve_ensemble(const Problem& p, Method method,
             lanes_cancelled_counter().add();
             throw;
           }
-          total_rhs.fetch_add(st.rhs_calls, std::memory_order_relaxed);
           lane_step_hist().observe(
               timer.seconds() /
               static_cast<double>(std::max<std::uint64_t>(1, st.steps)));
-          const bool at_event = st.events_terminal > 0;
-          obs::record_lane(at_event ? obs::StepEventKind::kLaneEventStop
-                                    : obs::StepEventKind::kLaneRetire,
-                           to_string(method), s, base.tend);
-          lanes_retired_counter().add();
-          if (at_event) {
-            lanes_event_stopped_counter().add();
-          }
+          ledger.retired(to_string(method), s, st, st.events_terminal > 0,
+                         base.tend);
         }
       }
     } catch (...) {
@@ -971,10 +995,10 @@ void solve_ensemble(const Problem& p, Method method,
     std::rethrow_exception(first_error);
   }
 
+  const double total_rhs =
+      static_cast<double>(ledger.rhs_total.load(std::memory_order_relaxed));
   if (secs > 0.0) {
-    rate_gauge().set(
-        static_cast<double>(total_rhs.load(std::memory_order_relaxed)) /
-        secs);
+    rate_gauge().set(total_rhs / secs);
   }
 
   // Feed the cost model with what actually ran (post-clamp nw/max_batch,
@@ -982,9 +1006,7 @@ void solve_ensemble(const Problem& p, Method method,
   // record; off leaves the tuner untouched.
   if (tune::mode() != tune::Mode::kOff && secs > 0.0) {
     tune::AutoTuner::global().record_ensemble(
-        {p.n, ns, nw, batched_method ? max_batch : 1,
-         static_cast<double>(total_rhs.load(std::memory_order_relaxed)),
-         secs});
+        {p.n, ns, nw, explicit_method ? max_batch : 1, total_rhs, secs});
   }
 }
 

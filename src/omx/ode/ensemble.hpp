@@ -21,10 +21,15 @@
 //  * Finished scenarios retire from their batch immediately; the batch
 //    compacts and refills from the remaining queue (work stealing moves
 //    whole scenarios between workers).
-//  * kExplicitEuler / kRk4 / kDopri5 run fully batched. The multistep /
-//    stiff methods (kAdamsPece, kBdf, kLsodaLike) integrate scenario-at-
-//    a-time per worker, through the batched kernel at width 1 when one is
-//    bound (which keeps them thread-safe across workers).
+//  * kExplicitEuler / kRk4 / kDopri5 run fully batched, with or without
+//    events: each lane carries its own EventHandler, and a fixed-step
+//    lane with armed events walks to tend instead of counting dt steps.
+//    These batched steppers are the only implementation of the three
+//    methods — ode::solve runs them with one lane, calling p.rhs on the
+//    lane's own vectors. The multistep / stiff methods (kAdamsPece, kBdf,
+//    kLsodaLike) integrate scenario-at-a-time per worker, through the
+//    batched kernel at width 1 when one is bound (which keeps them
+//    thread-safe across workers).
 #pragma once
 
 #include "omx/ode/solve.hpp"
@@ -68,5 +73,13 @@ EnsembleResult solve_ensemble(const Problem& p, Method method,
 void solve_ensemble(const Problem& p, Method method,
                     const SolverOptions& opts, const EnsembleSpec& spec,
                     TrajectorySink& sink);
+
+namespace detail {
+/// ode::solve's path for kExplicitEuler, kRk4 and kDopri5: the batched
+/// stepper with one lane, which evaluates p.rhs directly.
+SolverStats solve_one_lane(const Problem& p, Method method,
+                           const SolverOptions& opts, TrajectorySink& sink,
+                           std::uint32_t scenario);
+}  // namespace detail
 
 }  // namespace omx::ode

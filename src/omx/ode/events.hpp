@@ -8,7 +8,7 @@
 // post-reset state of the previous event) and compares against the new
 // accepted point. A detected crossing is localized by bisection on a
 // DenseOutput interpolant of the step — the DOPRI5 4th-order continuous
-// extension for the dopri5 drivers, Lagrange evaluation of the uniform
+// extension for dopri5, Lagrange evaluation of the uniform
 // BDF history for the stiff path, and cubic Hermite with endpoint
 // derivatives elsewhere — so the event time is accurate to the
 // interpolant, not to the step size. A guard sitting exactly on zero
@@ -173,8 +173,9 @@ class EventHandler {
 
 /// Builds a cubic Hermite dense output over [t0, t1], evaluating the
 /// problem RHS at both endpoints (2 calls, counted into `stats`). Used
-/// by drivers without a natural interpolant for the jump at hand (fixed
-/// step, Adams steps and history rebuilds).
+/// by the multistep drivers for jumps without a natural interpolant
+/// (Adams steps and history rebuilds); the fixed-step lanes build the
+/// same interpolant through their own lane evaluator.
 inline DenseOutput hermite_by_rhs(const Problem& p, double t0,
                                   std::span<const double> y0, double t1,
                                   std::span<const double> y1,
@@ -186,9 +187,9 @@ inline DenseOutput hermite_by_rhs(const Problem& p, double t0,
   return DenseOutput::hermite(t0, y0, f0, t1, y1, f1);
 }
 
-/// Conservative step re-seed after an event restart (the same d0/d1
-/// heuristic the drivers use at t0), shared so the scalar dopri5 driver
-/// and the ensemble lanes stay operation-for-operation identical.
+/// Conservative step re-seed after an event restart: the same d0/d1
+/// heuristic the dopri5 stepper uses at t0; the error weights are
+/// written into `w`.
 inline double event_restart_step(std::span<const double> y,
                                  std::span<const double> f,
                                  const Tolerances& tol, double span_fallback,

@@ -7,8 +7,7 @@
 #include "omx/ode/adams.hpp"
 #include "omx/ode/auto_switch.hpp"
 #include "omx/ode/bdf.hpp"
-#include "omx/ode/dopri5.hpp"
-#include "omx/ode/fixed_step.hpp"
+#include "omx/ode/ensemble.hpp"
 #include "omx/ode/jacobian.hpp"
 #include "omx/support/timer.hpp"
 #include "omx/tune/autotuner.hpp"
@@ -52,24 +51,10 @@ struct StiffTuneScope {
 SolverStats solve(const Problem& p, Method method, const SolverOptions& o,
                   TrajectorySink& sink, std::uint32_t scenario) {
   switch (method) {
-    case Method::kExplicitEuler: {
-      FixedStepOptions fo{o.dt, o.record_every, o.cancel};
-      return detail::explicit_euler(p, fo, sink, scenario);
-    }
-    case Method::kRk4: {
-      FixedStepOptions fo{o.dt, o.record_every, o.cancel};
-      return detail::rk4(p, fo, sink, scenario);
-    }
-    case Method::kDopri5: {
-      Dopri5Options d;
-      d.tol = o.tol;
-      d.h0 = o.h0;
-      d.hmax = o.hmax;
-      d.max_steps = o.max_steps;
-      d.record_every = o.record_every;
-      d.cancel = o.cancel;
-      return detail::dopri5(p, d, sink, scenario);
-    }
+    case Method::kExplicitEuler:
+    case Method::kRk4:
+    case Method::kDopri5:
+      return detail::solve_one_lane(p, method, o, sink, scenario);
     case Method::kAdamsPece: {
       AdamsOptions a;
       a.tol = o.tol;

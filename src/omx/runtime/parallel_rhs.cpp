@@ -15,13 +15,6 @@ ParallelRhs::ParallelRhs(const exec::RhsKernel& kernel,
   init_scheduler();
 }
 
-ParallelRhs::ParallelRhs(const vm::Program& program,
-                         const ParallelRhsOptions& opts)
-    : opts_(opts) {
-  pool_ = std::make_unique<WorkerPool>(program, opts_.pool);
-  init_scheduler();
-}
-
 void ParallelRhs::init_scheduler() {
   const exec::TaskTable& table = pool_->kernel().tasks();
   std::vector<double> static_weights;
@@ -68,13 +61,6 @@ SerialRhs::SerialRhs(const exec::RhsKernel& kernel,
                      std::size_t compute_scale)
     : kernel_(&kernel), compute_scale_(compute_scale) {
   OMX_REQUIRE(compute_scale_ >= 1, "compute_scale must be >= 1");
-}
-
-SerialRhs::SerialRhs(const vm::Program& program, std::size_t compute_scale)
-    : compute_scale_(compute_scale) {
-  OMX_REQUIRE(compute_scale_ >= 1, "compute_scale must be >= 1");
-  owned_ = exec::make_interp_kernel(program, nullptr, {});
-  kernel_ = &owned_.kernel();
 }
 
 void SerialRhs::eval(double t, std::span<const double> y,

@@ -32,9 +32,6 @@ class ParallelRhs {
   /// `kernel` must have a task decomposition and outlive this object.
   ParallelRhs(const exec::RhsKernel& kernel,
               const ParallelRhsOptions& opts);
-  /// Legacy entry point: wraps `program` (which must outlive this
-  /// object) in an interpreter kernel.
-  ParallelRhs(const vm::Program& program, const ParallelRhsOptions& opts);
 
   std::size_t n() const { return pool_->kernel().n_state(); }
 
@@ -84,10 +81,6 @@ class SerialRhs {
   /// `kernel` must outlive this object.
   explicit SerialRhs(const exec::RhsKernel& kernel,
                      std::size_t compute_scale = 1);
-  /// Legacy entry point over the tape interpreter; `program` must
-  /// outlive this object.
-  explicit SerialRhs(const vm::Program& program,
-                     std::size_t compute_scale = 1);
 
   std::size_t n() const { return kernel_->n_state(); }
   void eval(double t, std::span<const double> y, std::span<double> ydot);
@@ -106,8 +99,7 @@ class SerialRhs {
   void reset_counters();
 
  private:
-  exec::KernelInstance owned_;  // legacy-constructor keep-alive
-  const exec::RhsKernel* kernel_ = nullptr;
+  const exec::RhsKernel* kernel_;
   std::size_t compute_scale_;
   std::uint64_t rhs_calls_ = 0;
   double eval_seconds_ = 0.0;

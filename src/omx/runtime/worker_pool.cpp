@@ -32,15 +32,6 @@ WorkerPool::WorkerPool(const exec::RhsKernel& kernel, const Options& opts)
   init();
 }
 
-WorkerPool::WorkerPool(const vm::Program& program, const Options& opts)
-    : opts_(opts) {
-  exec::InterpKernelOptions io;
-  io.lanes = opts.num_workers;
-  owned_ = exec::make_interp_kernel(program, nullptr, io);
-  kernel_ = &owned_.kernel();
-  init();
-}
-
 void WorkerPool::init() {
   OMX_REQUIRE(opts_.num_workers >= 1, "need at least one worker");
   OMX_REQUIRE(opts_.compute_scale >= 1, "compute_scale must be >= 1");

@@ -59,7 +59,6 @@
 #include "omx/runtime/task_deque.hpp"
 #include "omx/sched/lpt.hpp"
 #include "omx/support/diagnostics.hpp"
-#include "omx/vm/program.hpp"
 
 namespace omx::runtime {
 
@@ -95,9 +94,6 @@ class WorkerPool {
   /// `kernel` must have a task decomposition, at least num_workers
   /// concurrency lanes, and must outlive the pool.
   WorkerPool(const exec::RhsKernel& kernel, const Options& opts);
-  /// Legacy entry point: wraps `program` in an interpreter kernel owned
-  /// by the pool. `program` must outlive the pool.
-  WorkerPool(const vm::Program& program, const Options& opts);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -169,8 +165,7 @@ class WorkerPool {
   bool steal_task(std::size_t thief, std::uint32_t& task);
   void recompute_message_sizes();
 
-  exec::KernelInstance owned_;  // legacy-constructor keep-alive
-  const exec::RhsKernel* kernel_ = nullptr;
+  const exec::RhsKernel* kernel_;
   Options opts_;
   MessageStats stats_;
   obs::Counter* rhs_calls_metric_ = nullptr;

@@ -3,9 +3,9 @@
 // Boots a svc::Server, prints the bound port (machine-readable, for CI
 // harnesses polling the log), and runs until SIGTERM/SIGINT. On
 // shutdown it writes the obs metrics snapshot and the per-session
-// service report so the run leaves artifacts behind:
+// service report so the run leaves artifacts behind, e.g. (one line):
 //
-//   omxd --port 0 --executors 2 --queue-cap 8 \
+//   omxd --port 0 --executors 2 --queue-cap 8
 //        --metrics svc_metrics.json --service-json svc_service.json
 #include <csignal>
 #include <cstdio>

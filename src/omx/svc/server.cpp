@@ -948,8 +948,17 @@ void Server::Impl::run_job(const std::shared_ptr<Job>& job) {
   bool cancelled = false;
   std::string error;
   try {
+    // An interpreter kernel keeps one workspace per lane, and every job's
+    // ensemble workers start at lane 0: concurrent jobs must not share
+    // one. Native kernels are stateless and stay shared.
+    exec::KernelInstance kernel = job->model->kernel;
+    if (kernel.backend() == exec::Backend::kInterp) {
+      pipeline::KernelOptions ko;
+      ko.lanes = opts.kernel_lanes;
+      kernel = job->model->cm.make_kernel(exec::Backend::kInterp, ko);
+    }
     const ode::Problem problem =
-        job->model->cm.make_problem(job->model->kernel, job->t0, job->tend);
+        job->model->cm.make_problem(kernel, job->t0, job->tend);
     if (job->autotune) {
       // Daemon-side configuration pick: once enough submitted jobs have
       // calibrated the model for this problem size, override the

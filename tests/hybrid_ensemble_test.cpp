@@ -75,9 +75,9 @@ TEST(HybridEnsemble, Dopri5BitwiseMatchesSequentialSolves) {
 }
 
 TEST(HybridEnsemble, FixedStepFallbackBitwiseMatchesSequentialSolves) {
-  // Events break the lockstep assumption of the batched fixed-step
-  // drivers; with events attached they take the scenario-at-a-time path,
-  // which must still reproduce plain solve bitwise.
+  // Event-carrying fixed-step lanes run batched, each walking to tend on
+  // its own event-shifted grid; they must still reproduce plain solve
+  // bitwise.
   expect_ensemble_matches_sequential(Method::kRk4, 2e-3);
   expect_ensemble_matches_sequential(Method::kExplicitEuler, 2e-3);
 }

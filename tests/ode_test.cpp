@@ -1,21 +1,21 @@
 // Non-stiff solver suite: exactness on known solutions, convergence
 // orders, error control, and the Solution container. All solves go
-// through the unified ode::solve entry point; one test pins the
-// deprecated per-driver wrappers to the same results.
+// through the unified ode::solve entry point; one test pins the explicit
+// methods' trajectories to hex-float reference values.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include <algorithm>
 
+#include "omx/models/hybrid.hpp"
 #include "omx/obs/recorder.hpp"
 #include "omx/ode/adams.hpp"
-#include "omx/ode/dopri5.hpp"
 #include "omx/ode/ensemble.hpp"
 #include "omx/ode/events.hpp"
-#include "omx/ode/fixed_step.hpp"
 #include "omx/ode/solve.hpp"
 
 namespace omx::ode {
@@ -210,20 +210,61 @@ TEST(Adams, StepperRestartWorks) {
   EXPECT_NEAR(st.y()[0], std::cos(10.0), 1e-4);
 }
 
-// ode::solve is the single public entry point (the historical
-// per-method wrappers are gone); its dispatch must reach the same
-// detail:: driver implementations bit for bit.
-TEST(SolveDispatch, MatchesDetailDrivers) {
-  const Problem p = oscillator(5.0);
-  FixedStepOptions fo{.dt = 1e-3};
-  const Solution direct = detail::rk4(p, fo);
-  const Solution unified = solve(p, Method::kRk4, with_dt(1e-3));
-  EXPECT_DOUBLE_EQ(direct.final_state()[0], unified.final_state()[0]);
+// Reference numbers for the explicit methods, captured from the scalar
+// Euler/RK4/DOPRI5 drivers that ode::solve ran before it became a
+// one-lane run of the ensemble steppers. The ball cases cover the cubic
+// Hermite (fixed-step) and DOPRI5 dense-output event paths.
+struct ExplicitPin {
+  const char* label;
+  Method method;
+  bool ball;  // bouncing ball to t = 2.2, else oscillator to t = 5
+  std::size_t record_every;
+  std::size_t rows;
+  double t_end;
+  double y_end[2];
+  std::uint64_t steps, rhs_calls, rejected, events;
+};
 
-  Dopri5Options dopts;
-  const Solution dd = detail::dopri5(p, dopts);
-  const Solution du = solve(p, Method::kDopri5, {});
-  EXPECT_DOUBLE_EQ(dd.final_state()[0], du.final_state()[0]);
+TEST(SolveDispatch, ExplicitMethodsMatchPinnedTrajectories) {
+  const ExplicitPin pins[] = {
+      {"osc euler", Method::kExplicitEuler, false, 1, 5001, 0x1.4p+2,
+       {0x1.23320da2af207p-2, 0x1.ec32cc4351cc9p-1}, 5000, 5000, 0, 0},
+      {"osc rk4", Method::kRk4, false, 1, 5001, 0x1.4p+2,
+       {0x1.22785706b47b2p-2, 0x1.eaf81f5e099c4p-1}, 5000, 20000, 0, 0},
+      {"osc dopri5", Method::kDopri5, false, 1, 49, 0x1.4p+2,
+       {0x1.227856de6a256p-2, 0x1.eaf81c59c7b47p-1}, 48, 301, 2, 0},
+      {"osc dopri5 every 3", Method::kDopri5, false, 3, 17, 0x1.4p+2,
+       {0x1.227856de6a256p-2, 0x1.eaf81c59c7b47p-1}, 48, 301, 2, 0},
+      {"ball euler", Method::kExplicitEuler, true, 1, 2207,
+       0x1.199999999999ap+1,
+       {0x1.ae65f36176d0ap-5, -0x1.0747d97b6a872p+1}, 2203, 2209, 0, 3},
+      {"ball rk4", Method::kRk4, true, 1, 2206, 0x1.199999999999ap+1,
+       {0x1.00f7423c4f2afp-5, -0x1.105e040718958p+1}, 2202, 8814, 0, 3},
+      {"ball rk4 every 3", Method::kRk4, true, 3, 740, 0x1.199999999999ap+1,
+       {0x1.00f7423c4f2afp-5, -0x1.105e040718958p+1}, 2202, 8814, 0, 3},
+      {"ball dopri5", Method::kDopri5, true, 1, 29, 0x1.199999999999ap+1,
+       {0x1.00f7424fdc514p-5, -0x1.105e04052ad13p+1}, 25, 154, 0, 3},
+  };
+  for (const ExplicitPin& pin : pins) {
+    SolverOptions o = with_dt(1e-3);
+    o.record_every = pin.record_every;
+    if (pin.ball) {
+      o.tol = {1e-9, 1e-9};
+    }
+    const Problem p =
+        pin.ball ? models::bouncing_ball_problem(models::BouncingBall{}, 2.2)
+                 : oscillator(5.0);
+    const Solution s = solve(p, pin.method, o);
+    EXPECT_EQ(s.size(), pin.rows) << pin.label;
+    EXPECT_EQ(s.final_time(), pin.t_end) << pin.label;
+    ASSERT_EQ(s.final_state().size(), 2u) << pin.label;
+    EXPECT_EQ(s.final_state()[0], pin.y_end[0]) << pin.label;
+    EXPECT_EQ(s.final_state()[1], pin.y_end[1]) << pin.label;
+    EXPECT_EQ(s.stats.steps, pin.steps) << pin.label;
+    EXPECT_EQ(s.stats.rhs_calls, pin.rhs_calls) << pin.label;
+    EXPECT_EQ(s.stats.rejected, pin.rejected) << pin.label;
+    EXPECT_EQ(s.stats.events, pin.events) << pin.label;
+  }
 }
 
 TEST(Solution, InterpolatesLinearly) {
@@ -297,8 +338,7 @@ TEST(SolverDiagnostics, InfRhsFailsWithCleanMessage) {
 // ------------------------------------------------ ensemble driver
 //
 // solve_ensemble's scenario lanes are independent, so degenerate specs
-// must reproduce the plain scalar drivers bit for bit — not just to
-// tolerance.
+// must reproduce plain ode::solve bit for bit — not just to tolerance.
 
 void expect_solutions_identical(const Solution& a, const Solution& b) {
   ASSERT_EQ(b.size(), a.size());
@@ -334,6 +374,28 @@ TEST(Ensemble, OneScenarioDegeneratesToPlainSolve) {
     const EnsembleResult r = solve_ensemble(p, m, o, spec);
     ASSERT_EQ(r.solutions.size(), 1u);
     expect_solutions_identical(plain, r.solutions[0]);
+  }
+}
+
+// An attached EventSpec without functions arms nothing: solve must take
+// the same step-counted grid walk as without a spec, and as the
+// one-scenario ensemble (decay, dt = 0.1 to t = 1: ten steps, the last
+// ending one ulp short of tend).
+TEST(Ensemble, EmptyEventSpecMatchesNoSpecAndEnsemble) {
+  Problem plain = decay();
+  plain.tend = 1.0;
+  Problem empty = plain;
+  empty.events = std::make_shared<EventSpec>();
+  const SolverOptions o = with_dt(0.1);
+  for (const Method m : {Method::kExplicitEuler, Method::kRk4}) {
+    const Solution want = solve(plain, m, o);
+    EXPECT_EQ(want.stats.steps, 10u) << to_string(m);
+    expect_solutions_identical(want, solve(empty, m, o));
+    EnsembleSpec spec;
+    spec.initial_states = {empty.y0};
+    const EnsembleResult r = solve_ensemble(empty, m, o, spec);
+    ASSERT_EQ(r.solutions.size(), 1u);
+    expect_solutions_identical(want, r.solutions[0]);
   }
 }
 

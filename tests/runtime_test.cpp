@@ -54,7 +54,9 @@ TEST(WorkerPool, MatchesReferenceForAnyWorkerCount) {
   for (std::size_t workers : {1, 2, 3, 7}) {
     WorkerPool::Options opts;
     opts.num_workers = workers;
-    WorkerPool pool(c.program, opts);
+    const exec::KernelInstance pool_kernel =
+        exec::make_interp_kernel(c.program, nullptr, {opts.num_workers});
+    WorkerPool pool(pool_kernel.kernel(), opts);
     std::vector<double> got(y.size());
     pool.eval(0.0, y, got);
     for (std::size_t i = 0; i < y.size(); ++i) {
@@ -69,7 +71,9 @@ TEST(WorkerPool, RepeatedEvalsAreDeterministic) {
   const auto y = start_state(*c.flat);
   WorkerPool::Options opts;
   opts.num_workers = 3;
-  WorkerPool pool(c.program, opts);
+  const exec::KernelInstance pool_kernel =
+      exec::make_interp_kernel(c.program, nullptr, {opts.num_workers});
+  WorkerPool pool(pool_kernel.kernel(), opts);
   std::vector<double> a(y.size()), b(y.size());
   pool.eval(0.1, y, a);
   pool.eval(0.1, y, b);
@@ -84,7 +88,9 @@ TEST(WorkerPool, BitForBitIdenticalAcrossWorkerCountsAndStealing) {
   const auto y = start_state(*c.flat);
   WorkerPool::Options base_opts;
   base_opts.num_workers = 1;
-  WorkerPool base(c.program, base_opts);
+  const exec::KernelInstance base_kernel =
+      exec::make_interp_kernel(c.program, nullptr, {base_opts.num_workers});
+  WorkerPool base(base_kernel.kernel(), base_opts);
   std::vector<double> ref(y.size());
   base.eval(0.2, y, ref);
 
@@ -93,7 +99,9 @@ TEST(WorkerPool, BitForBitIdenticalAcrossWorkerCountsAndStealing) {
       WorkerPool::Options opts;
       opts.num_workers = workers;
       opts.stealing = stealing;
-      WorkerPool pool(c.program, opts);
+      const exec::KernelInstance pool_kernel =
+          exec::make_interp_kernel(c.program, nullptr, {opts.num_workers});
+      WorkerPool pool(pool_kernel.kernel(), opts);
       std::vector<double> got(y.size());
       pool.eval(0.2, y, got);
       EXPECT_EQ(got, ref)
@@ -109,7 +117,9 @@ TEST(ParallelRhs, StealingKeepsSemiDynamicCadence) {
   opts.pool.num_workers = 3;
   opts.pool.stealing = true;
   opts.sched.reschedule_period = 4;
-  ParallelRhs rhs(c.program, opts);
+  const exec::KernelInstance rhs_kernel = exec::make_interp_kernel(
+      c.program, nullptr, {opts.pool.num_workers});
+  ParallelRhs rhs(rhs_kernel.kernel(), opts);
   std::vector<double> out(y.size());
   const std::size_t initial = rhs.num_reschedules();
   for (int i = 0; i < 12; ++i) {
@@ -124,7 +134,9 @@ TEST(WorkerPool, CountsMessages) {
   const auto y = start_state(*c.flat);
   WorkerPool::Options opts;
   opts.num_workers = 2;
-  WorkerPool pool(c.program, opts);
+  const exec::KernelInstance pool_kernel =
+      exec::make_interp_kernel(c.program, nullptr, {opts.num_workers});
+  WorkerPool pool(pool_kernel.kernel(), opts);
   std::vector<double> out(y.size());
   pool.eval(0.0, y, out);
   // Per busy worker: supervisor send + worker receive + worker send +
@@ -141,7 +153,9 @@ TEST(WorkerPool, ScheduleUpdateKeepsResultsCorrect) {
 
   WorkerPool::Options opts;
   opts.num_workers = 2;
-  WorkerPool pool(c.program, opts);
+  const exec::KernelInstance pool_kernel =
+      exec::make_interp_kernel(c.program, nullptr, {opts.num_workers});
+  WorkerPool pool(pool_kernel.kernel(), opts);
   // Pathological schedule: everything on worker 1.
   sched::Schedule s(2);
   for (std::uint32_t t = 0;
@@ -161,7 +175,9 @@ TEST(WorkerPool, TaskTimesArePopulated) {
   const auto y = start_state(*c.flat);
   WorkerPool::Options opts;
   opts.num_workers = 2;
-  WorkerPool pool(c.program, opts);
+  const exec::KernelInstance pool_kernel =
+      exec::make_interp_kernel(c.program, nullptr, {opts.num_workers});
+  WorkerPool pool(pool_kernel.kernel(), opts);
   std::vector<double> out(y.size());
   pool.eval(0.0, y, out);
   const auto times = pool.last_task_seconds();
@@ -177,7 +193,9 @@ TEST(Observability, EvalIncrementsRhsCallsCounter) {
   obs::Counter& rhs_calls = obs::Registry::global().counter("rhs.calls");
   WorkerPool::Options opts;
   opts.num_workers = 2;
-  WorkerPool pool(c.program, opts);
+  const exec::KernelInstance pool_kernel =
+      exec::make_interp_kernel(c.program, nullptr, {opts.num_workers});
+  WorkerPool pool(pool_kernel.kernel(), opts);
   std::vector<double> out(y.size());
   const std::uint64_t before = rhs_calls.value();
   for (int i = 0; i < 5; ++i) {
@@ -193,7 +211,9 @@ TEST(Observability, TaskSpansCoverEvalWallTime) {
   opts.num_workers = 3;
   // Make tasks long enough that span durations dominate clock-read noise.
   opts.compute_scale = 50;
-  WorkerPool pool(c.program, opts);
+  const exec::KernelInstance pool_kernel =
+      exec::make_interp_kernel(c.program, nullptr, {opts.num_workers});
+  WorkerPool pool(pool_kernel.kernel(), opts);
   std::vector<double> out(y.size());
   pool.eval(0.0, y, out);  // warm-up outside the trace
 
@@ -233,7 +253,9 @@ TEST(Observability, LastTaskSecondsRequiresAnEval) {
   const Compiled c = compile_bearing(3);
   WorkerPool::Options opts;
   opts.num_workers = 2;
-  WorkerPool pool(c.program, opts);
+  const exec::KernelInstance pool_kernel =
+      exec::make_interp_kernel(c.program, nullptr, {opts.num_workers});
+  WorkerPool pool(pool_kernel.kernel(), opts);
   EXPECT_THROW(pool.last_task_seconds(), omx::Bug);
   const auto y = start_state(*c.flat);
   std::vector<double> out(y.size());
@@ -247,7 +269,9 @@ TEST(ParallelRhs, SemiDynamicReschedulesAtCadence) {
   ParallelRhsOptions opts;
   opts.pool.num_workers = 2;
   opts.sched.reschedule_period = 4;
-  ParallelRhs rhs(c.program, opts);
+  const exec::KernelInstance rhs_kernel = exec::make_interp_kernel(
+      c.program, nullptr, {opts.pool.num_workers});
+  ParallelRhs rhs(rhs_kernel.kernel(), opts);
   std::vector<double> out(y.size());
   const std::size_t initial = rhs.num_reschedules();
   for (int i = 0; i < 12; ++i) {
@@ -263,7 +287,9 @@ TEST(ParallelRhs, SerialBaselineMatches) {
   const auto y = start_state(*c.flat);
   std::vector<double> ref(y.size());
   c.flat->eval_rhs(0.0, y, ref);
-  SerialRhs serial(c.program);
+  const exec::KernelInstance serial_kernel =
+      exec::make_interp_kernel(c.program, nullptr);
+  SerialRhs serial(serial_kernel.kernel());
   std::vector<double> got(y.size());
   serial.eval(0.0, y, got);
   for (std::size_t i = 0; i < y.size(); ++i) {
