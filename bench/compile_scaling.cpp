@@ -1,7 +1,10 @@
 // Compile-path scaling: pipeline::compile_model per phase, plus the C++
-// emission of the four native-kernel forms (serial, parallel and their
-// batched variants), on the 2-D bearing at N in {10, 40, 160} rollers.
-// The host compiler is not run.
+// emission of the three native-kernel forms (serial, parallel tasks and
+// serial batch), on the 2-D bearing at N in {10, 40, 160} rollers. One
+// cold native build of N=10 (make_kernel(kNative) into a fresh cache
+// directory, host compiler included) is timed once; without a host
+// compiler (or with the native backend disabled) it is skipped with a
+// note.
 //
 // Per-phase times come from the pipeline's own spans, the ones omxbench
 // folds into flatten/analysis/cse/task_planning/tapes, recorded into the
@@ -12,10 +15,12 @@
 // Exports BENCH_compile.json. scripts/bench_gate.py gate_compile checks
 // that per-state compile_model time at the largest N is within 2x of
 // the smallest, and that task_planning at N=40 takes under 5 ms.
-// Emission grows faster than linearly and is report-only.
+// Emission and the native build are report-only.
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,7 +70,7 @@ std::map<std::string, double> traced_compile(
   return ms;
 }
 
-/// Emits the four forms the native backend puts in one translation
+/// Emits the three forms the native backend puts in one translation
 /// unit, with its options; returns the total bytes.
 std::size_t emit_native_forms(const pipeline::CompiledModel& cm) {
   codegen::EmitOptions eo;
@@ -76,8 +81,25 @@ std::size_t emit_native_forms(const pipeline::CompiledModel& cm) {
   return codegen::emit_cpp_serial(flat, cm.assignments, eo).code.size() +
          codegen::emit_cpp_parallel(flat, cm.plan, eo).code.size() +
          codegen::emit_cpp_serial_batch(flat, cm.assignments, eo)
-             .code.size() +
-         codegen::emit_cpp_parallel_batch(flat, cm.plan, eo).code.size();
+             .code.size();
+}
+
+/// Milliseconds for one cold make_kernel(kNative) of `cm`, host compile
+/// included, into a cache directory nothing has used; a negative value
+/// when the kernel fell back to the interpreter.
+double cold_native_build_ms(const pipeline::CompiledModel& cm) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("omx-compile-scaling-" +
+                        std::to_string(std::random_device{}()));
+  fs::remove_all(dir);
+  pipeline::KernelOptions ko;
+  ko.native.cache_dir = dir.string();
+  Stopwatch sw;
+  const exec::KernelInstance k = cm.make_kernel(exec::Backend::kNative, ko);
+  const double ms = sw.seconds() * 1e3;
+  fs::remove_all(dir);
+  return k.backend() == exec::Backend::kNative ? ms : -1.0;
 }
 
 }  // namespace
@@ -133,6 +155,20 @@ int main() {
     std::printf("%8d %7zu %12.2f %10.4f %10.2f %14.2f %10.1f %10.0f\n",
                 rollers, states, med["compile_model"], per_state, med["cse"],
                 med["task_planning"], median(emit_ms), bytes / 1024.0);
+  }
+
+  const pipeline::CompiledModel n10 =
+      pipeline::compile_model([](expr::Context& ctx) {
+        models::BearingConfig cfg;
+        cfg.n_rollers = 10;
+        return models::build_bearing(ctx, cfg);
+      });
+  const double build_ms = cold_native_build_ms(n10);
+  if (build_ms >= 0.0) {
+    metrics.gauge("compile.n10.native_build_ms").set(build_ms);
+    std::printf("\ncold native build, 10 rollers: %.0f ms\n", build_ms);
+  } else {
+    std::printf("\nnative backend unavailable: native build not measured\n");
   }
 
   const char* out_path = "BENCH_compile.json";

@@ -113,10 +113,12 @@ if [[ $MODE == tsan ]]; then
   # HybridEnsembleStress run where event-desynchronized lanes retire
   # out of order while workers steal and repack batches. Tune covers
   # the auto-tuner suites, including the concurrent record/pick stress
-  # against the shared AutoTuner singleton.
+  # against the shared AutoTuner singleton. NativeBackend covers the
+  # native kernels, including ConcurrentBuildersCompileEachModuleOnce:
+  # racing cold host compiles of one model through the shared cache.
   OMX_POOL_STEALING=1 OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-      -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|Svc|Event|Hybrid|Tune'
+      -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|Svc|Event|Hybrid|Tune|NativeBackend'
   echo "CI OK (TSan)"
   exit 0
 fi

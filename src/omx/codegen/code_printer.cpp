@@ -30,20 +30,28 @@ const char* func1_code_name(expr::Func1 f, Lang lang) {
   switch (f) {
     case expr::Func1::kSin: return simd ? "omx_sin" : cxx ? "std::sin" : "sin";
     case expr::Func1::kCos: return simd ? "omx_cos" : cxx ? "std::cos" : "cos";
-    case expr::Func1::kTan: return cxx ? "std::tan" : "tan";
-    case expr::Func1::kAsin: return cxx ? "std::asin" : "asin";
-    case expr::Func1::kAcos: return cxx ? "std::acos" : "acos";
-    case expr::Func1::kAtan: return cxx ? "std::atan" : "atan";
-    case expr::Func1::kSinh: return cxx ? "std::sinh" : "sinh";
-    case expr::Func1::kCosh: return cxx ? "std::cosh" : "cosh";
+    case expr::Func1::kTan:
+      return simd ? "__builtin_tan" : cxx ? "std::tan" : "tan";
+    case expr::Func1::kAsin:
+      return simd ? "__builtin_asin" : cxx ? "std::asin" : "asin";
+    case expr::Func1::kAcos:
+      return simd ? "__builtin_acos" : cxx ? "std::acos" : "acos";
+    case expr::Func1::kAtan:
+      return simd ? "__builtin_atan" : cxx ? "std::atan" : "atan";
+    case expr::Func1::kSinh:
+      return simd ? "__builtin_sinh" : cxx ? "std::sinh" : "sinh";
+    case expr::Func1::kCosh:
+      return simd ? "__builtin_cosh" : cxx ? "std::cosh" : "cosh";
     case expr::Func1::kTanh:
       return simd ? "omx_tanh" : cxx ? "std::tanh" : "tanh";
     case expr::Func1::kExp: return simd ? "omx_exp" : cxx ? "std::exp" : "exp";
     case expr::Func1::kLog: return simd ? "omx_log" : cxx ? "std::log" : "log";
     // sqrt/fabs lower to single instructions under -fno-math-errno, so
-    // the std:: spellings stay vectorizable even in kCxxSimd.
-    case expr::Func1::kSqrt: return cxx ? "std::sqrt" : "sqrt";
-    case expr::Func1::kAbs: return cxx ? "std::fabs" : "abs";
+    // they stay vectorizable even in kCxxSimd.
+    case expr::Func1::kSqrt:
+      return simd ? "__builtin_sqrt" : cxx ? "std::sqrt" : "sqrt";
+    case expr::Func1::kAbs:
+      return simd ? "__builtin_fabs" : cxx ? "std::fabs" : "abs";
     // Neither language has the mathematical sign() intrinsic with one
     // argument; both runtimes ship an omx_sign helper.
     case expr::Func1::kSign: return "omx_sign";
@@ -55,7 +63,8 @@ const char* func2_code_name(expr::Func2 f, Lang lang) {
   const bool cxx = lang != Lang::kFortran90;
   const bool simd = lang == Lang::kCxxSimd;
   switch (f) {
-    case expr::Func2::kAtan2: return cxx ? "std::atan2" : "atan2";
+    case expr::Func2::kAtan2:
+      return simd ? "__builtin_atan2" : cxx ? "std::atan2" : "atan2";
     // std::fmin/fmax stay libm calls the vectorizer cannot widen (IEEE
     // NaN rules do not map onto vminpd/vmaxpd); the omx_ forms are
     // compare+blend selects that vectorize.

@@ -16,18 +16,13 @@ EmitResult emit_cpp_serial(const model::FlatSystem& flat,
                            const AssignmentSet& set,
                            const EmitOptions& opts = {});
 
-// Batched (structure-of-arrays) variants for ensemble execution: the same
-// task bodies wrapped in a contiguous lane loop, `rhs_batch(int nb, const
-// double* ts, const double* yin, double* yout)` with state i of lane j at
+// Batched (structure-of-arrays) variant for ensemble execution: the serial
+// body wrapped in a contiguous lane loop, `rhs_batch(int nb, const double*
+// ts, const double* yin, double* yout)` with state i of lane j at
 // yin[i * nb + j] and a per-lane time ts[j]. The per-lane arithmetic is
-// emitted from the same expression trees as the scalar variants, so lane
-// results match a scalar call bit for bit; the inner loops are unit-stride
+// emitted from the same expression trees as the scalar variant, so lane
+// results match a scalar call bit for bit; the inner loop is unit-stride
 // so the host compiler can auto-vectorize across lanes.
-
-EmitResult emit_cpp_parallel_batch(const model::FlatSystem& flat,
-                                   const TaskPlan& plan,
-                                   const EmitOptions& opts = {});
-
 EmitResult emit_cpp_serial_batch(const model::FlatSystem& flat,
                                  const AssignmentSet& set,
                                  const EmitOptions& opts = {});

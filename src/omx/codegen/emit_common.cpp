@@ -1,7 +1,5 @@
 #include "omx/codegen/emit_common.hpp"
 
-#include <algorithm>
-
 #include "omx/codegen/code_printer.hpp"
 
 namespace omx::codegen {
@@ -11,11 +9,7 @@ RenamePlan plan_renames(const model::FlatSystem& flat,
   expr::Context& ctx = flat.ctx();
   RenamePlan plan;
   std::vector<SymbolId> syms;
-  for (expr::ExprId e : exprs) {
-    ctx.pool.free_syms(e, syms);
-  }
-  std::sort(syms.begin(), syms.end());
-  syms.erase(std::unique(syms.begin(), syms.end()), syms.end());
+  ctx.pool.free_syms(exprs, syms);
   for (SymbolId s : syms) {
     const std::string& name = ctx.names.name(s);
     if (s == flat.time_symbol()) {

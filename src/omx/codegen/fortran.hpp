@@ -37,10 +37,11 @@ struct EmitOptions {
   /// C++ emitters only: print transcendental intrinsics as the omx_*
   /// vector-math runtime names (Lang::kCxxSimd) instead of std:: libm,
   /// so the rhs_batch lane loops vectorize without scalarizing on math
-  /// calls. The caller must provide the vmath definitions in the same
-  /// translation unit (the native backend embeds exec/vmath_functions.h;
-  /// see exec::vmath_source()). Standalone artifacts keep the default
-  /// self-contained std:: spellings.
+  /// calls, and every other intrinsic as its GNU builtin, so the code
+  /// needs no header. The caller must provide the vmath definitions in
+  /// the same translation unit (the native backend embeds
+  /// exec/vmath_functions.h; see exec::vmath_source()). Standalone
+  /// artifacts keep the default self-contained std:: spellings.
   bool simd_math = false;
 };
 

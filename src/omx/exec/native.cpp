@@ -174,9 +174,12 @@ std::string hex(std::uint64_t v) {
 
 // ------------------------------------------------------ source synthesis
 
-/// Composes the single translation unit: one hoisted prelude, the serial
-/// and parallel emitted bodies in their own namespaces, and the
-/// extern "C" export surface the loader binds to.
+/// Composes the single translation unit: one hoisted prelude, the serial,
+/// parallel-task and serial-batch emitted bodies in their own
+/// namespaces, and the extern "C" export surface the loader binds to.
+/// The unit includes no header: the vmath runtime and the kCxxSimd
+/// spellings use GNU builtins only, so the host compiler parses nothing
+/// but the kernel itself.
 std::string compose_source(const model::FlatSystem& flat,
                            const codegen::AssignmentSet& set,
                            const codegen::TaskPlan& plan) {
@@ -191,12 +194,9 @@ std::string compose_source(const model::FlatSystem& flat,
   const codegen::EmitResult par = codegen::emit_cpp_parallel(flat, plan, eo);
   const codegen::EmitResult serial_b =
       codegen::emit_cpp_serial_batch(flat, set, eo);
-  const codegen::EmitResult par_b =
-      codegen::emit_cpp_parallel_batch(flat, plan, eo);
 
   std::ostringstream os;
   os << "// Synthesized by omx::exec (native backend). Do not edit.\n"
-     << "#include <cmath>\n"
      << "#define OMX_SIMD_LOOP _Pragma(\"omp simd\")\n"
      << "// ---- omx vector-math runtime (exec/vmath_functions.h) ----\n"
      << vmath_source()
@@ -212,10 +212,9 @@ std::string compose_source(const model::FlatSystem& flat,
      << "}  // namespace omx_serial\n"
      << "namespace omx_parallel {\n"
      << par.code
-     << par_b.code
      << "}  // namespace omx_parallel\n"
      << "extern \"C\" {\n"
-     << "int omx_abi_version() { return 3; }\n"
+     << "int omx_abi_version() { return 4; }\n"
      << "unsigned omx_n_state() { return " << flat.num_states() << "u; }\n"
      << "unsigned omx_num_tasks() { return " << plan.tasks.size()
      << "u; }\n"
@@ -229,12 +228,6 @@ std::string compose_source(const model::FlatSystem& flat,
      << "void omx_rhs_serial_batch(unsigned nb, const double* ts,\n"
      << "                          const double* y, double* ydot) {\n"
      << "  omx_serial::rhs_batch(static_cast<int>(nb), ts, y, ydot);\n"
-     << "}\n"
-     << "void omx_rhs_task_batch(unsigned task, unsigned nb,\n"
-     << "                        const double* ts, const double* y,\n"
-     << "                        double* ydot) {\n"
-     << "  omx_parallel::rhs_batch(static_cast<int>(task) + 1,\n"
-     << "                          static_cast<int>(nb), ts, y, ydot);\n"
      << "}\n"
      << "}  // extern \"C\"\n";
   return os.str();
@@ -279,15 +272,12 @@ using SerialEntry = void (*)(double, const double*, double*);
 using TaskEntry = void (*)(unsigned, double, const double*, double*);
 using SerialBatchEntry = void (*)(unsigned, const double*, const double*,
                                   double*);
-using TaskBatchEntry = void (*)(unsigned, unsigned, const double*,
-                                const double*, double*);
 
 struct NativeState {
   void* handle = nullptr;
   SerialEntry serial = nullptr;
   TaskEntry task = nullptr;
   SerialBatchEntry serial_batch = nullptr;
-  TaskBatchEntry task_batch = nullptr;
   TaskTable table;
 
   ~NativeState() {
@@ -311,13 +301,6 @@ void native_eval_batch(void* ctx, std::size_t /*lane*/, std::size_t nb,
                        double* ydot_soa) {
   static_cast<NativeState*>(ctx)->serial_batch(static_cast<unsigned>(nb), t,
                                                y_soa, ydot_soa);
-}
-
-void native_task_batch(void* ctx, std::size_t /*lane*/, std::uint32_t task,
-                       std::size_t nb, const double* t, const double* y_soa,
-                       double* ydot_soa) {
-  static_cast<NativeState*>(ctx)->task_batch(task, static_cast<unsigned>(nb),
-                                             t, y_soa, ydot_soa);
 }
 
 void diag(const std::string& why) {
@@ -428,19 +411,18 @@ std::shared_ptr<NativeState> build_module(const std::string& source,
   state->task = reinterpret_cast<TaskEntry>(sym("omx_rhs_task"));
   state->serial_batch =
       reinterpret_cast<SerialBatchEntry>(sym("omx_rhs_serial_batch"));
-  state->task_batch =
-      reinterpret_cast<TaskBatchEntry>(sym("omx_rhs_task_batch"));
   if (abi == nullptr || n_state == nullptr || n_tasks == nullptr ||
       state->serial == nullptr || state->task == nullptr ||
-      state->serial_batch == nullptr || state->task_batch == nullptr) {
+      state->serial_batch == nullptr) {
     why = "missing export in " + so.string();
     return nullptr;
   }
-  // ABI 3 = batched (SoA) entry points + embedded vmath runtime with
-  // vectorized lane loops. Stale cache entries can't satisfy this
-  // loader; their source hash differs anyway, so they simply never
-  // match — the check guards hand-placed or corrupt objects.
-  if (abi() != 3) {
+  // ABI 4 = serial, task and serial-batch (SoA) entry points over a
+  // header-free unit with the embedded vmath runtime. Stale cache
+  // entries can't satisfy this loader; their source hash differs anyway,
+  // so they simply never match — the check guards hand-placed or corrupt
+  // objects.
+  if (abi() != 4) {
     why = "ABI version mismatch in " + so.string();
     return nullptr;
   }
@@ -497,8 +479,7 @@ KernelInstance make_native_kernel(const model::FlatSystem& flat,
   auto view = std::make_shared<RhsKernel>(
       Backend::kNative, state.get(), &native_eval, &native_task,
       parallel.n_state, parallel.n_out,
-      /*num_lanes=*/SIZE_MAX, &state->table, &calls, &native_eval_batch,
-      &native_task_batch);
+      /*num_lanes=*/SIZE_MAX, &state->table, &calls, &native_eval_batch);
   return KernelInstance(std::move(view), std::move(state));
 }
 

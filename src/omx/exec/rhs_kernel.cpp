@@ -38,10 +38,9 @@ struct InterpState {
   const vm::Program* serial = nullptr;  // may be null
   vm::Workspace eval_ws;
   std::vector<vm::Workspace> lane_ws;  // one private register file per lane
-  // Batched counterparts: per-lane SoA register files so eval_batch /
-  // run_task_batch calls on distinct lanes are thread-safe.
+  // Per-lane SoA register files so eval_batch calls on distinct lanes
+  // are thread-safe.
   std::vector<vm::BatchWorkspace> eval_batch_ws;  // serial-or-parallel tape
-  std::vector<vm::BatchWorkspace> task_batch_ws;  // parallel tape
   TaskTable table;
 
   InterpState(const vm::Program& par, const vm::Program* ser,
@@ -51,7 +50,6 @@ struct InterpState {
         eval_ws(ser != nullptr ? *ser : par),
         lane_ws(lanes, vm::Workspace(par)),
         eval_batch_ws(lanes),
-        task_batch_ws(lanes),
         table(task_table_from_program(par)) {}
 };
 
@@ -77,17 +75,6 @@ void interp_eval_batch(void* ctx, std::size_t lane, std::size_t nb,
   auto* s = static_cast<InterpState*>(ctx);
   const vm::Program& p = s->serial != nullptr ? *s->serial : *s->parallel;
   vm::eval_rhs_batch(p, nb, t, y_soa, ydot_soa, s->eval_batch_ws[lane]);
-}
-
-void interp_task_batch(void* ctx, std::size_t lane, std::uint32_t task,
-                       std::size_t nb, const double* t, const double* y_soa,
-                       double* ydot_soa) {
-  auto* s = static_cast<InterpState*>(ctx);
-  const vm::Program& p = *s->parallel;
-  vm::BatchWorkspace& ws = s->task_batch_ws[lane];
-  ws.load_state(p, nb, t, y_soa);
-  vm::run_task_batch(p, task, nb, ws.regs());
-  vm::apply_outputs_batch(p, task, nb, ws.regs(), ydot_soa);
 }
 
 struct ReferenceState {
@@ -135,7 +122,7 @@ KernelInstance make_interp_kernel(const vm::Program& parallel,
   auto view = std::make_shared<RhsKernel>(
       Backend::kInterp, state.get(), &interp_eval, &interp_task,
       parallel.n_state, parallel.n_out, opts.lanes, &state->table, &calls,
-      &interp_eval_batch, &interp_task_batch);
+      &interp_eval_batch);
   return KernelInstance(std::move(view), std::move(state));
 }
 

@@ -7,13 +7,12 @@
 // indirect call regardless of whether the body is the tape interpreter,
 // runtime-compiled native code, or the tree-walking reference evaluator.
 //
-// Four entry points:
-//  * eval:           whole-system ydot = f(t, y)          (serial solvers)
-//  * run_task:       accumulate one task's contributions  (worker pool)
-//  * eval_batch:     nb scenarios at once, SoA layout     (ensemble driver)
-//  * run_task_batch: one task across nb scenarios         (ensemble tasks)
+// Three entry points:
+//  * eval:       whole-system ydot = f(t, y)          (serial solvers)
+//  * run_task:   accumulate one task's contributions  (worker pool)
+//  * eval_batch: nb scenarios at once, SoA layout     (ensemble driver)
 //
-// Batched entry points use structure-of-arrays layout: state i of
+// The batched entry point uses structure-of-arrays layout: state i of
 // scenario j lives at y_soa[i * nb + j], output slot s of scenario j at
 // ydot_soa[s * nb + j], and each scenario has its own time t[j] (the
 // ensemble driver steps scenarios with independent adaptive step
@@ -92,23 +91,17 @@ class RhsKernel {
   using BatchEvalFn = void (*)(void* ctx, std::size_t lane, std::size_t nb,
                                const double* t, const double* y_soa,
                                double* ydot_soa);
-  using BatchTaskFn = void (*)(void* ctx, std::size_t lane,
-                               std::uint32_t task, std::size_t nb,
-                               const double* t, const double* y_soa,
-                               double* ydot_soa);
 
   RhsKernel() = default;
   RhsKernel(Backend backend, void* ctx, EvalFn eval, TaskFn task,
             std::uint32_t n_state, std::uint32_t n_out,
             std::size_t num_lanes, const TaskTable* tasks,
-            obs::Counter* calls, BatchEvalFn batch_eval = nullptr,
-            BatchTaskFn batch_task = nullptr)
+            obs::Counter* calls, BatchEvalFn batch_eval = nullptr)
       : backend_(backend),
         ctx_(ctx),
         eval_(eval),
         task_(task),
         batch_eval_(batch_eval),
-        batch_task_(batch_task),
         n_state_(n_state),
         n_out_(n_out),
         num_lanes_(num_lanes),
@@ -148,7 +141,6 @@ class RhsKernel {
   }
 
   bool has_batch() const { return batch_eval_ != nullptr; }
-  bool has_batch_tasks() const { return batch_task_ != nullptr; }
 
   /// Batched whole-system evaluation over `nb` scenarios (SoA layout, see
   /// file comment): ydot_soa[:, j] = f(t[j], y_soa[:, j]) for every lane
@@ -162,21 +154,12 @@ class RhsKernel {
     batch_eval_(ctx_, lane, nb, t, y_soa, ydot_soa);
   }
 
-  /// Batched per-task accumulation: like run_task across all `nb` lanes.
-  /// ydot_soa's output rows must be zeroed once per batched evaluation.
-  void run_task_batch(std::size_t lane, std::uint32_t task, std::size_t nb,
-                      const double* t, const double* y_soa,
-                      double* ydot_soa) const {
-    batch_task_(ctx_, lane, task, nb, t, y_soa, ydot_soa);
-  }
-
  private:
   Backend backend_ = Backend::kReference;
   void* ctx_ = nullptr;
   EvalFn eval_ = nullptr;
   TaskFn task_ = nullptr;
   BatchEvalFn batch_eval_ = nullptr;
-  BatchTaskFn batch_task_ = nullptr;
   std::uint32_t n_state_ = 0;
   std::uint32_t n_out_ = 0;
   std::size_t num_lanes_ = 1;

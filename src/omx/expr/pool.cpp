@@ -121,23 +121,74 @@ bool has_two_children(Op op) {
 
 bool is_leaf(Op op) { return op == Op::kConst || op == Op::kSym; }
 
+/// Per-node scratch for one traversal without whole-pool allocation per
+/// call: the emitters and the task planner call the traversals below
+/// once per small unit of a large model, so the work must scale with the
+/// nodes a call reaches, not with the pool. Each thread keeps one stamp
+/// array, grown to the largest pool it has seen; a node is marked when
+/// its stamp equals this traversal's epoch. Traversals do not nest.
+class NodeMarks {
+ public:
+  explicit NodeMarks(std::size_t pool_size) : s_(scratch()) {
+    OMX_REQUIRE(!s_.busy, "nested expression traversal on one thread");
+    s_.busy = true;
+    if (s_.stamps.size() < pool_size) {
+      s_.stamps.resize(pool_size, 0);
+      s_.values.resize(pool_size, 0);
+    }
+    if (++s_.epoch == 0) {  // wrapped: old stamps could alias
+      std::fill(s_.stamps.begin(), s_.stamps.end(), 0);
+      s_.epoch = 1;
+    }
+  }
+  ~NodeMarks() { s_.busy = false; }
+  NodeMarks(const NodeMarks&) = delete;
+  NodeMarks& operator=(const NodeMarks&) = delete;
+
+  bool marked(ExprId id) const { return s_.stamps[id] == s_.epoch; }
+  /// Marks `id`; true if it was not marked yet.
+  bool mark(ExprId id) {
+    if (marked(id)) {
+      return false;
+    }
+    s_.stamps[id] = s_.epoch;
+    return true;
+  }
+  /// Per-node value slot; meaningful once the node is marked.
+  std::size_t& value(ExprId id) { return s_.values[id]; }
+
+ private:
+  struct Scratch {
+    std::vector<std::uint32_t> stamps;
+    std::vector<std::size_t> values;
+    std::uint32_t epoch = 0;
+    bool busy = false;
+  };
+  static Scratch& scratch() {
+    thread_local Scratch s;
+    return s;
+  }
+  Scratch& s_;
+};
+
 }  // namespace
 
 std::size_t Pool::tree_op_count(ExprId id) const {
   // Memoized: tree count of a node is 1 + sum of children's tree counts,
   // independent of where the node appears.
-  std::vector<std::size_t> memo(nodes_.size(), static_cast<std::size_t>(-1));
+  NodeMarks memo(nodes_.size());
   // Iterative post-order to avoid deep recursion on big models.
   std::vector<std::pair<ExprId, bool>> stack{{id, false}};
   while (!stack.empty()) {
     auto [cur, ready] = stack.back();
     stack.pop_back();
-    if (memo[cur] != static_cast<std::size_t>(-1)) {
+    if (memo.marked(cur)) {
       continue;
     }
     const Node& n = nodes_[cur];
     if (is_leaf(n.op)) {
-      memo[cur] = 0;
+      memo.mark(cur);
+      memo.value(cur) = 0;
       continue;
     }
     if (!ready) {
@@ -147,27 +198,27 @@ std::size_t Pool::tree_op_count(ExprId id) const {
         stack.push_back({n.b, false});
       }
     } else {
-      std::size_t c = 1 + memo[n.a];
+      std::size_t c = 1 + memo.value(n.a);
       if (has_two_children(n.op)) {
-        c += memo[n.b];
+        c += memo.value(n.b);
       }
-      memo[cur] = c;
+      memo.mark(cur);
+      memo.value(cur) = c;
     }
   }
-  return memo[id];
+  return memo.value(id);
 }
 
 std::size_t Pool::dag_op_count(ExprId id) const {
-  std::vector<bool> seen(nodes_.size(), false);
+  NodeMarks seen(nodes_.size());
   std::vector<ExprId> stack{id};
   std::size_t count = 0;
   while (!stack.empty()) {
     const ExprId cur = stack.back();
     stack.pop_back();
-    if (seen[cur]) {
+    if (!seen.mark(cur)) {
       continue;
     }
-    seen[cur] = true;
     const Node& n = nodes_[cur];
     if (is_leaf(n.op)) {
       continue;
@@ -182,15 +233,19 @@ std::size_t Pool::dag_op_count(ExprId id) const {
 }
 
 void Pool::free_syms(ExprId id, std::vector<SymbolId>& out) const {
-  std::vector<bool> seen(nodes_.size(), false);
-  std::vector<ExprId> stack{id};
+  free_syms(std::span<const ExprId>(&id, 1), out);
+}
+
+void Pool::free_syms(std::span<const ExprId> roots,
+                     std::vector<SymbolId>& out) const {
+  NodeMarks seen(nodes_.size());
+  std::vector<ExprId> stack(roots.begin(), roots.end());
   while (!stack.empty()) {
     const ExprId cur = stack.back();
     stack.pop_back();
-    if (seen[cur]) {
+    if (!seen.mark(cur)) {
       continue;
     }
-    seen[cur] = true;
     const Node& n = nodes_[cur];
     if (n.op == Op::kSym) {
       out.push_back(static_cast<SymbolId>(n.a));

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -122,6 +123,11 @@ class Pool {
 
   /// Collects the free symbols of `id` into `out` (deduplicated, sorted).
   void free_syms(ExprId id, std::vector<SymbolId>& out) const;
+
+  /// Collects the free symbols of every root into `out` (deduplicated,
+  /// sorted): one traversal whose visited set is shared by the roots.
+  void free_syms(std::span<const ExprId> roots,
+                 std::vector<SymbolId>& out) const;
 
   /// Replaces every occurrence of symbol `from` with expression `to`.
   ExprId substitute(ExprId id, SymbolId from, ExprId to);

@@ -282,8 +282,6 @@ void check_model_goldens(const std::string& stem,
                         emit_cpp_parallel(f, p.plan).code);
   expect_matches_golden(stem + "_serial_batch.cpp.golden",
                         emit_cpp_serial_batch(f, p.set).code);
-  expect_matches_golden(stem + "_parallel_batch.cpp.golden",
-                        emit_cpp_parallel_batch(f, p.plan).code);
   expect_matches_golden(stem + "_serial.f90.golden",
                         emit_fortran_serial(f, p.set).code);
   expect_matches_golden(stem + "_parallel.f90.golden",

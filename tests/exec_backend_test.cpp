@@ -5,10 +5,14 @@
 // when the toolchain is unavailable.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "omx/obs/registry.hpp"
 #include "omx/ode/ensemble.hpp"
 #include "omx/ode/solve.hpp"
+#include "omx/parser/parser.hpp"
 #include "omx/pipeline/pipeline.hpp"
 #include "omx/runtime/parallel_rhs.hpp"
 
@@ -380,42 +385,6 @@ TEST(BatchedKernels, LaneResultsInvariantUnderRepacking) {
   }
 }
 
-TEST(BatchedKernels, BatchedTaskCompositionReproducesEvalBatch) {
-  // run_task_batch has the same accumulate semantics as run_task:
-  // composing every task over pre-zeroed SoA output reproduces
-  // eval_batch.
-  pipeline::CompiledModel cm = pipeline::compile_model(
-      [](expr::Context& ctx) {
-        models::BearingConfig cfg;
-        cfg.n_rollers = 4;
-        return models::build_bearing(ctx, cfg);
-      });
-  const std::size_t n = cm.n();
-  const BatchFixture fx(cm, 4);
-  std::vector<KernelInstance> kernels;
-  kernels.push_back(cm.make_kernel(Backend::kInterp));
-  const KernelInstance native =
-      cm.make_kernel(Backend::kNative, test_kernel_opts());
-  if (native.backend() == Backend::kNative) {
-    kernels.push_back(native);
-  }
-  for (const KernelInstance& ki : kernels) {
-    const RhsKernel& k = ki.kernel();
-    ASSERT_TRUE(k.has_batch_tasks());
-    std::vector<double> whole(n * fx.nb), composed(n * fx.nb, 0.0);
-    k.eval_batch(0, fx.nb, fx.ts.data(), fx.y_soa.data(), whole.data());
-    for (std::uint32_t t = 0; t < k.num_tasks(); ++t) {
-      k.run_task_batch(0, t, fx.nb, fx.ts.data(), fx.y_soa.data(),
-                       composed.data());
-    }
-    for (std::size_t i = 0; i < n * fx.nb; ++i) {
-      EXPECT_NEAR(composed[i], whole[i],
-                  1e-12 * std::max(1.0, std::fabs(whole[i])))
-          << to_string(ki.backend()) << " flat index " << i;
-    }
-  }
-}
-
 TEST(Ensemble, AgreesAcrossBackendsAndIsStableAcrossWorkerCounts) {
   pipeline::CompiledModel cm = pipeline::compile_model(
       [](expr::Context& ctx) {
@@ -598,6 +567,225 @@ TEST(NativeBackend, ConcurrentBuildersCompileEachModuleOnce) {
     for (std::size_t i = 0; i < cm.n(); ++i) {
       EXPECT_DOUBLE_EQ(got[i], want[i]);
     }
+  }
+}
+
+// ------------------------------------------- header-free native kernels
+
+/// Calls every Func1/Func2 intrinsic and pow on a domain where each is
+/// defined, so the native translation unit spells every function name
+/// the C++ printer can emit.
+constexpr const char* kAllFunctionsSource = R"(model AllFunctions
+  class F
+    var a start 0.3;
+    var b start -0.45;
+    var c start 1.7;
+    var d start 0.8;
+    eq der(a) == sin(a) + cos(b) + tan(0.5 * a) + asin(0.5 * b) + acos(0.4 * a);
+    eq der(b) == atan(c) + sinh(b) - cosh(0.3 * a) + tanh(d) + exp(-0.5 * c);
+    eq der(c) == log(c) + sqrt(d * d + 1) + abs(b) * sign(a - b) + atan2(a, c);
+    eq der(d) == min(a, b) + max(c, d) + hypot(a, d) + c ^ 1.5 - sin(time);
+  end
+  instance f : F;
+end
+)";
+
+pipeline::CompiledModel compile_all_functions() {
+  return pipeline::compile_model([](expr::Context& ctx) {
+    return parser::parse_model(kAllFunctionsSource, ctx);
+  });
+}
+
+pipeline::CompiledModel compile_bearing4() {
+  return pipeline::compile_model([](expr::Context& ctx) {
+    models::BearingConfig cfg;
+    cfg.n_rollers = 4;
+    return models::build_bearing(ctx, cfg);
+  });
+}
+
+TEST(NativeBackend, HeaderFreeUnitResolvesEveryFunction) {
+  // The composed translation unit includes nothing: with the system
+  // include paths removed it must still compile (no fallback), agree
+  // with the interpreter and keep scalar == batched bitwise.
+  const pipeline::CompiledModel cm = compile_all_functions();
+  if (cm.make_kernel(Backend::kNative, test_kernel_opts()).backend() !=
+      Backend::kNative) {
+    GTEST_SKIP() << "no host compiler; native backend unavailable";
+  }
+  pipeline::KernelOptions ko = test_kernel_opts();
+  ko.native.extra_flags = "-nostdinc -nostdinc++";
+  const KernelInstance native = cm.make_kernel(Backend::kNative, ko);
+  ASSERT_EQ(native.backend(), Backend::kNative)
+      << "the native unit needs a system header";
+  const KernelInstance interp = cm.make_kernel(Backend::kInterp);
+
+  const std::size_t n = cm.n();
+  const BatchFixture fx(cm, 8);
+  std::vector<double> batch(n * fx.nb);
+  native.kernel().eval_batch(0, fx.nb, fx.ts.data(), fx.y_soa.data(),
+                             batch.data());
+  for (std::size_t j = 0; j < fx.nb; ++j) {
+    std::vector<double> got(n), want(n);
+    native.kernel()(fx.ts[j], fx.lane_y[j], got);
+    interp.kernel()(fx.ts[j], fx.lane_y[j], want);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(got[i], want[i], 1e-12 * std::max(1.0, std::fabs(want[i])))
+          << "native vs interp, lane " << j << " slot " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i * fx.nb + j]),
+                std::bit_cast<std::uint64_t>(got[i]))
+          << "native batch not bitwise, lane " << j << " slot " << i;
+    }
+  }
+}
+
+/// The native scalar eval at the start state (t = 0.1) followed by an
+/// eval_batch over the 8 perturbed lanes of BatchFixture.
+std::vector<double> native_pin_outputs(const pipeline::CompiledModel& cm,
+                                       const KernelInstance& native) {
+  const std::size_t n = cm.n();
+  std::vector<double> out(n);
+  native.kernel()(0.1, start_state(cm), out);
+  const BatchFixture fx(cm, 8);
+  std::vector<double> batch(n * fx.nb);
+  native.kernel().eval_batch(0, fx.nb, fx.ts.data(), fx.y_soa.data(),
+                             batch.data());
+  out.insert(out.end(), batch.begin(), batch.end());
+  return out;
+}
+
+void expect_bits_pinned(const std::vector<double>& got,
+                        const std::vector<double>& want) {
+  std::ostringstream dump;
+  dump << std::hexfloat;
+  for (const double v : got) {
+    dump << v << ",\n";
+  }
+  ASSERT_EQ(got.size(), want.size()) << "outputs now:\n" << dump.str();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "output " << i << ": " << std::hexfloat << got[i] << " != "
+        << want[i];
+  }
+}
+
+// Native output bits as computed when the unit included <cmath> and
+// printed std:: names: the GNU builtin spellings and the header-free
+// vector-math runtime must reproduce them bit for bit. The functions
+// without an omx_ runtime form (tan, asin, ...) call the host libm, so
+// the pins assume glibc and IEEE double arithmetic (no FMA contraction).
+const std::vector<double> kBearing4Pin = {
+    0x0p+0, 0x0p+0, 0x0p+0, -0x1.aa7a06d3a06d4p+8, 0x1.2cp+11, 0x1.4p+6,
+    -0x0p+0, 0x1.999999999999bp+0, 0x0p+0, -0x1.39eb851eb851fp+3, -0x1.9p+12,
+    -0x1.999999999999bp+0, 0x1.c3d09eb53c673p-54, 0x0p+0, -0x1.39eb851eb851fp+3,
+    -0x1.9p+12, -0x1.c3d09eb53c673p-53, -0x1.999999999999bp+0, 0x0p+0,
+    -0x1.39eb851eb851fp+3, -0x1.9p+12, 0x1.999999999999bp+0,
+    -0x1.52dc7707ed4d6p-52, 0x0p+0, -0x1.39eb851eb851fp+3, -0x1.9p+12,
+    0x1.0624dd2f1a9fcp-9, 0x1.4e3bcd35a8588p-8, 0x1.3a92a30553262p-10,
+    0x1.19ce075f6fd22p-8, 0x1.a36e2eb1c432dp-12, 0x1.cac083126e979p-9,
+    0x1.b089a02752546p-8, 0x1.61e4f765fd8aep-9, 0x1.89374bc6a7efap-9,
+    0x1.8fc504816f007p-8, 0x1.205bc01a36e2fp-9, 0x1.5b573eab367a1p-8,
+    0x1.6f0068db8bac7p-10, 0x1.26e978d4fdf3cp-8, 0x1.3a92a30553262p-11,
+    0x1.e4f765fd8adacp-9, 0x1.cdec53fb36b77p+11, -0x1.07b37e4242077p+11,
+    -0x1.4d22d8fdc0b46p+13, -0x1.aa99507456703p+10, -0x1.2c3da91ea0612p+13,
+    -0x1.213e5e17a64b3p+7, -0x1.5f4cea348e2ddp+12, 0x1.3bcc53fb36b77p+11,
+    -0x1.030a6618f4cd4p+11, -0x1.a85738bcca229p+13, -0x1.9b9773986cfd3p+9,
+    -0x1.84643ca7189dap+13, -0x1.10206ce8616fcp+14, -0x1.208cbaa2adaaep+12,
+    -0x1.e97bdd69aac27p+13, -0x1.952a6618f4cd4p+11, -0x1.0fa581cca251ep+13,
+    -0x1.ee3795e3fdf81p+14, 0x1.626b8816124a4p+10, -0x1.f5baf15303f44p+14,
+    -0x1.405c250391433p+14, -0x1.8cb3b313e9badp+13, -0x1.c024cc35e040cp+14,
+    -0x1.0fa5839762d5p+13, 0x1.4004189374bc7p+6, 0x1.40001a36e2eb2p+6,
+    0x1.400346dc5d639p+6, 0x1.40067381d7dbfp+6, 0x1.40027525460aap+6,
+    0x1.4005a1cac0831p+6, 0x1.4001a36e2eb1cp+6, 0x1.4004d013a92a3p+6,
+    0x1.0624dd2f1a9fcp-10, 0x1.0cb295e9e1b09p-8, 0x1.a36e2eb1c432dp-13,
+    0x1.b089a02752546p-9, 0x1.a36e2eb1c432dp-8, 0x1.47ae147ae147bp-9,
+    0x1.6f0068db8bac7p-8, 0x1.bda5119ce076p-10, 0x1.9a1cac083127p+0,
+    0x1.9ae7d566cf421p+0, 0x1.99e83e425aee8p+0, 0x1.9ab367a0f9098p+0,
+    0x1.99b3d07c84b5fp+0, 0x1.9a7ef9db22d1p+0, 0x1.9b4a2339c0ecp+0,
+    0x1.9a4a8c154c987p+0, -0x1.c4c525cfa48cep+18, -0x1.1e9921e5f416ap+16,
+    -0x1.8cefd91306a65p+18, -0x1.377029f88422ep+14, -0x1.1aae2bf4db951p+18,
+    0x1.20907f905242cp+14, -0x1.900b2201eeb3dp+17, -0x1.0bad0a39f69c3p+19,
+    -0x1.6a5e8ee38de16p+14, -0x1.4c714e2b1667bp+13, -0x1.02df1488257c9p+16,
+    -0x1.f43c2d4884ca1p+11, -0x1.712712287d0e3p+15, -0x1.238d935152b13p+7,
+    -0x1.ea2334fafb738p+14, -0x1.0b3f499e680cap+15, -0x1.1b5f381ca81fcp+22,
+    -0x1.524b0e68bb0f2p+20, -0x1.0507b5aca9e62p+22, -0x1.9e0a53740d425p+19,
+    -0x1.b387e82281cd1p+21, -0x1.c3af09bb518dap+18, -0x1.4b539d1d635f8p+21,
+    -0x1.4f37ba9f5fbfdp+22, -0x1.9810624dd2f1cp+0, -0x1.990ff97247455p+0,
+    -0x1.9844d013a92a4p+0, -0x1.994467381d7ddp+0, -0x1.98793dd97f62dp+0,
+    -0x1.9978d4fdf3b66p+0, -0x1.98adab9f559b5p+0, -0x1.97e28240b7805p+0,
+    0x1.c3d09eb53c673p-54, 0x1.9652bd3c361f5p-9, 0x1.9652bd3c36184p-8,
+    0x1.2d77318fc512ap-9, 0x1.61e4f765fd91fp-8, 0x1.89374bc6a80bep-10,
+    0x1.2d77318fc50b9p-8, 0x1.6f0068db8be4fp-11, -0x1.013ef3c499939p+13,
+    -0x1.e49d1abd07fe8p+13, -0x1.3805a447c5a6fp+11, 0x1.24c6b668b0c8cp+12,
+    -0x1.fa2f0988754a8p+13, -0x1.944b299d0fb5ap+14, -0x1.c8f27a2ec9d2p+13,
+    -0x1.ddc55dd6ac4dap+13, -0x1.63371f950d5dfp+18, 0x1.c10cc63b7a35p+16,
+    -0x1.0ec49a3b44f8bp+18, 0x1.1c0b92ab1501ep+17, -0x1.7ee6131ba6301p+15,
+    -0x1.0c40f0a0c3512p+19, 0x1.22ea6af3826fdp+14, -0x1.b44ccd0ff6c42p+18,
+    -0x1.bc5917cea8116p+21, -0x1.cbeab749f5c67p+20, -0x1.52d218111e00bp+21,
+    -0x1.952728325aaeap+20, -0x1.ad2e3da93eb34p+21, -0x1.4fa794fc0639fp+22,
+    -0x1.5ab652730b3c5p+21, -0x1.10e42f8e33fcap+22, 0x1.0624dd2f1a91ap-8,
+    0x1.a36e2eb1c0ab3p-14, 0x1.a36e2eb1c4169p-9, 0x1.9ce075f6fd13ep-8,
+    0x1.3a92a3055309ep-9, 0x1.6872b020c48d8p-8, 0x1.a36e2eb1c3fa5p-10,
+    0x1.3404ea4a8c073p-8, -0x1.9851eb851eb87p+0, -0x1.995182a9930bfp+0,
+    -0x1.9886594af4f0fp+0, -0x1.9985f06f69448p+0, -0x1.98bac710cb297p+0,
+    -0x1.97ef9db22d0e7p+0, -0x1.98ef34d6a162p+0, -0x1.98240b780346fp+0,
+    -0x1.5b113efc69099p+16, -0x1.5a04d133315a9p+16, 0x0p+0,
+    -0x1.5b1cea11021f9p+16, 0x0p+0, -0x1.5b113efc6909ap+16,
+    -0x1.f7ab0a9113db4p+15, -0x1.5b113efc69099p+16, -0x1.76b9b6a4330dbp+9,
+    -0x1.759bafd922989p+9, -0x1.39eb851eb851fp+3, -0x1.76c6258c9693ep+9,
+    -0x1.39eb851eb851fp+3, -0x1.76b9b6a4330ccp+9, -0x1.387bd91c42ee2p+13,
+    -0x1.76b9b6a4330dbp+9, -0x1.b46edd2112947p+19, -0x1.b31fb71a4d0dap+19,
+    -0x1.900353f7ced91p+12, -0x1.b47d686f34db7p+19, -0x1.9002d0e560419p+12,
+    -0x1.b46ed616d523dp+19, -0x1.4146e24fbe6c4p+19, -0x1.b46ede0672d5fp+19,
+    0x1.9a1cac083127p+0, 0x1.9ae7d566cf421p+0, 0x1.99e83e425aee8p+0,
+    0x1.9ab367a0f9098p+0, 0x1.99b3d07c84b5fp+0, 0x1.9a7ef9db22d1p+0,
+    0x1.9b4a2339c0ecp+0, 0x1.9a4a8c154c987p+0, 0x1.89374bc6a7c54p-9,
+    0x1.8fc504816eeb4p-8, 0x1.205bc01a36b89p-9, 0x1.5b573eab3664ep-8,
+    0x1.6f0068db8b57cp-10, 0x1.26e978d4fdde9p-8, 0x1.3a92a305527cbp-11,
+    0x1.e4f765fd8ab06p-9, 0x0p+0, 0x0p+0, -0x1.b6533fa836ae5p+10, 0x0p+0,
+    0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, -0x1.39eb851eb851fp+3,
+    -0x1.39eb851eb851fp+3, 0x1.37c62c4b29a9cp+13, -0x1.39eb851eb851fp+3,
+    -0x1.39eb851eb851fp+3, -0x1.39eb851eb851fp+3, -0x1.39eb851eb851fp+3,
+    -0x1.39eb851eb851fp+3, -0x1.90028f5c28f5cp+12, -0x1.900010624dd2fp+12,
+    -0x1.a492db300f73bp+16, -0x1.9004083126e98p+12, -0x1.900189374bc69p+12,
+    -0x1.9003851eb851fp+12, -0x1.90010624dd2f1p+12, -0x1.9003020c49ba7p+12,
+};
+
+const std::vector<double> kAllFunctionsPin = {
+    0x1.490b94d483a7ap+1, 0x1.527f872198f2cp-1, 0x1.37cc667040ce6p+1,
+    0x1.0e266ee56de23p+2, 0x1.492aa23c1289ap+1, 0x1.49f6b97ab3016p+1,
+    0x1.49e9c6b6f2e0ap+1, 0x1.49c217970426cp+1, 0x1.4a8de6eecff22p+1,
+    0x1.498d6f3fab70ap+1, 0x1.4a59579def1cbp+1, 0x1.4958c075c98efp+1,
+    0x1.53f6cb38d0f78p-1, 0x1.569eab3768d91p-1, 0x1.532e0607bbf5cp-1,
+    0x1.55ef6324c4f2ep-1, 0x1.5670fa82e34e8p-1, 0x1.553ffccd10c9ep-1,
+    0x1.55e8db868fda5p-1, 0x1.54907828ed80ep-1, 0x1.38090cd634cb5p+1,
+    0x1.384e5b85bd927p+1, 0x1.3879d52eab391p+1, 0x1.383c7c9db9039p+1,
+    0x1.37829d23f9745p+1, 0x1.382a9b085ebe9p+1, 0x1.37e019cf163eap+1,
+    0x1.3818b6c4d6eeep+1, 0x1.14858e900c265p+2, 0x1.125d58eaff825p+2,
+    0x1.0e068d1f71e58p+2, 0x1.0bbcc3a0dde3p+2, 0x1.07e3aadd32accp+2,
+    0x1.053645abda7aep+2, 0x1.02c36d0f6b91dp+2, 0x1.fdb3c02b81727p+1,
+};
+
+TEST(NativeBackend, OutputBitsMatchPinnedValues) {
+  const pipeline::CompiledModel bearing = compile_bearing4();
+  const KernelInstance native =
+      bearing.make_kernel(Backend::kNative, test_kernel_opts());
+  if (native.backend() != Backend::kNative) {
+    GTEST_SKIP() << "no host compiler; native backend unavailable";
+  }
+  {
+    SCOPED_TRACE("bearing N=4");
+    expect_bits_pinned(native_pin_outputs(bearing, native), kBearing4Pin);
+  }
+  {
+    SCOPED_TRACE("all functions");
+    const pipeline::CompiledModel all = compile_all_functions();
+    expect_bits_pinned(
+        native_pin_outputs(all,
+                           all.make_kernel(Backend::kNative,
+                                           test_kernel_opts())),
+        kAllFunctionsPin);
   }
 }
 
