@@ -18,6 +18,7 @@
 // tridiagonal heat-PDE stencil across sizes, exporting BENCH_sparse.json
 // for scripts/bench_gate.py (gate_sparse: parity at n <= 16, >= 2x at
 // the largest size).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -94,6 +95,48 @@ double time_solve(const omx::ode::Problem& p, const omx::ode::SolverOptions& o,
   return best;
 }
 
+// Per-layer timings of the stiff path's linear algebra at one size: an
+// in-place refactorization of the Newton matrix M = I - beta*h*J, and
+// one solve against it. Each is the best mean over several batches.
+struct LuTimings {
+  double refactor_us = 0.0;
+  double solve_us = 0.0;
+};
+
+LuTimings time_sparse_lu(const omx::la::CsrMatrix& jac) {
+  using clock = std::chrono::steady_clock;
+  const omx::la::SparsityPattern& pat = jac.pattern();
+  omx::la::CsrMatrix m(jac.pattern_ptr());
+  const double beta_h = 2.0 / 3.0 * 1e-3;  // BDF2 at h = 1e-3
+  for (std::size_t r = 0; r < pat.rows; ++r) {
+    for (std::size_t k = pat.row_ptr[r]; k < pat.row_ptr[r + 1]; ++k) {
+      m.values()[k] =
+          (pat.col_idx[k] == r ? 1.0 : 0.0) - beta_h * jac.values()[k];
+    }
+  }
+  omx::la::SparseLu lu(m);
+  std::vector<double> b(pat.rows, 1.0), x(pat.rows);
+  constexpr int kReps = 2000;
+  const auto mean_us = [](clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count() / kReps;
+  };
+  LuTimings best{1e300, 1e300};
+  for (int batch = 0; batch < 5; ++batch) {
+    const auto t0 = clock::now();
+    for (int rep = 0; rep < kReps; ++rep) {
+      lu.refactor(m);
+    }
+    const auto t1 = clock::now();
+    for (int rep = 0; rep < kReps; ++rep) {
+      lu.solve(b, x);
+    }
+    const auto t2 = clock::now();
+    best.refactor_us = std::min(best.refactor_us, mean_us(t1 - t0));
+    best.solve_us = std::min(best.solve_us, mean_us(t2 - t1));
+  }
+  return best;
+}
+
 void bench_sparse_backends() {
   using namespace omx;
   const std::vector<int> sizes{8, 16, 32, 64, 128};
@@ -156,6 +199,13 @@ void bench_sparse_backends() {
     g("dense_rhs_calls", static_cast<double>(dense_stats.rhs_calls));
     g("sparse_rhs_calls", static_cast<double>(sparse_stats.rhs_calls));
     g("sparse_reuse_hits", static_cast<double>(sparse_stats.jac_reuse_hits));
+    if (n == sizes.back()) {
+      const LuTimings lu = time_sparse_lu(jac);
+      std::printf("  n=%d sparse LU: refactor %.2f us, solve %.2f us\n", n,
+                  lu.refactor_us, lu.solve_us);
+      g("refactor_us", lu.refactor_us);
+      g("lu_solve_us", lu.solve_us);
+    }
   }
   metrics.gauge("sparse.heat.largest_n")
       .set(static_cast<double>(sizes.back()));

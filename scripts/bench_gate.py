@@ -293,7 +293,8 @@ def gate_sparse(gate, current, baseline):
                        builds, colors + 1.0, "colors + 1")
 
     for name in sorted(current):
-        if name.startswith("sparse.heat.") and name.endswith("_wall_s"):
+        if name.startswith("sparse.heat.") and \
+                name.endswith(("_wall_s", "_us")):
             gate.report(name, current[name], baseline.get(name))
 
 

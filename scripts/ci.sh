@@ -116,9 +116,14 @@ if [[ $MODE == tsan ]]; then
   # against the shared AutoTuner singleton. NativeBackend covers the
   # native kernels, including ConcurrentBuildersCompileEachModuleOnce:
   # racing cold host compiles of one model through the shared cache.
+  # StiffPath|SparseLu covers the stiff path's linear algebra and its
+  # ensemble lanes, including
+  # StiffPath.EnsembleColoredFdOnMultiLaneInterpMatchesSequential: four
+  # BDF workers whose colored-FD Jacobians must each stay on their own
+  # interpreter lane.
   OMX_POOL_STEALING=1 OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-      -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|Svc|Event|Hybrid|Tune|NativeBackend'
+      -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|Svc|Event|Hybrid|Tune|NativeBackend|StiffPath|SparseLu'
   echo "CI OK (TSan)"
   exit 0
 fi

@@ -304,12 +304,20 @@ void CsrMatrix::multiply(std::span<const double> x,
 
 namespace {
 
-/// Value at column `c` in a sorted entry row; exact 0.0 when absent.
-template <typename EntryVec>
-typename EntryVec::iterator find_col(EntryVec& row, std::uint32_t c) {
+/// One L\U entry of a row under construction on the general path.
+struct Entry {
+  std::uint32_t col;
+  std::uint32_t slot;  // input slot it was loaded from, or kFill
+  double val;
+};
+constexpr std::uint32_t kFill = std::numeric_limits<std::uint32_t>::max();
+
+/// First entry at column >= `c` in a sorted entry row.
+std::vector<Entry>::iterator find_col(std::vector<Entry>& row,
+                                      std::uint32_t c) {
   return std::lower_bound(
       row.begin(), row.end(), c,
-      [](const auto& e, std::uint32_t col) { return e.col < col; });
+      [](const Entry& e, std::uint32_t col) { return e.col < col; });
 }
 
 }  // namespace
@@ -320,15 +328,26 @@ SparseLu::SparseLu(const CsrMatrix& a, Ordering ordering)
   factorize(a);
 }
 
+void SparseLu::refactor(const CsrMatrix& a) {
+  OMX_REQUIRE(a.rows() == n_ && a.cols() == n_, "refactor size mismatch");
+  if (a_map_.empty() || a.pattern_ptr() != pattern_ ||
+      !eliminate_in_place(a.values())) {
+    factorize(a);
+  }
+}
+
 void SparseLu::factorize(const CsrMatrix& a) {
   const SparsityPattern& p = a.pattern();
+  pattern_ = a.pattern_ptr();
+  a_map_.clear();  // stays empty if the elimination below throws
+  order_.clear();
   if (ordering_kind_ == Ordering::kRcm) {
     order_ = reverse_cuthill_mckee(p);
   }
 
   // Load the (optionally symmetrically permuted) matrix into per-row
   // sorted entry vectors.
-  rows_.assign(n_, {});
+  std::vector<std::vector<Entry>> rows(n_);
   std::vector<std::size_t> inv_order;
   if (!order_.empty()) {
     inv_order.resize(n_);
@@ -338,12 +357,13 @@ void SparseLu::factorize(const CsrMatrix& a) {
   }
   for (std::size_t r = 0; r < n_; ++r) {
     const std::size_t src = order_.empty() ? r : order_[r];
-    auto& row = rows_[r];
+    auto& row = rows[r];
     row.reserve(p.row_ptr[src + 1] - p.row_ptr[src]);
     for (std::size_t k = p.row_ptr[src]; k < p.row_ptr[src + 1]; ++k) {
       const std::size_t c =
           order_.empty() ? p.col_idx[k] : inv_order[p.col_idx[k]];
-      row.push_back({static_cast<std::uint32_t>(c), a.values()[k]});
+      row.push_back({static_cast<std::uint32_t>(c),
+                     static_cast<std::uint32_t>(k), a.values()[k]});
     }
     std::sort(row.begin(), row.end(),
               [](const Entry& x, const Entry& y) { return x.col < y.col; });
@@ -357,17 +377,18 @@ void SparseLu::factorize(const CsrMatrix& a) {
   // stencil this is a single row per column.
   bandwidth_ = 0;
   for (std::size_t r = 0; r < n_; ++r) {
-    for (const Entry& e : rows_[r]) {
+    for (const Entry& e : rows[r]) {
       if (r > e.col) {
         bandwidth_ = std::max(bandwidth_, r - e.col);
       }
     }
   }
 
-  perm_.resize(n_);
+  std::vector<std::size_t> perm(n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    perm_[i] = i;
+    perm[i] = i;
   }
+  bool pivoted = false;
   pivot_min_ = std::numeric_limits<double>::infinity();
   pivot_max_ = 0.0;
 
@@ -382,14 +403,14 @@ void SparseLu::factorize(const CsrMatrix& a) {
     std::size_t piv = k;
     double best = 0.0;
     {
-      auto it = find_col(rows_[k], kc);
-      if (it != rows_[k].end() && it->col == kc) {
+      auto it = find_col(rows[k], kc);
+      if (it != rows[k].end() && it->col == kc) {
         best = std::fabs(it->val);
       }
     }
     for (std::size_t i = k + 1; i <= imax; ++i) {
-      auto it = find_col(rows_[i], kc);
-      if (it != rows_[i].end() && it->col == kc) {
+      auto it = find_col(rows[i], kc);
+      if (it != rows[i].end() && it->col == kc) {
         const double v = std::fabs(it->val);
         if (v > best) {
           best = v;
@@ -402,21 +423,22 @@ void SparseLu::factorize(const CsrMatrix& a) {
                        std::to_string(k));
     }
     if (piv != k) {
-      std::swap(perm_[piv], perm_[k]);
-      rows_[piv].swap(rows_[k]);
+      std::swap(perm[piv], perm[k]);
+      rows[piv].swap(rows[k]);
+      pivoted = true;
       // Growing the band window is impossible: the swap happens inside
       // the window, so bandwidth_ keeps bounding later pivot columns.
     }
     pivot_min_ = std::min(pivot_min_, best);
     pivot_max_ = std::max(pivot_max_, best);
 
-    auto kdiag = find_col(rows_[k], kc);
+    auto kdiag = find_col(rows[k], kc);
     const double inv_pivot = 1.0 / kdiag->val;
     const std::size_t kdiag_pos =
-        static_cast<std::size_t>(kdiag - rows_[k].begin());
+        static_cast<std::size_t>(kdiag - rows[k].begin());
 
     for (std::size_t i = k + 1; i <= imax; ++i) {
-      auto& row = rows_[i];
+      auto& row = rows[i];
       auto lcol = find_col(row, kc);
       if (lcol == row.end() || lcol->col != kc) {
         // Dense stores m = 0 * inv_pivot here and skips the update — a
@@ -429,13 +451,13 @@ void SparseLu::factorize(const CsrMatrix& a) {
         continue;  // same skip as dense `if (m != 0.0)`
       }
       // row_i(c) -= m * row_k(c) for c > k, merging in fill. First pass
-      // updates matching entries in place and counts the fill so the
-      // steady state (pattern already stabilized) allocates nothing.
+      // updates matching entries in place and counts the fill, so a row
+      // whose pattern already holds the update needs no rebuild.
       const std::size_t head =
           static_cast<std::size_t>(lcol - row.begin()) + 1;
       std::size_t ai = head;
       std::size_t bi = kdiag_pos + 1;
-      const auto& krow = rows_[k];
+      const auto& krow = rows[k];
       std::size_t fill = 0;
       while (ai < row.size() && bi < krow.size()) {
         if (row[ai].col < krow[bi].col) {
@@ -465,7 +487,7 @@ void SparseLu::factorize(const CsrMatrix& a) {
           merged.push_back(row[ai]);
           ++ai;
         } else if (row[ai].col > krow[bi].col) {
-          merged.push_back({krow[bi].col, 0.0 - m * krow[bi].val});
+          merged.push_back({krow[bi].col, kFill, 0.0 - m * krow[bi].val});
           ++bi;
         } else {
           merged.push_back(row[ai]);  // already updated in the first pass
@@ -477,61 +499,151 @@ void SparseLu::factorize(const CsrMatrix& a) {
         merged.push_back(row[ai]);
       }
       for (; bi < krow.size(); ++bi) {
-        merged.push_back({krow[bi].col, 0.0 - m * krow[bi].val});
+        merged.push_back({krow[bi].col, kFill, 0.0 - m * krow[bi].val});
       }
       row.resize(head);
       row.insert(row.end(), merged.begin(), merged.end());
     }
   }
 
-  diag_pos_.resize(n_);
+  // Flatten into the CSR arrays solve() and refactor() read. Without row
+  // swaps, row r of the factors holds every entry of input row r, so
+  // each input slot has a fixed home for refactor().
+  row_ptr_.assign(n_ + 1, 0);
   for (std::size_t i = 0; i < n_; ++i) {
-    auto it = find_col(rows_[i], static_cast<std::uint32_t>(i));
-    OMX_REQUIRE(it != rows_[i].end() && it->col == i,
-                "sparse LU lost a diagonal");
-    diag_pos_[i] = static_cast<std::size_t>(it - rows_[i].begin());
+    row_ptr_[i + 1] = row_ptr_[i] + rows[i].size();
   }
+  col_.resize(row_ptr_[n_]);
+  val_.resize(row_ptr_[n_]);
+  diag_.resize(n_);
+  a_map_.resize(pivoted ? 0 : p.nnz());
+  next_.resize(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    auto it = find_col(rows[i], static_cast<std::uint32_t>(i));
+    OMX_REQUIRE(it != rows[i].end() && it->col == i,
+                "sparse LU lost a diagonal");
+    diag_[i] = row_ptr_[i] + static_cast<std::size_t>(it - rows[i].begin());
+    for (std::size_t k = 0; k < rows[i].size(); ++k) {
+      const Entry& e = rows[i][k];
+      col_[row_ptr_[i] + k] = e.col;
+      val_[row_ptr_[i] + k] = e.val;
+      if (!pivoted && e.slot != kFill) {
+        a_map_[e.slot] = row_ptr_[i] + k;
+      }
+    }
+  }
+  src_.resize(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    src_[i] = order_.empty() ? perm[i] : order_[perm[i]];
+  }
+  work_.assign(order_.empty() && !pivoted ? 0 : n_, 0.0);
+}
+
+bool SparseLu::eliminate_in_place(std::span<const double> a_values) {
+  std::fill(val_.begin(), val_.end(), 0.0);
+  for (std::size_t k = 0; k < a_values.size(); ++k) {
+    val_[a_map_[k]] = a_values[k];
+  }
+  std::copy(row_ptr_.begin(), row_ptr_.end() - 1, next_.begin());
+  pivot_min_ = std::numeric_limits<double>::infinity();
+  pivot_max_ = 0.0;
+
+  // The general path's elimination without its searches. Columns are
+  // eliminated in ascending order and every L entry of row i lies in the
+  // band window of its column, so next_[i] always points at the L entry
+  // the current column can touch. Slots the general path would leave
+  // absent hold exact zeros here, which neither win a pivot nor change a
+  // value they are subtracted from. A failed check returns at once and
+  // leaves val_ half updated; the general path then starts over.
+  for (std::size_t k = 0; k < n_; ++k) {
+    const std::size_t imax = std::min(n_ - 1, k + bandwidth_);
+    const std::size_t kd = diag_[k];
+    const double best = std::fabs(val_[kd]);
+    if (best == 0.0) {
+      return false;  // the general path swaps or throws
+    }
+    pivot_min_ = std::min(pivot_min_, best);
+    pivot_max_ = std::max(pivot_max_, best);
+
+    const double inv_pivot = 1.0 / val_[kd];
+    const std::size_t kend = row_ptr_[k + 1];
+    for (std::size_t i = k + 1; i <= imax; ++i) {
+      std::size_t q = next_[i];
+      if (q >= diag_[i] || col_[q] != k) {
+        continue;
+      }
+      if (std::fabs(val_[q]) > best) {
+        return false;  // pivot swap
+      }
+      const double m = val_[q] * inv_pivot;
+      val_[q] = m;
+      next_[i] = ++q;
+      if (m == 0.0) {
+        continue;
+      }
+      const std::size_t iend = row_ptr_[i + 1];
+      for (std::size_t u = kd + 1; u < kend; ++u) {
+        while (q < iend && col_[q] < col_[u]) {
+          ++q;
+        }
+        if (q == iend || col_[q] != col_[u]) {
+          return false;  // needs fill the stored structure lacks
+        }
+        val_[q] -= m * val_[u];
+        ++q;
+      }
+    }
+  }
+  return true;
 }
 
 void SparseLu::solve(std::span<const double> b, std::span<double> x) const {
   OMX_REQUIRE(b.size() == n_ && x.size() == n_, "size mismatch");
-  // Apply permutations and forward-substitute L (unit diagonal), then
+  // Forward-substitute L (unit diagonal) from the permuted b, then
   // back-substitute U — entry-for-entry the dense loops with the exact
-  // zeros skipped.
-  std::vector<double> y(n_);
-  std::vector<double> z(order_.empty() ? 0 : n_);
+  // zeros skipped. Without a permutation y lives in x itself (x may
+  // alias b: b[i] is read before x[i] is written); otherwise in work_,
+  // and with RCM the back substitution stays there too.
+  double* y = work_.empty() ? x.data() : work_.data();
+  double* out = order_.empty() ? x.data() : work_.data();
+  // y[i-1] and out[i+1] are, when present, the last L term and the
+  // first U term of a row in ascending column order; carrying them in a
+  // register keeps the operands and their order while sparing the
+  // dependency chain a store-to-load round trip.
+  double carry = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t src =
-        order_.empty() ? perm_[i] : order_[perm_[i]];
-    double acc = b[src];
-    const auto& row = rows_[i];
-    for (std::size_t k = 0; k < diag_pos_[i]; ++k) {
-      acc -= row[k].val * y[row[k].col];
+    double acc = b[src_[i]];
+    const std::size_t d = diag_[i];
+    std::size_t k = row_ptr_[i];
+    const bool near = d > k && col_[d - 1] + 1 == i;
+    for (const std::size_t end = near ? d - 1 : d; k < end; ++k) {
+      acc -= val_[k] * y[col_[k]];
+    }
+    if (near) {
+      acc -= val_[k] * carry;
     }
     y[i] = acc;
+    carry = acc;
   }
-  std::span<double> out = order_.empty() ? x : std::span<double>(z);
   for (std::size_t ii = n_; ii-- > 0;) {
     double acc = y[ii];
-    const auto& row = rows_[ii];
-    for (std::size_t k = diag_pos_[ii] + 1; k < row.size(); ++k) {
-      acc -= row[k].val * out[row[k].col];
+    const std::size_t d = diag_[ii];
+    const std::size_t end = row_ptr_[ii + 1];
+    std::size_t k = d + 1;
+    if (k < end && col_[k] == ii + 1) {
+      acc -= val_[k++] * carry;
     }
-    out[ii] = acc / row[diag_pos_[ii]].val;
+    for (; k < end; ++k) {
+      acc -= val_[k] * out[col_[k]];
+    }
+    out[ii] = acc / val_[d];
+    carry = out[ii];
   }
   if (!order_.empty()) {
     for (std::size_t i = 0; i < n_; ++i) {
-      x[order_[i]] = z[i];
+      x[order_[i]] = work_[i];
     }
   }
-}
-
-std::size_t SparseLu::factor_nnz() const {
-  std::size_t nnz = 0;
-  for (const auto& row : rows_) {
-    nnz += row.size();
-  }
-  return nnz;
 }
 
 }  // namespace omx::la

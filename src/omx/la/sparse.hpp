@@ -120,6 +120,27 @@ class CsrMatrix {
 /// heat-PDE stencil only one subdiagonal row is scanned per column), and
 /// row updates merge only structurally nonzero entries, creating fill as
 /// needed. Throws omx::Error on a singular pivot column.
+///
+/// Storage: L\U is one flat CSR. Row i occupies [row_ptr_[i],
+/// row_ptr_[i+1]) of col_/val_ with columns ascending; the entries before
+/// diag_[i] are the L multipliers (unit diagonal implied), diag_[i] is
+/// the pivot, the rest is U.
+///
+/// Two factorization paths perform the same floating-point operations:
+///  * The general path (construction, fallback) pivots and creates fill;
+///    it builds the structure and writes it into the flat arrays.
+///  * refactor(a) scatters `a` into the stored structure through a map
+///    built by the last general factorization and re-runs only the
+///    numeric elimination. It falls back to the general path when a
+///    pivot swap would happen, when a row update needs an entry the
+///    structure lacks, when a pivot is zero (the general path then
+///    throws its usual diagnostic), when the stored structure came from
+///    a pivoted factorization, or when `a` is over another pattern
+///    object.
+///
+/// The solver owns solve()'s scratch and sizes it when it factors, so
+/// solve() allocates nothing; it is therefore not safe to call solve()
+/// concurrently on one instance.
 class SparseLu final : public LinearSolver {
  public:
   enum class Ordering {
@@ -129,30 +150,39 @@ class SparseLu final : public LinearSolver {
 
   explicit SparseLu(const CsrMatrix& a, Ordering ordering = Ordering::kNatural);
 
+  /// Factors `a` anew, bitwise equal to constructing a fresh SparseLu
+  /// from it; reuses the stored structure when it can (see above).
+  /// Throws like the constructor, and the solver then stays unusable
+  /// until a refactor succeeds.
+  void refactor(const CsrMatrix& a);
+
   std::size_t size() const override { return n_; }
   void solve(std::span<const double> b, std::span<double> x) const override;
   const char* kind() const override { return "sparse_lu"; }
-  std::size_t factor_nnz() const override;
+  std::size_t factor_nnz() const override { return col_.size(); }
 
   /// Same cheap near-singularity heuristic as the dense LuFactors.
   double pivot_growth() const { return pivot_min_ / pivot_max_; }
   Ordering ordering() const { return ordering_kind_; }
 
  private:
-  struct Entry {
-    std::uint32_t col;
-    double val;
-  };
-
   void factorize(const CsrMatrix& a);
+  bool eliminate_in_place(std::span<const double> a_values);
 
   std::size_t n_ = 0;
   Ordering ordering_kind_ = Ordering::kNatural;
-  std::vector<std::vector<Entry>> rows_;   // L below diag (multipliers) + U
-  std::vector<std::size_t> diag_pos_;      // index of the diagonal per row
-  std::vector<std::size_t> perm_;          // row permutation from pivoting
-  std::vector<std::size_t> order_;         // symmetric ordering (RCM) or empty
-  std::size_t bandwidth_ = 0;              // lower bandwidth bound for pivots
+  std::shared_ptr<const SparsityPattern> pattern_;  // of the factored input
+  std::vector<std::size_t> row_ptr_;   // n + 1 offsets into col_/val_
+  std::vector<std::uint32_t> col_;     // L\U columns, ascending per row
+  std::vector<double> val_;            // L multipliers, pivots, U
+  std::vector<std::size_t> diag_;      // index of the pivot per row
+  std::vector<std::size_t> src_;       // b index feeding each row
+  std::vector<std::size_t> order_;     // symmetric ordering (RCM) or empty
+  std::vector<std::size_t> a_map_;     // input slot -> val_ slot; empty
+                                       // when refactor cannot reuse
+  std::vector<std::size_t> next_;      // refactor: next L entry per row
+  mutable std::vector<double> work_;   // solve scratch (empty: solve in x)
+  std::size_t bandwidth_ = 0;          // lower bandwidth bound for pivots
   double pivot_min_ = 0.0;
   double pivot_max_ = 0.0;
 };

@@ -58,7 +58,15 @@ BdfStepper::BdfStepper(const Problem& p, const BdfOptions& opts)
       opts_(opts),
       jac_engine_(p, JacobianEngine::Config{opts.jac_threads,
                                            opts.jac_max_age,
-                                           /*slow_iters=*/5}) {
+                                           /*slow_iters=*/5}),
+      history_(kHistory, std::vector<double>(p.n)),
+      rhs_const_(p.n),
+      predictor_(p.n),
+      ynew_(p.n),
+      w_(p.n),
+      f_(p.n),
+      g_(p.n),
+      dy_(p.n) {
   OMX_REQUIRE(opts_.max_order >= 1 && opts_.max_order <= 5,
               "BDF order must be in 1..5");
   double h = opts.fixed_h > 0.0 ? opts.fixed_h : opts.h0;
@@ -67,8 +75,8 @@ BdfStepper::BdfStepper(const Problem& p, const BdfOptions& opts)
 
 void BdfStepper::restart(double t, std::span<const double> y, double h) {
   t_ = t;
-  history_.clear();
-  history_.emplace_back(y.begin(), y.end());
+  hist_len_ = 0;
+  push_history(y);
   order_ = 1;
   jac_engine_.invalidate();
   if (h > 0.0) {
@@ -117,39 +125,43 @@ void BdfStepper::restart(double t, std::span<const double> y, double h) {
       }
       t_ += h_;
       ++stats_.steps;
-      history_.insert(history_.begin(), ycur);
+      push_history(ycur);
     }
     order_ = opts_.max_order;
   }
 }
 
+void BdfStepper::push_history(std::span<const double> y) {
+  std::rotate(history_.begin(), history_.end() - 1, history_.end());
+  std::copy(y.begin(), y.end(), history_.front().begin());
+  hist_len_ = std::min(hist_len_ + 1, kHistory);
+}
+
 bool BdfStepper::newton_solve(double t1, std::span<const double> predictor,
                               std::span<const double> rhs_const,
-                              double beta_h, std::span<double> out) {
+                              double beta_h, std::span<double> y1) {
   const std::size_t n = p_.n;
-  std::vector<double> y1(predictor.begin(), predictor.end());
-  std::vector<double> f(n), g(n), dy(n), w(n);
-  error_weights(predictor, opts_.tol, w);
+  std::copy(predictor.begin(), predictor.end(), y1.begin());
+  error_weights(predictor, opts_.tol, w_);
 
   la::LinearSolver* solver = &jac_engine_.prepare(t1, y1, beta_h, stats_);
 
   bool refreshed_this_call = false;
   double prev_norm = std::numeric_limits<double>::infinity();
   for (std::size_t it = 0; it < opts_.newton_max_iters; ++it) {
-    p_.rhs(t1, y1, f);
+    p_.rhs(t1, y1, f_);
     ++stats_.rhs_calls;
     ++stats_.newton_iters;
     last_newton_iters_ = it + 1;
     for (std::size_t i = 0; i < n; ++i) {
-      g[i] = y1[i] - beta_h * f[i] - rhs_const[i];
+      g_[i] = y1[i] - beta_h * f_[i] - rhs_const[i];
     }
-    solver->solve(g, dy);
+    solver->solve(g_, dy_);
     for (std::size_t i = 0; i < n; ++i) {
-      y1[i] -= dy[i];
+      y1[i] -= dy_[i];
     }
-    const double dn = la::wrms_norm(dy, w);
+    const double dn = la::wrms_norm(dy_, w_);
     if (dn < 0.01) {  // displacement well below the error tolerance scale
-      std::copy(y1.begin(), y1.end(), out.begin());
       return true;
     }
     if (dn > prev_norm && !refreshed_this_call) {
@@ -197,7 +209,7 @@ bool BdfStepper::step() {
       ts += hs;
     }
     t_ = p_.tend;
-    history_.insert(history_.begin(), ycur);
+    push_history(ycur);
     ++stats_.steps;
     last_node_h_ = h;
     last_dense_points_ = 2;
@@ -210,18 +222,17 @@ bool BdfStepper::step() {
   const double beta_h = c.beta * h;
 
   // rhs_const = sum a_i y_{n+1-i}; predictor = extrapolation.
-  std::vector<double> rhs_const(n, 0.0), predictor(n), ynew(n), w(n);
+  std::fill(rhs_const_.begin(), rhs_const_.end(), 0.0);
   for (int i = 0; i < k; ++i) {
     const auto& yi = history_[static_cast<std::size_t>(i)];
     for (std::size_t j = 0; j < n; ++j) {
-      rhs_const[j] += c.a[i] * yi[j];
+      rhs_const_[j] += c.a[i] * yi[j];
     }
   }
-  extrapolate(history_, std::min<int>(k + 1,
-                                      static_cast<int>(history_.size())),
-              predictor);
+  extrapolate(history_, std::min<int>(k + 1, static_cast<int>(hist_len_)),
+              predictor_);
 
-  if (!newton_solve(t_ + h, predictor, rhs_const, beta_h, ynew)) {
+  if (!newton_solve(t_ + h, predictor_, rhs_const_, beta_h, ynew_)) {
     // Newton failed: refresh everything with a smaller step.
     ++stats_.rejected;
     obs::record_step(obs::StepEventKind::kNewtonFail, "bdf",
@@ -232,7 +243,7 @@ bool BdfStepper::step() {
       throw omx::Error("bdf: Newton failure with vanishing step at t = " +
                        std::to_string(t_));
     }
-    history_.resize(1);
+    hist_len_ = 1;
     order_ = 1;
     return false;
   }
@@ -241,30 +252,27 @@ bool BdfStepper::step() {
   // the method constant ~ 1/(k+1).
   double err = 0.0;
   if (!fixed) {
-    std::vector<double> diff(n);
+    std::vector<double>& diff = dy_;
     for (std::size_t i = 0; i < n; ++i) {
-      diff[i] = (ynew[i] - predictor[i]) / static_cast<double>(k + 1);
+      diff[i] = (ynew_[i] - predictor_[i]) / static_cast<double>(k + 1);
     }
-    error_weights(ynew, opts_.tol, w);
-    err = la::wrms_norm(diff, w);
+    error_weights(ynew_, opts_.tol, w_);
+    err = la::wrms_norm(diff, w_);
     // During the order ramp the extrapolation predictor is one order lower
     // than the corrector, so the difference overestimates the local error;
     // de-weight it rather than thrash on spurious rejections.
-    if (history_.size() == 1) {
+    if (hist_len_ == 1) {
       err = std::min(err, 0.5);
-    } else if (static_cast<int>(history_.size()) < k + 1) {
+    } else if (static_cast<int>(hist_len_) < k + 1) {
       err *= 0.25;
     }
   }
 
   if (fixed || err <= 1.0) {
     t_ += h;
-    history_.insert(history_.begin(), ynew);
-    if (history_.size() > 6) {
-      history_.pop_back();
-    }
+    push_history(ynew_);
     if (!clipped && order_ < opts_.max_order &&
-        static_cast<int>(history_.size()) > order_) {
+        static_cast<int>(hist_len_) > order_) {
       ++order_;
     }
     ++stats_.steps;
@@ -279,16 +287,18 @@ bool BdfStepper::step() {
           0.9 * std::pow(std::max(err, 1e-10), -1.0 / (k + 1));
       const double hmax =
           opts_.hmax > 0.0 ? opts_.hmax : (p_.tend - p_.t0);
-      if (fac > 2.0 && rem > 8.0 * h_ && history_.size() >= 3 &&
+      if (fac > 2.0 && rem > 8.0 * h_ && hist_len_ >= 3 &&
           2.0 * h_ <= hmax) {
-        std::vector<std::vector<double>> subsampled;
-        for (std::size_t i = 0; i < history_.size(); i += 2) {
-          subsampled.push_back(history_[i]);
+        // Keep the even points: point 2i moves to slot i. Slot 2i lies
+        // past every slot an earlier swap touched, so it still holds
+        // point 2i.
+        const std::size_t kept = (hist_len_ + 1) / 2;
+        for (std::size_t i = 1; i < kept; ++i) {
+          history_[i].swap(history_[2 * i]);
         }
-        history_ = std::move(subsampled);
+        hist_len_ = kept;
         h_ *= 2.0;
-        order_ = std::min<int>(order_,
-                               static_cast<int>(history_.size()));
+        order_ = std::min<int>(order_, static_cast<int>(hist_len_));
         // No invalidate: the beta*h change alone makes the next
         // prepare() refactor, reusing the still-fresh Jacobian values.
       }
@@ -301,8 +311,8 @@ bool BdfStepper::step() {
       last_dense_points_ = 2;
     } else {
       last_node_h_ = h_;
-      last_dense_points_ = std::min<std::size_t>(
-          static_cast<std::size_t>(k) + 1, history_.size());
+      last_dense_points_ =
+          std::min<std::size_t>(static_cast<std::size_t>(k) + 1, hist_len_);
     }
     return true;
   }
@@ -311,7 +321,7 @@ bool BdfStepper::step() {
   obs::record_step(obs::StepEventKind::kStepRejected, "bdf",
                    static_cast<std::uint16_t>(k), t_, h, err);
   h_ *= std::clamp(0.9 * std::pow(err, -1.0 / (k + 1)), 0.1, 0.5);
-  history_.resize(1);
+  hist_len_ = 1;
   order_ = 1;
   jac_engine_.invalidate();
   if (h_ < 1e-14 * std::max(1.0, std::fabs(t_))) {

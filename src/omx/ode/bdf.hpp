@@ -70,9 +70,12 @@ class BdfStepper {
   SolverStats& stats() { return stats_; }
 
  private:
+  /// Iterates in `y1`, starting from `predictor`.
   bool newton_solve(double t1, std::span<const double> predictor,
                     std::span<const double> rhs_const, double beta_h,
-                    std::span<double> out);
+                    std::span<double> y1);
+  /// Makes `y` the newest history point, dropping the oldest when full.
+  void push_history(std::span<const double> y);
 
   const Problem& p_;
   BdfOptions opts_;
@@ -81,8 +84,14 @@ class BdfStepper {
   double t_ = 0.0;
   double h_ = 0.0;
   int order_ = 1;  // current ramped order
-  // history_[0] = y_n, history_[1] = y_{n-1}, ...
+  // history_[0] = y_n, history_[1] = y_{n-1}, ... up to hist_len_: a
+  // fixed set of n-vectors that accepted steps rotate, not reallocate.
+  static constexpr std::size_t kHistory = 6;
   std::vector<std::vector<double>> history_;
+  std::size_t hist_len_ = 0;
+  // Scratch of step() and newton_solve(), sized once so that the
+  // adaptive step loop allocates nothing.
+  std::vector<double> rhs_const_, predictor_, ynew_, w_, f_, g_, dy_;
   // Node spacing / count for last_step_dense(), refreshed per accepted
   // step (growth subsampling changes the spacing after the insert).
   double last_node_h_ = 0.0;

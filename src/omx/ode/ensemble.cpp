@@ -761,11 +761,19 @@ SolverStats solve_single(const Problem& p, Method method,
   Problem q = p;
   q.y0.assign(y0.begin(), y0.end());
   if (p.batch_rhs) {
+    // Every evaluation of this scenario, the colored-FD Jacobian's
+    // batched call included, runs on the worker's own lane; one lane
+    // also keeps the Jacobian's color groups on this thread.
     const Problem* base = &p;
     q.set_rhs([base, lane](double t, std::span<const double> y,
                            std::span<double> ydot) {
       base->batch_rhs(lane, 1, &t, y.data(), ydot.data());
     });
+    q.set_batch_rhs([base, lane](std::size_t, std::size_t nb, const double* t,
+                                 const double* y_soa, double* ydot_soa) {
+      base->batch_rhs(lane, nb, t, y_soa, ydot_soa);
+    });
+    q.batch_lanes = 1;
   }
   return solve(q, method, opts, sink, scenario);
 }

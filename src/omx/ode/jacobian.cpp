@@ -287,6 +287,7 @@ void JacobianEngine::eval_jacobian(double t, std::span<const double> y,
 }
 
 void JacobianEngine::factorize(double beta_h) {
+  factored_beta_h_ = -1.0;  // stale until the factorization below succeeds
   if (plan_ && plan_->use_sparse) {
     const la::SparsityPattern& pat = *plan_->pattern;
     std::span<const double> jv = jac_csr_.values();
@@ -296,7 +297,12 @@ void JacobianEngine::factorize(double beta_h) {
         mv[k] = (pat.col_idx[k] == r ? 1.0 : 0.0) - beta_h * jv[k];
       }
     }
-    solver_ = std::make_unique<la::SparseLu>(m_csr_, plan_->ordering);
+    if (solver_) {
+      // The engine only ever holds a SparseLu on the sparse backend.
+      static_cast<la::SparseLu&>(*solver_).refactor(m_csr_);
+    } else {
+      solver_ = std::make_unique<la::SparseLu>(m_csr_, plan_->ordering);
+    }
   } else {
     la::Matrix m(p_.n, p_.n);
     for (std::size_t i = 0; i < p_.n; ++i) {
@@ -315,8 +321,7 @@ la::LinearSolver& JacobianEngine::prepare(double t,
                                           SolverStats& stats) {
   const bool need_jac =
       !have_jac_ || refresh_requested_ || age_ >= cfg_.max_age;
-  const bool need_factor =
-      need_jac || !solver_ || factored_beta_h_ != beta_h;
+  const bool need_factor = need_jac || factored_beta_h_ != beta_h;
   if (need_jac) {
     static obs::Histogram& build_hist = obs::Registry::global().histogram(
         "jac.build_seconds", obs::log_spaced_bounds(1e-6, 1.0));
@@ -342,8 +347,7 @@ la::LinearSolver& JacobianEngine::prepare(double t,
 }
 
 void JacobianEngine::invalidate() {
-  solver_.reset();
-  have_jac_ = false;
+  have_jac_ = false;  // forces a re-evaluation, hence a refactorization
   refresh_requested_ = false;
   age_ = 0;
 }

@@ -128,7 +128,9 @@ class JacobianEngine {
   /// Jacobian at whatever iterate it is given.
   void force_refresh() { refresh_requested_ = true; }
 
-  /// Drops Jacobian and factorization (step rejection, restart).
+  /// Marks Jacobian and factorization stale (step rejection, restart):
+  /// the next prepare() re-evaluates and refactors. The factorization
+  /// keeps its storage, so the refactor reuses the LU structure.
   void invalidate();
 
   /// Accepted-step bookkeeping: ages the Jacobian and applies the
@@ -154,7 +156,7 @@ class JacobianEngine {
   bool have_jac_ = false;
   bool refresh_requested_ = false;
   std::size_t age_ = 0;
-  double factored_beta_h_ = -1.0;
+  double factored_beta_h_ = -1.0;  // beta*h > 0 of the factorization
 };
 
 }  // namespace omx::ode

@@ -106,8 +106,9 @@ ode::Problem CompiledModel::make_problem(ode::RhsFn rhs, double t0,
 void CompiledModel::bind_symbolic_jacobian(ode::Problem& p) const {
   OMX_REQUIRE(sparse_jacobian_program.n_regs > 0,
               "jacobian program not built");
-  // Each call gets its own workspace: solve_ensemble evaluates copies of
-  // one Problem on several workers at once.
+  // solve_ensemble evaluates copies of one Problem on several workers at
+  // once, so each thread evaluates in a register file of its own, reset
+  // from the program on every call (no allocation once it has grown).
   const vm::Program* sp = &sparse_jacobian_program;
   p.set_jacobian([sp, pattern = jac_sparsity](double t,
                                               std::span<const double> y,
@@ -115,7 +116,8 @@ void CompiledModel::bind_symbolic_jacobian(ode::Problem& p) const {
     const std::size_t n = pattern->rows;
     OMX_REQUIRE(jac.rows() == n && jac.cols() == n, "jacobian shape");
     std::vector<double> vals(sp->n_out);
-    vm::Workspace ws(*sp);
+    thread_local vm::Workspace ws;
+    ws.reset(*sp);
     vm::eval_rhs_serial(*sp, t, y, vals, ws);
     std::fill(jac.data().begin(), jac.data().end(), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -129,7 +131,8 @@ void CompiledModel::bind_symbolic_jacobian(ode::Problem& p) const {
                              la::CsrMatrix& jac) {
     OMX_REQUIRE(jac.pattern().nnz() == sp->n_out,
                 "sparse jacobian pattern mismatch");
-    vm::Workspace ws(*sp);
+    thread_local vm::Workspace ws;
+    ws.reset(*sp);
     vm::eval_rhs_serial(*sp, t, y, jac.values(), ws);
   });
 }

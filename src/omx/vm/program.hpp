@@ -84,8 +84,13 @@ struct Program {
 /// A private register file (one per worker / per serial evaluator).
 class Workspace {
  public:
-  explicit Workspace(const Program& p) : regs_(p.init_regs) {
+  Workspace() = default;
+  explicit Workspace(const Program& p) { reset(p); }
+
+  /// (Re)loads `p`'s constants, reusing the register storage.
+  void reset(const Program& p) {
     OMX_REQUIRE(p.init_regs.size() == p.n_regs, "bad init_regs");
+    regs_.assign(p.init_regs.begin(), p.init_regs.end());
   }
 
   /// Loads (t, y) into the designated registers.

@@ -363,6 +363,148 @@ TEST(SparseLu, PathologicalFillStaysCorrectAndRcmReducesIt) {
   EXPECT_LT(rcm.factor_nnz(), a.pattern().nnz() + n);
 }
 
+// -- SparseLu::refactor vs a fresh factorization ----------------------------
+
+/// Solution of a x = b through `lu`, with b fixed per size.
+std::vector<double> lu_solve(const la::LinearSolver& lu) {
+  std::vector<double> x(lu.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 0.75 - 0.125 * static_cast<double>(i % 5);
+  }
+  lu.solve(x, x);  // in place: x may alias b
+  return x;
+}
+
+/// Factors the first of `value_sets` (each a full set of CSR values for
+/// `a`'s pattern), refactors one SparseLu through all of them, and checks
+/// every step against a freshly constructed SparseLu, bitwise, and —
+/// under the natural ordering — against the dense LuFactors too.
+void expect_refactor_matches_fresh(
+    CsrMatrix a, const std::vector<std::vector<double>>& value_sets,
+    la::SparseLu::Ordering ordering = la::SparseLu::Ordering::kNatural) {
+  std::copy(value_sets.front().begin(), value_sets.front().end(),
+            a.values().begin());
+  la::SparseLu lu(a, ordering);
+  for (std::size_t v = 0; v < value_sets.size(); ++v) {
+    SCOPED_TRACE("value set " + std::to_string(v));
+    ASSERT_EQ(value_sets[v].size(), a.values().size());
+    std::copy(value_sets[v].begin(), value_sets[v].end(),
+              a.values().begin());
+    lu.refactor(a);
+    const la::SparseLu fresh(a, ordering);
+    const std::vector<double> got = lu_solve(lu);
+    const std::vector<double> want = lu_solve(fresh);
+    // A reused structure may keep fill whose multiplier is now zero.
+    EXPECT_GE(lu.factor_nnz(), fresh.factor_nnz());
+    EXPECT_EQ(lu.pivot_growth(), fresh.pivot_growth());
+    if (ordering == la::SparseLu::Ordering::kNatural) {
+      const std::vector<double> dense = lu_solve(la::LuFactors(a.to_dense()));
+      EXPECT_EQ(want, dense);
+    }
+    EXPECT_EQ(got, want);
+  }
+}
+
+/// `a`'s values as the Newton matrix I - s * a.
+std::vector<double> newton_values(const CsrMatrix& a, double s) {
+  const SparsityPattern& sp = a.pattern();
+  std::vector<double> v(a.values().begin(), a.values().end());
+  for (std::size_t r = 0; r < sp.rows; ++r) {
+    for (std::size_t k = sp.row_ptr[r]; k < sp.row_ptr[r + 1]; ++k) {
+      v[k] = (sp.col_idx[k] == r ? 1.0 : 0.0) - s * v[k];
+    }
+  }
+  return v;
+}
+
+TEST(SparseLu, RefactorMatchesFreshOnBandedMatrix) {
+  const CsrMatrix a = tridiagonal_matrix(12);
+  // The first set pivots (the matrix is not diagonally dominant); the
+  // Newton-matrix sets do not, so refactor reuses their structure.
+  std::vector<std::vector<double>> sets{
+      {a.values().begin(), a.values().end()}};
+  for (double s : {-0.01, -0.02, -0.04, -0.5, -0.01}) {
+    sets.push_back(newton_values(a, s));
+  }
+  sets.push_back(sets.front());  // pivoting again after reuse
+  sets.push_back(newton_values(a, -0.03));
+  expect_refactor_matches_fresh(a, sets);
+}
+
+TEST(SparseLu, RefactorMatchesFreshOnArrowMatrix) {
+  const CsrMatrix a = arrow_matrix(16);
+  std::vector<std::vector<double>> sets;
+  for (double s : {1.0, 0.5, -2.0, 0.25}) {
+    std::vector<double> v(a.values().begin(), a.values().end());
+    for (double& x : v) {
+      x *= s;
+    }
+    sets.push_back(std::move(v));
+  }
+  expect_refactor_matches_fresh(a, sets);
+}
+
+TEST(SparseLu, RefactorFallsBackOnPivotSwap) {
+  // Diagonally dominant first, then column 3's subdiagonal outgrows its
+  // pivot: the strict `>` rule swaps rows, as the fresh factor does.
+  const CsrMatrix a = tridiagonal_matrix(8);
+  std::vector<double> dominant = newton_values(a, -0.05);
+  std::vector<double> swapping = dominant;
+  const std::size_t sub = a.pattern().find(4, 3);
+  swapping[sub] = 10.0 * std::fabs(dominant[a.pattern().find(3, 3)]);
+  expect_refactor_matches_fresh(a, {dominant, swapping, dominant});
+}
+
+TEST(SparseLu, RefactorFallsBackWhenAZeroMultiplierNeedsFill) {
+  // Arrow matrix with its first column zero below the diagonal: every
+  // multiplier of column 0 is 0, so the first factorization creates no
+  // fill. Making them nonzero needs fill the stored structure lacks.
+  const CsrMatrix a = arrow_matrix(10);
+  const SparsityPattern& sp = a.pattern();
+  std::vector<double> no_fill(a.values().begin(), a.values().end());
+  for (std::size_t i = 1; i < sp.rows; ++i) {
+    no_fill[sp.find(i, 0)] = 0.0;
+  }
+  const std::vector<double> fill(a.values().begin(), a.values().end());
+  expect_refactor_matches_fresh(a, {no_fill, fill, no_fill});
+}
+
+TEST(SparseLu, RefactorZeroPivotThrowsSameDiagnostic) {
+  CsrMatrix a = tridiagonal_matrix(6);
+  const std::vector<double> dominant = newton_values(a, -0.05);
+  std::copy(dominant.begin(), dominant.end(), a.values().begin());
+  la::SparseLu lu(a);  // no pivoting: refactor reuses the structure
+  const SparsityPattern& sp = a.pattern();
+  std::vector<double> singular = dominant;
+  singular[sp.find(2, 2)] = 0.0;  // column 2: zero pivot, zero below it
+  singular[sp.find(3, 2)] = 0.0;
+  singular[sp.find(2, 1)] = 0.0;  // row 2 gets no update from column 1
+  std::copy(singular.begin(), singular.end(), a.values().begin());
+  std::string fresh_what;
+  try {
+    la::SparseLu fresh(a);
+  } catch (const omx::Error& e) {
+    fresh_what = e.what();
+  }
+  ASSERT_NE(fresh_what.find("singular at column 2"), std::string::npos)
+      << fresh_what;
+  try {
+    lu.refactor(a);
+    FAIL() << "expected omx::Error";
+  } catch (const omx::Error& e) {
+    EXPECT_EQ(std::string(e.what()), fresh_what);
+  }
+}
+
+TEST(SparseLu, RefactorUnderRcmMatchesFreshRcm) {
+  const CsrMatrix a = arrow_matrix(16);
+  std::vector<std::vector<double>> sets;
+  for (double s : {-0.01, -0.1, -0.02}) {
+    sets.push_back(newton_values(a, s));
+  }
+  expect_refactor_matches_fresh(a, sets, la::SparseLu::Ordering::kRcm);
+}
+
 // -- dense vs sparse BDF trajectories ----------------------------------------
 
 TEST(StiffPath, DenseAndSparseBackendsBitwiseIdentical) {
@@ -422,6 +564,52 @@ TEST(StiffPath, ColoredFdCutsRhsCalls) {
   EXPECT_LT(colored.stats.rhs_calls,
             legacy.stats.rhs_calls -
                 30 * std::max<std::uint64_t>(colored.stats.jac_calls, 1));
+}
+
+TEST(StiffPath, EnsembleColoredFdOnMultiLaneInterpMatchesSequential) {
+  // Interpreter kernels keep one register file per lane, so a worker
+  // must evaluate its colored-FD Jacobian on its own lane. Four workers
+  // sharing lane 0 race on its registers and, now and then, step a
+  // scenario off its sequential trajectory; many sweeps make that show.
+  pipeline::CompiledModel cm = pipeline::compile_model(heat_builder(64));
+  pipeline::KernelOptions kopts;
+  kopts.lanes = 4;
+  exec::KernelInstance kernel = cm.make_kernel(exec::Backend::kInterp, kopts);
+  ode::Problem base = cm.make_problem(kernel, 0.0, 0.005);
+  ASSERT_TRUE(base.batch_rhs);
+  ASSERT_FALSE(base.sparse_jacobian);  // colored FD, not the symbolic tape
+  ode::EnsembleSpec spec;
+  spec.workers = 4;
+  for (int s = 0; s < 32; ++s) {
+    std::vector<double> y0 = base.y0;
+    for (std::size_t i = 0; i < y0.size(); ++i) {
+      y0[i] = std::sin(0.2 * (s + 1) * static_cast<double>(i + 1));
+    }
+    spec.initial_states.push_back(std::move(y0));
+  }
+  const ode::SolverOptions o;
+  std::vector<std::vector<double>> want;
+  for (const std::vector<double>& y0 : spec.initial_states) {
+    ode::Problem p = base;
+    p.y0 = y0;
+    const ode::Solution sol = ode::solve(p, ode::Method::kBdf, o);
+    const std::span<const double> y = sol.final_state();
+    want.emplace_back(y.begin(), y.end());
+  }
+  std::size_t mismatched = 0;
+  for (int sweep = 0; sweep < 20; ++sweep) {
+    const ode::EnsembleResult r =
+        ode::solve_ensemble(base, ode::Method::kBdf, o, spec);
+    ASSERT_EQ(r.solutions.size(), want.size());
+    for (std::size_t s = 0; s < want.size(); ++s) {
+      const std::span<const double> got = r.solutions[s].final_state();
+      if (!std::equal(got.begin(), got.end(), want[s].begin(),
+                      want[s].end())) {
+        ++mismatched;
+      }
+    }
+  }
+  EXPECT_EQ(mismatched, 0u) << "of " << 20 * want.size() << " lanes";
 }
 
 // -- reuse policy ------------------------------------------------------------
