@@ -49,9 +49,7 @@ struct Args {
   std::size_t queue_cap = 8;
   std::string out = "BENCH_service.json";
   // --autotune: submit multi-scenario jobs with "autotune": true so the
-  // daemon's cost model calibrates on the early jobs (which cycle
-  // through several worker/batch configs) and picks the configuration
-  // for the later ones.
+  // daemon picks each job's workers and batch width.
   bool autotune = false;
   std::size_t job_scenarios = 4;  // scenarios per job in autotune mode
 };
@@ -86,14 +84,6 @@ void run_client(const Args& args, const std::string& host,
           ? client.compile_builtin("oscillator")
           : client.compile_builtin(args.model, args.rollers);
 
-  // Calibration diversity for --autotune: before the daemon's model is
-  // ready, jobs run with the explicit config they carry, so cycling a
-  // few distinct worker/batch shapes across jobs hands the model the
-  // spread of configurations it needs to fit.
-  static constexpr struct {
-    std::size_t workers, max_batch;
-  } kCalib[] = {{1, 1}, {2, 4}, {1, 8}, {2, 16}};
-
   for (std::size_t j = 0; j < args.scenarios; ++j) {
     svc::SubmitRequest req;
     req.model = model.model;
@@ -101,12 +91,7 @@ void run_client(const Args& args, const std::string& host,
     req.tend = args.tend;
     req.scenarios = args.autotune ? args.job_scenarios : 1;
     req.record_every = args.record_every;
-    if (args.autotune) {
-      req.autotune = true;
-      const auto& cfg = kCalib[j % (sizeof kCalib / sizeof kCalib[0])];
-      req.workers = cfg.workers;
-      req.max_batch = cfg.max_batch;
-    }
+    req.autotune = args.autotune;
     // Distinct initial condition per scenario, small against the bearing
     // clearance (same perturbation scheme as examples/param_sweep.cpp).
     for (std::size_t s = 0; s < req.scenarios; ++s) {

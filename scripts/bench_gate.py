@@ -49,16 +49,6 @@ What is gated vs merely reported:
   is 1.5x, and without a native toolchain the gate falls back to the
   interpreter's batching amortization (>= 1.4x). Baseline tightening
   only transfers between hosts of the same capability class.
-* autotune.* gauges (BENCH_autotune.json, written by bench/autotune)
-  gate the performance-model layer end to end: the configuration the
-  fitted cost model picks must land within 10% of the best exhaustively
-  measured configuration (auto_over_best <= 1.10) on both workloads
-  (bearing ensemble worker/batch grid, heat-PDE backend/threads grid),
-  and the OMX_TUNE=on runs must stay bitwise identical to untuned runs
-  (tuning moves work, never changes answers). Both are same-machine
-  ratios/invariants, so they transfer across hosts. Fitted-model
-  residual quality (r2 lives in BENCH_autotune_model.json) and the
-  calibration-vs-exhaustive cost split are report-only.
 * service.* gauges (BENCH_service.json, written by bench/loadgen) gate
   the daemon's correctness invariants, which are machine-independent:
   every submitted job must succeed (jobs_ok == jobs_total) and every
@@ -365,32 +355,6 @@ def gate_simd(gate, current, baseline):
             gate.report(name, current[name], baseline.get(name))
 
 
-def gate_autotune(gate, current, baseline):
-    for wl in ("bearing", "heat"):
-        name = f"autotune.{wl}.auto_over_best"
-        if name not in current:
-            gate.failures.append(f"{name}: missing from current run")
-            continue
-        gate.check_max(name, current[name], 1.10,
-                       "within 10% of best")
-        gate.check(f"autotune.{wl}.tuned_bitwise_equal",
-                   current.get(f"autotune.{wl}.tuned_bitwise_equal", 0.0),
-                   1.0, "tuned == untuned")
-        # The point of the model is skipping the sweep: surface the cost
-        # split, but report-only (both sides are wall clock).
-        calib = current.get(f"autotune.{wl}.calibration_seconds")
-        sweep = current.get(f"autotune.{wl}.exhaustive_seconds")
-        if calib is not None and sweep:
-            gate.report(f"autotune.{wl}.calibration_over_exhaustive",
-                        calib / sweep, None)
-    for name in sorted(current):
-        if not name.startswith("autotune."):
-            continue
-        if (name.endswith("_seconds") or "picked_" in name
-                or "best_" in name):
-            gate.report(name, current[name], baseline.get(name))
-
-
 def gate_compile(gate, current, baseline):
     suffix = ".per_state_ms"
     sizes = sorted(int(name[len("compile.n"):-len(suffix)])
@@ -458,7 +422,6 @@ def main():
               ("BENCH_ensemble.json", gate_ensemble),
               ("BENCH_sparse.json", gate_sparse),
               ("BENCH_simd.json", gate_simd),
-              ("BENCH_autotune.json", gate_autotune),
               ("BENCH_compile.json", gate_compile),
               ("BENCH_service.json", gate_service))
     if args.only:

@@ -26,8 +26,8 @@
 # jobs over TCP, then a 4-client --autotune pass that exercises
 # daemon-side config selection), and the resulting BENCH_service.json
 # files are gated with scripts/bench_gate.py --only service. The
-# daemon's shutdown artifacts (metrics, per-session service report,
-# fitted cost model) stay in the build dir for the CI upload step.
+# daemon's shutdown artifacts (metrics, per-session service report)
+# stay in the build dir for the CI upload step.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -111,11 +111,10 @@ if [[ $MODE == tsan ]]; then
   # concurrent SUBMIT/CANCEL stress against a live in-process server.
   # Event|Hybrid covers the event-handling suites, including the
   # HybridEnsembleStress run where event-desynchronized lanes retire
-  # out of order while workers steal and repack batches. Tune covers
-  # the auto-tuner suites, including the concurrent record/pick stress
-  # against the shared AutoTuner singleton. NativeBackend covers the
-  # native kernels, including ConcurrentBuildersCompileEachModuleOnce:
-  # racing cold host compiles of one model through the shared cache.
+  # out of order while workers steal and repack batches. NativeBackend
+  # covers the native kernels, including
+  # ConcurrentBuildersCompileEachModuleOnce: racing cold host compiles of
+  # one model through the shared cache.
   # StiffPath|SparseLu covers the stiff path's linear algebra and its
   # ensemble lanes, including
   # StiffPath.EnsembleColoredFdOnMultiLaneInterpMatchesSequential: four
@@ -123,7 +122,7 @@ if [[ $MODE == tsan ]]; then
   # interpreter lane.
   OMX_POOL_STEALING=1 OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-      -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|Svc|Event|Hybrid|Tune|NativeBackend|StiffPath|SparseLu'
+      -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|Svc|Event|Hybrid|NativeBackend|StiffPath|SparseLu'
   echo "CI OK (TSan)"
   exit 0
 fi
@@ -145,7 +144,6 @@ if [[ $MODE == service ]]; then
   "$BUILD_DIR"/src/omxd --port 0 --executors 2 --queue-cap 8 \
     --metrics "$BUILD_DIR"/svc_metrics.json \
     --service-json "$BUILD_DIR"/svc_service.json \
-    --tune-json "$BUILD_DIR"/svc_tune.json \
     >"$OMXD_LOG" 2>&1 &
   OMXD_PID=$!
   trap 'kill "$OMXD_PID" 2>/dev/null || true' EXIT
@@ -169,10 +167,10 @@ if [[ $MODE == service ]]; then
   test -s "$BUILD_DIR"/BENCH_service.json
 
   echo "== service: loadgen autotune (daemon-side config selection) =="
-  # Exercises the SUBMIT autotune flag: early jobs calibrate the daemon's
-  # cost model with client-cycled configs, later jobs run on model picks.
-  # loadgen itself exits nonzero unless jobs_ok == jobs_total and no
-  # trajectory frames were dropped.
+  # Exercises the SUBMIT autotune flag: the daemon picks every job's
+  # workers and batch width by its closed-form rule. loadgen itself exits
+  # nonzero unless jobs_ok == jobs_total and no trajectory frames were
+  # dropped.
   mkdir -p "$BUILD_DIR"/autotune-svc
   (cd "$BUILD_DIR"/autotune-svc && ../bench/loadgen \
     --connect 127.0.0.1:"$PORT" --clients 4 --scenarios 16 --autotune)
@@ -185,9 +183,6 @@ if [[ $MODE == service ]]; then
   cat "$OMXD_LOG"
   test -s "$BUILD_DIR"/svc_metrics.json
   test -s "$BUILD_DIR"/svc_service.json
-  # The autotune loadgen pass raised the daemon's tune mode, so the
-  # shutdown dump must contain the fitted cost model.
-  test -s "$BUILD_DIR"/svc_tune.json
 
   echo "== service: per-session report =="
   python3 scripts/obs_report.py --service "$BUILD_DIR"/svc_service.json \
@@ -253,14 +248,6 @@ test -s "$BUILD_DIR"/BENCH_sparse.json
 echo "== bench: SIMD lane throughput =="
 (cd "$BUILD_DIR" && ./bench/simd)
 test -s "$BUILD_DIR"/BENCH_simd.json
-
-echo "== bench: performance-model auto-tuning =="
-(cd "$BUILD_DIR" && ./bench/autotune)
-test -s "$BUILD_DIR"/BENCH_autotune.json
-test -s "$BUILD_DIR"/BENCH_autotune_model.json
-python3 scripts/obs_report.py --tune "$BUILD_DIR"/BENCH_autotune_model.json \
-  | tee "$BUILD_DIR"/tune_report.txt
-test -s "$BUILD_DIR"/tune_report.txt
 
 echo "== bench: compile-path scaling (no host compiler) =="
 (cd "$BUILD_DIR" && ./bench/compile_scaling)

@@ -15,12 +15,10 @@ the build was not instrumented or the tests never ran — a broken job, not
 low coverage. Uses plain gcov JSON so no lcov/gcovr install is needed.
 
 Files under src/omx/la/, src/omx/analysis/ (the numerical substrate of
-the sparse Jacobian pipeline), src/omx/ode/ (the solver suite, whose
-event-localization branches are easy to leave untested) and
-src/omx/tune/ (the cost-model layer, whose degenerate-fit fallbacks
-only fire on pathological inputs) are additionally flagged in the
-summary when their line coverage falls below 70% — still report-only,
-the flag is a nudge in the log, not a gate.
+the sparse Jacobian pipeline) and src/omx/ode/ (the solver suite, whose
+event-localization branches are easy to leave untested) are additionally
+flagged in the summary when their line coverage falls below 70% — still
+report-only, the flag is a nudge in the log, not a gate.
 """
 import argparse
 import collections
@@ -120,8 +118,7 @@ def main():
 
     flag_prefixes = (os.path.join("src", "omx", "la") + os.sep,
                      os.path.join("src", "omx", "analysis") + os.sep,
-                     os.path.join("src", "omx", "ode") + os.sep,
-                     os.path.join("src", "omx", "tune") + os.sep)
+                     os.path.join("src", "omx", "ode") + os.sep)
     flag_floor = 70.0
     flagged = []
 
@@ -131,7 +128,7 @@ def main():
         pct = 100.0 * covered / total if total else 0.0
         mark = ""
         if rel.startswith(flag_prefixes) and pct < flag_floor:
-            mark = f"  << below {flag_floor:.0f}% (la/analysis/ode/tune floor)"
+            mark = f"  << below {flag_floor:.0f}% (la/analysis/ode floor)"
             flagged.append((rel, pct))
         out.append(f"{rel:<{width}}  {covered:>4}/{total:<4}  {pct:>5.1f}{mark}")
     pct = 100.0 * total_cov / total_lines
@@ -139,7 +136,7 @@ def main():
     if flagged:
         out.append("")
         out.append(
-            f"{len(flagged)} la/analysis/ode/tune file(s) below "
+            f"{len(flagged)} la/analysis/ode file(s) below "
             f"{flag_floor:.0f}% line coverage (report-only):"
         )
         for rel, p in flagged:

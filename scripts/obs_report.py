@@ -14,15 +14,11 @@ omx binary using the obs exporters) writes:
 * --service service.json   (svc::Server::service_json, written by omxd
   on shutdown) -> daemon summary (sessions, rejects, cancellations),
   a per-session table, and an ASCII queue-depth timeline.
-* --tune tune.json         (tune::AutoTuner::model_json, written by
-  omxd --tune-json or OMX_TUNE_EXPORT) -> fitted cost-model
-  coefficients per problem size and a predicted-vs-measured makespan
-  residual table.
 
 Stdlib only. Exit status: 0 on success, 2 when no input could be read.
 
 Usage: scripts/obs_report.py [--profile P] [--metrics M] [--recorder R]
-                             [--service S] [--tune T]
+                             [--service S]
                              [--timeline-width 72] [--timeline-rows 12]
 """
 
@@ -230,66 +226,6 @@ def render_service(svc, width):
     render_queue_timeline(svc.get("queue_depth_timeline", []), width)
 
 
-def render_fit(label, fit):
-    terms = fit.get("terms", [])
-    coef = fit.get("coef", [])
-    parts = []
-    for t, c in zip(terms, coef):
-        parts.append(f"{c:.3e}*{t}" if c is not None else f"null*{t}")
-    formula = " + ".join(parts) if parts else "(unfitted)"
-    r2 = fit.get("r2")
-    r2_txt = f"{r2:.4f}" if isinstance(r2, (int, float)) else "n/a"
-    flag = "  DEGENERATE" if fit.get("degenerate") else ""
-    print(f"  {label:<12} seconds ~ {formula}")
-    print(f"  {'':<12} samples={fit.get('samples', 0)} r2={r2_txt}{flag}")
-
-
-def render_residuals(rows, key_cols):
-    """Predicted-vs-measured table; key_cols maps header -> field name."""
-    if not rows:
-        print("  (no observations)")
-        return
-    headers = list(key_cols) + ["measured", "predicted", "rel_err"]
-    print("  " + " ".join(f"{h:>10}" for h in headers))
-    for r in rows:
-        cells = [str(r.get(f, "")) for f in key_cols.values()]
-        meas, pred = r.get("measured"), r.get("predicted")
-        cells.append(fmt_s(meas) if meas is not None else "n/a")
-        cells.append(fmt_s(pred) if pred is not None else "n/a")
-        if meas and pred is not None:
-            cells.append(f"{100.0 * (pred - meas) / meas:+.1f}%")
-        else:
-            cells.append("n/a")
-        print("  " + " ".join(f"{c:>10}" for c in cells))
-
-
-def render_tune(tune):
-    print("== auto-tuner cost models ==")
-    print(f"  mode: {tune.get('mode', '?')}   "
-          f"drift threshold: {tune.get('drift_threshold', '?')}")
-    counters = tune.get("counters", {})
-    if counters:
-        print("  " + "   ".join(f"{k}: {v}"
-                                for k, v in sorted(counters.items())))
-    for m in tune.get("ensemble", []):
-        print(f"== ensemble model (n={m.get('problem_n')}) ==")
-        print(f"  ready: {'yes' if m.get('ready') else 'no'}   "
-              f"hw_threads: {m.get('hw_threads')}   "
-              f"evals/scenario: {m.get('evals_per_scenario', 0):.1f}")
-        render_fit("fit:", m.get("fit", {}))
-        render_residuals(m.get("residuals", []),
-                         {"scenarios": "scenarios", "workers": "workers",
-                          "batch": "batch"})
-    for m in tune.get("stiff", []):
-        print(f"== stiff model (n={m.get('problem_n')}) ==")
-        render_fit("dense:", m.get("dense_fit", {}))
-        render_fit("sparse:", m.get("sparse_fit", {}))
-        render_residuals(m.get("residuals", []),
-                         {"sparse": "sparse", "threads": "jac_threads"})
-    if not tune.get("ensemble") and not tune.get("stiff"):
-        print("  (no models recorded)")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--profile", help="profile.json from obs::profile_json")
@@ -298,8 +234,6 @@ def main():
                     help="recorder.json from obs::recorder_json")
     ap.add_argument("--service",
                     help="service.json written by omxd on shutdown")
-    ap.add_argument("--tune",
-                    help="tune.json from tune::AutoTuner::model_json")
     ap.add_argument("--timeline-width", type=int, default=72)
     ap.add_argument("--timeline-rows", type=int, default=12)
     args = ap.parse_args()
@@ -308,11 +242,9 @@ def main():
     metrics = load(args.metrics, "metrics")
     rec = load(args.recorder, "recorder")
     svc = load(args.service, "service")
-    tune = load(args.tune, "tune")
-    if (prof is None and metrics is None and rec is None and svc is None
-            and tune is None):
+    if prof is None and metrics is None and rec is None and svc is None:
         print("obs_report: nothing to report "
-              "(pass --profile/--metrics/--recorder/--service/--tune)",
+              "(pass --profile/--metrics/--recorder/--service)",
               file=sys.stderr)
         return 2
 
@@ -326,8 +258,6 @@ def main():
             rec, args.timeline_width, args.timeline_rows))
     if svc is not None:
         sections.append(lambda: render_service(svc, args.timeline_width))
-    if tune is not None:
-        sections.append(lambda: render_tune(tune))
     for i, section in enumerate(sections):
         if i:
             print()

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,7 +22,6 @@
 #include "omx/sched/lpt.hpp"
 #include "omx/support/simd.hpp"
 #include "omx/support/timer.hpp"
-#include "omx/tune/autotuner.hpp"
 
 namespace omx::ode {
 
@@ -821,11 +819,6 @@ void run_batched_worker(Stepper& st, WorkSource& ws, std::size_t w,
   }
 }
 
-/// Largest batch width the auto-tuner may pick. The candidate grid is
-/// independent of the caller's spec.max_batch by design — overriding a
-/// bad caller guess is the point — but it must stop somewhere.
-constexpr std::size_t kTuneBatchCap = 64;
-
 }  // namespace
 
 namespace detail {
@@ -871,6 +864,9 @@ void solve_ensemble(const Problem& p, Method method,
     v.y0 = spec.initial_states[0];
     v.validate();
   }
+  if (opts.record_every == 0) {
+    throw omx::Error("solve_ensemble: record_every must be at least 1");
+  }
   for (const std::vector<double>& y0 : spec.initial_states) {
     if (y0.size() != p.n) {
       throw omx::Error(
@@ -906,28 +902,6 @@ void solve_ensemble(const Problem& p, Method method,
   const std::size_t lw = simd::lane_width();
   if (max_batch > lw) {
     max_batch -= max_batch % lw;
-  }
-
-  // Auto-tuned configuration: with OMX_TUNE=on and a ready cost model
-  // for this problem size, the model's pick overrides the caller's
-  // workers/max_batch. Only the schedule shape changes — per-lane step
-  // control never depends on worker or batch assignment, so a tuned run
-  // produces bitwise-identical trajectories to an untuned one.
-  if (tune::mode() == tune::Mode::kOn) {
-    const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    if (const std::optional<tune::EnsembleConfig> cfg =
-            tune::AutoTuner::global().pick_ensemble(
-                p.n, ns, std::min(ns, hw), kTuneBatchCap)) {
-      nw = std::clamp<std::size_t>(cfg->workers, 1, ns);
-      if (p.batch_lanes > 0) {
-        nw = std::min(nw, p.batch_lanes);
-      }
-      max_batch = std::max<std::size_t>(1, cfg->max_batch);
-      if (max_batch > lw) {
-        max_batch -= max_batch % lw;
-      }
-    }
   }
 
   WorkSource ws(nw, ns);
@@ -986,9 +960,19 @@ void solve_ensemble(const Problem& p, Method method,
     worker(0);
   } else {
     std::vector<std::thread> threads;
-    threads.reserve(nw);
-    for (std::size_t w = 0; w < nw; ++w) {
-      threads.emplace_back(worker, w);
+    try {
+      threads.reserve(nw);
+      for (std::size_t w = 0; w < nw; ++w) {
+        threads.emplace_back(worker, w);
+      }
+    } catch (...) {
+      // The workers already running steal the unstarted workers'
+      // scenarios; join them (destroying a joinable std::thread
+      // terminates) and then report the spawn failure.
+      const std::lock_guard<std::mutex> lock(err_mutex);
+      if (!first_error) {
+        first_error = std::current_exception();
+      }
     }
     for (std::thread& t : threads) {
       t.join();
@@ -1007,14 +991,6 @@ void solve_ensemble(const Problem& p, Method method,
       static_cast<double>(ledger.rhs_total.load(std::memory_order_relaxed));
   if (secs > 0.0) {
     rate_gauge().set(total_rhs / secs);
-  }
-
-  // Feed the cost model with what actually ran (post-clamp nw/max_batch,
-  // measured makespan, total lane-RHS work). calibrate and on both
-  // record; off leaves the tuner untouched.
-  if (tune::mode() != tune::Mode::kOff && secs > 0.0) {
-    tune::AutoTuner::global().record_ensemble(
-        {p.n, ns, nw, explicit_method ? max_batch : 1, total_rhs, secs});
   }
 }
 

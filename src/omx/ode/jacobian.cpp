@@ -1,7 +1,6 @@
 #include "omx/ode/jacobian.hpp"
 
 #include <cstdlib>
-#include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "omx/support/config.hpp"
 #include "omx/support/simd.hpp"
 #include "omx/support/timer.hpp"
-#include "omx/tune/autotuner.hpp"
 
 namespace omx::ode {
 
@@ -66,15 +64,6 @@ std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p) {
   // heuristic the other way (benches use it to measure both backends).
   const double fill = plan->pattern->fill_ratio();
   plan->use_sparse = p.n >= 8 && fill <= 0.25;
-  // With OMX_TUNE=on a fitted cost model that has measured BOTH backends
-  // for this problem size overrides the static fill-ratio heuristic; the
-  // explicit env overrides below still win over the model.
-  if (tune::mode() == tune::Mode::kOn) {
-    if (const std::optional<bool> verdict =
-            tune::AutoTuner::global().stiff_backend(p.n)) {
-      plan->use_sparse = *verdict;
-    }
-  }
   if (env_flag("OMX_SPARSE_FORCE")) {
     plan->use_sparse = true;
   }

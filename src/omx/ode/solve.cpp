@@ -1,55 +1,17 @@
 #include "omx/ode/solve.hpp"
 
-#include <algorithm>
-#include <optional>
-#include <thread>
-
 #include "omx/ode/adams.hpp"
 #include "omx/ode/auto_switch.hpp"
 #include "omx/ode/bdf.hpp"
 #include "omx/ode/ensemble.hpp"
-#include "omx/ode/jacobian.hpp"
-#include "omx/support/timer.hpp"
-#include "omx/tune/autotuner.hpp"
 
 namespace omx::ode {
 
-namespace {
-
-/// Stiff-path tune context: resolves the factorization backend up front
-/// (attaching the shared jac plan the solver would build anyway) so the
-/// measured run can be recorded against the right cost curve, and in
-/// `on` mode overrides jac_threads from the fitted model.
-struct StiffTuneScope {
-  Problem tuned;
-  bool sparse = false;
-  Stopwatch timer;
-
-  StiffTuneScope(const Problem& p, int* jac_threads) : tuned(p) {
-    if (!tuned.jac_plan) {
-      tuned.jac_plan = make_jac_plan(tuned);
-    }
-    sparse = tuned.jac_plan && tuned.jac_plan->use_sparse;
-    if (jac_threads != nullptr && tune::mode() == tune::Mode::kOn) {
-      const int hw = static_cast<int>(
-          std::max(1u, std::thread::hardware_concurrency()));
-      if (const std::optional<tune::StiffConfig> cfg =
-              tune::AutoTuner::global().pick_stiff(p.n, hw)) {
-        *jac_threads = std::max(1, cfg->jac_threads);
-      }
-    }
-  }
-
-  void record(int jac_threads) {
-    tune::AutoTuner::global().record_stiff(
-        {tuned.n, sparse, jac_threads, timer.seconds()});
-  }
-};
-
-}  // namespace
-
 SolverStats solve(const Problem& p, Method method, const SolverOptions& o,
                   TrajectorySink& sink, std::uint32_t scenario) {
+  if (o.record_every == 0) {
+    throw omx::Error("ode::solve: record_every must be at least 1");
+  }
   switch (method) {
     case Method::kExplicitEuler:
     case Method::kRk4:
@@ -77,13 +39,7 @@ SolverStats solve(const Problem& p, Method method, const SolverOptions& o,
       b.fixed_h = o.bdf_fixed_h;
       b.jac_threads = o.jac_threads;
       b.cancel = o.cancel;
-      if (tune::mode() == tune::Mode::kOff) {
-        return detail::bdf(p, b, sink, scenario);
-      }
-      StiffTuneScope scope(p, &b.jac_threads);
-      const SolverStats st = detail::bdf(scope.tuned, b, sink, scenario);
-      scope.record(b.jac_threads);
-      return st;
+      return detail::bdf(p, b, sink, scenario);
     }
     case Method::kLsodaLike: {
       AutoSwitchOptions s;
@@ -92,16 +48,7 @@ SolverStats solve(const Problem& p, Method method, const SolverOptions& o,
       s.max_steps = o.max_steps;
       s.record_every = o.record_every;
       s.cancel = o.cancel;
-      if (tune::mode() == tune::Mode::kOff) {
-        return auto_switch(p, s, sink, scenario).stats;
-      }
-      // The auto-switch stiff phase builds its Jacobians single-threaded,
-      // so only the backend choice is tunable here; record against T=1.
-      StiffTuneScope scope(p, nullptr);
-      const SolverStats st =
-          auto_switch(scope.tuned, s, sink, scenario).stats;
-      scope.record(1);
-      return st;
+      return auto_switch(p, s, sink, scenario).stats;
     }
   }
   throw omx::Bug("unknown ode::Method");

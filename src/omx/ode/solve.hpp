@@ -46,8 +46,8 @@ struct SolverOptions {
   /// Step-size ceiling for the adaptive methods (0 = tend - t0).
   double hmax = 0.0;
   std::size_t max_steps = 1000000;
-  /// Record every k-th accepted step (1 = all); the final state is
-  /// always recorded.
+  /// Record every k-th accepted step (1 = all; 0 is an error); the
+  /// final state is always recorded.
   std::size_t record_every = 1;
   /// BDF order cap (kBdf ramps up to it; kLsodaLike's stiff phase too).
   int bdf_max_order = 2;

@@ -44,15 +44,6 @@ const std::vector<Knob>& table() {
        "force the dense stiff backend regardless of fill ratio"},
       {"OMX_SPARSE_ORDERING", "string", "natural",
        "sparse LU ordering: natural (bitwise == dense) or rcm"},
-      {"OMX_TUNE", "string", "off",
-       "auto-tuner mode: off, calibrate (record only) or on (record and "
-       "pick ensemble/stiff configuration from the fitted cost models)"},
-      {"OMX_TUNE_EXPORT", "string", "",
-       "write the fitted cost models (coefficients + residuals) to this "
-       "path at process exit"},
-      {"OMX_TUNE_DRIFT", "double", "0.5",
-       "relative prediction error above which a recorded run counts as "
-       "model drift and forces a refit"},
       {"OMX_UPDATE_GOLDEN", "bool", "false",
        "tests only: rewrite the golden codegen snapshots instead of "
        "comparing"},

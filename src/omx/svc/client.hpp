@@ -40,9 +40,8 @@ struct SubmitRequest {
   double atol = 1e-9;
   std::size_t workers = 0;    // 0 = server default
   std::size_t max_batch = 0;  // 0 = server default
-  /// Ask the daemon's cost model to pick workers/max_batch once it has
-  /// calibrated on earlier jobs (the explicit settings above still run —
-  /// and train the model — until then).
+  /// Let the daemon pick workers/max_batch instead of the settings
+  /// above: one worker per 16 scenarios, up to one per hardware thread.
   bool autotune = false;
 };
 

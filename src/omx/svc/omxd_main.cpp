@@ -16,7 +16,6 @@
 #include "omx/obs/export.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/svc/server.hpp"
-#include "omx/tune/autotuner.hpp"
 
 namespace {
 
@@ -30,7 +29,7 @@ int usage(const char* argv0) {
       "usage: %s [--bind ADDR] [--port N] [--executors N] [--queue-cap N]\n"
       "          [--retry-after-ms N] [--idle-timeout-ms N]\n"
       "          [--job-workers N] [--interp]\n"
-      "          [--metrics PATH] [--service-json PATH] [--tune-json PATH]\n",
+      "          [--metrics PATH] [--service-json PATH]\n",
       argv0);
   return 2;
 }
@@ -41,7 +40,6 @@ int main(int argc, char** argv) {
   omx::svc::ServerOptions opts;
   std::string metrics_path;
   std::string service_path;
-  std::string tune_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -71,8 +69,6 @@ int main(int argc, char** argv) {
       metrics_path = next();
     } else if (arg == "--service-json") {
       service_path = next();
-    } else if (arg == "--tune-json") {
-      tune_path = next();
     } else {
       return usage(argv[0]);
     }
@@ -105,9 +101,6 @@ int main(int argc, char** argv) {
     omx::obs::write_file(
         metrics_path,
         omx::obs::metrics_json(omx::obs::Registry::global().snapshot()));
-  }
-  if (!tune_path.empty()) {
-    omx::tune::AutoTuner::global().export_json(tune_path);
   }
   return 0;
 }

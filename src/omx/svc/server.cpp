@@ -19,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -38,7 +37,6 @@
 #include "omx/runtime/admission.hpp"
 #include "omx/support/json.hpp"
 #include "omx/support/timer.hpp"
-#include "omx/tune/autotuner.hpp"
 
 namespace omx::svc {
 
@@ -130,18 +128,33 @@ ode::Method parse_method(const std::string& s) {
 }
 
 /// Largest bearing a COMPILE may ask for by "rollers".
-constexpr int kMaxBuiltinRollers = 640;
+constexpr std::size_t kMaxBuiltinRollers = 640;
 
-/// The optional "rollers" field of a builtin bearing COMPILE: an integer
-/// in [2, kMaxBuiltinRollers], else a clear error instead of a cast that
-/// overflows or a model builder that rejects it as an internal bug.
-int requested_rollers(const support::json::Value& req, int fallback) {
-  const double r = req.get_number("rollers", fallback);
-  if (!(r >= 2.0 && r <= kMaxBuiltinRollers) || r != std::floor(r)) {
-    throw omx::Error("svc: \"rollers\" must be an integer in [2, " +
-                     std::to_string(kMaxBuiltinRollers) + "]");
+/// Largest SUBMIT scenario count.
+constexpr std::size_t kMaxScenarios = 100000;
+
+/// Upper bound of the other SUBMIT counts: every integer up to 2^53 is
+/// exact in a JSON number, so the cast below is exact too.
+constexpr std::size_t kMaxCount = std::size_t{1} << 53;
+
+/// An optional integer field of an untrusted request: an integer in
+/// [lo, hi], else a clear error instead of a cast that is undefined for
+/// negative, huge or non-finite values.
+std::size_t requested_count(const support::json::Value& req,
+                            const std::string& key, std::size_t fallback,
+                            std::size_t lo, std::size_t hi) {
+  const double v = req.get_number(key, static_cast<double>(fallback));
+  if (!(v >= static_cast<double>(lo) && v <= static_cast<double>(hi)) ||
+      v != std::floor(v)) {
+    throw omx::Error("svc: \"" + key + "\" must be an integer in [" +
+                     std::to_string(lo) + ", " + std::to_string(hi) + "]");
   }
-  return static_cast<int>(r);
+  return static_cast<std::size_t>(v);
+}
+
+/// Ensemble workers a job may run: one per hardware thread.
+std::size_t hardware_workers() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 Message error_msg(const std::string& what) {
@@ -211,7 +224,7 @@ struct Job {
   double t0 = 0.0;
   double tend = 1.0;
   bool stream = true;
-  bool autotune = false;  // let the daemon's cost model pick workers/batch
+  bool autotune = false;  // let the daemon pick workers/batch (run_job)
   bool queued = false;  // admitted into the wait queue (vs a free slot)
   std::atomic<bool> cancel{false};
   std::atomic<bool> finished{false};
@@ -731,7 +744,9 @@ std::shared_ptr<ModelEntry> Server::Impl::compile_model_payload(
   const std::string builtin = req.get_string("builtin", "");
   if (builtin == "bearing2d") {
     models::BearingConfig cfg;
-    cfg.n_rollers = requested_rollers(req, cfg.n_rollers);
+    cfg.n_rollers = static_cast<int>(requested_count(
+        req, "rollers", static_cast<std::size_t>(cfg.n_rollers), 2,
+        kMaxBuiltinRollers));
     builder = [cfg](expr::Context& ctx) {
       return models::build_bearing(ctx, cfg);
     };
@@ -813,38 +828,32 @@ void Server::Impl::handle_submit(const std::shared_ptr<Conn>& conn,
   }
 
   const std::size_t n = entry->y0.size();
-  const auto scenarios =
-      static_cast<std::size_t>(req.get_number("scenarios", 1.0));
-  if (scenarios == 0 || scenarios > 100000) {
-    send(conn, error_msg("svc: scenarios out of range"));
+  auto job = std::make_shared<Job>();
+  std::size_t scenarios = 0;
+  try {
+    scenarios = requested_count(req, "scenarios", 1, 1, kMaxScenarios);
+    job->method = parse_method(req.get_string("method", "dopri5"));
+    job->t0 = req.get_number("t0", 0.0);
+    job->tend = req.get_number("tend", 1.0);
+    job->stream = req.get_bool("stream", true);
+    job->sopts.tol.rtol = req.get_number("rtol", job->sopts.tol.rtol);
+    job->sopts.tol.atol = req.get_number("atol", job->sopts.tol.atol);
+    job->sopts.dt = req.get_number("dt", job->sopts.dt);
+    job->sopts.record_every =
+        requested_count(req, "record_every", 1, 0, kMaxCount);
+    job->spec.workers = std::clamp<std::size_t>(
+        requested_count(req, "workers", opts.job_workers, 0, kMaxCount), 1,
+        hardware_workers());
+    job->spec.max_batch =
+        requested_count(req, "max_batch", job->spec.max_batch, 0, kMaxCount);
+    job->autotune = req.get_bool("autotune", false);
+  } catch (const omx::Error& e) {
+    send(conn, error_msg(e.what()));
     return;
   }
-
-  auto job = std::make_shared<Job>();
   job->conn = conn;
   job->model = entry;
-  job->method = parse_method(req.get_string("method", "dopri5"));
-  job->t0 = req.get_number("t0", 0.0);
-  job->tend = req.get_number("tend", 1.0);
-  job->stream = req.get_bool("stream", true);
-  job->sopts.tol.rtol = req.get_number("rtol", job->sopts.tol.rtol);
-  job->sopts.tol.atol = req.get_number("atol", job->sopts.tol.atol);
-  job->sopts.dt = req.get_number("dt", job->sopts.dt);
-  job->sopts.record_every = static_cast<std::size_t>(
-      req.get_number("record_every", 1.0));
   job->sopts.cancel = &job->cancel;
-  job->spec.workers = static_cast<std::size_t>(req.get_number(
-      "workers", static_cast<double>(opts.job_workers)));
-  job->spec.max_batch = static_cast<std::size_t>(req.get_number(
-      "max_batch", static_cast<double>(job->spec.max_batch)));
-  job->autotune = req.get_bool("autotune", false);
-  if (job->autotune && tune::mode() == tune::Mode::kOff) {
-    // Server-side tuning is requested per job, not through the daemon's
-    // environment: raise the process mode to calibrate so solve_ensemble
-    // feeds the cost model; the pick itself happens in run_job, so the
-    // global mode never needs to reach "on".
-    tune::set_mode(tune::Mode::kCalibrate);
-  }
 
   job->spec.initial_states.resize(scenarios);
   if (!m.binary.empty()) {
@@ -960,20 +969,15 @@ void Server::Impl::run_job(const std::shared_ptr<Job>& job) {
     const ode::Problem problem =
         job->model->cm.make_problem(kernel, job->t0, job->tend);
     if (job->autotune) {
-      // Daemon-side configuration pick: once enough submitted jobs have
-      // calibrated the model for this problem size, override the
-      // client's workers/batch with the fitted pick. Until then the
-      // client's settings run as-is (and calibrate the model).
+      // Daemon-side configuration pick: the default batch width (a whole
+      // number of SIMD blocks on every lane width) and one worker per
+      // batch of scenarios, up to one per hardware thread.
       const std::size_t ns = job->spec.initial_states.size();
-      const std::size_t hw =
-          std::max<std::size_t>(1, std::thread::hardware_concurrency());
-      if (const std::optional<tune::EnsembleConfig> cfg =
-              tune::AutoTuner::global().pick_ensemble(
-                  problem.n, ns, std::min(ns, hw), 64)) {
-        job->spec.workers = cfg->workers;
-        job->spec.max_batch = cfg->max_batch;
-        jobs_autotuned_total().add();
-      }
+      job->spec.max_batch = ode::EnsembleSpec{}.max_batch;
+      job->spec.workers =
+          std::min(hardware_workers(),
+                   (ns + job->spec.max_batch - 1) / job->spec.max_batch);
+      jobs_autotuned_total().add();
     }
     ode::solve_ensemble(problem, job->method, job->sopts, job->spec, sink);
   } catch (const ode::Cancelled&) {

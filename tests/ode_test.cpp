@@ -497,6 +497,22 @@ TEST(Solution, RecordEveryThinsOutput) {
   EXPECT_DOUBLE_EQ(sa.final_time(), st.final_time());
 }
 
+TEST(Solution, ZeroRecordEveryIsRejected) {
+  // record_every is a divisor of the step count: 0 must be an error, not
+  // an integer division by zero.
+  SolverOptions o = with_dt(1e-2);
+  o.record_every = 0;
+  EnsembleSpec spec;
+  spec.initial_states = {{1.0}, {0.5}};
+  for (const Method m :
+       {Method::kExplicitEuler, Method::kRk4, Method::kDopri5,
+        Method::kAdamsPece, Method::kBdf, Method::kLsodaLike}) {
+    SCOPED_TRACE(to_string(m));
+    EXPECT_THROW(solve(decay(), m, o), omx::Error);
+    EXPECT_THROW(solve_ensemble(decay(), m, o, spec), omx::Error);
+  }
+}
+
 // ------------------------------------------------------ dense output
 // The public interpolants behind event localization (ode/events.hpp).
 

@@ -457,6 +457,148 @@ TEST(SvcServer, CompileRejectsOutOfRangeRollers) {
   server.stop();
 }
 
+TEST(SvcServer, SubmitRejectsInvalidCounts) {
+  Server server(test_server_opts());
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  const ModelInfo model = client.compile_builtin("oscillator");
+
+  RawConn raw(server.port());
+  for (const char* field :
+       {"\"workers\": -1", "\"workers\": 2.5", "\"max_batch\": 1e300",
+        "\"record_every\": -3", "\"scenarios\": 0",
+        "\"scenarios\": 1e12"}) {
+    SCOPED_TRACE(field);
+    Message m;
+    m.type = MsgType::kSubmit;
+    m.json = "{\"model\": \"" + model.model + "\", " + field + "}";
+    const std::string wire = encode(m);
+    raw.send_bytes(wire.data(), wire.size());
+    Message reply;
+    ASSERT_TRUE(raw.read_reply(reply));
+    EXPECT_EQ(reply.type, MsgType::kError) << reply.json;
+    EXPECT_NE(reply.json.find("must be an integer"), std::string::npos)
+        << reply.json;
+
+    // The daemon keeps serving the same connection.
+    Message ping;
+    ping.type = MsgType::kPing;
+    const std::string pw = encode(ping);
+    raw.send_bytes(pw.data(), pw.size());
+    Message pong;
+    ASSERT_TRUE(raw.read_reply(pong));
+    EXPECT_EQ(pong.type, MsgType::kPong);
+  }
+  client.bye();
+  server.stop();
+}
+
+TEST(SvcServer, ZeroRecordEveryAnswersDoneWithError) {
+  Server server(test_server_opts());
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  const ModelInfo model = client.compile_builtin("oscillator");
+
+  for (const char* method : {"dopri5", "rk4"}) {
+    SCOPED_TRACE(method);
+    SubmitRequest req;
+    req.model = model.model;
+    req.method = method;
+    req.tend = 0.01;
+    req.record_every = 0;
+    const SubmitResult sub = client.submit(req);
+    ASSERT_TRUE(sub.accepted);
+    const Event done = drain_to_done(client, sub.job);
+    EXPECT_NE(done.error.find("record_every"), std::string::npos)
+        << done.error;
+  }
+
+  // The daemon is still up and runs a well-formed job.
+  SubmitRequest ok;
+  ok.model = model.model;
+  ok.tend = 0.01;
+  const SubmitResult sub = client.submit(ok);
+  ASSERT_TRUE(sub.accepted);
+  EXPECT_TRUE(drain_to_done(client, sub.job).error.empty());
+  client.bye();
+  server.stop();
+}
+
+/// Per-scenario trajectories of one job, concatenated in arrival order.
+struct Streamed {
+  std::vector<std::vector<double>> times, states;
+  Event done;
+};
+
+Streamed run_streamed(Client& client, const SubmitRequest& req) {
+  Streamed out;
+  out.times.resize(req.scenarios);
+  out.states.resize(req.scenarios);
+  const SubmitResult sub = client.submit(req);
+  EXPECT_TRUE(sub.accepted);
+  for (;;) {
+    Event ev;
+    if (!client.next_event(ev, 120000)) {
+      ADD_FAILURE() << "stream stalled";
+      return out;
+    }
+    if (ev.kind == Event::Kind::kDone) {
+      out.done = ev;
+      return out;
+    }
+    out.times[ev.scenario].insert(out.times[ev.scenario].end(),
+                                  ev.times.begin(), ev.times.end());
+    out.states[ev.scenario].insert(out.states[ev.scenario].end(),
+                                   ev.states.begin(), ev.states.end());
+  }
+}
+
+TEST(SvcServer, AutotuneRuleStreamsTheUntunedTrajectories) {
+  Server server(test_server_opts());
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  const ModelInfo model = client.compile_builtin("oscillator");
+
+  // 40 scenarios: the rule runs ceil(40 / 16) = 3 workers (fewer on a
+  // smaller host) against the plain job's single worker and batch of 4.
+  SubmitRequest req;
+  req.model = model.model;
+  req.method = "dopri5";
+  req.tend = 2.0;
+  req.scenarios = 40;
+  for (std::size_t s = 0; s < req.scenarios; ++s) {
+    req.y0s.push_back(1.0 + 0.05 * static_cast<double>(s));
+    req.y0s.push_back(-0.02 * static_cast<double>(s));
+  }
+  req.workers = 1;
+  req.max_batch = 4;
+  const Streamed plain = run_streamed(client, req);
+
+  obs::Counter& autotuned =
+      obs::Registry::global().counter("svc.jobs_autotuned");
+  const std::uint64_t before = autotuned.value();
+  req.autotune = true;
+  const Streamed tuned = run_streamed(client, req);
+  EXPECT_EQ(autotuned.value(), before + 1);
+
+  EXPECT_TRUE(plain.done.error.empty()) << plain.done.error;
+  EXPECT_TRUE(tuned.done.error.empty()) << tuned.done.error;
+  EXPECT_EQ(tuned.done.row_counts, plain.done.row_counts);
+  for (std::size_t s = 0; s < req.scenarios; ++s) {
+    SCOPED_TRACE(s);
+    EXPECT_FALSE(plain.times[s].empty());
+    // Worker and batch assignment never changes a lane's step control:
+    // the frames are bitwise equal.
+    EXPECT_EQ(tuned.times[s], plain.times[s]);
+    EXPECT_EQ(tuned.states[s], plain.states[s]);
+  }
+  client.bye();
+  server.stop();
+}
+
 // --------------------------------------------------- solver-side cancel
 
 TEST(SvcCancel, SolveThrowsCancelledWhenFlagPreSet) {
