@@ -1,6 +1,6 @@
 // Compile-path scaling: pipeline::compile_model per phase, plus the C++
-// emission of the three native-kernel forms (serial, parallel tasks and
-// serial batch), on the 2-D bearing at N in {10, 40, 160} rollers. One
+// emission of the two native-kernel forms (serial batch and parallel
+// tasks), on the 2-D bearing at N in {10, 40, 160} rollers. One
 // cold native build of N=10 (make_kernel(kNative) into a fresh cache
 // directory, host compiler included) is timed once; without a host
 // compiler (or with the native backend disabled) it is skipped with a
@@ -70,16 +70,16 @@ std::map<std::string, double> traced_compile(
   return ms;
 }
 
-/// Emits the three forms the native backend puts in one translation
-/// unit, with its options; returns the total bytes.
+/// Emits the two forms the native backend puts in one translation unit
+/// (the batched serial body and the parallel-task switch), with its
+/// options; returns the total bytes.
 std::size_t emit_native_forms(const pipeline::CompiledModel& cm) {
   codegen::EmitOptions eo;
   eo.with_helpers = false;
   eo.with_prelude = false;
   eo.simd_math = true;
   const model::FlatSystem& flat = *cm.flat;
-  return codegen::emit_cpp_serial(flat, cm.assignments, eo).code.size() +
-         codegen::emit_cpp_parallel(flat, cm.plan, eo).code.size() +
+  return codegen::emit_cpp_parallel(flat, cm.plan, eo).code.size() +
          codegen::emit_cpp_serial_batch(flat, cm.assignments, eo)
              .code.size();
 }

@@ -10,10 +10,12 @@
 //
 //     ratio(W) = (lane-evals/s at batch width W) / (scalar evals/s)
 //
-// for W in {4, 8, 16, 32} on both backends. scripts/bench_gate.py
-// gates the native width-16 ratio at >= 4x on hosts whose vector ISA
-// is wide enough (the exported simd.lane_width gauge tells the gate
-// which bar applies; see gate_simd).
+// for W in {4, 8, 16, 32} on both backends. The native kernel's scalar
+// call is its batched loop at width 1 (it compiles no scalar form), so
+// the native ratio compares width W against width 1 of the same loop.
+// scripts/bench_gate.py gates the native width-16 ratio at >= 4x on
+// hosts whose vector ISA is wide enough (the exported simd.lane_width
+// gauge tells the gate which bar applies; see gate_simd).
 //
 // Lane counts, not wall-clock figures, are compared across runs, and
 // the measurement is round-interleaved: shared CI boxes drift by

@@ -66,59 +66,42 @@ const std::string& compiler() {
   return cxx;
 }
 
-/// Host-tuning flag for the kernel compile. -march=native unlocks the
-/// wide vector units (AVX2/AVX-512) for the `#pragma omp simd` lane
-/// loops; it is probed once per process because some toolchains
-/// (cross compilers, very old gcc) reject it, and OMX_NATIVE_MARCH can
-/// pick another ISA or disable the flag entirely. Note the compiled
-/// objects are host-specific either way — the cache key includes the
-/// flag string, and the default cache lives in the machine-local tmp.
-std::string detect_march_flag(const std::string& cxx) {
-  const std::string want = config::get_string("OMX_NATIVE_MARCH", "native");
-  if (want.empty() || want == "off" || want == "none" || want == "0") {
-    return {};
-  }
-  const std::string flag = "-march=" + want;
+/// True if the host compiler accepts `flag`. Some toolchains (cross
+/// compilers, very old gcc) reject the tuning flags below, and the
+/// kernel must still build without them.
+bool accepts_flag(const std::string& cxx, const char* flag) {
   const std::string probe = cxx + " " + flag +
                             " -x c++ -fsyntax-only /dev/null"
                             " > /dev/null 2>&1";
-  return std::system(probe.c_str()) == 0 ? flag : std::string();
+  return std::system(probe.c_str()) == 0;
 }
 
-const std::string& march_flag() {
-  static const std::string flag = detect_march_flag(compiler());
-  return flag;
-}
-
-/// Preferred vector width for the lane loops. gcc defaults to 256-bit
-/// vectors even on AVX-512 hardware (a throughput-downclock heuristic
-/// tuned for mixed workloads); the emitted kernels are exactly the
-/// all-lanes-hot case where 512-bit wins, so prefer it when the
-/// toolchain accepts the flag. Width only changes how many lanes ride
-/// one instruction — each lane's operation sequence, and therefore
-/// every result bit, is identical at any width.
-std::string detect_vecwidth_flag(const std::string& cxx) {
-  const std::string want = config::get_string("OMX_NATIVE_VECWIDTH", "512");
-  if (want.empty() || want == "off" || want == "none" || want == "0") {
-    return {};
-  }
-  const std::string flag = "-mprefer-vector-width=" + want;
-  const std::string probe = cxx + " " + flag +
-                            " -x c++ -fsyntax-only /dev/null"
-                            " > /dev/null 2>&1";
-  return std::system(probe.c_str()) == 0 ? flag : std::string();
-}
-
-const std::string& vecwidth_flag() {
-  static const std::string flag = detect_vecwidth_flag(compiler());
-  return flag;
+/// Host tuning for the `#pragma omp simd` lane loops, probed once per
+/// process. -march=native unlocks the wide vector units (AVX2/AVX-512);
+/// the objects are host-specific, so the cache key includes the flag
+/// string and the default cache lives in the machine-local tmp. gcc
+/// prefers 256-bit vectors even on AVX-512 hardware, but these kernels
+/// are the all-lanes-hot case where 512-bit wins; the width changes how
+/// many lanes ride one instruction, never a result bit.
+const std::string& tuning_flags() {
+  static const std::string flags = [] {
+    std::string f;
+    for (const char* flag : {"-march=native", "-mprefer-vector-width=512"}) {
+      if (accepts_flag(compiler(), flag)) {
+        f += std::string(" ") + flag;
+      }
+    }
+    return f;
+  }();
+  return flags;
 }
 
 /// Flags that make the lane loops vectorize WITHOUT changing per-lane
 /// IEEE arithmetic:
-///   -ffp-contract=off  no FMA contraction, so scalar rhs and rhs_batch
-///                      (and the interpreter) execute identical mul/add
-///                      sequences even on FMA hardware;
+///   -ffp-contract=off  no FMA contraction, so rhs_batch's vector body,
+///                      its scalar epilogue and the interpreter execute
+///                      identical mul/add sequences even on FMA
+///                      hardware;
 ///   -fno-math-errno    sqrt/fabs lower to single instructions instead
 ///                      of errno-setting libm calls;
 ///   -fno-trapping-math FP compares/divides may be speculated across
@@ -134,15 +117,9 @@ const std::string& vecwidth_flag() {
 /// Deliberately still no -ffast-math/-funsafe-math-optimizations: no
 /// reassociation, so results stay bitwise reproducible run to run.
 std::string codegen_flags() {
-  std::string flags =
-      " -ffp-contract=off -fno-math-errno -fno-trapping-math -fopenmp-simd";
-  if (!march_flag().empty()) {
-    flags += " " + march_flag();
-  }
-  if (!vecwidth_flag().empty()) {
-    flags += " " + vecwidth_flag();
-  }
-  return flags;
+  return " -ffp-contract=off -fno-math-errno -fno-trapping-math"
+         " -fopenmp-simd" +
+         tuning_flags();
 }
 
 fs::path cache_dir(const NativeOptions& opts) {
@@ -174,9 +151,13 @@ std::string hex(std::uint64_t v) {
 
 // ------------------------------------------------------ source synthesis
 
-/// Composes the single translation unit: one hoisted prelude, the serial,
-/// parallel-task and serial-batch emitted bodies in their own
+/// Composes the single translation unit: one hoisted prelude, the
+/// batched (SoA) serial body and the parallel-task switch in their own
 /// namespaces, and the extern "C" export surface the loader binds to.
+/// There is no scalar serial body: a whole-system call is rhs_batch at
+/// nb=1, which is bitwise the scalar result (same expression trees, no
+/// reassociation) and spares the host compiler another copy of the
+/// model.
 /// The unit includes no header: the vmath runtime and the kCxxSimd
 /// spellings use GNU builtins only, so the host compiler parses nothing
 /// but the kernel itself.
@@ -188,11 +169,11 @@ std::string compose_source(const model::FlatSystem& flat,
   eo.with_prelude = false;
   // Transcendentals print as the omx_* vmath runtime names; the
   // definitions are embedded below so every kernel ships its own
-  // branch-free math and rhs/rhs_batch stay bitwise identical per lane.
+  // branch-free math and every lane of rhs_batch, vectorized or not,
+  // computes the same bits.
   eo.simd_math = true;
-  const codegen::EmitResult serial = codegen::emit_cpp_serial(flat, set, eo);
   const codegen::EmitResult par = codegen::emit_cpp_parallel(flat, plan, eo);
-  const codegen::EmitResult serial_b =
+  const codegen::EmitResult batch =
       codegen::emit_cpp_serial_batch(flat, set, eo);
 
   std::ostringstream os;
@@ -207,20 +188,16 @@ std::string compose_source(const model::FlatSystem& flat,
      << "}\n"
      << "}  // namespace\n"
      << "namespace omx_serial {\n"
-     << serial.code
-     << serial_b.code
+     << batch.code
      << "}  // namespace omx_serial\n"
      << "namespace omx_parallel {\n"
      << par.code
      << "}  // namespace omx_parallel\n"
      << "extern \"C\" {\n"
-     << "int omx_abi_version() { return 4; }\n"
+     << "int omx_abi_version() { return 5; }\n"
      << "unsigned omx_n_state() { return " << flat.num_states() << "u; }\n"
      << "unsigned omx_num_tasks() { return " << plan.tasks.size()
      << "u; }\n"
-     << "void omx_rhs_serial(double t, const double* y, double* ydot) {\n"
-     << "  omx_serial::rhs(t, y, ydot);\n"
-     << "}\n"
      << "void omx_rhs_task(unsigned task, double t, const double* y,\n"
      << "                  double* ydot) {\n"
      << "  omx_parallel::rhs(static_cast<int>(task) + 1, t, y, ydot);\n"
@@ -268,14 +245,12 @@ class CacheLock {
 
 // -------------------------------------------------------- loaded module
 
-using SerialEntry = void (*)(double, const double*, double*);
 using TaskEntry = void (*)(unsigned, double, const double*, double*);
 using SerialBatchEntry = void (*)(unsigned, const double*, const double*,
                                   double*);
 
 struct NativeState {
   void* handle = nullptr;
-  SerialEntry serial = nullptr;
   TaskEntry task = nullptr;
   SerialBatchEntry serial_batch = nullptr;
   TaskTable table;
@@ -287,8 +262,10 @@ struct NativeState {
   }
 };
 
+// A whole-system call is a one-lane batch: at nb=1 the SoA layout is
+// the plain state vector.
 void native_eval(void* ctx, double t, const double* y, double* ydot) {
-  static_cast<NativeState*>(ctx)->serial(t, y, ydot);
+  static_cast<NativeState*>(ctx)->serial_batch(1, &t, y, ydot);
 }
 
 void native_task(void* ctx, std::size_t /*lane*/, std::uint32_t task,
@@ -407,22 +384,20 @@ std::shared_ptr<NativeState> build_module(const std::string& source,
   auto* abi = reinterpret_cast<int (*)()>(sym("omx_abi_version"));
   auto* n_state = reinterpret_cast<unsigned (*)()>(sym("omx_n_state"));
   auto* n_tasks = reinterpret_cast<unsigned (*)()>(sym("omx_num_tasks"));
-  state->serial = reinterpret_cast<SerialEntry>(sym("omx_rhs_serial"));
   state->task = reinterpret_cast<TaskEntry>(sym("omx_rhs_task"));
   state->serial_batch =
       reinterpret_cast<SerialBatchEntry>(sym("omx_rhs_serial_batch"));
   if (abi == nullptr || n_state == nullptr || n_tasks == nullptr ||
-      state->serial == nullptr || state->task == nullptr ||
-      state->serial_batch == nullptr) {
+      state->task == nullptr || state->serial_batch == nullptr) {
     why = "missing export in " + so.string();
     return nullptr;
   }
-  // ABI 4 = serial, task and serial-batch (SoA) entry points over a
-  // header-free unit with the embedded vmath runtime. Stale cache
-  // entries can't satisfy this loader; their source hash differs anyway,
-  // so they simply never match — the check guards hand-placed or corrupt
-  // objects.
-  if (abi() != 4) {
+  // ABI 5 = task and serial-batch (SoA) entry points over a header-free
+  // unit with the embedded vmath runtime; whole-system calls use the
+  // batch at nb=1. Stale cache entries can't satisfy this loader; their
+  // source hash differs anyway, so they simply never match — the check
+  // guards hand-placed or corrupt objects.
+  if (abi() != 5) {
     why = "ABI version mismatch in " + so.string();
     return nullptr;
   }

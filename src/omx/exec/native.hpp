@@ -2,11 +2,13 @@
 // generated code is compiled by the platform compiler and *run*, not
 // interpreted).
 //
-// make_native_kernel takes the emitted C++ from codegen::emit_cpp_serial
-// / emit_cpp_parallel, composes one translation unit, compiles it at
-// runtime with the host toolchain into a shared object (cached under a
-// build directory keyed by source hash), dlopens it and wraps the
-// exported entry points in an exec::RhsKernel.
+// make_native_kernel takes the emitted C++ from
+// codegen::emit_cpp_serial_batch / emit_cpp_parallel, composes one
+// translation unit, compiles it at runtime with the host toolchain into a
+// shared object (cached under a build directory keyed by source hash),
+// dlopens it and wraps the exported entry points in an exec::RhsKernel.
+// The unit has no scalar serial form: the kernel's whole-system eval is
+// the batched rhs_batch at nb=1, bitwise equal to a scalar evaluation.
 //
 // Graceful degradation: when no host compiler is available (or the
 // compile/load fails), the factory emits a one-line diagnostic and

@@ -12,6 +12,9 @@
 //  * run_task:   accumulate one task's contributions  (worker pool)
 //  * eval_batch: nb scenarios at once, SoA layout     (ensemble driver)
 //
+// The native backend compiles no scalar form: its eval is eval_batch
+// at width 1 (at nb=1 the SoA layout is the plain state vector).
+//
 // The batched entry point uses structure-of-arrays layout: state i of
 // scenario j lives at y_soa[i * nb + j], output slot s of scenario j at
 // ydot_soa[s * nb + j], and each scenario has its own time t[j] (the

@@ -32,12 +32,6 @@ const std::vector<Knob>& table() {
        "shared-object cache directory for compiled kernels"},
       {"OMX_NATIVE_DISABLE", "bool", "false",
        "force the interpreter fallback (skip native compilation)"},
-      {"OMX_NATIVE_MARCH", "string", "native",
-       "-march= value for native kernels (off/none disables; probed, "
-       "falls back to the baseline ISA if unsupported)"},
-      {"OMX_NATIVE_VECWIDTH", "string", "512",
-       "-mprefer-vector-width= for native kernels (off/none disables; "
-       "probed; lanes are value-identical at any width)"},
       {"OMX_SPARSE_FORCE", "bool", "false",
        "force the sparse stiff backend regardless of fill ratio"},
       {"OMX_SPARSE_DISABLE", "bool", "false",

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -18,6 +20,7 @@
 
 #include "omx/models/bearing2d.hpp"
 #include "omx/models/heat1d.hpp"
+#include "omx/models/hybrid.hpp"
 #include "omx/models/hydro.hpp"
 #include "omx/models/oscillator.hpp"
 #include "omx/obs/registry.hpp"
@@ -182,6 +185,39 @@ TEST(NativeBackend, SecondBuildHitsCache) {
             hits_before);
 }
 
+TEST(NativeBackend, UnitCarriesOnlyTheBatchedAndTaskForms) {
+  // Whole-system eval is rhs_batch at nb=1 (ABI 5), so the unit defines
+  // no scalar serial rhs and, for a model with when clauses, none of the
+  // event bodies that came with it.
+  namespace fs = std::filesystem;
+  const pipeline::CompiledModel cm = pipeline::compile_model(
+      [](expr::Context& ctx) { return models::build_bouncing_ball(ctx); });
+  const fs::path dir = fs::temp_directory_path() / "omx-test-unit-forms";
+  fs::remove_all(dir);
+  pipeline::KernelOptions ko;
+  ko.native.cache_dir = dir.string();
+  if (cm.make_kernel(Backend::kNative, ko).backend() != Backend::kNative) {
+    GTEST_SKIP() << "no host compiler; native backend unavailable";
+  }
+  std::string unit;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".cpp") {
+      std::ifstream in(e.path());
+      unit.assign(std::istreambuf_iterator<char>(in), {});
+    }
+  }
+  fs::remove_all(dir);
+  ASSERT_FALSE(unit.empty()) << "no composed unit in the cache";
+  EXPECT_NE(unit.find("int omx_abi_version() { return 5; }"),
+            std::string::npos);
+  EXPECT_NE(unit.find("void rhs_batch("), std::string::npos);
+  EXPECT_NE(unit.find("void rhs(int worker_id,"), std::string::npos);
+  EXPECT_EQ(unit.find("void rhs(double t,"), std::string::npos);
+  EXPECT_EQ(unit.find("omx_rhs_serial("), std::string::npos);
+  EXPECT_EQ(unit.find("event_guard"), std::string::npos);
+  EXPECT_EQ(unit.find("event_apply"), std::string::npos);
+}
+
 TEST(NativeBackend, ForceFallbackDegradesToInterp) {
   pipeline::CompiledModel cm =
       pipeline::compile_model(models::build_oscillator);
@@ -343,7 +379,10 @@ TEST(BatchedKernels, MatchScalarReferenceOnHeat1d) {
 TEST(BatchedKernels, LaneResultsInvariantUnderRepacking) {
   // Mixed scenario lifetimes: after some lanes retire mid-sweep the
   // ensemble driver compacts the batch; the surviving lanes' results
-  // must be bitwise unchanged in the narrower batch.
+  // must be bitwise unchanged in the narrower batch. The repacked widths
+  // 3, 1 and 17 (and the full 20) land lanes in the compiled lane loop's
+  // vector body, vector epilogue and scalar epilogue. A whole-system
+  // eval must match too: the native backend runs it as a width-1 batch.
   pipeline::CompiledModel cm = pipeline::compile_model(
       [](expr::Context& ctx) {
         models::BearingConfig cfg;
@@ -351,8 +390,15 @@ TEST(BatchedKernels, LaneResultsInvariantUnderRepacking) {
         return models::build_bearing(ctx, cfg);
       });
   const std::size_t n = cm.n();
-  const BatchFixture fx(cm, 6);
-  const std::vector<std::size_t> survivors = {0, 2, 5};  // 1, 3, 4 retired
+  const BatchFixture fx(cm, 20);
+  std::vector<std::size_t> most;  // 1, 3, 4 retired: width 17
+  for (std::size_t j = 0; j < fx.nb; ++j) {
+    if (j != 1 && j != 3 && j != 4) {
+      most.push_back(j);
+    }
+  }
+  const std::vector<std::vector<std::size_t>> repacks = {
+      {0, 2, 5}, {7}, most};
 
   std::vector<KernelInstance> kernels;
   kernels.push_back(cm.make_kernel(Backend::kInterp));
@@ -366,19 +412,31 @@ TEST(BatchedKernels, LaneResultsInvariantUnderRepacking) {
     k.kernel().eval_batch(0, fx.nb, fx.ts.data(), fx.y_soa.data(),
                           full.data());
 
-    const std::size_t nb2 = survivors.size();
-    std::vector<double> ts2(nb2), y2(n * nb2), out2(n * nb2);
-    for (std::size_t j = 0; j < nb2; ++j) {
-      ts2[j] = fx.ts[survivors[j]];
-      for (std::size_t i = 0; i < n; ++i) {
-        y2[i * nb2 + j] = fx.y_soa[i * fx.nb + survivors[j]];
+    for (const std::vector<std::size_t>& survivors : repacks) {
+      const std::size_t nb2 = survivors.size();
+      std::vector<double> ts2(nb2), y2(n * nb2), out2(n * nb2);
+      for (std::size_t j = 0; j < nb2; ++j) {
+        ts2[j] = fx.ts[survivors[j]];
+        for (std::size_t i = 0; i < n; ++i) {
+          y2[i * nb2 + j] = fx.y_soa[i * fx.nb + survivors[j]];
+        }
+      }
+      k.kernel().eval_batch(0, nb2, ts2.data(), y2.data(), out2.data());
+      for (std::size_t j = 0; j < nb2; ++j) {
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(out2[i * nb2 + j], full[i * fx.nb + survivors[j]])
+              << to_string(k.backend()) << " width " << nb2 << " lane "
+              << survivors[j] << " slot " << i;
+        }
       }
     }
-    k.kernel().eval_batch(0, nb2, ts2.data(), y2.data(), out2.data());
-    for (std::size_t j = 0; j < nb2; ++j) {
+
+    std::vector<double> scalar(n);
+    for (std::size_t j = 0; j < fx.nb; ++j) {
+      k.kernel()(fx.ts[j], fx.lane_y[j], scalar);
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(out2[i * nb2 + j], full[i * fx.nb + survivors[j]])
-            << to_string(k.backend()) << " lane " << survivors[j]
+        EXPECT_EQ(scalar[i], full[i * fx.nb + j])
+            << to_string(k.backend()) << " scalar eval, lane " << j
             << " slot " << i;
       }
     }
@@ -518,7 +576,7 @@ TEST(NativeBackend, ConcurrentBuildersCompileEachModuleOnce) {
       obs::Registry::global().counter("backend.native.compiles");
 
   // Calibrate: how many modules does one cold build of this model
-  // compile? (The kernel may carry scalar + batch entry points.)
+  // compile?
   const fs::path calib_dir =
       fs::temp_directory_path() / "omx-test-lock-calib";
   fs::remove_all(calib_dir);
