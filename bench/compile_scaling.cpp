@@ -1,10 +1,12 @@
 // Compile-path scaling: pipeline::compile_model per phase, plus the C++
-// emission of the two native-kernel forms (serial batch and parallel
-// tasks), on the 2-D bearing at N in {10, 40, 160} rollers. One
-// cold native build of N=10 (make_kernel(kNative) into a fresh cache
-// directory, host compiler included) is timed once; without a host
-// compiler (or with the native backend disabled) it is skipped with a
-// note.
+// emission of the default native kernel's one model form (the batched
+// serial body), on the 2-D bearing at N in {10, 40, 160} rollers. Two
+// cold native builds of N=10 (make_kernel(kNative) into a fresh cache
+// directory, host compiler included) are timed once each: the default
+// unit, and the unit with the parallel-task switch
+// (NativeOptions::tasks), so the export prices the task form on its
+// own. Without a host compiler (or with the native backend disabled)
+// they are skipped with a note.
 //
 // Per-phase times come from the pipeline's own spans, the ones omxbench
 // folds into flatten/analysis/cse/task_planning/tapes, recorded into the
@@ -70,24 +72,22 @@ std::map<std::string, double> traced_compile(
   return ms;
 }
 
-/// Emits the two forms the native backend puts in one translation unit
-/// (the batched serial body and the parallel-task switch), with its
-/// options; returns the total bytes.
-std::size_t emit_native_forms(const pipeline::CompiledModel& cm) {
+/// Emits the model form a default native translation unit carries (the
+/// batched serial body), with the backend's options; returns its bytes.
+std::size_t emit_native_form(const pipeline::CompiledModel& cm) {
   codegen::EmitOptions eo;
   eo.with_helpers = false;
   eo.with_prelude = false;
   eo.simd_math = true;
-  const model::FlatSystem& flat = *cm.flat;
-  return codegen::emit_cpp_parallel(flat, cm.plan, eo).code.size() +
-         codegen::emit_cpp_serial_batch(flat, cm.assignments, eo)
-             .code.size();
+  return codegen::emit_cpp_serial_batch(*cm.flat, cm.assignments, eo)
+      .code.size();
 }
 
 /// Milliseconds for one cold make_kernel(kNative) of `cm`, host compile
 /// included, into a cache directory nothing has used; a negative value
-/// when the kernel fell back to the interpreter.
-double cold_native_build_ms(const pipeline::CompiledModel& cm) {
+/// when the kernel fell back to the interpreter. `tasks` also compiles
+/// the parallel-task switch.
+double cold_native_build_ms(const pipeline::CompiledModel& cm, bool tasks) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() /
                        ("omx-compile-scaling-" +
@@ -95,6 +95,7 @@ double cold_native_build_ms(const pipeline::CompiledModel& cm) {
   fs::remove_all(dir);
   pipeline::KernelOptions ko;
   ko.native.cache_dir = dir.string();
+  ko.native.tasks = tasks;
   Stopwatch sw;
   const exec::KernelInstance k = cm.make_kernel(exec::Backend::kNative, ko);
   const double ms = sw.seconds() * 1e3;
@@ -131,7 +132,7 @@ int main() {
         phase_ms[span].push_back(ms);
       }
       Stopwatch sw;
-      bytes = emit_native_forms(cm);
+      bytes = emit_native_form(cm);
       emit_ms.push_back(sw.seconds() * 1e3);
       states = cm.n();
       parallel_ops = cm.parallel_program.total_ops();
@@ -163,10 +164,15 @@ int main() {
         cfg.n_rollers = 10;
         return models::build_bearing(ctx, cfg);
       });
-  const double build_ms = cold_native_build_ms(n10);
-  if (build_ms >= 0.0) {
+  const double build_ms = cold_native_build_ms(n10, /*tasks=*/false);
+  const double tasks_ms =
+      build_ms >= 0.0 ? cold_native_build_ms(n10, /*tasks=*/true) : -1.0;
+  if (build_ms >= 0.0 && tasks_ms >= 0.0) {
     metrics.gauge("compile.n10.native_build_ms").set(build_ms);
-    std::printf("\ncold native build, 10 rollers: %.0f ms\n", build_ms);
+    metrics.gauge("compile.n10.native_build_tasks_ms").set(tasks_ms);
+    std::printf("\ncold native build, 10 rollers: %.0f ms"
+                " (%.0f ms with the task form)\n",
+                build_ms, tasks_ms);
   } else {
     std::printf("\nnative backend unavailable: native build not measured\n");
   }

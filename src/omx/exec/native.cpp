@@ -142,6 +142,15 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
+/// `s` as one single-quoted shell word: each ' becomes '\\''.
+std::string shell_quote(const std::string& s) {
+  std::string q = "'";
+  for (const char c : s) {
+    q += c == '\'' ? std::string("'\\''") : std::string(1, c);
+  }
+  return q + "'";
+}
+
 std::string hex(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -151,19 +160,20 @@ std::string hex(std::uint64_t v) {
 
 // ------------------------------------------------------ source synthesis
 
-/// Composes the single translation unit: one hoisted prelude, the
-/// batched (SoA) serial body and the parallel-task switch in their own
-/// namespaces, and the extern "C" export surface the loader binds to.
-/// There is no scalar serial body: a whole-system call is rhs_batch at
-/// nb=1, which is bitwise the scalar result (same expression trees, no
-/// reassociation) and spares the host compiler another copy of the
-/// model.
+/// Composes the single translation unit: the vmath runtime, the batched
+/// (SoA) serial body and, when `tasks` is set, the parallel-task switch,
+/// each in its own namespace, and the extern "C" export surface the
+/// loader binds to. There is no scalar serial body: a whole-system call
+/// is rhs_batch at nb=1, which is bitwise the scalar result (same
+/// expression trees, no reassociation) and spares the host compiler
+/// another copy of the model. For the same reason the task switch is
+/// emitted only on request: only WorkerPool/ParallelRhs call it.
 /// The unit includes no header: the vmath runtime and the kCxxSimd
 /// spellings use GNU builtins only, so the host compiler parses nothing
 /// but the kernel itself.
 std::string compose_source(const model::FlatSystem& flat,
                            const codegen::AssignmentSet& set,
-                           const codegen::TaskPlan& plan) {
+                           const codegen::TaskPlan& plan, bool tasks) {
   codegen::EmitOptions eo;
   eo.with_helpers = false;
   eo.with_prelude = false;
@@ -172,7 +182,6 @@ std::string compose_source(const model::FlatSystem& flat,
   // branch-free math and every lane of rhs_batch, vectorized or not,
   // computes the same bits.
   eo.simd_math = true;
-  const codegen::EmitResult par = codegen::emit_cpp_parallel(flat, plan, eo);
   const codegen::EmitResult batch =
       codegen::emit_cpp_serial_batch(flat, set, eo);
 
@@ -189,24 +198,28 @@ std::string compose_source(const model::FlatSystem& flat,
      << "}  // namespace\n"
      << "namespace omx_serial {\n"
      << batch.code
-     << "}  // namespace omx_serial\n"
-     << "namespace omx_parallel {\n"
-     << par.code
-     << "}  // namespace omx_parallel\n"
-     << "extern \"C\" {\n"
-     << "int omx_abi_version() { return 5; }\n"
+     << "}  // namespace omx_serial\n";
+  if (tasks) {
+    os << "namespace omx_parallel {\n"
+       << codegen::emit_cpp_parallel(flat, plan, eo).code
+       << "}  // namespace omx_parallel\n";
+  }
+  os << "extern \"C\" {\n"
+     << "int omx_abi_version() { return 6; }\n"
      << "unsigned omx_n_state() { return " << flat.num_states() << "u; }\n"
-     << "unsigned omx_num_tasks() { return " << plan.tasks.size()
-     << "u; }\n"
-     << "void omx_rhs_task(unsigned task, double t, const double* y,\n"
-     << "                  double* ydot) {\n"
-     << "  omx_parallel::rhs(static_cast<int>(task) + 1, t, y, ydot);\n"
-     << "}\n"
      << "void omx_rhs_serial_batch(unsigned nb, const double* ts,\n"
      << "                          const double* y, double* ydot) {\n"
      << "  omx_serial::rhs_batch(static_cast<int>(nb), ts, y, ydot);\n"
-     << "}\n"
-     << "}  // extern \"C\"\n";
+     << "}\n";
+  if (tasks) {
+    os << "unsigned omx_num_tasks() { return " << plan.tasks.size()
+       << "u; }\n"
+       << "void omx_rhs_task(unsigned task, double t, const double* y,\n"
+       << "                  double* ydot) {\n"
+       << "  omx_parallel::rhs(static_cast<int>(task) + 1, t, y, ydot);\n"
+       << "}\n";
+  }
+  os << "}  // extern \"C\"\n";
   return os.str();
 }
 
@@ -344,8 +357,9 @@ std::shared_ptr<NativeState> build_module(const std::string& source,
         cmd += " " + opts.extra_flags;
       }
       const fs::path so_tmp = dir / ("omx_" + key + ".so.tmp");
-      cmd += " -o '" + so_tmp.string() + "' '" + cpp.string() + "' > '" +
-             log.string() + "' 2>&1";
+      cmd += " -o " + shell_quote(so_tmp.string()) + " " +
+             shell_quote(cpp.string()) + " > " + shell_quote(log.string()) +
+             " 2>&1";
 
       const auto start = std::chrono::steady_clock::now();
       const int rc = std::system(cmd.c_str());
@@ -383,30 +397,34 @@ std::shared_ptr<NativeState> build_module(const std::string& source,
   };
   auto* abi = reinterpret_cast<int (*)()>(sym("omx_abi_version"));
   auto* n_state = reinterpret_cast<unsigned (*)()>(sym("omx_n_state"));
-  auto* n_tasks = reinterpret_cast<unsigned (*)()>(sym("omx_num_tasks"));
-  state->task = reinterpret_cast<TaskEntry>(sym("omx_rhs_task"));
   state->serial_batch =
       reinterpret_cast<SerialBatchEntry>(sym("omx_rhs_serial_batch"));
-  if (abi == nullptr || n_state == nullptr || n_tasks == nullptr ||
-      state->task == nullptr || state->serial_batch == nullptr) {
+  // The task exports exist iff the unit was built with `tasks`.
+  auto* n_tasks = reinterpret_cast<unsigned (*)()>(sym("omx_num_tasks"));
+  state->task = reinterpret_cast<TaskEntry>(sym("omx_rhs_task"));
+  if (abi == nullptr || n_state == nullptr || state->serial_batch == nullptr ||
+      (opts.tasks && (n_tasks == nullptr || state->task == nullptr))) {
     why = "missing export in " + so.string();
     return nullptr;
   }
-  // ABI 5 = task and serial-batch (SoA) entry points over a header-free
-  // unit with the embedded vmath runtime; whole-system calls use the
-  // batch at nb=1. Stale cache entries can't satisfy this loader; their
-  // source hash differs anyway, so they simply never match — the check
-  // guards hand-placed or corrupt objects.
-  if (abi() != 5) {
+  // ABI 6 = the serial-batch (SoA) entry point over a header-free unit
+  // with the embedded vmath runtime, plus the task entry points iff the
+  // unit was built with `tasks`; whole-system calls use the batch at
+  // nb=1. Stale cache entries can't satisfy this loader; their source
+  // hash differs anyway, so they simply never match — the check guards
+  // hand-placed or corrupt objects.
+  if (abi() != 6) {
     why = "ABI version mismatch in " + so.string();
     return nullptr;
   }
   if (n_state() != parallel.n_state ||
-      n_tasks() != parallel.tasks.size()) {
+      (opts.tasks && n_tasks() != parallel.tasks.size())) {
     why = "stale cache entry shape mismatch in " + so.string();
     return nullptr;
   }
-  state->table = task_table_from_program(parallel);
+  if (opts.tasks) {
+    state->table = task_table_from_program(parallel);
+  }
   return state;
 }
 
@@ -439,8 +457,8 @@ KernelInstance make_native_kernel(const model::FlatSystem& flat,
   std::string why;
   std::shared_ptr<NativeState> state;
   try {
-    state = build_module(compose_source(flat, set, plan), parallel, opts,
-                         why);
+    state = build_module(compose_source(flat, set, plan, opts.tasks),
+                         parallel, opts, why);
   } catch (const std::exception& e) {
     why = e.what();
   }
@@ -451,10 +469,13 @@ KernelInstance make_native_kernel(const model::FlatSystem& flat,
 
   static obs::Counter& calls =
       obs::Registry::global().counter("rhs.calls.native");
+  // Without the task form the kernel has no run_task: a null TaskFn and
+  // table make has_tasks() false and num_tasks() 0.
   auto view = std::make_shared<RhsKernel>(
-      Backend::kNative, state.get(), &native_eval, &native_task,
-      parallel.n_state, parallel.n_out,
-      /*num_lanes=*/SIZE_MAX, &state->table, &calls, &native_eval_batch);
+      Backend::kNative, state.get(), &native_eval,
+      opts.tasks ? &native_task : nullptr, parallel.n_state, parallel.n_out,
+      /*num_lanes=*/SIZE_MAX, opts.tasks ? &state->table : nullptr, &calls,
+      &native_eval_batch);
   return KernelInstance(std::move(view), std::move(state));
 }
 

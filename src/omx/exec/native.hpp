@@ -3,12 +3,20 @@
 // interpreted).
 //
 // make_native_kernel takes the emitted C++ from
-// codegen::emit_cpp_serial_batch / emit_cpp_parallel, composes one
-// translation unit, compiles it at runtime with the host toolchain into a
-// shared object (cached under a build directory keyed by source hash),
-// dlopens it and wraps the exported entry points in an exec::RhsKernel.
-// The unit has no scalar serial form: the kernel's whole-system eval is
-// the batched rhs_batch at nb=1, bitwise equal to a scalar evaluation.
+// codegen::emit_cpp_serial_batch (and, with NativeOptions::tasks,
+// codegen::emit_cpp_parallel), composes one translation unit, compiles it
+// at runtime with the host toolchain into a shared object (cached under a
+// build directory keyed by source hash), dlopens it and wraps the
+// exported entry points in an exec::RhsKernel.
+//
+// The unit (ABI 6) is the vmath runtime plus the batched rhs_batch behind
+// omx_rhs_serial_batch. It has no scalar serial form: the kernel's
+// whole-system eval is rhs_batch at nb=1, bitwise equal to a scalar
+// evaluation. The parallel-task switch (omx_num_tasks / omx_rhs_task)
+// is compiled in only when `tasks` is set; without it the kernel has no
+// run_task (has_tasks() is false), so runtime::WorkerPool and
+// runtime::ParallelRhs reject it. The two units hash differently, so they
+// are cached side by side.
 //
 // Graceful degradation: when no host compiler is available (or the
 // compile/load fails), the factory emits a one-line diagnostic and
@@ -41,6 +49,11 @@ struct NativeOptions {
   bool force_fallback = false;
   /// Lanes for the interpreter fallback kernel.
   std::size_t fallback_lanes = 1;
+  /// Also compile the parallel-task switch, so the kernel supports
+  /// run_task (WorkerPool / ParallelRhs). Off by default: the switch
+  /// costs a large share of the host compile and only the
+  /// equation-level parallel path calls it.
+  bool tasks = false;
 };
 
 /// True if a host C++ compiler was found (cached after the first probe).

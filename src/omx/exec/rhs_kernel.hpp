@@ -13,7 +13,9 @@
 //  * eval_batch: nb scenarios at once, SoA layout     (ensemble driver)
 //
 // The native backend compiles no scalar form: its eval is eval_batch
-// at width 1 (at nb=1 the SoA layout is the plain state vector).
+// at width 1 (at nb=1 the SoA layout is the plain state vector). It has
+// run_task only when built with exec::NativeOptions::tasks; otherwise
+// has_tasks() is false and num_tasks() is 0.
 //
 // The batched entry point uses structure-of-arrays layout: state i of
 // scenario j lives at y_soa[i * nb + j], output slot s of scenario j at

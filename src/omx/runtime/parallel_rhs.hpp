@@ -29,7 +29,8 @@ struct ParallelRhsOptions {
 
 class ParallelRhs {
  public:
-  /// `kernel` must have a task decomposition and outlive this object.
+  /// `kernel` must have a task decomposition (see WorkerPool) and
+  /// outlive this object.
   ParallelRhs(const exec::RhsKernel& kernel,
               const ParallelRhsOptions& opts);
 

@@ -35,8 +35,11 @@ WorkerPool::WorkerPool(const exec::RhsKernel& kernel, const Options& opts)
 void WorkerPool::init() {
   OMX_REQUIRE(opts_.num_workers >= 1, "need at least one worker");
   OMX_REQUIRE(opts_.compute_scale >= 1, "compute_scale must be >= 1");
-  OMX_REQUIRE(kernel_->has_tasks(),
-              "WorkerPool needs a kernel with a task decomposition");
+  if (!kernel_->has_tasks()) {
+    throw Error(
+        "WorkerPool needs a kernel with a task decomposition; a native "
+        "kernel has one only when built with NativeOptions::tasks");
+  }
   OMX_REQUIRE(kernel_->num_lanes() >= opts_.num_workers,
               "kernel has fewer lanes than workers");
   obs::Registry& reg = obs::Registry::global();

@@ -91,8 +91,9 @@ class WorkerPool {
   /// The Options::sample_hz default: OMX_OBS_SAMPLE_HZ, unset -> 0.
   static double sample_hz_env_default();
 
-  /// `kernel` must have a task decomposition, at least num_workers
-  /// concurrency lanes, and must outlive the pool.
+  /// `kernel` must have a task decomposition (throws omx::Error if not:
+  /// a native kernel has one only when built with NativeOptions::tasks),
+  /// at least num_workers concurrency lanes, and must outlive the pool.
   WorkerPool(const exec::RhsKernel& kernel, const Options& opts);
   ~WorkerPool();
 

@@ -113,8 +113,9 @@ TEST(NativeBackend, TaskCompositionReproducesSerialEval) {
         cfg.n_rollers = 4;
         return models::build_bearing(ctx, cfg);
       });
-  const KernelInstance native =
-      cm.make_kernel(Backend::kNative, test_kernel_opts());
+  pipeline::KernelOptions ko = test_kernel_opts();
+  ko.native.tasks = true;
+  const KernelInstance native = cm.make_kernel(Backend::kNative, ko);
   if (native.backend() != Backend::kNative) {
     GTEST_SKIP() << "no host compiler; native backend unavailable";
   }
@@ -144,8 +145,9 @@ TEST(NativeBackend, WorkerPoolComposesNativeTasks) {
         cfg.n_rollers = 4;
         return models::build_bearing(ctx, cfg);
       });
-  const KernelInstance native =
-      cm.make_kernel(Backend::kNative, test_kernel_opts());
+  pipeline::KernelOptions ko = test_kernel_opts();
+  ko.native.tasks = true;
+  const KernelInstance native = cm.make_kernel(Backend::kNative, ko);
   if (native.backend() != Backend::kNative) {
     GTEST_SKIP() << "no host compiler; native backend unavailable";
   }
@@ -185,10 +187,55 @@ TEST(NativeBackend, SecondBuildHitsCache) {
             hits_before);
 }
 
-TEST(NativeBackend, UnitCarriesOnlyTheBatchedAndTaskForms) {
-  // Whole-system eval is rhs_batch at nb=1 (ABI 5), so the unit defines
-  // no scalar serial rhs and, for a model with when clauses, none of the
-  // event bodies that came with it.
+TEST(NativeBackend, ParallelRhsRejectsKernelWithoutTasks) {
+  // A default native kernel has no task form, so the worker pool has
+  // nothing to run: a caller error that names the option, not a Bug.
+  const pipeline::CompiledModel cm =
+      pipeline::compile_model(models::build_oscillator);
+  const KernelInstance native =
+      cm.make_kernel(Backend::kNative, test_kernel_opts());
+  if (native.backend() != Backend::kNative) {
+    GTEST_SKIP() << "no host compiler; native backend unavailable";
+  }
+  ASSERT_FALSE(native.kernel().has_tasks());
+  EXPECT_EQ(native.kernel().num_tasks(), 0u);
+  try {
+    runtime::ParallelRhs par(native.kernel(), runtime::ParallelRhsOptions{});
+    FAIL() << "ParallelRhs accepted a kernel without tasks";
+  } catch (const omx::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("NativeOptions::tasks"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// The composed translation units (.cpp) in a native cache directory.
+std::vector<std::string> composed_units(const std::filesystem::path& dir) {
+  std::vector<std::string> units;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() == ".cpp") {
+      std::ifstream in(e.path());
+      units.emplace_back(std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>());
+    }
+  }
+  return units;
+}
+
+std::size_t count_extension(const std::filesystem::path& dir,
+                             const std::string& ext) {
+  std::size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    n += e.path().extension() == ext ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(NativeBackend, DefaultUnitCarriesOnlyTheBatchedForm) {
+  // Whole-system eval is rhs_batch at nb=1 and tasks are off by default
+  // (ABI 6), so the unit defines neither the scalar serial rhs nor the
+  // parallel-task switch and, for a model with when clauses, none of the
+  // event bodies that came with the scalar form.
   namespace fs = std::filesystem;
   const pipeline::CompiledModel cm = pipeline::compile_model(
       [](expr::Context& ctx) { return models::build_bouncing_ball(ctx); });
@@ -197,25 +244,51 @@ TEST(NativeBackend, UnitCarriesOnlyTheBatchedAndTaskForms) {
   pipeline::KernelOptions ko;
   ko.native.cache_dir = dir.string();
   if (cm.make_kernel(Backend::kNative, ko).backend() != Backend::kNative) {
+    fs::remove_all(dir);
     GTEST_SKIP() << "no host compiler; native backend unavailable";
   }
-  std::string unit;
-  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
-    if (e.path().extension() == ".cpp") {
-      std::ifstream in(e.path());
-      unit.assign(std::istreambuf_iterator<char>(in), {});
-    }
-  }
+  const std::vector<std::string> units = composed_units(dir);
   fs::remove_all(dir);
-  ASSERT_FALSE(unit.empty()) << "no composed unit in the cache";
-  EXPECT_NE(unit.find("int omx_abi_version() { return 5; }"),
+  ASSERT_EQ(units.size(), 1u);
+  const std::string& unit = units[0];
+  EXPECT_NE(unit.find("int omx_abi_version() { return 6; }"),
             std::string::npos);
   EXPECT_NE(unit.find("void rhs_batch("), std::string::npos);
-  EXPECT_NE(unit.find("void rhs(int worker_id,"), std::string::npos);
+  EXPECT_EQ(unit.find("namespace omx_parallel"), std::string::npos);
+  EXPECT_EQ(unit.find("omx_rhs_task"), std::string::npos);
+  EXPECT_EQ(unit.find("void rhs(int worker_id,"), std::string::npos);
   EXPECT_EQ(unit.find("void rhs(double t,"), std::string::npos);
   EXPECT_EQ(unit.find("omx_rhs_serial("), std::string::npos);
   EXPECT_EQ(unit.find("event_guard"), std::string::npos);
   EXPECT_EQ(unit.find("event_apply"), std::string::npos);
+}
+
+TEST(NativeBackend, CacheDirWithQuoteAndSpaceBuildsNative) {
+  // The cache paths go into the host compiler's shell command; a ' or a
+  // space in them must not turn the build into a silent fallback.
+  namespace fs = std::filesystem;
+  const pipeline::CompiledModel cm =
+      pipeline::compile_model(models::build_oscillator);
+  if (cm.make_kernel(Backend::kNative, test_kernel_opts()).backend() !=
+      Backend::kNative) {
+    GTEST_SKIP() << "no host compiler; native backend unavailable";
+  }
+  const fs::path dir = fs::temp_directory_path() / "omx-test it's quoted";
+  fs::remove_all(dir);
+  pipeline::KernelOptions ko;
+  ko.native.cache_dir = dir.string();
+  const KernelInstance k = cm.make_kernel(Backend::kNative, ko);
+  const std::size_t objects = count_extension(dir, ".so");
+  const std::size_t logs = count_extension(dir, ".log");
+  fs::remove_all(dir);
+  ASSERT_EQ(k.backend(), Backend::kNative);
+  EXPECT_EQ(objects, 1u);
+  EXPECT_EQ(logs, 1u);
+  const std::vector<double> y = start_state(cm);
+  std::vector<double> ydot(cm.n());
+  k.kernel()(0.0, y, ydot);
+  EXPECT_DOUBLE_EQ(ydot[0], y[1]);
+  EXPECT_DOUBLE_EQ(ydot[1], -y[0]);
 }
 
 TEST(NativeBackend, ForceFallbackDegradesToInterp) {
@@ -694,6 +767,72 @@ TEST(NativeBackend, HeaderFreeUnitResolvesEveryFunction) {
                 std::bit_cast<std::uint64_t>(got[i]))
           << "native batch not bitwise, lane " << j << " slot " << i;
     }
+  }
+}
+
+TEST(NativeBackend, TaskUnitAddsTheSwitchAndKeepsEveryBit) {
+  // tasks = true adds the parallel-task switch and its exports to the
+  // same unit; the two units cache side by side and their eval and
+  // eval_batch outputs are bitwise equal.
+  namespace fs = std::filesystem;
+  const pipeline::CompiledModel cm = compile_bearing4();
+  const fs::path dir = fs::temp_directory_path() / "omx-test-two-units";
+  fs::remove_all(dir);
+  pipeline::KernelOptions ko;
+  ko.native.cache_dir = dir.string();
+  const KernelInstance plain = cm.make_kernel(Backend::kNative, ko);
+  ko.native.tasks = true;
+  const KernelInstance tasked = cm.make_kernel(Backend::kNative, ko);
+  if (plain.backend() != Backend::kNative) {
+    fs::remove_all(dir);
+    GTEST_SKIP() << "no host compiler; native backend unavailable";
+  }
+  const std::size_t objects = count_extension(dir, ".so");
+  const std::vector<std::string> units = composed_units(dir);
+  fs::remove_all(dir);
+  ASSERT_EQ(tasked.backend(), Backend::kNative);
+  EXPECT_EQ(objects, 2u);
+  ASSERT_EQ(units.size(), 2u);
+  std::size_t with_switch = 0;
+  for (const std::string& unit : units) {
+    EXPECT_NE(unit.find("int omx_abi_version() { return 6; }"),
+              std::string::npos);
+    EXPECT_NE(unit.find("void rhs_batch("), std::string::npos);
+    if (unit.find("namespace omx_parallel") != std::string::npos) {
+      ++with_switch;
+      EXPECT_NE(unit.find("void rhs(int worker_id,"), std::string::npos);
+      EXPECT_NE(unit.find("omx_rhs_task"), std::string::npos);
+    }
+  }
+  EXPECT_EQ(with_switch, 1u);
+  EXPECT_FALSE(plain.kernel().has_tasks());
+  EXPECT_EQ(plain.kernel().num_tasks(), 0u);
+  ASSERT_TRUE(tasked.kernel().has_tasks());
+  EXPECT_EQ(tasked.kernel().num_tasks(), cm.plan.tasks.size());
+
+  const std::size_t n = cm.n();
+  const auto expect_bitwise = [](const std::vector<double>& got,
+                                 const std::vector<double>& want,
+                                 const std::string& what) {
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << what << ", output " << i;
+    }
+  };
+  std::vector<double> a(n), b(n);
+  plain.kernel()(0.1, start_state(cm), a);
+  tasked.kernel()(0.1, start_state(cm), b);
+  expect_bitwise(b, a, "eval");
+  for (const std::size_t nb : {std::size_t{1}, std::size_t{3},
+                               std::size_t{16}}) {
+    const BatchFixture fx(cm, nb);
+    std::vector<double> pa(n * nb), pb(n * nb);
+    plain.kernel().eval_batch(0, nb, fx.ts.data(), fx.y_soa.data(),
+                              pa.data());
+    tasked.kernel().eval_batch(0, nb, fx.ts.data(), fx.y_soa.data(),
+                               pb.data());
+    expect_bitwise(pb, pa, "eval_batch nb=" + std::to_string(nb));
   }
 }
 
