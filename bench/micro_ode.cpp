@@ -3,7 +3,6 @@
 
 #include <cmath>
 
-#include "omx/ode/auto_switch.hpp"
 #include "omx/ode/solve.hpp"
 
 namespace {

@@ -120,9 +120,13 @@ if [[ $MODE == tsan ]]; then
   # StiffPath.EnsembleColoredFdOnMultiLaneInterpMatchesSequential: four
   # BDF workers whose colored-FD Jacobians must each stay on their own
   # interpreter lane.
+  # Ensemble|SolveDispatch|AutoSwitch covers the multistep lane stepper
+  # (kAdamsPece, kBdf, kLsodaLike) that ensemble workers now run side by
+  # side, including Ensemble.MultistepLanesMatchIndividualSolves at two
+  # workers.
   OMX_POOL_STEALING=1 OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-      -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|Svc|Event|Hybrid|NativeBackend|StiffPath|SparseLu'
+      -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|Svc|Event|Hybrid|NativeBackend|StiffPath|SparseLu|Ensemble|SolveDispatch|AutoSwitch'
   echo "CI OK (TSan)"
   exit 0
 fi

@@ -33,7 +33,7 @@ enum class StepEventKind : std::uint8_t {
   kJacEvaluate,    // fresh Jacobian values computed
   kJacFactorize,   // iteration matrix M = I - beta*h*J (re)factorized
   kJacReuse,       // beta*h changed, Jacobian values reused (LSODA-style)
-  kMethodSwitch,   // auto_switch changed integrators; method = target
+  kMethodSwitch,   // kLsodaLike changed integrators; method = target
   kLanePack,       // ensemble: scenario seeded into an empty/new batch
   kLaneRefill,     // ensemble: scenario joined a batch mid-flight
   kLaneRetire,     // ensemble: scenario finished and left its batch

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "omx/obs/recorder.hpp"
-#include "omx/obs/trace.hpp"
-#include "omx/ode/events.hpp"
 
 namespace omx::ode {
 
@@ -17,7 +15,7 @@ constexpr double kAm[4] = {9.0 / 24, 19.0 / 24, -5.0 / 24, 1.0 / 24};
 constexpr double kMilne = 19.0 / 270.0;
 }  // namespace
 
-AdamsStepper::AdamsStepper(const Problem& p, const AdamsOptions& opts)
+AdamsStepper::AdamsStepper(const Problem& p, const SolverOptions& opts)
     : p_(p), opts_(opts), y_(p.n) {
   restart(p.t0, p.y0, opts.h0);
 }
@@ -231,77 +229,5 @@ double AdamsStepper::stiffness_ratio() {
   const double lambda_rough = probe(rough);
   return h_ * std::max(lambda_flow, lambda_rough);
 }
-
-namespace detail {
-
-SolverStats adams_pece(const Problem& p, const AdamsOptions& opts,
-                       TrajectorySink& sink, std::uint32_t scenario) {
-  p.validate();
-  obs::Span solve_span("adams_pece", "ode");
-  AdamsStepper stepper(p, opts);
-  TrajectoryWriter rec(sink, scenario, p.n);
-  rec.append(p.t0, p.y0);
-
-  EventHandler events(p.events, p.n);
-  std::vector<double> yprev(p.n);
-  // The Adams step has no native continuous extension (the f history is
-  // rebuilt wholesale on restarts), so localization interpolates each
-  // jump with cubic Hermite from on-demand endpoint derivatives.
-  auto make_dense = [&](double tp, const std::vector<double>& yp) {
-    return hermite_by_rhs(p, tp, yp, stepper.t(), stepper.y(),
-                          stepper.stats());
-  };
-  bool terminated = false;
-  if (events.armed()) {
-    events.prime(p.t0, p.y0);
-    // The construction rebuild already advanced a few RK4 substeps —
-    // sweep that jump before committing the post-rebuild point.
-    yprev = p.y0;
-    terminated = sweep_stepper_events(events, stepper, "adams", p.t0,
-                                      yprev, rec, make_dense);
-  }
-  // The history rebuild already advanced a few RK4 steps; record them.
-  rec.append(stepper.t(), stepper.y());
-
-  std::size_t accepted = 0;
-  std::size_t attempts = 0;
-  while (!terminated && stepper.t() < p.tend) {
-    poll_cancel(opts.cancel, "adams");
-    if (++attempts > opts.max_steps) {
-      throw omx::Error("adams: max_steps exceeded");
-    }
-    const double tprev = stepper.t();
-    if (events.armed()) {
-      yprev.assign(stepper.y().begin(), stepper.y().end());
-    }
-    const bool ok = stepper.step();
-    // Rejected attempts also move time (the shrink-rebuild advances a
-    // few substeps), so the sweep runs on every attempt that did.
-    if (events.armed() &&
-        sweep_stepper_events(events, stepper, "adams", tprev, yprev, rec,
-                             make_dense)) {
-      terminated = true;
-      break;
-    }
-    if (ok) {
-      ++accepted;
-      if (accepted % opts.record_every == 0 || stepper.t() >= p.tend) {
-        rec.append(stepper.t(), stepper.y());
-      }
-    }
-  }
-  const SolverStats stats = stepper.stats();
-  publish_solver_stats(stats);
-  rec.finish(stats);
-  return stats;
-}
-
-Solution adams_pece(const Problem& p, const AdamsOptions& opts) {
-  SolutionSink sink;
-  adams_pece(p, opts, sink);
-  return sink.take();
-}
-
-}  // namespace detail
 
 }  // namespace omx::ode

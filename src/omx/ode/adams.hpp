@@ -1,30 +1,21 @@
 // Adams-Bashforth-Moulton predictor-corrector (PECE), order 4, with
-// adaptive step size — the non-stiff half of the LSODA-style switching
-// driver (§3.2.1; Petzold 1983).
+// adaptive step size — kAdamsPece, and the non-stiff half of kLsodaLike
+// (§3.2.1; Petzold 1983). The step loop around it is the multistep lane
+// stepper in ode/ensemble.cpp.
 //
 // Startup and every step-size change rebuild the derivative history with
 // RK4 substeps. The local error estimate is the standard Milne device:
 // the predictor/corrector difference scaled by the method constant.
 #pragma once
 
-#include "omx/ode/sink.hpp"
+#include "omx/ode/solve.hpp"
 
 namespace omx::ode {
 
-struct AdamsOptions {
-  Tolerances tol{};
-  double h0 = 0.0;  // 0 = automatic
-  double hmax = 0.0;
-  std::size_t max_steps = 1000000;
-  std::size_t record_every = 1;
-  /// Polled once per step attempt; throws Cancelled when it reads true.
-  const std::atomic<bool>* cancel = nullptr;
-};
-
-/// Single-step driver used by the auto-switching solver.
+/// Single-step driver; reads tol, h0 and hmax from the options.
 class AdamsStepper {
  public:
-  AdamsStepper(const Problem& p, const AdamsOptions& opts);
+  AdamsStepper(const Problem& p, const SolverOptions& opts);
 
   /// Initializes (or re-initializes) at (t, y) with step h (0 = auto).
   void restart(double t, std::span<const double> y, double h);
@@ -60,7 +51,7 @@ class AdamsStepper {
                 std::span<double> out);
 
   const Problem& p_;
-  AdamsOptions opts_;
+  SolverOptions opts_;
   double t_ = 0.0;
   double h_ = 0.0;
   std::vector<double> y_;
@@ -72,14 +63,5 @@ class AdamsStepper {
   bool just_grew_ = false;
   SolverStats stats_;
 };
-
-namespace detail {
-/// Streaming core: accepted steps flow to `sink` under scenario id
-/// `scenario`; the returned statistics are also delivered via finish().
-SolverStats adams_pece(const Problem& p, const AdamsOptions& opts,
-                       TrajectorySink& sink, std::uint32_t scenario = 0);
-/// Compatibility wrapper: collects the stream into a Solution.
-Solution adams_pece(const Problem& p, const AdamsOptions& opts);
-}  // namespace detail
 
 }  // namespace omx::ode

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "omx/obs/recorder.hpp"
-#include "omx/obs/trace.hpp"
 
 namespace omx::ode {
 
@@ -53,12 +52,10 @@ void extrapolate(const std::vector<std::vector<double>>& hist, int points,
 
 }  // namespace
 
-BdfStepper::BdfStepper(const Problem& p, const BdfOptions& opts)
+BdfStepper::BdfStepper(const Problem& p, const SolverOptions& opts)
     : p_(p),
       opts_(opts),
-      jac_engine_(p, JacobianEngine::Config{opts.jac_threads,
-                                           opts.jac_max_age,
-                                           /*slow_iters=*/5}),
+      jac_engine_(p, JacobianEngine::Config{.jac_threads = opts.jac_threads}),
       history_(kHistory, std::vector<double>(p.n)),
       rhs_const_(p.n),
       predictor_(p.n),
@@ -67,9 +64,9 @@ BdfStepper::BdfStepper(const Problem& p, const BdfOptions& opts)
       f_(p.n),
       g_(p.n),
       dy_(p.n) {
-  OMX_REQUIRE(opts_.max_order >= 1 && opts_.max_order <= 5,
+  OMX_REQUIRE(opts_.bdf_max_order >= 1 && opts_.bdf_max_order <= 5,
               "BDF order must be in 1..5");
-  double h = opts.fixed_h > 0.0 ? opts.fixed_h : opts.h0;
+  double h = opts.bdf_fixed_h > 0.0 ? opts.bdf_fixed_h : opts.h0;
   restart(p.t0, p.y0, h);
 }
 
@@ -95,14 +92,14 @@ void BdfStepper::restart(double t, std::span<const double> y, double h) {
   const double hmax = opts_.hmax > 0.0 ? opts_.hmax : (p_.tend - p_.t0);
   h_ = std::min(h_, hmax);
 
-  if (opts_.fixed_h > 0.0 && opts_.max_order > 1) {
+  if (opts_.bdf_fixed_h > 0.0 && opts_.bdf_max_order > 1) {
     // Fixed-step mode: bootstrap an accurate uniform history with finely
     // sub-stepped RK4 so every subsequent step is pure order-k BDF (the
     // convergence-order tests rely on this).
     std::vector<double> ycur(history_.front());
     std::vector<double> k1(p_.n), k2(p_.n), k3(p_.n), k4(p_.n), tmp(p_.n),
         next(p_.n);
-    for (int m = 1; m < opts_.max_order; ++m) {
+    for (int m = 1; m < opts_.bdf_max_order; ++m) {
       const int sub = 20;
       const double hs = h_ / sub;
       double ts = t_;
@@ -127,7 +124,7 @@ void BdfStepper::restart(double t, std::span<const double> y, double h) {
       ++stats_.steps;
       push_history(ycur);
     }
-    order_ = opts_.max_order;
+    order_ = opts_.bdf_max_order;
   }
 }
 
@@ -179,7 +176,7 @@ bool BdfStepper::newton_solve(double t1, std::span<const double> predictor,
 
 bool BdfStepper::step() {
   const std::size_t n = p_.n;
-  const bool fixed = opts_.fixed_h > 0.0;
+  const bool fixed = opts_.bdf_fixed_h > 0.0;
   const double rem = p_.tend - t_;
   // Treat a remainder within roundoff of h_ as a full step.
   const bool full_step = rem >= h_ * (1.0 - 1e-9);
@@ -271,7 +268,7 @@ bool BdfStepper::step() {
   if (fixed || err <= 1.0) {
     t_ += h;
     push_history(ynew_);
-    if (!clipped && order_ < opts_.max_order &&
+    if (!clipped && order_ < opts_.bdf_max_order &&
         static_cast<int>(hist_len_) > order_) {
       ++order_;
     }
@@ -329,79 +326,5 @@ bool BdfStepper::step() {
   }
   return false;
 }
-
-namespace detail {
-
-SolverStats bdf(const Problem& p, const BdfOptions& opts,
-                TrajectorySink& sink, std::uint32_t scenario) {
-  p.validate();
-  obs::Span solve_span("bdf", "ode");
-  BdfStepper stepper(p, opts);
-  TrajectoryWriter rec(sink, scenario, p.n);
-  rec.append(p.t0, p.y0);
-
-  EventHandler events(p.events, p.n);
-  std::vector<double> yprev(p.n);
-  // Localization interpolates the BDF history polynomial itself; the
-  // sweep's restart() truncates the history and invalidates the
-  // JacobianEngine, so the first post-event step re-evaluates rather
-  // than reusing a stale factorization.
-  auto make_dense = [&](double, const std::vector<double>&) {
-    return stepper.last_step_dense();
-  };
-  if (events.armed()) {
-    events.prime(p.t0, p.y0);
-    // The fixed-step bootstrap (fixed_h mode) advances RK4 substeps at
-    // construction; sweep that jump like any other.
-    yprev = p.y0;
-    if (sweep_stepper_events(events, stepper, "bdf", p.t0, yprev, rec,
-                             make_dense)) {
-      const SolverStats stats = stepper.stats();
-      publish_solver_stats(stats);
-      rec.finish(stats);
-      return stats;
-    }
-  }
-
-  std::size_t accepted = 0;
-  std::size_t attempts = 0;
-  bool terminated = false;
-  while (!terminated && stepper.t() < p.tend) {
-    poll_cancel(opts.cancel, "bdf");
-    if (++attempts > opts.max_steps) {
-      throw omx::Error("bdf: max_steps exceeded");
-    }
-    const double tprev = stepper.t();
-    if (stepper.step()) {
-      const std::size_t fired_before = events.events_fired();
-      if (events.armed() &&
-          sweep_stepper_events(events, stepper, "bdf", tprev, yprev, rec,
-                               make_dense)) {
-        terminated = true;
-        break;
-      }
-      ++accepted;
-      // An event rolled the stepper back to the crossing and recorded
-      // its pre/post rows; the step's original endpoint is void, so the
-      // cadence row would just duplicate the event time.
-      if (events.events_fired() == fired_before &&
-          (accepted % opts.record_every == 0 || stepper.t() >= p.tend)) {
-        rec.append(stepper.t(), stepper.y());
-      }
-    }
-  }
-  const SolverStats stats = stepper.stats();
-  publish_solver_stats(stats);
-  rec.finish(stats);
-  return stats;
-}
-
-Solution bdf(const Problem& p, const BdfOptions& opts) {
-  SolutionSink sink;
-  bdf(p, opts, sink);
-  return sink.take();
-}
-
-}  // namespace detail
 
 }  // namespace omx::ode

@@ -9,7 +9,8 @@
 // factorizations are reused across Newton iterations and steps, a
 // beta*h change alone refactors with the existing Jacobian values, and
 // only divergence, slow convergence, or age re-evaluates the Jacobian
-// (LSODA-style; see ode/jacobian.hpp).
+// (LSODA-style; see ode/jacobian.hpp). The step loop around it is the
+// multistep lane stepper in ode/ensemble.cpp.
 #pragma once
 
 #include <memory>
@@ -17,33 +18,15 @@
 #include "omx/la/lu.hpp"
 #include "omx/ode/events.hpp"
 #include "omx/ode/jacobian.hpp"
-#include "omx/ode/sink.hpp"
+#include "omx/ode/solve.hpp"
 
 namespace omx::ode {
 
-struct BdfOptions {
-  Tolerances tol{};
-  int max_order = 2;   // 1..5; adaptive runs ramp up to this order
-  double h0 = 0.0;     // 0 = automatic
-  double hmax = 0.0;
-  std::size_t max_steps = 1000000;
-  std::size_t newton_max_iters = 8;
-  std::size_t record_every = 1;
-  /// Fixed-step mode (no error control) when > 0 — used by the
-  /// convergence-order tests.
-  double fixed_h = 0.0;
-  /// Color-group evaluation threads for the compressed-FD Jacobian
-  /// (takes effect only with a bound batch_rhs; see colored_fd_jacobian).
-  int jac_threads = 1;
-  /// Accepted steps a Jacobian may age before a forced re-evaluation.
-  std::size_t jac_max_age = 20;
-  /// Polled once per step attempt; throws Cancelled when it reads true.
-  const std::atomic<bool>* cancel = nullptr;
-};
-
+/// Single-step driver; reads tol, bdf_max_order, h0, hmax,
+/// newton_max_iters, bdf_fixed_h and jac_threads from the options.
 class BdfStepper {
  public:
-  BdfStepper(const Problem& p, const BdfOptions& opts);
+  BdfStepper(const Problem& p, const SolverOptions& opts);
 
   void restart(double t, std::span<const double> y, double h);
 
@@ -78,7 +61,7 @@ class BdfStepper {
   void push_history(std::span<const double> y);
 
   const Problem& p_;
-  BdfOptions opts_;
+  SolverOptions opts_;
   JacobianEngine jac_engine_;
 
   double t_ = 0.0;
@@ -99,14 +82,5 @@ class BdfStepper {
   std::size_t last_newton_iters_ = 0;
   SolverStats stats_;
 };
-
-namespace detail {
-/// Streaming core: accepted steps flow to `sink` under scenario id
-/// `scenario`; the returned statistics are also delivered via finish().
-SolverStats bdf(const Problem& p, const BdfOptions& opts,
-                TrajectorySink& sink, std::uint32_t scenario = 0);
-/// Compatibility wrapper: collects the stream into a Solution.
-Solution bdf(const Problem& p, const BdfOptions& opts);
-}  // namespace detail
 
 }  // namespace omx::ode

@@ -7,7 +7,10 @@
 #include <cmath>
 #include <cstdint>
 #include <exception>
+#include <limits>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -16,6 +19,8 @@
 #include "omx/obs/recorder.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/obs/trace.hpp"
+#include "omx/ode/adams.hpp"
+#include "omx/ode/bdf.hpp"
 #include "omx/ode/events.hpp"
 #include "omx/ode/jacobian.hpp"
 #include "omx/runtime/task_deque.hpp"
@@ -110,9 +115,9 @@ void unpack_col(const double* soa, std::size_t nb, std::size_t j,
 
 // ----------------------------------------------------------- steppers
 //
-// The one implementation of kExplicitEuler, kRk4 and kDopri5. A stepper
-// integrates a set of lanes (scenarios) in lockstep: one round() is one
-// step attempt for every lane, with each stage's RHS evaluations fused
+// The one implementation of every Method. A stepper integrates a set of
+// lanes (scenarios) in lockstep: one round() is one step attempt for
+// every lane. The explicit steppers fuse each stage's RHS evaluations
 // into one batched call. Every lane keeps its own t, h, step control and
 // events, and batched kernels are lane-independent, so a lane's
 // trajectory is the same whichever lanes share its batch. ode::solve is
@@ -145,7 +150,11 @@ class StepperBase {
  public:
   const Problem& p;
   const SolverOptions& o;
-  const char* const method_name;  // literal
+  const char* const method_name;  // literal: step, cancel and error label
+
+  /// Widest batch the stepper takes.
+  static constexpr std::size_t kMaxLanes =
+      std::numeric_limits<std::size_t>::max();
 
   std::size_t active() const { return lanes_.size(); }
 
@@ -664,6 +673,343 @@ class Dopri5Stepper : public StepperBase<Dopri5Lane> {
   double hmax_;
 };
 
+// kLsodaLike switch heuristics (§3.2.1; Petzold 1983). They are simpler
+// than LSODA's method-order cost comparison but show the same
+// behaviour on stiff/non-stiff transitions.
+//
+// Primary stiffness detector: every kStiffnessCheckInterval accepted
+// Adams steps, measure sigma = h * lambda_est (see
+// AdamsStepper::stiffness_ratio); kStiffSigmaConfirmations consecutive
+// readings above kStiffSigma mean the explicit method is
+// stability-limited, so switch to BDF.
+constexpr std::size_t kStiffnessCheckInterval = 20;
+constexpr double kStiffSigma = 0.8;
+constexpr std::size_t kStiffSigmaConfirmations = 2;
+// Fallbacks: switch when the Adams step collapses below kStiffHFraction
+// of the span, or after kStiffRejectLimit consecutive rejections.
+constexpr double kStiffHFraction = 1e-5;
+constexpr std::size_t kStiffRejectLimit = 8;
+// Switch back when BDF runs at h above kNonstiffHFraction of the span
+// with Newton converging in at most 2 iterations kNonstiffStreak times
+// in a row.
+constexpr double kNonstiffHFraction = 1e-3;
+constexpr std::size_t kNonstiffStreak = 20;
+
+/// One stretch of a multistep lane on one method. Its problem starts at
+/// the segment's (t, y), which sets the stepper's default hmax and its
+/// fallback initial step. Exactly one stepper is engaged; both hold a
+/// reference to `p`, so a segment never moves.
+struct Segment {
+  Problem p;
+  std::optional<AdamsStepper> adams;
+  std::optional<BdfStepper> bdf;
+};
+
+struct MultistepLane : LaneCore {
+  std::unique_ptr<Segment> seg;  // null once the lane is done
+  std::size_t accepted = 0, attempts = 0;
+  // kLsodaLike switch state of the current segment.
+  std::size_t seg_accepted = 0, since_check = 0, sigma_hits = 0,
+              easy_streak = 0;
+  Vec yprev;  // armed lanes: the jump's start, for the Hermite interpolant
+};
+
+/// Calls `f` on the segment's engaged stepper.
+template <typename F>
+decltype(auto) visit(Segment& s, F&& f) {
+  return s.adams ? f(*s.adams) : f(*s.bdf);
+}
+
+void add_stats(SolverStats& into, const SolverStats& from) {
+  into.rhs_calls += from.rhs_calls;
+  into.jac_calls += from.jac_calls;
+  into.steps += from.steps;
+  into.rejected += from.rejected;
+  into.newton_iters += from.newton_iters;
+  into.method_switches += from.method_switches;
+  into.jac_factorizations += from.jac_factorizations;
+  into.jac_reuse_hits += from.jac_reuse_hits;
+  into.events += from.events;
+  into.events_terminal += from.events_terminal;
+}
+
+/// kAdamsPece, kBdf and kLsodaLike. Each lane runs an AdamsStepper or a
+/// BdfStepper, which evaluate the lane problem's RHS themselves: lanes
+/// share no RHS call, so a batch holds one lane. kAdamsPece and kBdf run
+/// one segment; kLsodaLike starts on Adams and starts a new segment at
+/// every switch.
+class MultistepStepper : public StepperBase<MultistepLane> {
+ public:
+  static constexpr std::size_t kMaxLanes = 1;
+
+  MultistepStepper(const Problem& pp, const SolverOptions& oo, Method method,
+                   std::size_t lane, TrajectorySink& sink, bool batched)
+      : StepperBase(pp, oo, method == Method::kAdamsPece ? "adams"
+                                                         : to_string(method),
+                    lane, sink, batched),
+        method_(method),
+        lane_p_(pp) {
+    if (batched) {
+      // Every evaluation of the lane, the colored-FD Jacobian's batched
+      // call included, runs on this worker's kernel lane; one lane also
+      // keeps the Jacobian's color groups on this thread.
+      const Problem* base = &pp;
+      lane_p_.set_rhs([base, lane](double t, std::span<const double> y,
+                                   std::span<double> ydot) {
+        base->batch_rhs(lane, 1, &t, y.data(), ydot.data());
+      });
+      lane_p_.set_batch_rhs([base, lane](std::size_t, std::size_t nb,
+                                         const double* t, const double* y,
+                                         double* ydot) {
+        base->batch_rhs(lane, nb, t, y, ydot);
+      });
+      lane_p_.batch_lanes = 1;
+    }
+    // One Jacobian plan serves every BDF segment.
+    if (method != Method::kAdamsPece && !lane_p_.jac_plan) {
+      lane_p_.jac_plan = make_jac_plan(lane_p_);
+    }
+  }
+
+  template <typename OnRetire>
+  void add(std::uint32_t scenario, std::span<const double> y0,
+           OnRetire& on_retire) {
+    MultistepLane L = make_lane(scenario, y0);
+    // kLsodaLike starts no segment on an empty span; the one-segment
+    // methods still run their start-up.
+    if (method_ != Method::kLsodaLike || L.t < p.tend) {
+      begin(L, /*bdf=*/method_ == Method::kBdf);
+    } else {
+      L.done = true;
+    }
+    join(std::move(L), on_retire);
+  }
+
+  template <typename OnRetire>
+  void round(OnRetire& on_retire) {
+    for (MultistepLane& L : lanes_) {
+      if (++L.attempts > o.max_steps) {
+        throw omx::Error(std::string(method_name) + ": max_steps exceeded");
+      }
+      if (L.seg->adams) {
+        adams_attempt(L);
+      } else {
+        bdf_attempt(L);
+      }
+    }
+    compact(on_retire);
+  }
+
+ private:
+  /// Starts a segment at the lane's (t, y). The stepper's start-up (the
+  /// Adams history rebuild, the fixed-step BDF bootstrap) may already
+  /// advance; that jump is swept for events like any other.
+  void begin(MultistepLane& L, bool bdf) {
+    SolverOptions so = o;
+    if (method_ == Method::kLsodaLike) {
+      so.bdf_fixed_h = 0.0;
+      if (L.stats.method_switches > 0) {
+        so.h0 = 0.0;  // h0 seeds the lane's first step only
+      }
+    }
+    L.seg = std::make_unique<Segment>();
+    Segment& s = *L.seg;
+    s.p = lane_p_;
+    s.p.t0 = L.t;
+    s.p.y0 = L.y;
+    if (bdf) {
+      s.bdf.emplace(s.p, so);
+    } else {
+      s.adams.emplace(s.p, so);
+    }
+    L.seg_accepted = L.since_check = L.sigma_hits = L.easy_streak = 0;
+    bool stopped = false;
+    if (L.events.armed()) {
+      L.yprev = L.y;
+      stopped = sweep(L, L.t);
+    }
+    if (method_ == Method::kAdamsPece) {
+      // kAdamsPece alone records where its start-up rebuild landed.
+      L.rec.append(s.adams->t(), s.adams->y());
+    }
+    if (stopped) {
+      end_segment(L);
+    } else {
+      advance(L);
+    }
+  }
+
+  void adams_attempt(MultistepLane& L) {
+    AdamsStepper& st = *L.seg->adams;
+    const double t_prev = st.t();
+    if (L.events.armed()) {
+      L.yprev.assign(st.y().begin(), st.y().end());
+    }
+    const bool ok = st.step();
+    // Rejected attempts also move time (the shrink-rebuild advances a
+    // few substeps), so the sweep runs on every attempt.
+    if (L.events.armed() && sweep(L, t_prev)) {
+      end_segment(L);
+      return;
+    }
+    const bool lsoda = method_ == Method::kLsodaLike;
+    bool stiff = false;
+    if (ok) {
+      ++L.seg_accepted;
+      if (count_accepted(L, st.t())) {
+        L.rec.append(st.t(), st.y());
+      }
+      if (lsoda && ++L.since_check >= kStiffnessCheckInterval &&
+          st.t() < p.tend) {
+        L.since_check = 0;
+        L.sigma_hits =
+            st.stiffness_ratio() > kStiffSigma ? L.sigma_hits + 1 : 0;
+        stiff = L.sigma_hits >= kStiffSigmaConfirmations;
+      }
+    }
+    // The automatic initial step is deliberately conservative; give the
+    // controller time to grow h before reading a small h as stiffness.
+    const bool warmed_up = L.seg_accepted >= 48;
+    if (lsoda && (stiff ||
+                  (warmed_up && st.h() < kStiffHFraction * (p.tend - p.t0)) ||
+                  st.consecutive_rejects() >= kStiffRejectLimit)) {
+      switch_to(L, /*bdf=*/true);
+      return;
+    }
+    advance(L);
+  }
+
+  void bdf_attempt(MultistepLane& L) {
+    BdfStepper& st = *L.seg->bdf;
+    const double t_prev = st.t();
+    bool relaxed = false;
+    if (st.step()) {
+      const std::size_t fired_before = L.events.events_fired();
+      if (L.events.armed() && sweep(L, t_prev)) {
+        end_segment(L);
+        return;
+      }
+      // An event rolled the stepper back to the crossing and recorded
+      // its pre/post rows; the step's original endpoint is void, so the
+      // cadence row would just duplicate the event time.
+      if (count_accepted(L, st.t()) &&
+          L.events.events_fired() == fired_before) {
+        L.rec.append(st.t(), st.y());
+      }
+      if (st.last_newton_iters() <= 2 &&
+          st.h() >= kNonstiffHFraction * (p.tend - p.t0)) {
+        relaxed = ++L.easy_streak >= kNonstiffStreak;
+      } else {
+        L.easy_streak = 0;
+      }
+    } else {
+      L.easy_streak = 0;
+    }
+    if (method_ == Method::kLsodaLike && relaxed && st.t() < p.tend) {
+      switch_to(L, /*bdf=*/false);
+      return;
+    }
+    advance(L);
+  }
+
+  /// Counts an accepted step ending at `t`; true when it is due a row
+  /// (every record_every-th step, and the step that reaches tend).
+  bool count_accepted(MultistepLane& L, double t) {
+    return ++L.accepted % o.record_every == 0 || t >= p.tend;
+  }
+
+  /// After an attempt that did not stop the lane: the lane follows its
+  /// stepper, and is done at tend.
+  void advance(MultistepLane& L) {
+    L.t = visit(*L.seg, [](auto& st) { return st.t(); });
+    if (!(L.t < p.tend)) {
+      L.done = true;
+      end_segment(L);
+    }
+  }
+
+  void end_segment(MultistepLane& L) {
+    add_stats(L.stats, visit(*L.seg, [](auto& st) -> const SolverStats& {
+                return st.stats();
+              }));
+    L.seg.reset();
+  }
+
+  /// kLsodaLike: ends the segment and starts the other method where it
+  /// stopped (a lane that reached tend just finishes).
+  void switch_to(MultistepLane& L, bool bdf) {
+    const double h = visit(*L.seg, [&](auto& st) {
+      L.t = st.t();
+      L.y.assign(st.y().begin(), st.y().end());
+      return st.h();
+    });
+    end_segment(L);
+    ++L.stats.method_switches;
+    obs::record_step(obs::StepEventKind::kMethodSwitch, bdf ? "bdf" : "adams",
+                     0, L.t, h, 0.0);
+    if (L.t < p.tend) {
+      begin(L, bdf);
+    } else {
+      L.done = true;
+    }
+  }
+
+  /// Sweeps the jump the lane's stepper just made from (t_prev, L.yprev)
+  /// for events. On a hit it records the pre/post rows and restarts the
+  /// stepper at the post-reset state (history truncation and Jacobian
+  /// invalidation live in restart()), then sweeps the restart's own
+  /// jump: an Adams history rebuild advances time, so one event can
+  /// expose another. Returns true when a terminal event stopped the lane
+  /// at L.t; the stepper is then not restarted.
+  bool sweep(MultistepLane& L, double t_prev) {
+    Segment& s = *L.seg;
+    return visit(s, [&](auto& st) {
+      while (st.t() > t_prev) {
+        const EventHandler::Hit hit =
+            L.events.check(t_prev, st.t(), st.y(), method_name, st.stats(),
+                           [&] { return dense(s.p, st, t_prev, L.yprev); });
+        if (!hit.fired) {
+          return false;
+        }
+        L.rec.append(hit.t, L.events.pre_state());
+        L.rec.append(hit.t, L.events.post_state());
+        if (hit.terminal) {
+          L.t = hit.t;
+          L.event_stopped = true;
+          L.done = true;
+          return true;
+        }
+        t_prev = hit.t;
+        L.yprev.assign(L.events.post_state().begin(),
+                       L.events.post_state().end());
+        st.restart(t_prev, L.yprev, 0.0);
+      }
+      return false;
+    });
+  }
+
+  /// The Adams step has no continuous extension (the f history is
+  /// rebuilt wholesale on restarts), so localization interpolates the
+  /// jump with cubic Hermite from endpoint derivatives.
+  static DenseOutput dense(const Problem& sp, AdamsStepper& st, double t0,
+                           std::span<const double> y0) {
+    Vec f0(sp.n), f1(sp.n);
+    sp.rhs(t0, y0, f0);
+    sp.rhs(st.t(), st.y(), f1);
+    st.stats().rhs_calls += 2;
+    return DenseOutput::hermite(t0, y0, f0, st.t(), st.y(), f1);
+  }
+
+  /// BDF localizes on its own history polynomial.
+  static DenseOutput dense(const Problem&, BdfStepper& st, double,
+                           std::span<const double>) {
+    return st.last_step_dense();
+  }
+
+  Method method_;
+  Problem lane_p_;  // the base problem, with the RHS on this worker's lane
+};
+
 // ----------------------------------------------------------- scheduling
 
 struct WorkSource {
@@ -748,42 +1094,51 @@ struct LaneLedger {
   }
 };
 
-/// Scenario-at-a-time path for the multistep/stiff methods: a plain
-/// streaming solve per scenario, routed through the batched kernel at
-/// width 1 when one is bound so concurrent workers each use their own
-/// lane.
-SolverStats solve_single(const Problem& p, Method method,
-                         const SolverOptions& opts,
-                         std::span<const double> y0, std::size_t lane,
-                         TrajectorySink& sink, std::uint32_t scenario) {
-  Problem q = p;
-  q.y0.assign(y0.begin(), y0.end());
-  if (p.batch_rhs) {
-    // Every evaluation of this scenario, the colored-FD Jacobian's
-    // batched call included, runs on the worker's own lane; one lane
-    // also keeps the Jacobian's color groups on this thread.
-    const Problem* base = &p;
-    q.set_rhs([base, lane](double t, std::span<const double> y,
-                           std::span<double> ydot) {
-      base->batch_rhs(lane, 1, &t, y.data(), ydot.data());
-    });
-    q.set_batch_rhs([base, lane](std::size_t, std::size_t nb, const double* t,
-                                 const double* y_soa, double* ydot_soa) {
-      base->batch_rhs(lane, nb, t, y_soa, ydot_soa);
-    });
-    q.batch_lanes = 1;
+/// Runs `f` on the stepper of `method`.
+template <typename F>
+void with_stepper(const Problem& p, Method method, const SolverOptions& o,
+                  std::size_t lane, TrajectorySink& sink, bool batched,
+                  F&& f) {
+  switch (method) {
+    case Method::kExplicitEuler:
+    case Method::kRk4: {
+      FixedStepper st(p, o, method, lane, sink, batched);
+      f(st);
+      return;
+    }
+    case Method::kDopri5: {
+      Dopri5Stepper st(p, o, lane, sink, batched);
+      f(st);
+      return;
+    }
+    case Method::kAdamsPece:
+    case Method::kBdf:
+    case Method::kLsodaLike: {
+      MultistepStepper st(p, o, method, lane, sink, batched);
+      f(st);
+      return;
+    }
   }
-  return solve(q, method, opts, sink, scenario);
+  throw omx::Bug("unknown ode::Method");
 }
 
+/// One ensemble worker: fills its stepper's batch from the work source,
+/// up to `max_batch` lanes, and runs rounds until no scenario is left.
+/// Lane events and the cancel message carry the Method's name.
 template <typename Stepper>
-void run_batched_worker(Stepper& st, WorkSource& ws, std::size_t w,
-                        std::size_t max_batch, const EnsembleSpec& spec,
-                        LaneLedger& ledger) {
+void run_batched_worker(Stepper& st, Method method, WorkSource& ws,
+                        std::size_t w, std::size_t max_batch,
+                        const EnsembleSpec& spec, LaneLedger& ledger) {
+  const char* const name = to_string(method);
+  max_batch = std::min(max_batch, Stepper::kMaxLanes);
+  // A one-lane stepper integrates one scenario at a time; each gets the
+  // method span that ode::solve records.
+  std::optional<obs::Span> scenario_span;
   auto on_retire = [&](const LaneCore& L) {
-    ledger.retired(st.method_name, L.scenario, L.stats, L.event_stopped,
+    ledger.retired(name, L.scenario, L.stats, L.event_stopped,
                    L.event_stopped ? L.t : st.p.tend);
     ledger.left();
+    scenario_span.reset();
   };
   std::uint32_t s = 0;
   bool mid_flight = false;  // has this batch taken a round yet?
@@ -792,18 +1147,20 @@ void run_batched_worker(Stepper& st, WorkSource& ws, std::size_t w,
         st.o.cancel->load(std::memory_order_relaxed)) {
       lanes_cancelled_counter().add(
           st.abandon_all([&](std::uint32_t scenario, double t) {
-            obs::record_lane(obs::StepEventKind::kLaneCancel,
-                             st.method_name, scenario, t);
+            obs::record_lane(obs::StepEventKind::kLaneCancel, name, scenario,
+                             t);
             ledger.left();
           }));
-      throw Cancelled(std::string(st.method_name) +
-                      ": ensemble cancelled");
+      throw Cancelled(std::string(name) + ": ensemble cancelled");
     }
     while (st.active() < max_batch && ws.next(w, s)) {
       obs::record_lane(mid_flight ? obs::StepEventKind::kLaneRefill
                                   : obs::StepEventKind::kLanePack,
-                       st.method_name, s, st.p.t0);
+                       name, s, st.p.t0);
       ledger.joined();
+      if constexpr (Stepper::kMaxLanes == 1) {
+        scenario_span.emplace(name, "ode");
+      }
       st.add(s, spec.initial_states[s], on_retire);
     }
     const std::size_t nb = st.active();
@@ -830,20 +1187,13 @@ SolverStats solve_one_lane(const Problem& p, Method method,
   obs::Span span(to_string(method), "ode");
   SolverStats stats;
   auto on_retire = [&](const LaneCore& L) { stats = L.stats; };
-  auto run = [&](auto& st) {
+  with_stepper(p, method, opts, 0, sink, /*batched=*/false, [&](auto& st) {
     st.add(scenario, p.y0, on_retire);
     while (st.active() > 0) {
       poll_cancel(opts.cancel, st.method_name);
       st.round(on_retire);
     }
-  };
-  if (method == Method::kDopri5) {
-    Dopri5Stepper st(p, opts, 0, sink, /*batched=*/false);
-    run(st);
-  } else {
-    FixedStepper st(p, opts, method, 0, sink, /*batched=*/false);
-    run(st);
-  }
+  });
   return stats;
 }
 
@@ -876,9 +1226,9 @@ void solve_ensemble(const Problem& p, Method method,
 
   obs::Span span("solve_ensemble", "ode");
 
-  // Stiff methods go scenario-at-a-time; derive the sparsity pattern,
-  // coloring, and backend choice ONCE here and share the immutable plan
-  // across every lane's solver instead of re-deriving it per scenario.
+  // Derive the stiff methods' sparsity pattern, coloring and backend
+  // choice ONCE here and share the immutable plan across every lane's
+  // solver instead of re-deriving it per scenario.
   Problem base = p;
   if ((method == Method::kBdf || method == Method::kLsodaLike) &&
       !base.jac_plan) {
@@ -909,44 +1259,12 @@ void solve_ensemble(const Problem& p, Method method,
   std::mutex err_mutex;
   std::exception_ptr first_error;
 
-  const bool explicit_method = method == Method::kExplicitEuler ||
-                               method == Method::kRk4 ||
-                               method == Method::kDopri5;
   const bool batched = static_cast<bool>(p.batch_rhs);
-
   auto worker = [&](std::size_t w) {
     try {
-      if (method == Method::kDopri5) {
-        Dopri5Stepper st(p, opts, w, sink, batched);
-        run_batched_worker(st, ws, w, max_batch, spec, ledger);
-      } else if (explicit_method) {
-        FixedStepper st(p, opts, method, w, sink, batched);
-        run_batched_worker(st, ws, w, max_batch, spec, ledger);
-      } else {
-        std::uint32_t s = 0;
-        while (ws.next(w, s)) {
-          poll_cancel(opts.cancel, "solve_ensemble");
-          occupancy_hist().observe(1.0);
-          obs::record_lane(obs::StepEventKind::kLanePack,
-                           to_string(method), s, base.t0);
-          Stopwatch timer;
-          SolverStats st;
-          try {
-            st = solve_single(base, method, opts, spec.initial_states[s], w,
-                              sink, s);
-          } catch (const Cancelled&) {
-            obs::record_lane(obs::StepEventKind::kLaneCancel,
-                             to_string(method), s, base.t0);
-            lanes_cancelled_counter().add();
-            throw;
-          }
-          lane_step_hist().observe(
-              timer.seconds() /
-              static_cast<double>(std::max<std::uint64_t>(1, st.steps)));
-          ledger.retired(to_string(method), s, st, st.events_terminal > 0,
-                         base.tend);
-        }
-      }
+      with_stepper(base, method, opts, w, sink, batched, [&](auto& st) {
+        run_batched_worker(st, method, ws, w, max_batch, spec, ledger);
+      });
     } catch (...) {
       const std::lock_guard<std::mutex> lock(err_mutex);
       if (!first_error) {

@@ -24,12 +24,14 @@
 //  * kExplicitEuler / kRk4 / kDopri5 run fully batched, with or without
 //    events: each lane carries its own EventHandler, and a fixed-step
 //    lane with armed events walks to tend instead of counting dt steps.
-//    These batched steppers are the only implementation of the three
-//    methods — ode::solve runs them with one lane, calling p.rhs on the
-//    lane's own vectors. The multistep / stiff methods (kAdamsPece, kBdf,
-//    kLsodaLike) integrate scenario-at-a-time per worker, through the
-//    batched kernel at width 1 when one is bound (which keeps them
-//    thread-safe across workers).
+//  * kAdamsPece / kBdf / kLsodaLike run as lanes of one multistep
+//    stepper. A lane's Adams or BDF stepper evaluates the RHS itself,
+//    through the batched kernel at width 1 on the worker's own kernel
+//    lane when one is bound, so lanes share no RHS call and a worker
+//    holds one such lane at a time.
+//  * These lane steppers are the only implementation of the six
+//    methods: ode::solve runs the same stepper with one lane, calling
+//    p.rhs on the lane's own vectors.
 #pragma once
 
 #include "omx/ode/solve.hpp"
@@ -75,8 +77,8 @@ void solve_ensemble(const Problem& p, Method method,
                     TrajectorySink& sink);
 
 namespace detail {
-/// ode::solve's path for kExplicitEuler, kRk4 and kDopri5: the batched
-/// stepper with one lane, which evaluates p.rhs directly.
+/// ode::solve's path: the method's lane stepper with one lane, which
+/// evaluates p.rhs directly.
 SolverStats solve_one_lane(const Problem& p, Method method,
                            const SolverOptions& opts, TrajectorySink& sink,
                            std::uint32_t scenario);

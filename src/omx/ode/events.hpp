@@ -51,7 +51,7 @@ struct EventFunction {
 };
 
 /// The event configuration a Problem carries (Problem::events). Shared
-/// by value across ensemble lanes and auto_switch segments.
+/// by value across ensemble lanes and kLsodaLike segments.
 struct EventSpec {
   std::vector<EventFunction> functions;
   /// Localization window: bisection stops when the bracketing interval
@@ -171,22 +171,6 @@ class EventHandler {
   std::size_t fired_ = 0;
 };
 
-/// Builds a cubic Hermite dense output over [t0, t1], evaluating the
-/// problem RHS at both endpoints (2 calls, counted into `stats`). Used
-/// by the multistep drivers for jumps without a natural interpolant
-/// (Adams steps and history rebuilds); the fixed-step lanes build the
-/// same interpolant through their own lane evaluator.
-inline DenseOutput hermite_by_rhs(const Problem& p, double t0,
-                                  std::span<const double> y0, double t1,
-                                  std::span<const double> y1,
-                                  SolverStats& stats) {
-  std::vector<double> f0(p.n), f1(p.n);
-  p.rhs(t0, y0, f0);
-  p.rhs(t1, y1, f1);
-  stats.rhs_calls += 2;
-  return DenseOutput::hermite(t0, y0, f0, t1, y1, f1);
-}
-
 /// Conservative step re-seed after an event restart: the same d0/d1
 /// heuristic the dopri5 stepper uses at t0; the error weights are
 /// written into `w`.
@@ -200,38 +184,6 @@ inline double event_restart_step(std::span<const double> y,
   const double h = (d0 > 1e-5 && d1 > 1e-5) ? 0.01 * d0 / d1
                                             : 1e-3 * span_fallback;
   return std::min(h, hmax);
-}
-
-/// Post-step event sweep shared by the multistep drivers (Adams, BDF,
-/// auto_switch segments): checks the jump the stepper just made, and on
-/// a hit records the pre/post rows, restarts the stepper at the
-/// post-reset state (history truncation + Jacobian invalidation live in
-/// restart()), then repeats over the restart's own forward jump — Adams
-/// history rebuilds advance time, so one event can expose another.
-/// Returns true when a terminal event stops the integration (the event
-/// rows are already recorded; the stepper is NOT restarted).
-template <typename Stepper, typename MakeDense>
-bool sweep_stepper_events(EventHandler& ev, Stepper& stepper,
-                          const char* method, double t_prev,
-                          std::vector<double>& y_prev, TrajectoryWriter& rec,
-                          MakeDense make_dense) {
-  while (ev.armed() && stepper.t() > t_prev) {
-    const EventHandler::Hit hit =
-        ev.check(t_prev, stepper.t(), stepper.y(), method, stepper.stats(),
-                 [&] { return make_dense(t_prev, y_prev); });
-    if (!hit.fired) {
-      return false;
-    }
-    rec.append(hit.t, ev.pre_state());
-    rec.append(hit.t, ev.post_state());
-    if (hit.terminal) {
-      return true;
-    }
-    t_prev = hit.t;
-    y_prev.assign(ev.post_state().begin(), ev.post_state().end());
-    stepper.restart(t_prev, y_prev, 0.0);
-  }
-  return false;
 }
 
 }  // namespace omx::ode

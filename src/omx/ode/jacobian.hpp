@@ -47,7 +47,7 @@ void finite_difference_jacobian(const RhsFn& rhs, double t,
                                 std::uint64_t& rhs_calls);
 
 /// Prepared sparse-Jacobian plan, shared across Problem copies (ensemble
-/// lanes, auto-switch segments). Immutable once built.
+/// lanes, kLsodaLike segments). Immutable once built.
 struct JacPlan {
   /// Structural pattern augmented with the diagonal (the iteration
   /// matrix I - beta*h*J needs it).

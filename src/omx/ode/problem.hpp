@@ -105,14 +105,14 @@ struct Problem {
   /// in preference to `jacobian` when the sparse backend is active.
   SparseJacFn sparse_jacobian;
   /// Prepared Jacobian plan (pattern + coloring + dense/sparse backend
-  /// choice). Built lazily by the stiff solvers from `sparsity` when
-  /// absent; ode::solve_ensemble and ode::auto_switch prepare it once
-  /// and share it across lanes / switch segments via Problem copies.
+  /// choice). Built from `sparsity` when absent: once per solve_ensemble
+  /// call, or once per stiff solve, and shared across lanes and
+  /// kLsodaLike segments via Problem copies.
   std::shared_ptr<const JacPlan> jac_plan;
 
   /// Optional hybrid-model events: zero-crossing guards with direction
   /// filters and reset actions (see ode/events.hpp). Every driver —
-  /// including solve_ensemble lanes and auto_switch segments — detects
+  /// including solve_ensemble lanes and kLsodaLike segments — detects
   /// sign changes per accepted step, localizes the crossing with dense
   /// output, applies the reset, and restarts cleanly. Null = smooth
   /// problem, zero overhead.

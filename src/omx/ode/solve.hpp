@@ -1,7 +1,9 @@
 // The single solver entry point.
 //
 // ode::solve(problem, method, options) is the only public way to run a
-// solver (the historical per-driver free functions are gone). One
+// solver. It runs the method's lane stepper (ode/ensemble.cpp) with one
+// lane: the stepper solve_ensemble runs per worker, so a solve and an
+// ensemble scenario share one implementation of each method. One
 // options struct covers every method; fields a method does not use are
 // ignored (dt drives only the fixed-step methods, bdf_* only the stiff
 // ones, and so on).
@@ -41,9 +43,11 @@ struct SolverOptions {
   Tolerances tol{};
   /// Step size for the fixed-step methods.
   double dt = 1e-3;
-  /// Initial step for the adaptive methods (0 = automatic).
+  /// Initial step for the adaptive methods (0 = automatic). kLsodaLike
+  /// takes it for its first step only; later segments start automatic.
   double h0 = 0.0;
-  /// Step-size ceiling for the adaptive methods (0 = tend - t0).
+  /// Step-size ceiling for the adaptive methods (0 = tend - t0, where a
+  /// kLsodaLike segment starts t0 at the switch).
   double hmax = 0.0;
   std::size_t max_steps = 1000000;
   /// Record every k-th accepted step (1 = all; 0 is an error); the
@@ -51,6 +55,7 @@ struct SolverOptions {
   std::size_t record_every = 1;
   /// BDF order cap (kBdf ramps up to it; kLsodaLike's stiff phase too).
   int bdf_max_order = 2;
+  /// Newton iteration cap per BDF step (kBdf, kLsodaLike's stiff phase).
   std::size_t newton_max_iters = 8;
   /// kBdf only: fixed-step mode without error control when > 0
   /// (convergence-order studies).
@@ -68,8 +73,8 @@ struct SolverOptions {
 };
 
 /// Integrates `p` with the chosen method. Statistics are on the returned
-/// Solution and in the global telemetry registry; for the per-switch
-/// event record of kLsodaLike use ode::auto_switch directly.
+/// Solution (kLsodaLike counts its Adams <-> BDF switches in
+/// stats.method_switches) and in the global telemetry registry.
 Solution solve(const Problem& p, Method method,
                const SolverOptions& opts = {});
 

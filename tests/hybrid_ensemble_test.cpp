@@ -13,6 +13,7 @@
 
 #include "omx/models/coupled_osc.hpp"
 #include "omx/models/hybrid.hpp"
+#include "omx/obs/recorder.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/ode/ensemble.hpp"
 
@@ -154,6 +155,34 @@ TEST(HybridEnsemble, TerminalEventsRetireLanesIndependently) {
             32u);
   EXPECT_EQ(reg.counter("ensemble.lanes_cancelled").value() - cancelled0,
             0u);
+}
+
+// A multistep lane stopped by a terminal event reports its stop at the
+// event time, which is where its trajectory ends, not at tend.
+TEST(HybridEnsemble, BdfLanesReportEventStopsAtTheirFinalTime) {
+  obs::Recorder& rec = obs::Recorder::global();
+  rec.start();
+  const models::BouncingBall cfg;
+  const Problem base =
+      models::bouncing_ball_problem(cfg, 5.0, /*terminal=*/true);
+  const EnsembleSpec spec = ball_spec(8, 2, 8);
+  const EnsembleResult r = solve_ensemble(base, Method::kBdf, {}, spec);
+  rec.stop();
+  std::vector<int> stops(spec.initial_states.size(), 0);
+  for (const obs::StepEvent& ev : rec.events()) {
+    if (ev.kind != obs::StepEventKind::kLaneEventStop) {
+      continue;
+    }
+    ASSERT_LT(ev.lane, stops.size());
+    ++stops[ev.lane];
+    EXPECT_EQ(ev.t, r.solutions[ev.lane].final_time())
+        << "scenario " << ev.lane;
+    EXPECT_LT(ev.t, base.tend) << "scenario " << ev.lane;
+  }
+  for (std::size_t i = 0; i < stops.size(); ++i) {
+    EXPECT_EQ(stops[i], 1) << "scenario " << i;
+    EXPECT_EQ(r.solutions[i].stats.events_terminal, 1u) << "scenario " << i;
+  }
 }
 
 TEST(HybridEnsemble, NonTerminalRunsRetireWithoutEventStops) {

@@ -8,7 +8,6 @@
 #include "omx/models/bearing2d.hpp"
 #include "omx/models/hydro.hpp"
 #include "omx/models/oscillator.hpp"
-#include "omx/ode/auto_switch.hpp"
 #include "omx/ode/solve.hpp"
 #include "omx/pipeline/pipeline.hpp"
 #include "omx/vm/interp.hpp"
@@ -135,13 +134,12 @@ TEST(Pipeline, HydroSolvesIdenticallyViaAllRhsPaths) {
 TEST(Pipeline, LsodaLikeSolvesHydro) {
   CompiledModel cm = compile_model(models::build_hydro);
   ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 120.0);
-  ode::AutoSwitchOptions o;
+  ode::SolverOptions o;
   o.tol.rtol = 1e-6;
   o.record_every = 8;
-  const ode::AutoSwitchResult r = ode::auto_switch(p, o);
+  const ode::Solution s = ode::solve(p, ode::Method::kLsodaLike, o);
   const int level = cm.flat->state_index(cm.ctx->symbol("dam.level"));
-  const double l =
-      r.solution.final_state()[static_cast<std::size_t>(level)];
+  const double l = s.final_state()[static_cast<std::size_t>(level)];
   EXPECT_GT(l, 9.0);
   EXPECT_LT(l, 11.0);
 }

@@ -65,8 +65,8 @@ TEST(StiffPath, SteadyStateNewtonLoopAllocatesNothing) {
   ASSERT_TRUE(p.jac_plan != nullptr);
   ASSERT_TRUE(p.jac_plan->use_sparse);
 
-  ode::BdfOptions opts;
-  opts.max_order = 2;
+  ode::SolverOptions opts;
+  opts.bdf_max_order = 2;
   ode::BdfStepper stepper(p, opts);
   // Warm-up: the first factorization, the order ramp and the early
   // rejections size every buffer. The step size then still doubles a

@@ -2,9 +2,12 @@
 // Jacobians, and the LSODA-like automatic switching (§3.2.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
-#include "omx/ode/auto_switch.hpp"
+#include "omx/obs/recorder.hpp"
 #include "omx/ode/solve.hpp"
 
 namespace omx::ode {
@@ -178,38 +181,77 @@ TEST(AutoSwitch, StaysOnAdamsForNonStiff) {
   p.t0 = 0.0;
   p.tend = 10.0;
   p.y0 = {1.0, 0.0};
-  AutoSwitchOptions o;
-  const AutoSwitchResult r = auto_switch(p, o);
-  EXPECT_TRUE(r.switches.empty());
-  EXPECT_EQ(r.final_method, SwitchMethod::kAdams);
+  const Solution s = solve(p, Method::kLsodaLike, {});
+  EXPECT_EQ(s.stats.method_switches, 0u);
   // Local-error-per-step control: global error ~ steps * tolerance.
-  EXPECT_NEAR(r.solution.final_state()[0], std::cos(10.0), 1e-2);
+  EXPECT_NEAR(s.final_state()[0], std::cos(10.0), 1e-2);
+}
+
+// kLsodaLike takes h0 for its first step and never steps past hmax
+// (every accepted or rejected attempt, Adams and BDF alike).
+TEST(AutoSwitch, HonoursH0AndHmax) {
+  Problem p;
+  p.n = 2;
+  p.set_rhs([](double, std::span<const double> y, std::span<double> f) {
+    f[0] = y[1];
+    f[1] = -y[0];
+  });
+  p.t0 = 0.0;
+  p.tend = 10.0;
+  p.y0 = {1.0, 0.0};
+  SolverOptions o;
+  o.h0 = 1e-3;
+  o.hmax = 0.01;  // the automatic control grows h to about 0.1
+  obs::Recorder& rec = obs::Recorder::global();
+  rec.start();
+  const Solution s = solve(p, Method::kLsodaLike, o);
+  rec.stop();
+  std::vector<double> h;
+  for (const obs::StepEvent& ev : rec.events()) {
+    if (ev.kind == obs::StepEventKind::kStepAccepted ||
+        ev.kind == obs::StepEventKind::kStepRejected) {
+      h.push_back(ev.h);
+    }
+  }
+  ASSERT_FALSE(h.empty());
+  EXPECT_EQ(h.front(), o.h0);
+  EXPECT_LE(*std::max_element(h.begin(), h.end()), o.hmax);
+  EXPECT_NEAR(s.final_state()[0], std::cos(10.0), 1e-2);
 }
 
 TEST(AutoSwitch, SwitchesToBdfOnStiffProblem) {
   const Problem p = stiff_tracking(2.0);
-  AutoSwitchOptions o;
-  const AutoSwitchResult r = auto_switch(p, o);
-  ASSERT_FALSE(r.switches.empty());
-  EXPECT_EQ(r.switches.front().to, SwitchMethod::kBdf);
-  EXPECT_NEAR(r.solution.final_state()[0], std::cos(2.0), 1e-2);
-  EXPECT_GE(r.solution.stats.method_switches, 1u);
+  obs::Recorder& rec = obs::Recorder::global();
+  rec.start();
+  const Solution s = solve(p, Method::kLsodaLike, {});
+  rec.stop();
+  std::vector<std::string> targets;
+  for (const obs::StepEvent& ev : rec.events()) {
+    if (ev.kind == obs::StepEventKind::kMethodSwitch) {
+      targets.emplace_back(ev.method);
+    }
+  }
+  ASSERT_FALSE(targets.empty());
+  EXPECT_EQ(targets.front(), "bdf");
+  EXPECT_EQ(targets.size(), s.stats.method_switches);
+  EXPECT_NEAR(s.final_state()[0], std::cos(2.0), 1e-2);
 }
 
 TEST(AutoSwitch, SolvesVanDerPol) {
   const Problem p = van_der_pol(100.0, 5.0);
-  AutoSwitchOptions o;
+  SolverOptions o;
   o.tol.rtol = 1e-5;
   o.tol.atol = 1e-7;
-  const AutoSwitchResult r = auto_switch(p, o);
-  EXPECT_LE(std::fabs(r.solution.final_state()[0]), 2.1);
+  const Solution s = solve(p, Method::kLsodaLike, o);
+  EXPECT_LE(std::fabs(s.final_state()[0]), 2.1);
 }
 
 TEST(AutoSwitch, RecordsMergedStats) {
   const Problem p = stiff_tracking(2.0);
-  const AutoSwitchResult r = auto_switch(p, {});
-  EXPECT_GT(r.solution.stats.rhs_calls, 0u);
-  EXPECT_GT(r.solution.stats.steps, 0u);
+  const Solution s = solve(p, Method::kLsodaLike, {});
+  EXPECT_GT(s.stats.rhs_calls, 0u);
+  EXPECT_GT(s.stats.steps, 0u);
+  EXPECT_GT(s.stats.newton_iters, 0u);
 }
 
 TEST(AutoSwitch, SolveDispatchesLsodaLike) {

@@ -11,12 +11,14 @@
 
 #include <algorithm>
 
+#include "omx/models/heat1d.hpp"
 #include "omx/models/hybrid.hpp"
 #include "omx/obs/recorder.hpp"
 #include "omx/ode/adams.hpp"
 #include "omx/ode/ensemble.hpp"
 #include "omx/ode/events.hpp"
 #include "omx/ode/solve.hpp"
+#include "omx/pipeline/pipeline.hpp"
 
 namespace omx::ode {
 namespace {
@@ -267,6 +269,163 @@ TEST(SolveDispatch, ExplicitMethodsMatchPinnedTrajectories) {
   }
 }
 
+/// y' = -1000 (y - cos t) - sin t, y(0) = 0: y -> cos t after a fast
+/// transient. Stiff enough that kLsodaLike switches to BDF.
+Problem stiff_tracking(double tend) {
+  Problem p;
+  p.n = 1;
+  p.set_rhs([](double t, std::span<const double> y, std::span<double> f) {
+    f[0] = -1000.0 * (y[0] - std::cos(t)) - std::sin(t);
+  });
+  p.set_jacobian([](double, std::span<const double>, la::Matrix& j) {
+    j(0, 0) = -1000.0;
+  });
+  p.t0 = 0.0;
+  p.tend = tend;
+  p.y0 = {0.0};
+  return p;
+}
+
+// Reference numbers for the multistep methods, captured from the
+// per-method Adams, BDF and auto-switch drivers that ode::solve ran
+// before the three became one multistep lane stepper. The cases cover
+// the record cadence, the Hermite (Adams) and history (BDF) event
+// paths, LSODA switching, and the sparse symbolic Jacobian.
+struct MultistepPin {
+  const char* label;
+  const char* problem;  // key into the case table below
+  Method method;
+  std::size_t rows;
+  double t_end;
+  std::vector<double> y_end;
+  std::uint64_t steps, rhs_calls, rejected, events, method_switches,
+      jac_factorizations;
+};
+
+struct MultistepCase {
+  const char* name;
+  Problem p;
+  SolverOptions o;
+};
+
+std::vector<MultistepCase> multistep_cases(pipeline::CompiledModel& heat) {
+  std::vector<MultistepCase> cases;
+  cases.push_back({"osc", oscillator(5.0), {}});
+  SolverOptions every3;
+  every3.record_every = 3;
+  cases.push_back({"osc every 3", oscillator(5.0), every3});
+  cases.push_back(
+      {"ball", models::bouncing_ball_problem(models::BouncingBall{}, 2.2),
+       {}});
+  cases.push_back({"stiff", stiff_tracking(2.0), {}});
+  Problem hp = heat.make_problem(exec::Backend::kInterp, 0.0, 0.5);
+  heat.bind_symbolic_jacobian(hp);
+  cases.push_back({"heat16", hp, {}});
+  return cases;
+}
+
+pipeline::CompiledModel compile_heat16() {
+  pipeline::CompileOptions copts;
+  copts.build_jacobian = true;
+  return pipeline::compile_model(
+      [](expr::Context& ctx) {
+        models::Heat1dConfig cfg;
+        cfg.n_cells = 16;
+        return models::build_heat1d(ctx, cfg);
+      },
+      copts);
+}
+
+TEST(SolveDispatch, MultistepMethodsMatchPinnedTrajectories) {
+  const MultistepPin pins[] = {
+      {"osc adams_pece", "osc", Method::kAdamsPece, 145, 0x1.4p+2,
+       {0x1.227982f60531ap-2, 0x1.eaf84716df07fp-1},
+       197, 1228, 3, 0, 0, 0},
+      {"osc bdf", "osc", Method::kBdf, 778, 0x1.4p+2,
+       {0x1.22551eebbb93ep-2, 0x1.eaf31b95ef762p-1},
+       777, 1718, 15, 0, 0, 86},
+      {"osc lsoda_like", "osc", Method::kLsodaLike, 144, 0x1.4p+2,
+       {0x1.227982f60531ap-2, 0x1.eaf84716df07fp-1},
+       197, 1242, 3, 0, 0, 0},
+      {"osc every 3 adams_pece", "osc every 3",
+       Method::kAdamsPece, 50, 0x1.4p+2,
+       {0x1.227982f60531ap-2, 0x1.eaf84716df07fp-1},
+       197, 1228, 3, 0, 0, 0},
+      {"osc every 3 bdf", "osc every 3", Method::kBdf, 260, 0x1.4p+2,
+       {0x1.22551eebbb93ep-2, 0x1.eaf31b95ef762p-1},
+       777, 1718, 15, 0, 0, 86},
+      {"osc every 3 lsoda_like", "osc every 3",
+       Method::kLsodaLike, 49, 0x1.4p+2,
+       {0x1.227982f60531ap-2, 0x1.eaf84716df07fp-1},
+       197, 1242, 3, 0, 0, 0},
+      {"ball adams_pece", "ball", Method::kAdamsPece, 460, 0x1.199999999999ap+1,
+       {0x1.00f742227608cp-5, -0x1.105e0407df9bcp+1},
+       626, 3932, 0, 3, 0, 0},
+      {"ball bdf", "ball", Method::kBdf, 366, 0x1.199999999999ap+1,
+       {0x1.4808f4cfe3ed2p-6, 0x1.adf4f171d4823p+0},
+       361, 952, 53, 4, 0, 251},
+      {"ball lsoda_like", "ball", Method::kLsodaLike, 367, 0x1.199999999999ap+1,
+       {0x1.fd3c566611c61p-6, -0x1.106e4607ea993p+1},
+       413, 1741, 30, 3, 1, 159},
+      {"stiff adams_pece", "stiff", Method::kAdamsPece, 704, 0x1p+1,
+       {-0x1.aa2253d5552acp-2},
+       1029, 7158, 83, 0, 0, 0},
+      {"stiff bdf", "stiff", Method::kBdf, 524, 0x1p+1,
+       {-0x1.aa22655ea235dp-2},
+       523, 1072, 15, 0, 0, 76},
+      {"stiff lsoda_like", "stiff", Method::kLsodaLike, 507, 0x1p+1,
+       {-0x1.aa2264e5228cbp-2},
+       671, 4021, 72, 0, 11, 135},
+      {"heat16 adams_pece", "heat16", Method::kAdamsPece, 195, 0x1p-1,
+       {0x1.5f5190dec9dep-10, 0x1.5956278e167f2p-9, 0x1.f741116906b63p-9,
+        0x1.4204481c298bfp-8, 0x1.7d70dea795675p-8, 0x1.abe0018c534c2p-8,
+        0x1.cbbd301664ab8p-8, 0x1.dbf24878a3496p-8, 0x1.dbf263fce1a32p-8,
+        0x1.cbbd1581c0289p-8, 0x1.abe01a49d743dp-8, 0x1.7d70c898d2524p-8,
+        0x1.42045abbc5688p-8, 0x1.f740f44d4b3a4p-9, 0x1.59563b87fd94bp-9,
+        0x1.5f517c8bfd40cp-10},
+       277, 1866, 21, 0, 0, 0},
+      {"heat16 bdf", "heat16", Method::kBdf, 507, 0x1p-1,
+       {0x1.5f48e36919aa4p-10, 0x1.594dad9851957p-9, 0x1.f734a298bd4cbp-9,
+        0x1.41fc61462ed3bp-8, 0x1.7d67715904ee6p-8, 0x1.abd582ed5aeb7p-8,
+        0x1.cbb1d1f6e2686p-8, 0x1.dbe69d9c9253p-8, 0x1.dbe69d9c9253p-8,
+        0x1.cbb1d1f6e2686p-8, 0x1.abd582ed5aeb6p-8, 0x1.7d67715904ee5p-8,
+        0x1.41fc61462ed39p-8, 0x1.f734a298bd4c4p-9, 0x1.594dad9851954p-9,
+        0x1.5f48e36919aa4p-10},
+       506, 1025, 7, 0, 0, 45},
+      {"heat16 lsoda_like", "heat16", Method::kLsodaLike, 205, 0x1p-1,
+       {0x1.5f620bf8f6011p-10, 0x1.5966687e803d8p-9, 0x1.f758ac85d50a4p-9,
+        0x1.421370a96b76ep-8, 0x1.7d82c2208dae8p-8, 0x1.abf426f7b924p-8,
+        0x1.cbd2be2585aafp-8, 0x1.dc08b2ec80124p-8, 0x1.dc08b2ec80122p-8,
+        0x1.cbd2be2585abp-8, 0x1.abf426f7b923fp-8, 0x1.7d82c2208dae9p-8,
+        0x1.421370a96b76cp-8, 0x1.f758ac85d50a6p-9, 0x1.5966687e803d6p-9,
+        0x1.5f620bf8f6012p-10},
+       273, 1649, 18, 0, 6, 27},
+  };
+  pipeline::CompiledModel heat = compile_heat16();
+  const std::vector<MultistepCase> cases = multistep_cases(heat);
+  for (const MultistepPin& pin : pins) {
+    const auto c =
+        std::find_if(cases.begin(), cases.end(), [&](const MultistepCase& k) {
+          return std::string(k.name) == pin.problem;
+        });
+    ASSERT_NE(c, cases.end()) << pin.label;
+    const Solution s = solve(c->p, pin.method, c->o);
+    EXPECT_EQ(s.size(), pin.rows) << pin.label;
+    EXPECT_EQ(s.final_time(), pin.t_end) << pin.label;
+    ASSERT_EQ(s.final_state().size(), pin.y_end.size()) << pin.label;
+    for (std::size_t i = 0; i < pin.y_end.size(); ++i) {
+      EXPECT_EQ(s.final_state()[i], pin.y_end[i]) << pin.label << " y" << i;
+    }
+    EXPECT_EQ(s.stats.steps, pin.steps) << pin.label;
+    EXPECT_EQ(s.stats.rhs_calls, pin.rhs_calls) << pin.label;
+    EXPECT_EQ(s.stats.rejected, pin.rejected) << pin.label;
+    EXPECT_EQ(s.stats.events, pin.events) << pin.label;
+    EXPECT_EQ(s.stats.method_switches, pin.method_switches) << pin.label;
+    EXPECT_EQ(s.stats.jac_factorizations, pin.jac_factorizations)
+        << pin.label;
+  }
+}
+
 TEST(Solution, InterpolatesLinearly) {
   Solution s;
   const std::vector<double> a{0.0}, b{10.0};
@@ -422,19 +581,38 @@ TEST(Ensemble, ScenariosMatchIndividualSolves) {
   }
 }
 
-TEST(Ensemble, StiffMethodsFallBackToScenarioAtATime) {
-  const Problem base = oscillator(2.0);
-  EnsembleSpec spec;
-  spec.initial_states = {{1.0, 0.0}, {0.5, 0.25}, {2.0, -0.5}};
-  spec.workers = 2;
-  const EnsembleResult r =
-      solve_ensemble(base, Method::kAdamsPece, {}, spec);
-  ASSERT_EQ(r.solutions.size(), 3u);
-  for (std::size_t s = 0; s < 3; ++s) {
-    Problem p = base;
-    p.y0 = spec.initial_states[s];
-    expect_solutions_identical(solve(p, Method::kAdamsPece, {}),
-                               r.solutions[s]);
+// The multistep methods run as one-lane batches per worker; each lane
+// must still reproduce its plain solve bitwise, switches included.
+TEST(Ensemble, MultistepLanesMatchIndividualSolves) {
+  const Problem bases[] = {oscillator(2.0), stiff_tracking(0.5)};
+  for (const Problem& base : bases) {
+    EnsembleSpec spec;
+    for (std::size_t s = 0; s < 3; ++s) {
+      const double d = static_cast<double>(s);
+      spec.initial_states.push_back(base.n == 2
+                                        ? std::vector<double>{1.0 - 0.5 * d,
+                                                              0.25 * d}
+                                        : std::vector<double>{0.1 * d});
+    }
+    for (const Method m :
+         {Method::kAdamsPece, Method::kBdf, Method::kLsodaLike}) {
+      for (const std::size_t workers : {1u, 2u}) {
+        spec.workers = workers;
+        const EnsembleResult r = solve_ensemble(base, m, {}, spec);
+        ASSERT_EQ(r.solutions.size(), 3u);
+        for (std::size_t s = 0; s < 3; ++s) {
+          SCOPED_TRACE(std::string(to_string(m)) + ", " +
+                       std::to_string(workers) + " workers, scenario " +
+                       std::to_string(s));
+          Problem p = base;
+          p.y0 = spec.initial_states[s];
+          const Solution want = solve(p, m, {});
+          expect_solutions_identical(want, r.solutions[s]);
+          EXPECT_EQ(r.solutions[s].stats.method_switches,
+                    want.stats.method_switches);
+        }
+      }
+    }
   }
 }
 

@@ -648,6 +648,63 @@ TEST(SvcCancel, EnsembleAbandonsLanesMidFlight) {
   EXPECT_GT(lanes_after, lanes_before) << "no lane recorded its abandon";
 }
 
+/// Wraps the collecting sink: the first chunk any lane acquires sets the
+/// cancel flag, so each worker sees it with a lane in flight. Counts the
+/// finish() calls that reach it.
+class CancelOnFirstRowSink final : public ode::TrajectorySink {
+ public:
+  CancelOnFirstRowSink(std::size_t scenarios, std::atomic<bool>& cancel)
+      : inner_(scenarios), cancel_(cancel) {}
+  ode::TrajectoryChunk* acquire(std::uint32_t scenario,
+                                std::size_t n) override {
+    cancel_.store(true, std::memory_order_relaxed);
+    return inner_.acquire(scenario, n);
+  }
+  void commit(ode::TrajectoryChunk* chunk) override { inner_.commit(chunk); }
+  void finish(std::uint32_t scenario,
+              const ode::SolverStats& stats) override {
+    finished.fetch_add(1, std::memory_order_relaxed);
+    inner_.finish(scenario, stats);
+  }
+  std::atomic<int> finished{0};
+
+ private:
+  ode::EnsembleCollectSink inner_;
+  std::atomic<bool>& cancel_;
+};
+
+TEST(SvcCancel, MultistepEnsembleAbandonsLanesWithoutFinish) {
+  const pipeline::CompiledModel cm =
+      pipeline::compile_model(models::build_oscillator);
+  const exec::KernelInstance kernel =
+      cm.make_kernel(exec::Backend::kInterp);
+  const ode::Problem p = cm.make_problem(kernel, 0.0, 1.0);
+  for (const ode::Method m : {ode::Method::kBdf, ode::Method::kLsodaLike}) {
+    for (const std::size_t workers : {1u, 2u}) {
+      std::atomic<bool> cancel{false};
+      ode::SolverOptions opts;
+      opts.cancel = &cancel;
+      ode::EnsembleSpec spec;
+      spec.workers = workers;
+      for (int s = 0; s < 4; ++s) {
+        spec.initial_states.push_back({1.0 + 0.1 * s, 0.0});
+      }
+      CancelOnFirstRowSink sink(spec.initial_states.size(), cancel);
+      const std::uint64_t lanes_before =
+          obs::Registry::global().counter("ensemble.lanes_cancelled").value();
+      EXPECT_THROW(ode::solve_ensemble(p, m, opts, spec, sink),
+                   ode::Cancelled)
+          << ode::to_string(m) << ", " << workers << " workers";
+      const std::uint64_t lanes_after =
+          obs::Registry::global().counter("ensemble.lanes_cancelled").value();
+      EXPECT_GE(lanes_after - lanes_before, 1u)
+          << ode::to_string(m) << ", " << workers << " workers";
+      EXPECT_EQ(sink.finished.load(), 0)
+          << ode::to_string(m) << ", " << workers << " workers";
+    }
+  }
+}
+
 // --------------------------------------------------------------- stress
 
 /// 8 client threads submit and cancel against one daemon: every oddly
