@@ -7,8 +7,8 @@
 //   batched    — solve_ensemble at 4 workers, 16-wide SoA batches.
 //
 // plus, for the native kernel, batched at 1 worker: its RHS lane-evals/s
-// against the kernel-only bench/simd figure at the same width measures
-// the stepper's own overhead (report only, no gate).
+// against the same kernel's own rate at width 16 (batch_rhs alone, in a
+// loop) measures the stepper's own overhead (report only, no gate).
 //
 // All three run identical per-lane step control, so the ratios isolate
 // what the engine buys: worker parallelism plus tape dispatch amortized
@@ -30,6 +30,7 @@
 #include "omx/obs/registry.hpp"
 #include "omx/ode/ensemble.hpp"
 #include "omx/pipeline/pipeline.hpp"
+#include "omx/support/simd.hpp"
 
 namespace {
 
@@ -111,7 +112,8 @@ int main() {
 
   auto run_backend = [&](exec::Backend backend, double* sequential,
                          double* width1, double* batched,
-                         double* one_worker_lane_evals) {
+                         double* one_worker_lane_evals,
+                         double* kernel_lane_evals) {
     pipeline::KernelOptions ko;
     ko.lanes = kWorkers;
     const exec::KernelInstance k = cm.make_kernel(backend, ko);
@@ -152,11 +154,36 @@ int main() {
                                    .gauge("ensemble.rhs_calls_per_sec")
                                    .value();
     }
+    if (kernel_lane_evals != nullptr) {
+      // The kernel alone at the batch width: the first kMaxBatch starts
+      // in a 64-byte-aligned SoA block, as the stepper keeps them,
+      // evaluated over and over for ~0.3 s.
+      const std::size_t n = cm.n();
+      simd::aligned_vector<double> ts(kMaxBatch, 0.0), ysoa(n * kMaxBatch),
+          f(n * kMaxBatch);
+      for (std::size_t j = 0; j < kMaxBatch; ++j) {
+        for (std::size_t i = 0; i < n; ++i) {
+          ysoa[i * kMaxBatch + j] = starts[j][i];
+        }
+      }
+      std::size_t calls = 0;
+      const auto t0 = clock_type::now();
+      double secs = 0.0;
+      do {
+        for (int r = 0; r < 1000; ++r) {
+          p.batch_rhs(0, kMaxBatch, ts.data(), ysoa.data(), f.data());
+        }
+        calls += 1000;
+        secs = std::chrono::duration<double>(clock_type::now() - t0).count();
+      } while (secs < 0.3);
+      *kernel_lane_evals = static_cast<double>(calls * kMaxBatch) / secs;
+    }
     return true;
   };
 
   double i_seq = 0.0, i_w1 = 0.0, i_bat = 0.0;
-  run_backend(exec::Backend::kInterp, &i_seq, &i_w1, &i_bat, nullptr);
+  run_backend(exec::Backend::kInterp, &i_seq, &i_w1, &i_bat, nullptr,
+              nullptr);
   report("interp, sequential", i_seq);
   report("interp, width 1", i_w1);
   report("interp, batched", i_bat);
@@ -170,9 +197,12 @@ int main() {
                                               : "[MISMATCH]"));
   std::printf("interp batched/width-1:    %.2fx\n\n", i_amort);
 
-  double n_seq = 0.0, n_w1 = 0.0, n_bat = 0.0, n_lane_evals = 0.0;
-  const bool have_native = run_backend(exec::Backend::kNative, &n_seq,
-                                       &n_w1, &n_bat, &n_lane_evals);
+  double n_seq = 0.0, n_w1 = 0.0, n_bat = 0.0, n_lane_evals = 0.0,
+         n_kernel = 0.0;
+  const bool have_native =
+      run_backend(exec::Backend::kNative, &n_seq, &n_w1, &n_bat,
+                  &n_lane_evals, &n_kernel);
+  const double n_over_kernel = n_kernel > 0.0 ? n_lane_evals / n_kernel : 0.0;
   if (have_native) {
     report("native, sequential", n_seq);
     report("native, width 1", n_w1);
@@ -180,6 +210,10 @@ int main() {
     std::printf("native batched/sequential: %.2fx\n", n_bat / n_seq);
     std::printf("native batched, 1 worker: %.0f RHS lane-evals/s\n",
                 n_lane_evals);
+    std::printf("native kernel alone, width %zu: %.0f lane-evals/s\n",
+                kMaxBatch, n_kernel);
+    std::printf("1-worker ensemble / kernel alone: %.2f  (target: 0.8)\n",
+                n_over_kernel);
   } else {
     std::printf("%-24s (no host compiler; skipped)\n", "native");
   }
@@ -269,6 +303,9 @@ int main() {
       .set(n_seq > 0.0 ? n_bat / n_seq : 0.0);
   metrics.gauge("ensemble.native.batched_1worker.lane_evals_per_s")
       .set(n_lane_evals);
+  metrics.gauge("ensemble.native.kernel_w16.lane_evals_per_s").set(n_kernel);
+  metrics.gauge("ensemble.native.batched_1worker_over_kernel_w16")
+      .set(n_over_kernel);
   const char* out_path = "BENCH_ensemble.json";
   if (obs::write_file(out_path, obs::metrics_json(metrics.snapshot()))) {
     std::printf("wrote %s\n", out_path);

@@ -13,6 +13,12 @@
 // --connect HOST:PORT drives an external omxd — the CI service job
 // boots one and points this at it. Results export to
 // BENCH_service.json for scripts/bench_gate.py gate_service.
+//
+// --job-scenarios S --job-workers W set every job's shape (omxbench's
+// daemon workload runs S=8 on W=2). An in-process run also exports the
+// ensemble.batch_occupancy histogram its jobs' workers recorded (lanes
+// per stepper round; report only), so the batch widths a job shape
+// reaches the kernel at are on record.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -51,7 +57,13 @@ struct Args {
   // --autotune: submit multi-scenario jobs with "autotune": true so the
   // daemon picks each job's workers and batch width.
   bool autotune = false;
-  std::size_t job_scenarios = 4;  // scenarios per job in autotune mode
+  // Scenarios per job; 0 = 4 in autotune mode, else 1.
+  std::size_t job_scenarios = 0;
+  std::size_t job_workers = 0;  // 0 = server default (autotune ignores it)
+
+  std::size_t scenarios_per_job() const {
+    return job_scenarios > 0 ? job_scenarios : (autotune ? 4 : 1);
+  }
 };
 
 struct ClientResult {
@@ -89,7 +101,8 @@ void run_client(const Args& args, const std::string& host,
     req.model = model.model;
     req.method = args.method;
     req.tend = args.tend;
-    req.scenarios = args.autotune ? args.job_scenarios : 1;
+    req.scenarios = args.scenarios_per_job();
+    req.workers = args.job_workers;
     req.record_every = args.record_every;
     req.autotune = args.autotune;
     // Distinct initial condition per scenario, small against the bearing
@@ -97,11 +110,13 @@ void run_client(const Args& args, const std::string& host,
     for (std::size_t s = 0; s < req.scenarios; ++s) {
       std::vector<double> y0 = model.y0;
       if (y0.size() > 1) {
+        // A grid of 4 per job, or of the job width --job-scenarios sets.
+        const std::size_t stride =
+            args.job_scenarios > 0 ? args.job_scenarios : 4;
         const double frac =
-            static_cast<double>(
-                (idx * args.scenarios + j) * args.job_scenarios + s + 1) /
-            static_cast<double>(
-                args.clients * args.scenarios * args.job_scenarios + 1);
+            static_cast<double>((idx * args.scenarios + j) * stride + s +
+                                1) /
+            static_cast<double>(args.clients * args.scenarios * stride + 1);
         y0[1] += frac * 1e-5;
       }
       req.y0s.insert(req.y0s.end(), y0.begin(), y0.end());
@@ -192,6 +207,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--job-scenarios") {
       args.job_scenarios =
           std::max<std::size_t>(1, static_cast<std::size_t>(std::atol(next())));
+    } else if (arg == "--job-workers") {
+      args.job_workers = static_cast<std::size_t>(std::atol(next()));
     } else if (arg == "--connect") {
       const std::string hp = next();
       const std::size_t colon = hp.rfind(':');
@@ -300,6 +317,32 @@ int main(int argc, char** argv) {
   metrics.gauge("service.autotune").set(args.autotune ? 1.0 : 0.0);
   metrics.gauge("service.hardware_concurrency")
       .set(static_cast<double>(std::thread::hardware_concurrency()));
+  metrics.gauge("service.job_scenarios")
+      .set(static_cast<double>(args.scenarios_per_job()));
+  metrics.gauge("service.job_workers")
+      .set(static_cast<double>(args.job_workers));
+  if (server) {
+    // Rounds by batch width: bucket le_<b> counts rounds of more lanes
+    // than the previous bound and at most b.
+    const obs::Histogram& occ = obs::Registry::global().histogram(
+        "ensemble.batch_occupancy", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
+    const std::vector<std::uint64_t> counts = occ.counts();
+    std::printf("loadgen: batch occupancy (rounds by lanes):");
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+      const std::string le =
+          b < occ.bounds().size()
+              ? "le_" + std::to_string(static_cast<int>(occ.bounds()[b]))
+              : std::string("over");
+      metrics.gauge("service.batch_occupancy." + le)
+          .set(static_cast<double>(counts[b]));
+      std::printf(" %s=%llu", le.c_str(),
+                  static_cast<unsigned long long>(counts[b]));
+    }
+    const double mean =
+        occ.count() > 0 ? occ.sum() / static_cast<double>(occ.count()) : 0.0;
+    metrics.gauge("service.batch_occupancy.mean").set(mean);
+    std::printf("  mean %.2f\n", mean);
+  }
   if (!obs::write_file(args.out, obs::metrics_json(metrics.snapshot()))) {
     std::fprintf(stderr, "loadgen: cannot write %s\n", args.out.c_str());
     return 1;

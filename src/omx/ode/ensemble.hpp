@@ -6,8 +6,8 @@
 // model. Scenario-level parallelism composes with the equation-level
 // parallelism of §3.2: each worker integrates a *batch* of scenarios in
 // SoA lockstep, so one tape decode (or one pass of compiled native code)
-// is amortized over the whole batch, and scenarios are distributed across
-// workers with the same LPT + work-stealing machinery the task pool uses.
+// is amortized over the whole batch, and scenarios are dealt to workers
+// by the semi-dynamic LPT of §3.2.3 over the task pool's deques.
 //
 // Semantics:
 //  * Every scenario keeps fully independent step control — its own t, h,
@@ -18,9 +18,15 @@
 //    often the batch is repacked: results are deterministic across
 //    worker counts, and a one-scenario ensemble reproduces plain
 //    ode::solve bit for bit.
-//  * Finished scenarios retire from their batch immediately; the batch
-//    compacts and refills from the remaining queue (work stealing moves
-//    whole scenarios between workers).
+//  * A worker's batch is a lane block: the explicit steppers keep every
+//    lane's state and stages in one 64-byte-aligned SoA block whose
+//    stride is the kernel call width, so each stage is one batched call
+//    on the block and the stage sums are SIMD loops over the lanes.
+//  * A worker tops its batch up from its own LPT deal only. A finished
+//    scenario retires at once and its slot is refilled in place from
+//    that deal; once the deal is spent, the block re-strides to the
+//    lanes still live. Only a worker whose batch has run empty steals
+//    (whole scenarios, from the most-loaded deque).
 //  * kExplicitEuler / kRk4 / kDopri5 run fully batched, with or without
 //    events: each lane carries its own EventHandler, and a fixed-step
 //    lane with armed events walks to tend instead of counting dt steps.

@@ -5,6 +5,7 @@
 // when the toolchain is unavailable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -261,6 +262,83 @@ TEST(NativeBackend, DefaultUnitCarriesOnlyTheBatchedForm) {
   EXPECT_EQ(unit.find("omx_rhs_serial("), std::string::npos);
   EXPECT_EQ(unit.find("event_guard"), std::string::npos);
   EXPECT_EQ(unit.find("event_apply"), std::string::npos);
+}
+
+/// `cells` independent decays: the cheapest model whose rhs_batch lane
+/// loop holds one load and one store per state.
+std::string wide_decay_source(std::size_t cells) {
+  std::string src =
+      "model Wide\n  class Cell\n    var x start 1;\n"
+      "    eq der(x) == -x;\n  end\n";
+  for (std::size_t i = 0; i < cells; ++i) {
+    src += "  instance c" + std::to_string(i) + " : Cell;\n";
+  }
+  return src + "end\n";
+}
+
+TEST(NativeBackend, WideModelLaneLoopVectorizes) {
+  // 501 states are the fewest that put more than gcc's default 1000 data
+  // references (loop-max-datarefs-for-datadeps) in the lane loop, which
+  // then stayed scalar; the backend raises the limit. The vectorizer's own report
+  // (-fopt-info-vec) in the build log must name the loop. clang has no
+  // -fopt-info and no such limit, so the check is gcc-only.
+  namespace fs = std::filesystem;
+  const std::string src = wide_decay_source(501);
+  const pipeline::CompiledModel cm =
+      pipeline::compile_model([&](expr::Context& ctx) {
+        return parser::parse_model(src, ctx);
+      });
+  const fs::path dir = fs::temp_directory_path() / "omx-test-wide-unit";
+  fs::remove_all(dir);
+  pipeline::KernelOptions ko;
+  ko.native.cache_dir = dir.string();
+  ko.native.extra_flags = "-fopt-info-vec";
+  const KernelInstance k = cm.make_kernel(Backend::kNative, ko);
+  const std::vector<std::string> units = composed_units(dir);
+  std::string log;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".log") {
+      std::ifstream in(e.path());
+      log.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+    }
+  }
+  fs::remove_all(dir);
+  if (k.backend() != Backend::kNative) {
+    GTEST_SKIP() << "native backend unavailable (no gcc-compatible host "
+                    "compiler accepting -fopt-info-vec)";
+  }
+  ASSERT_EQ(units.size(), 1u);
+  // The lane loop is rhs_batch's first `for`; gcc reports a loop at its
+  // own line or at its body's first statement, one line down.
+  const std::string& unit = units[0];
+  const std::size_t at = unit.find(
+      "for (int j = 0; j < nb; ++j)", unit.find("void rhs_batch("));
+  ASSERT_NE(at, std::string::npos);
+  const long line =
+      std::count(unit.begin(), unit.begin() + static_cast<long>(at), '\n') +
+      1;
+  std::istringstream lines(log);
+  bool vectorized = false;
+  for (std::string l; std::getline(lines, l);) {
+    const bool at_loop =
+        l.find(":" + std::to_string(line) + ":") != std::string::npos ||
+        l.find(":" + std::to_string(line + 1) + ":") != std::string::npos;
+    vectorized = vectorized ||
+                 (at_loop && l.find("loop vectorized") != std::string::npos);
+  }
+  EXPECT_TRUE(vectorized) << "rhs_batch's lane loop (line " << line
+                          << ") stayed scalar; build log:\n"
+                          << log.substr(0, 2000);
+  // And the vector body computes what the scalar one does.
+  std::vector<double> y(cm.n()), ydot(cm.n());
+  for (std::size_t i = 0; i < cm.n(); ++i) {
+    y[i] = 0.5 + static_cast<double>(i);
+  }
+  k.kernel()(0.0, y, ydot);
+  for (std::size_t i = 0; i < cm.n(); ++i) {
+    ASSERT_EQ(ydot[i], -y[i]) << "state " << i;
+  }
 }
 
 TEST(NativeBackend, CacheDirWithQuoteAndSpaceBuildsNative) {

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "omx/models/coupled_osc.hpp"
@@ -68,6 +69,103 @@ void expect_ensemble_matches_sequential(Method method, double dt = 1e-3) {
     EXPECT_TRUE(bitwise_equal(r.solutions[i], want))
         << to_string(method) << " scenario " << i;
     EXPECT_GT(r.solutions[i].stats.events, 0u) << "scenario " << i;
+  }
+}
+
+/// `p` with a batched RHS that evaluates every lane's column through
+/// p.rhs: lane-independent by construction, so the ensemble's stage
+/// arithmetic on its SoA lane blocks is all that can move a bit.
+Problem with_batch_rhs(Problem p) {
+  auto scalar = std::make_shared<Problem>(p);
+  p.set_batch_rhs([scalar](std::size_t, std::size_t nb, const double* t,
+                           const double* y, double* f) {
+    const std::size_t n = scalar->n;
+    thread_local std::vector<double> yl, fl;
+    yl.resize(n);
+    fl.resize(n);
+    for (std::size_t j = 0; j < nb; ++j) {
+      for (std::size_t i = 0; i < n; ++i) {
+        yl[i] = y[i * nb + j];
+      }
+      scalar->rhs(t[j], yl, fl);
+      for (std::size_t i = 0; i < n; ++i) {
+        f[i * nb + j] = fl[i];
+      }
+    }
+  });
+  return p;
+}
+
+/// A pendulum: DOPRI5 lanes of different swing take different step
+/// counts, so they retire at different rounds.
+Problem pendulum() {
+  Problem p;
+  p.n = 2;
+  p.set_rhs([](double, std::span<const double> y, std::span<double> f) {
+    f[0] = y[1];
+    f[1] = -std::sin(y[0]);
+  });
+  p.tend = 3.0;
+  p.y0 = {0.1, 0.0};
+  return p;
+}
+
+TEST(LaneBlock, WidthSweepMatchesSequentialBitwise) {
+  // Every width the block can run at (1, odd, a vector block, two), one
+  // and two workers, and both record cadences. The terminal ball retires
+  // lanes at their first bounce and the pendulum's DOPRI5 lanes at their
+  // own step counts, so slots are refilled in place, and the block
+  // re-strides once the deal runs out.
+  const models::BouncingBall cfg;
+  struct Case {
+    const char* label;
+    Problem p;
+    std::vector<std::vector<double>> y0;
+  };
+  std::vector<Case> cases;
+  std::vector<std::vector<double>> drops, swings;
+  for (std::size_t i = 0; i < 20; ++i) {
+    drops.push_back({0.5 + 0.07 * static_cast<double>(i), 0.0});
+    swings.push_back({0.1 + 0.14 * static_cast<double>(i), 0.0});
+  }
+  cases.push_back({"ball", models::bouncing_ball_problem(cfg, 1.8), drops});
+  cases.push_back({"terminal ball",
+                   models::bouncing_ball_problem(cfg, 1.8, true), drops});
+  cases.push_back({"pendulum", pendulum(), swings});
+  for (const Case& c : cases) {
+    const Problem batched = with_batch_rhs(c.p);
+    for (const Method m :
+         {Method::kDopri5, Method::kRk4, Method::kExplicitEuler}) {
+      for (const std::size_t every : {1, 3}) {
+        SolverOptions o;
+        o.dt = 2e-3;
+        o.record_every = every;
+        std::vector<Solution> want;
+        for (const std::vector<double>& y0 : c.y0) {
+          Problem p = c.p;
+          p.y0 = y0;
+          want.push_back(solve(p, m, o));
+        }
+        for (const std::size_t workers : {1, 2}) {
+          for (const std::size_t width : {1, 3, 8, 16}) {
+            EnsembleSpec spec;
+            spec.initial_states = c.y0;
+            spec.workers = workers;
+            spec.max_batch = width;
+            const EnsembleResult r = solve_ensemble(batched, m, o, spec);
+            for (std::size_t i = 0; i < c.y0.size(); ++i) {
+              const Solution& got = r.solutions[i];
+              EXPECT_TRUE(bitwise_equal(got, want[i]) &&
+                          got.stats.rhs_calls == want[i].stats.rhs_calls &&
+                          got.stats.rejected == want[i].stats.rejected)
+                  << c.label << " " << to_string(m) << " every " << every
+                  << ", " << workers << " workers, batch " << width
+                  << ", scenario " << i;
+            }
+          }
+        }
+      }
+    }
   }
 }
 

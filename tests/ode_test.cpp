@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -653,6 +654,48 @@ TEST(Ensemble, FlightRecorderStaysWithinRingBudgetAt256Scenarios) {
   EXPECT_EQ(packs + refills, 256u);
   EXPECT_EQ(retires, 256u);
   EXPECT_GT(refills, 0u) << "staggered retirement never refilled a lane";
+}
+
+TEST(Ensemble, WorkerTopsUpFromItsOwnDealOnly) {
+  // The semi-dynamic fill rule: 8 scenarios on 2 workers are dealt 4
+  // each, and a worker steals only once its batch is empty. So however
+  // the threads start, no batch holds more than 4 lanes: a thread that
+  // starts first must not take its sibling's deal into a 7+1 split.
+  obs::Recorder& rec = obs::Recorder::global();
+  rec.start();
+  const Problem base = oscillator(2.0);
+  EnsembleSpec spec;
+  for (std::size_t s = 0; s < 8; ++s) {
+    spec.initial_states.push_back({1.0 + 0.1 * static_cast<double>(s), 0.0});
+  }
+  spec.workers = 2;
+  spec.max_batch = 16;
+  const EnsembleResult r = solve_ensemble(base, Method::kDopri5, {}, spec);
+  rec.stop();
+  ASSERT_EQ(r.solutions.size(), 8u);
+  ASSERT_EQ(rec.dropped(), 0u);
+
+  // Each thread's lane events are in its own order: count its live lanes.
+  std::map<std::uint32_t, std::size_t> live, widest;
+  std::size_t joined = 0;
+  for (const obs::StepEvent& ev : rec.events()) {
+    switch (ev.kind) {
+      case obs::StepEventKind::kLanePack:
+      case obs::StepEventKind::kLaneRefill:
+        ++joined;
+        widest[ev.tid] = std::max(widest[ev.tid], ++live[ev.tid]);
+        break;
+      case obs::StepEventKind::kLaneRetire:
+      case obs::StepEventKind::kLaneEventStop:
+        --live[ev.tid];
+        break;
+      default: break;
+    }
+  }
+  EXPECT_EQ(joined, 8u);
+  for (const auto& [tid, width] : widest) {
+    EXPECT_LE(width, 4u) << "thread " << tid << " ran a batch of " << width;
+  }
 }
 
 TEST(Ensemble, RejectsMismatchedScenarioSize) {
