@@ -96,11 +96,14 @@ double time_solve(const omx::ode::Problem& p, const omx::ode::SolverOptions& o,
 }
 
 // Per-layer timings of the stiff path's linear algebra at one size: an
-// in-place refactorization of the Newton matrix M = I - beta*h*J, and
-// one solve against it. Each is the best mean over several batches.
+// in-place refactorization of the Newton matrix M = I - beta*h*J, one
+// solve against it, and the per-lane share of one la::LaneSolver solve
+// over 16 lanes that share its structure (as an ensemble worker's BDF
+// lanes do). Each is the best mean over several batches.
 struct LuTimings {
   double refactor_us = 0.0;
   double solve_us = 0.0;
+  double solve_lanes16_us = 0.0;
 };
 
 LuTimings time_sparse_lu(const omx::la::CsrMatrix& jac) {
@@ -116,11 +119,21 @@ LuTimings time_sparse_lu(const omx::la::CsrMatrix& jac) {
   }
   omx::la::SparseLu lu(m);
   std::vector<double> b(pat.rows, 1.0), x(pat.rows);
+  constexpr std::size_t kLanes = 16;
+  const std::vector<omx::la::SparseLu> lane_lus(kLanes, lu);
+  std::vector<const omx::la::LinearSolver*> lanes;
+  std::vector<std::size_t> slots;
+  for (std::size_t q = 0; q < kLanes; ++q) {
+    lanes.push_back(&lane_lus[q]);
+    slots.push_back(q);
+  }
+  omx::la::LaneSolver lane_solver;
+  std::vector<double> bs(pat.rows * kLanes, 1.0), xs(bs.size());
   constexpr int kReps = 2000;
   const auto mean_us = [](clock::duration d) {
     return std::chrono::duration<double, std::micro>(d).count() / kReps;
   };
-  LuTimings best{1e300, 1e300};
+  LuTimings best{1e300, 1e300, 1e300};
   for (int batch = 0; batch < 5; ++batch) {
     const auto t0 = clock::now();
     for (int rep = 0; rep < kReps; ++rep) {
@@ -131,8 +144,14 @@ LuTimings time_sparse_lu(const omx::la::CsrMatrix& jac) {
       lu.solve(b, x);
     }
     const auto t2 = clock::now();
+    for (int rep = 0; rep < kReps; ++rep) {
+      lane_solver.solve(lanes, slots, bs.data(), xs.data());
+    }
+    const auto t3 = clock::now();
     best.refactor_us = std::min(best.refactor_us, mean_us(t1 - t0));
     best.solve_us = std::min(best.solve_us, mean_us(t2 - t1));
+    best.solve_lanes16_us =
+        std::min(best.solve_lanes16_us, mean_us(t3 - t2) / kLanes);
   }
   return best;
 }
@@ -201,10 +220,13 @@ void bench_sparse_backends() {
     g("sparse_reuse_hits", static_cast<double>(sparse_stats.jac_reuse_hits));
     if (n == sizes.back()) {
       const LuTimings lu = time_sparse_lu(jac);
-      std::printf("  n=%d sparse LU: refactor %.2f us, solve %.2f us\n", n,
-                  lu.refactor_us, lu.solve_us);
+      std::printf(
+          "  n=%d sparse LU: refactor %.2f us, solve %.2f us, "
+          "16-lane solve %.2f us per lane\n",
+          n, lu.refactor_us, lu.solve_us, lu.solve_lanes16_us);
       g("refactor_us", lu.refactor_us);
       g("lu_solve_us", lu.solve_us);
+      g("lu_solve_lanes16_us", lu.solve_lanes16_us);
     }
   }
   metrics.gauge("sparse.heat.largest_n")

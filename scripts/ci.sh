@@ -119,7 +119,9 @@ if [[ $MODE == tsan ]]; then
   # ensemble lanes, including
   # StiffPath.EnsembleColoredFdOnMultiLaneInterpMatchesSequential: four
   # BDF workers whose colored-FD Jacobians must each stay on their own
-  # interpreter lane.
+  # interpreter lane, and StiffPath.LockstepWidthSweepMatchesSequentialBitwise:
+  # BDF and LSODA lanes taking their Newton iterations in lockstep (one
+  # batched RHS, one lanes solve) at widths 1-16 on one and two workers.
   # Ensemble|SolveDispatch|AutoSwitch covers the multistep lane stepper
   # (kAdamsPece, kBdf, kLsodaLike) that ensemble workers now run side by
   # side, including Ensemble.MultistepLanesMatchIndividualSolves at two

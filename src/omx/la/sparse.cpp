@@ -1,12 +1,14 @@
 #include "omx/la/sparse.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <queue>
 #include <string>
 
 #include "omx/support/diagnostics.hpp"
+#include "omx/support/simd.hpp"
 
 namespace omx::la {
 
@@ -320,12 +322,19 @@ std::vector<Entry>::iterator find_col(std::vector<Entry>& row,
       [](const Entry& e, std::uint32_t col) { return e.col < col; });
 }
 
+/// A process-wide unique id for a new factorization.
+std::uint64_t next_generation() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 }  // namespace
 
 SparseLu::SparseLu(const CsrMatrix& a, Ordering ordering)
     : n_(a.rows()), ordering_kind_(ordering) {
   OMX_REQUIRE(a.rows() == a.cols(), "LU needs a square matrix");
   factorize(a);
+  generation_ = next_generation();
 }
 
 void SparseLu::refactor(const CsrMatrix& a) {
@@ -334,6 +343,7 @@ void SparseLu::refactor(const CsrMatrix& a) {
       !eliminate_in_place(a.values())) {
     factorize(a);
   }
+  generation_ = next_generation();
 }
 
 void SparseLu::factorize(const CsrMatrix& a) {
@@ -643,6 +653,154 @@ void SparseLu::solve(std::span<const double> b, std::span<double> x) const {
     for (std::size_t i = 0; i < n_; ++i) {
       x[order_[i]] = work_[i];
     }
+  }
+}
+
+namespace {
+
+/// The L\U walk of solve() for several lanes at once, y and out both in
+/// x (no permutation): per row, an entry's update runs over the lanes
+/// innermost. Lane r has column cx(r) of the stride-m arrays b and x and
+/// slot kv(r) of the stride-w values v. Each lane's element is its own
+/// accumulator, so its operands and their order are solve()'s; the lanes'
+/// chains are independent and overlap. kDense: cx(r) = kv(r) = r, so the
+/// lane loops are contiguous vector loops.
+template <bool kDense, typename Col, typename Key>
+void walk(std::size_t n, const std::size_t* row_ptr, const std::uint32_t* col,
+          const std::size_t* diag, const double* v, std::size_t w,
+          std::size_t lanes, Col cx, Key kv, std::size_t m, const double* b,
+          double* x) {
+  auto each = [lanes](auto&& f) {
+    if constexpr (kDense) {
+      OMX_PRAGMA_SIMD
+      for (std::size_t r = 0; r < lanes; ++r) {
+        f(r);
+      }
+    } else {
+      for (std::size_t r = 0; r < lanes; ++r) {
+        f(r);
+      }
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    double* xi = x + i * m;
+    const double* bi = b + i * m;
+    each([&](std::size_t r) { xi[cx(r)] = bi[cx(r)]; });
+    for (std::size_t k = row_ptr[i]; k < diag[i]; ++k) {
+      const double* xc = x + col[k] * m;
+      const double* vk = v + k * w;
+      each([&](std::size_t r) { xi[cx(r)] -= vk[kv(r)] * xc[cx(r)]; });
+    }
+  }
+  for (std::size_t ii = n; ii-- > 0;) {
+    double* xi = x + ii * m;
+    const std::size_t d = diag[ii];
+    for (std::size_t k = d + 1; k < row_ptr[ii + 1]; ++k) {
+      const double* xc = x + col[k] * m;
+      const double* vk = v + k * w;
+      each([&](std::size_t r) { xi[cx(r)] -= vk[kv(r)] * xc[cx(r)]; });
+    }
+    const double* vd = v + d * w;
+    each([&](std::size_t r) { xi[cx(r)] /= vd[kv(r)]; });
+  }
+}
+
+}  // namespace
+
+bool LaneSolver::fits(const SparseLu& lu) {
+  if (!lu.work_.empty()) {
+    return false;  // a permutation: pivoted or RCM
+  }
+  if (!pattern_) {
+    pattern_ = lu.pattern_;
+    row_ptr_ = lu.row_ptr_;
+    col_ = lu.col_;
+    diag_ = lu.diag_;
+    std::fill(held_.begin(), held_.end(), 0);
+    return true;
+  }
+  // Unpermuted factors of one pattern hold every input entry at the
+  // input's place; equal counts then mean no fill on either side, so
+  // both structures are the pattern's. Otherwise the fill is compared.
+  return lu.pattern_ == pattern_ && lu.col_.size() == col_.size() &&
+         (col_.size() == pattern_->nnz() ||
+          (lu.row_ptr_ == row_ptr_ && lu.col_ == col_));
+}
+
+void LaneSolver::hold(std::size_t slot, const SparseLu& lu) {
+  if (vals_.size() != col_.size() * width_) {
+    vals_.resize(col_.size() * width_);
+  }
+  if (held_[slot] == lu.generation_) {
+    return;
+  }
+  for (std::size_t k = 0; k < col_.size(); ++k) {
+    vals_[k * width_ + slot] = lu.val_[k];
+  }
+  held_[slot] = lu.generation_;
+}
+
+void LaneSolver::solve(std::span<const LinearSolver* const> solvers,
+                       std::span<const std::size_t> slots, const double* b,
+                       double* x) {
+  OMX_REQUIRE(slots.size() == solvers.size(), "one slot per lane");
+  const std::size_t m = solvers.size();
+  if (m == 0) {
+    return;
+  }
+  auto alone = [&](std::size_t q) {
+    const std::size_t n = solvers[q]->size();
+    if (m == 1) {
+      solvers[q]->solve({b, n}, {x, n});
+      return;
+    }
+    work_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      work_[i] = b[i * m + q];
+    }
+    solvers[q]->solve(work_, work_);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i * m + q] = work_[i];
+    }
+  };
+  const std::size_t top = *std::max_element(slots.begin(), slots.end());
+  if (top >= width_) {
+    // Re-stride to the wider block; every slot is copied again.
+    width_ = top + 1;
+    held_.assign(width_, 0);
+  }
+  cols_.clear();
+  keys_.clear();
+  for (std::size_t q = 0; q < m; ++q) {
+    const auto* lu = dynamic_cast<const SparseLu*>(solvers[q]);
+    if (lu != nullptr && fits(*lu)) {
+      hold(slots[q], *lu);
+      cols_.push_back(q);
+      keys_.push_back(slots[q]);
+    } else {
+      alone(q);
+    }
+  }
+  const std::size_t lanes = cols_.size();
+  if (lanes <= 1) {
+    if (lanes == 1) {
+      alone(cols_[0]);
+    }
+    return;
+  }
+  bool dense = lanes == m;
+  for (std::size_t r = 0; dense && r < lanes; ++r) {
+    dense = keys_[r] == r;
+  }
+  const std::size_t n = row_ptr_.size() - 1;
+  if (dense) {
+    const auto id = [](std::size_t r) { return r; };
+    walk<true>(n, row_ptr_.data(), col_.data(), diag_.data(), vals_.data(),
+               width_, lanes, id, id, m, b, x);
+  } else {
+    walk<false>(n, row_ptr_.data(), col_.data(), diag_.data(), vals_.data(),
+                width_, lanes, [&](std::size_t r) { return cols_[r]; },
+                [&](std::size_t r) { return keys_[r]; }, m, b, x);
   }
 }
 

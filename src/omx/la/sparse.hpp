@@ -1,7 +1,8 @@
 // Sparse linear-algebra substrate for the stiff path: CSR sparsity
 // patterns, distance-2 column coloring (compressed finite-difference
-// Jacobians), a CSR value matrix, and a sparse LU factorization with
-// partial pivoting behind the la::LinearSolver interface.
+// Jacobians), a CSR value matrix, a sparse LU factorization with
+// partial pivoting behind the la::LinearSolver interface, and a lanes
+// solver that runs many lanes' triangular solves side by side.
 //
 // Bitwise contract: with the default natural ordering, SparseLu performs
 // exactly the same floating-point operations as the dense LuFactors on
@@ -166,6 +167,8 @@ class SparseLu final : public LinearSolver {
   Ordering ordering() const { return ordering_kind_; }
 
  private:
+  friend class LaneSolver;
+
   void factorize(const CsrMatrix& a);
   bool eliminate_in_place(std::span<const double> a_values);
 
@@ -185,6 +188,54 @@ class SparseLu final : public LinearSolver {
   std::size_t bandwidth_ = 0;          // lower bandwidth bound for pivots
   double pivot_min_ = 0.0;
   double pivot_max_ = 0.0;
+  // Process-wide unique per successful factorization, so a LaneSolver
+  // can tell whether its copy of the values is current.
+  std::uint64_t generation_ = 0;
+};
+
+/// Solves many lanes' systems side by side. A call's lane q solves
+/// solvers[q] x = b on column q of the n x m SoA arrays b and x (element
+/// i at [i * m + q], m = solvers.size()); x may alias b.
+///
+/// The SparseLu lanes whose factors share one structure (one pattern
+/// object, the natural ordering, no row swap, the same fill) walk it
+/// together, row by row, the lanes the inner loop, so their divide
+/// chains overlap. For that the solver keeps their factor values
+/// lane-interleaved, one slot per lane: the caller names lane q's slot,
+/// slots[q], and keeps it for that lane from call to call, and a slot's
+/// copy is refreshed only when its lane has refactored since. When
+/// every lane of a call walks and slots[q] is q, one entry's values for
+/// all lanes are contiguous and the walk runs as vector loops. Each
+/// walking lane does the operations of its own solve(), in the same
+/// order, so its x is bitwise what solve() gives. Every other lane
+/// (pivoted or RCM factors, another structure, the dense LuFactors) is
+/// gathered and solves alone; so is a lone walking lane. Allocates
+/// nothing once it has seen its widest call and its structure; not safe
+/// to use from two threads at once.
+class LaneSolver {
+ public:
+  void solve(std::span<const LinearSolver* const> solvers,
+             std::span<const std::size_t> slots, const double* b, double* x);
+
+ private:
+  /// True when `lu` can walk the held structure; the first such lane
+  /// sets it.
+  bool fits(const SparseLu& lu);
+  /// Makes `slot` hold `lu`'s current values.
+  void hold(std::size_t slot, const SparseLu& lu);
+
+  // The walked structure (see SparseLu's storage comment).
+  std::shared_ptr<const SparsityPattern> pattern_;
+  std::vector<std::size_t> row_ptr_, diag_;
+  std::vector<std::uint32_t> col_;
+  // Value k of slot j at [k * width_ + j], and the generation each slot
+  // holds (0: none).
+  std::size_t width_ = 0;
+  std::vector<double> vals_;
+  std::vector<std::uint64_t> held_;
+  // A call's walking lanes: their columns in b and x, and their slots.
+  std::vector<std::size_t> cols_, keys_;
+  std::vector<double> work_;  // one lane's column for a solve alone
 };
 
 }  // namespace omx::la

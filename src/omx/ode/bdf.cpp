@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "omx/obs/recorder.hpp"
 
@@ -41,12 +42,14 @@ void extrapolate(const std::vector<std::vector<double>>& hist, int points,
   };
   const std::size_t n = out.size();
   const double* c = kExtrap[points - 1];
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (int j = 0; j < points; ++j) {
-      acc += c[j] * hist[static_cast<std::size_t>(j)][i];
+  // out[i] = 0 + c[0] h0[i] + c[1] h1[i] + ..., each element's sum in
+  // point order; a pass per point keeps that order and vectorizes.
+  std::fill(out.begin(), out.end(), 0.0);
+  for (int j = 0; j < points; ++j) {
+    const double* h = hist[static_cast<std::size_t>(j)].data();
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] += c[j] * h[i];
     }
-    out[i] = acc;
   }
 }
 
@@ -79,13 +82,12 @@ void BdfStepper::restart(double t, std::span<const double> y, double h) {
   if (h > 0.0) {
     h_ = h;
   } else {
-    // Hairer's d0/d1 heuristic (see adams.cpp).
-    std::vector<double> f(p_.n), w(p_.n);
-    p_.rhs(t_, y, f);
+    // Hairer's d0/d1 heuristic (see adams.cpp), in the step scratch.
+    p_.rhs(t_, y, f_);
     ++stats_.rhs_calls;
-    error_weights(y, opts_.tol, w);
-    const double d0 = la::wrms_norm(y, w);
-    const double d1 = la::wrms_norm(f, w);
+    error_weights(y, opts_.tol, w_);
+    const double d0 = la::wrms_norm(y, w_);
+    const double d1 = la::wrms_norm(f_, w_);
     h_ = (d0 > 1e-5 && d1 > 1e-5) ? 0.01 * d0 / d1
                                   : 1e-3 * (p_.tend - p_.t0);
   }
@@ -134,47 +136,18 @@ void BdfStepper::push_history(std::span<const double> y) {
   hist_len_ = std::min(hist_len_ + 1, kHistory);
 }
 
-bool BdfStepper::newton_solve(double t1, std::span<const double> predictor,
-                              std::span<const double> rhs_const,
-                              double beta_h, std::span<double> y1) {
-  const std::size_t n = p_.n;
-  std::copy(predictor.begin(), predictor.end(), y1.begin());
-  error_weights(predictor, opts_.tol, w_);
-
-  la::LinearSolver* solver = &jac_engine_.prepare(t1, y1, beta_h, stats_);
-
-  bool refreshed_this_call = false;
-  double prev_norm = std::numeric_limits<double>::infinity();
-  for (std::size_t it = 0; it < opts_.newton_max_iters; ++it) {
-    p_.rhs(t1, y1, f_);
-    ++stats_.rhs_calls;
-    ++stats_.newton_iters;
-    last_newton_iters_ = it + 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      g_[i] = y1[i] - beta_h * f_[i] - rhs_const[i];
-    }
-    solver->solve(g_, dy_);
-    for (std::size_t i = 0; i < n; ++i) {
-      y1[i] -= dy_[i];
-    }
-    const double dn = la::wrms_norm(dy_, w_);
-    if (dn < 0.01) {  // displacement well below the error tolerance scale
-      return true;
-    }
-    if (dn > prev_norm && !refreshed_this_call) {
-      // Diverging: refresh Jacobian at the current iterate once.
-      jac_engine_.force_refresh();
-      solver = &jac_engine_.prepare(t1, y1, beta_h, stats_);
-      refreshed_this_call = true;
-      prev_norm = std::numeric_limits<double>::infinity();
-      continue;
-    }
-    prev_norm = dn;
+bool BdfStepper::step() {
+  if (begin_step()) {
+    do {
+      p_.rhs(newton_t(), ynew_, f_);
+      newton_residual(f_.data(), g_.data(), 1);
+      solver_->solve(g_, dy_);
+    } while (newton_update(dy_.data(), 1));
   }
-  return false;
+  return finish_step();
 }
 
-bool BdfStepper::step() {
+bool BdfStepper::begin_step() {
   const std::size_t n = p_.n;
   const bool fixed = opts_.bdf_fixed_h > 0.0;
   const double rem = p_.tend - t_;
@@ -210,13 +183,19 @@ bool BdfStepper::step() {
     ++stats_.steps;
     last_node_h_ = h;
     last_dense_points_ = 2;
-    return true;
+    attempt_.finished = true;
+    return false;
   }
   // Clipping the final step changes the grid spacing; drop to order 1
   // (backward Euler) for that step, which needs no uniform history.
   const int k = clipped ? 1 : order_;
   const BdfCoeffs& c = kBdf[k - 1];
-  const double beta_h = c.beta * h;
+  attempt_ = {.h = h,
+              .rem = rem,
+              .beta_h = c.beta * h,
+              .k = k,
+              .clipped = clipped,
+              .finished = false};
 
   // rhs_const = sum a_i y_{n+1-i}; predictor = extrapolation.
   std::fill(rhs_const_.begin(), rhs_const_.end(), 0.0);
@@ -229,7 +208,59 @@ bool BdfStepper::step() {
   extrapolate(history_, std::min<int>(k + 1, static_cast<int>(hist_len_)),
               predictor_);
 
-  if (!newton_solve(t_ + h, predictor_, rhs_const_, beta_h, ynew_)) {
+  // Newton iterates in ynew_, starting from the predictor.
+  std::copy(predictor_.begin(), predictor_.end(), ynew_.begin());
+  error_weights(predictor_, opts_.tol, w_);
+  solver_ = &jac_engine_.prepare(newton_t(), ynew_, attempt_.beta_h, stats_);
+  iter_ = 0;
+  prev_norm_ = std::numeric_limits<double>::infinity();
+  refreshed_ = false;
+  converged_ = false;
+  return opts_.newton_max_iters > 0;
+}
+
+void BdfStepper::newton_residual(const double* f, double* g,
+                                 std::size_t stride) {
+  ++stats_.rhs_calls;
+  ++stats_.newton_iters;
+  last_newton_iters_ = ++iter_;
+  for (std::size_t i = 0; i < p_.n; ++i) {
+    g[i * stride] = ynew_[i] - attempt_.beta_h * f[i * stride] - rhs_const_[i];
+  }
+}
+
+bool BdfStepper::newton_update(const double* dy, std::size_t stride) {
+  for (std::size_t i = 0; i < p_.n; ++i) {
+    dy_[i] = dy[i * stride];
+    ynew_[i] -= dy_[i];
+  }
+  const double dn = la::wrms_norm(dy_, w_);
+  if (dn < 0.01) {  // displacement well below the error tolerance scale
+    converged_ = true;
+    return false;
+  }
+  if (dn > prev_norm_ && !refreshed_) {
+    // Diverging: refresh Jacobian at the current iterate once.
+    jac_engine_.force_refresh();
+    solver_ = &jac_engine_.prepare(newton_t(), ynew_, attempt_.beta_h, stats_);
+    refreshed_ = true;
+    prev_norm_ = std::numeric_limits<double>::infinity();
+  } else {
+    prev_norm_ = dn;
+  }
+  return iter_ < opts_.newton_max_iters;
+}
+
+bool BdfStepper::finish_step() {
+  if (attempt_.finished) {
+    return true;
+  }
+  const std::size_t n = p_.n;
+  const bool fixed = opts_.bdf_fixed_h > 0.0;
+  const double h = attempt_.h;
+  const int k = attempt_.k;
+  const bool clipped = attempt_.clipped;
+  if (!converged_) {
     // Newton failed: refresh everything with a smaller step.
     ++stats_.rejected;
     obs::record_step(obs::StepEventKind::kNewtonFail, "bdf",
@@ -284,7 +315,7 @@ bool BdfStepper::step() {
           0.9 * std::pow(std::max(err, 1e-10), -1.0 / (k + 1));
       const double hmax =
           opts_.hmax > 0.0 ? opts_.hmax : (p_.tend - p_.t0);
-      if (fac > 2.0 && rem > 8.0 * h_ && hist_len_ >= 3 &&
+      if (fac > 2.0 && attempt_.rem > 8.0 * h_ && hist_len_ >= 3 &&
           2.0 * h_ <= hmax) {
         // Keep the even points: point 2i moves to slot i. Slot 2i lies
         // past every slot an earlier swap touched, so it still holds

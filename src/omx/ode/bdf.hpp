@@ -24,6 +24,13 @@ namespace omx::ode {
 
 /// Single-step driver; reads tol, bdf_max_order, h0, hmax,
 /// newton_max_iters, bdf_fixed_h and jac_threads from the options.
+///
+/// A step attempt runs in phases, so that an ensemble can take many
+/// lanes' Newton iterations in lockstep (ode/ensemble.cpp): begin_step();
+/// then, for as long as newton_update() asks for another, one iteration:
+/// the RHS at (newton_t(), newton_y()), newton_residual(), a solve with
+/// newton_solver() and newton_update(); then finish_step(). step() is
+/// those phases in sequence with the RHS through p.rhs.
 class BdfStepper {
  public:
   BdfStepper(const Problem& p, const SolverOptions& opts);
@@ -32,6 +39,26 @@ class BdfStepper {
 
   /// Attempts one step; true = accepted.
   bool step();
+
+  /// Starts an attempt: step size, order, predictor, error weights and
+  /// the iteration matrix. False when the attempt takes no Newton
+  /// iteration (the fixed-step mode's final interval, which it finishes
+  /// here, or newton_max_iters = 0).
+  bool begin_step();
+  /// The time and the iterate the next iteration evaluates the RHS at.
+  double newton_t() const { return t_ + attempt_.h; }
+  std::span<const double> newton_y() const { return ynew_; }
+  /// g = y - beta*h*f - rhs_const at the iterate, from f = rhs(newton_t(),
+  /// newton_y()); f and g are strided by `stride`.
+  void newton_residual(const double* f, double* g, std::size_t stride);
+  /// The factorization this iteration solves with.
+  const la::LinearSolver& newton_solver() const { return *solver_; }
+  /// Applies the correction dy (strided by `stride`) that solves M dy = g;
+  /// true when another iteration follows.
+  bool newton_update(const double* dy, std::size_t stride);
+  /// Ends the attempt: error estimate, then accept or reject; true =
+  /// accepted.
+  bool finish_step();
 
   double t() const { return t_; }
   std::span<const double> y() const { return history_.front(); }
@@ -53,10 +80,6 @@ class BdfStepper {
   SolverStats& stats() { return stats_; }
 
  private:
-  /// Iterates in `y1`, starting from `predictor`.
-  bool newton_solve(double t1, std::span<const double> predictor,
-                    std::span<const double> rhs_const, double beta_h,
-                    std::span<double> y1);
   /// Makes `y` the newest history point, dropping the oldest when full.
   void push_history(std::span<const double> y);
 
@@ -72,9 +95,24 @@ class BdfStepper {
   static constexpr std::size_t kHistory = 6;
   std::vector<std::vector<double>> history_;
   std::size_t hist_len_ = 0;
-  // Scratch of step() and newton_solve(), sized once so that the
+  // Scratch of the step phases and of restart(), sized once so that the
   // adaptive step loop allocates nothing.
   std::vector<double> rhs_const_, predictor_, ynew_, w_, f_, g_, dy_;
+  // The attempt in flight, set by begin_step().
+  struct Attempt {
+    double h = 0.0;         // its step size
+    double rem = 0.0;       // tend - t at its start
+    double beta_h = 0.0;    // beta * h of its order
+    int k = 1;              // its order
+    bool clipped = false;   // the final step, shortened to reach tend
+    bool finished = false;  // begin_step() already took it
+  } attempt_;
+  // Newton state of the attempt in flight.
+  const la::LinearSolver* solver_ = nullptr;
+  std::size_t iter_ = 0;
+  double prev_norm_ = 0.0;
+  bool refreshed_ = false;  // the Jacobian was refreshed on divergence
+  bool converged_ = false;
   // Node spacing / count for last_step_dense(), refreshed per accepted
   // step (growth subsampling changes the spacing after the insert).
   double last_node_h_ = 0.0;

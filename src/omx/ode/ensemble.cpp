@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdint>
 #include <exception>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -16,6 +15,7 @@
 #include <vector>
 
 #include "omx/la/matrix.hpp"
+#include "omx/la/sparse.hpp"
 #include "omx/obs/recorder.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/obs/trace.hpp"
@@ -234,10 +234,6 @@ class StepperBase {
   const Problem& p;
   const SolverOptions& o;
   const char* const method_name;  // literal: step, cancel and error label
-
-  /// Widest batch the stepper takes.
-  static constexpr std::size_t kMaxLanes =
-      std::numeric_limits<std::size_t>::max();
 
   std::size_t active() const { return live_; }
 
@@ -967,6 +963,10 @@ struct MultistepLane : LaneCore {
   std::size_t seg_accepted = 0, since_check = 0, sigma_hits = 0,
               easy_streak = 0;
   Vec yprev;  // armed lanes: the jump's start, for the Hermite interpolant
+  // A BDF attempt the last lockstep round began for this round: none,
+  // one awaiting its Newton iterations, or one that needs none.
+  enum class Begun : std::uint8_t { kNone, kIterate, kFinish };
+  Begun begun = Begun::kNone;
 };
 
 /// Calls `f` on the segment's engaged stepper.
@@ -989,21 +989,33 @@ void add_stats(SolverStats& into, const SolverStats& from) {
 }
 
 /// kAdamsPece, kBdf and kLsodaLike. Each lane runs an AdamsStepper or a
-/// BdfStepper, which evaluate the lane problem's RHS themselves: lanes
-/// share no RHS call, so a batch holds one lane. kAdamsPece and kBdf run
-/// one segment; kLsodaLike starts on Adams and starts a new segment at
-/// every switch.
+/// BdfStepper. kAdamsPece and kBdf run one segment; kLsodaLike starts on
+/// Adams and starts a new segment at every switch.
+///
+/// A round steps the Adams lanes one at a time, each evaluating its own
+/// RHS. The BDF lanes (kLsodaLike lanes in a BDF segment among them)
+/// take their step attempts in lockstep: each begins its attempt alone,
+/// then every Newton iteration is one RHS call over the lanes still
+/// iterating (batched on the worker's kernel lane when one is bound) and
+/// one la::LaneSolver solve over their factorizations, and each finishes
+/// its attempt alone. A lane leaves the iteration when it converges or
+/// fails. Jacobian evaluation, refactoring and events stay per lane, and
+/// every lane does its own operations in its own order, so its bits do
+/// not depend on the lanes beside it. A round with one BDF lane that
+/// has not begun its attempt takes BdfStepper::step(), the same phases
+/// in sequence.
 class MultistepStepper : public StepperBase<MultistepLane> {
  public:
-  static constexpr std::size_t kMaxLanes = 1;
-
   MultistepStepper(const Problem& pp, const SolverOptions& oo, Method method,
                    std::size_t lane, TrajectorySink& sink, bool batched)
       : StepperBase(pp, oo, method == Method::kAdamsPece ? "adams"
                                                          : to_string(method),
                     sink),
         method_(method),
-        lane_p_(pp) {
+        lane_(lane),
+        batched_(batched),
+        lane_p_(pp),
+        fa_(pp.n) {
     if (batched) {
       // Every evaluation of the lane, the colored-FD Jacobian's batched
       // call included, runs on this worker's kernel lane; one lane also
@@ -1044,15 +1056,24 @@ class MultistepStepper : public StepperBase<MultistepLane> {
   template <typename OnRetire>
   void round(OnRetire& on_retire) {
     settle_slots();
-    for (MultistepLane& L : lanes_) {
+    bdf_.clear();
+    for (std::size_t j = 0; j < lanes_.size(); ++j) {
+      MultistepLane& L = lanes_[j];
       if (++L.attempts > o.max_steps) {
         throw omx::Error(std::string(method_name) + ": max_steps exceeded");
       }
       if (L.seg->adams) {
         adams_attempt(L);
       } else {
-        bdf_attempt(L);
+        bdf_.push_back(j);
       }
+    }
+    if (bdf_.size() == 1 &&
+        lanes_[bdf_[0]].begun == MultistepLane::Begun::kNone) {
+      MultistepLane& L = lanes_[bdf_[0]];
+      bdf_after(L, L.seg->bdf->step());
+    } else if (!bdf_.empty()) {
+      bdf_lockstep();
     }
     retire_done(on_retire);
   }
@@ -1136,11 +1157,84 @@ class MultistepStepper : public StepperBase<MultistepLane> {
     advance(L);
   }
 
-  void bdf_attempt(MultistepLane& L) {
+  /// The attempts of the BDF lanes in bdf_, their Newton iterations in
+  /// lockstep. A lane's position in bdf_ is its slot in the lanes
+  /// solver. The SoA arrays y, f and g (g turns into the correction in
+  /// place) hold the iterating lanes at width m, in slot order. A lane
+  /// that stays on BDF begins its next attempt as soon as it has finished
+  /// this one, while its state is still in cache.
+  void bdf_lockstep() {
+    using Begun = MultistepLane::Begun;
+    const std::size_t n = p.n;
+    const std::size_t nb = bdf_.size();
+    steppers_.clear();
+    iterating_.clear();
+    for (std::size_t q = 0; q < nb; ++q) {
+      MultistepLane& L = lanes_[bdf_[q]];
+      BdfStepper& st = *L.seg->bdf;
+      steppers_.push_back(&st);
+      if (L.begun == Begun::kNone) {
+        L.begun = st.begin_step() ? Begun::kIterate : Begun::kFinish;
+      }
+      if (L.begun == Begun::kIterate) {
+        iterating_.push_back(q);
+      }
+      L.begun = Begun::kNone;
+    }
+    if (y_.size() < n * nb) {
+      for (Vec* v : {&y_, &f_, &g_}) {
+        v->resize(n * nb);
+      }
+      ts_.resize(nb);
+      solvers_.resize(nb);
+    }
+    while (!iterating_.empty()) {
+      const std::size_t m = iterating_.size();
+      for (std::size_t q = 0; q < m; ++q) {
+        const BdfStepper& st = *steppers_[iterating_[q]];
+        ts_[q] = st.newton_t();
+        if (batched_) {
+          scatter(st.newton_y(), y_.data(), m, q);
+        } else {
+          p.rhs(ts_[q], st.newton_y(), fa_);
+          scatter(fa_, f_.data(), m, q);
+        }
+      }
+      if (batched_) {
+        p.batch_rhs(lane_, m, ts_.data(), y_.data(), f_.data());
+      }
+      for (std::size_t q = 0; q < m; ++q) {
+        BdfStepper& st = *steppers_[iterating_[q]];
+        st.newton_residual(f_.data() + q, g_.data() + q, m);
+        solvers_[q] = &st.newton_solver();
+      }
+      lane_solver_.solve({solvers_.data(), m}, {iterating_.data(), m},
+                         g_.data(), g_.data());
+      std::size_t kept = 0;
+      for (std::size_t q = 0; q < m; ++q) {
+        if (steppers_[iterating_[q]]->newton_update(g_.data() + q, m)) {
+          iterating_[kept++] = iterating_[q];
+        }
+      }
+      iterating_.resize(kept);
+    }
+    for (std::size_t q = 0; q < nb; ++q) {
+      MultistepLane& L = lanes_[bdf_[q]];
+      bdf_after(L, steppers_[q]->finish_step());
+      if (!L.done && L.seg->bdf) {
+        L.begun = L.seg->bdf->begin_step() ? Begun::kIterate : Begun::kFinish;
+      }
+    }
+  }
+
+  /// The rest of a BDF lane's attempt, `accepted` or not: events, the
+  /// record and kLsodaLike's switch back. L.t is still where the attempt
+  /// began.
+  void bdf_after(MultistepLane& L, bool accepted) {
     BdfStepper& st = *L.seg->bdf;
-    const double t_prev = st.t();
+    const double t_prev = L.t;
     bool relaxed = false;
-    if (st.step()) {
+    if (accepted) {
       const std::size_t fired_before = L.events.events_fired();
       if (L.events.armed() && sweep(L, t_prev)) {
         end_segment(L);
@@ -1264,15 +1358,29 @@ class MultistepStepper : public StepperBase<MultistepLane> {
   }
 
   Method method_;
+  std::size_t lane_;  // this worker's kernel lane
+  bool batched_;      // the RHS runs through p.batch_rhs
   Problem lane_p_;  // the base problem, with the RHS on this worker's lane
+  // Lockstep state, grown to the widest round and kept: the lane slots
+  // of the round's BDF lanes and their steppers, the positions in bdf_
+  // of the lanes still iterating, their times, SoA iterates, RHS values
+  // and residuals, and their factorizations.
+  std::vector<std::size_t> bdf_;
+  std::vector<BdfStepper*> steppers_;
+  std::vector<std::size_t> iterating_;
+  Vec ts_, y_, f_, g_;
+  std::vector<const la::LinearSolver*> solvers_;
+  la::LaneSolver lane_solver_;
+  Vec fa_;  // one lane's RHS value
 };
 
 // ----------------------------------------------------------- scheduling
 
 /// The scenarios' semi-dynamic LPT (§3.2.3): a static deal that is
 /// corrected only where a worker runs dry. A worker tops its batch up
-/// from its own deque (pop); only a worker whose batch has run empty
-/// steals, so one thread starting early cannot take its siblings' deals
+/// from its own deque (pop); it steals only once that is spent, and then
+/// only into a batch that has run empty or into slots its retired lanes
+/// left, so one thread starting early cannot take its siblings' deals
 /// into one wide batch while they sit idle.
 struct WorkSource {
   std::vector<runtime::TaskDeque> deques;
@@ -1386,23 +1494,25 @@ void with_stepper(const Problem& p, Method method, const SolverOptions& o,
 
 /// One ensemble worker: keeps its stepper's batch topped up to
 /// `max_batch` lanes from its own deal, a retired lane's slot refilled in
-/// place, and runs rounds until no scenario is left. Only an empty batch
-/// steals (WorkSource), and then it fills by stealing. Lane events and
-/// the cancel message carry the Method's name.
+/// place, and runs rounds until no scenario is left. Once the own deal is
+/// spent it steals (WorkSource): a slot a lane retired from is refilled
+/// by stealing, and an empty batch fills by stealing. A batch never grows
+/// by stealing otherwise, so a worker that starts early cannot take its
+/// siblings' deals. Lane events and the cancel message carry the Method's
+/// name.
 template <typename Stepper>
 void run_batched_worker(Stepper& st, Method method, WorkSource& ws,
                         std::size_t w, std::size_t max_batch,
                         const EnsembleSpec& spec, LaneLedger& ledger) {
   const char* const name = to_string(method);
-  max_batch = std::min(max_batch, Stepper::kMaxLanes);
-  // A one-lane stepper integrates one scenario at a time; each gets the
-  // method span that ode::solve records.
-  std::optional<obs::Span> scenario_span;
+  // The worker's run is one method span, as a single solve is.
+  obs::Span span(name, "ode");
+  std::size_t vacated = 0;  // slots lanes retired from since the top-up
   auto on_retire = [&](const LaneCore& L) {
     ledger.retired(name, L.scenario, L.stats, L.event_stopped,
                    L.event_stopped ? L.t : st.p.tend);
     ledger.left();
-    scenario_span.reset();
+    ++vacated;
   };
   std::uint32_t s = 0;
   bool mid_flight = false;  // has this batch taken a round yet?
@@ -1421,19 +1531,18 @@ void run_batched_worker(Stepper& st, Method method, WorkSource& ws,
     while (st.active() < max_batch) {
       if (!ws.pop(w, s)) {
         dry = dry || st.active() == 0;
-        if (!dry || !ws.steal(w, s)) {
+        if (!(dry || vacated > 0) || !ws.steal(w, s)) {
           break;
         }
       }
+      vacated -= vacated > 0 ? 1 : 0;
       obs::record_lane(mid_flight ? obs::StepEventKind::kLaneRefill
                                   : obs::StepEventKind::kLanePack,
                        name, s, st.p.t0);
       ledger.joined();
-      if constexpr (Stepper::kMaxLanes == 1) {
-        scenario_span.emplace(name, "ode");
-      }
       st.add(s, spec.initial_states[s], on_retire);
     }
+    vacated = 0;
     const std::size_t nb = st.active();
     if (nb == 0) {
       break;

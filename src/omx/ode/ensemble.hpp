@@ -22,19 +22,24 @@
 //    lane's state and stages in one 64-byte-aligned SoA block whose
 //    stride is the kernel call width, so each stage is one batched call
 //    on the block and the stage sums are SIMD loops over the lanes.
-//  * A worker tops its batch up from its own LPT deal only. A finished
+//  * A worker tops its batch up from its own LPT deal. A finished
 //    scenario retires at once and its slot is refilled in place from
-//    that deal; once the deal is spent, the block re-strides to the
-//    lanes still live. Only a worker whose batch has run empty steals
-//    (whole scenarios, from the most-loaded deque).
+//    that deal, or, once the deal is spent, by stealing (whole
+//    scenarios, from the most-loaded deque); when nothing is left to
+//    take, the block re-strides to the lanes still live. A batch never
+//    grows by stealing except when it has run empty.
 //  * kExplicitEuler / kRk4 / kDopri5 run fully batched, with or without
 //    events: each lane carries its own EventHandler, and a fixed-step
 //    lane with armed events walks to tend instead of counting dt steps.
 //  * kAdamsPece / kBdf / kLsodaLike run as lanes of one multistep
-//    stepper. A lane's Adams or BDF stepper evaluates the RHS itself,
-//    through the batched kernel at width 1 on the worker's own kernel
-//    lane when one is bound, so lanes share no RHS call and a worker
-//    holds one such lane at a time.
+//    stepper, up to max_batch of them per worker. Adams lanes step one
+//    at a time, each evaluating its own RHS (through the batched kernel
+//    at width 1 on the worker's kernel lane when one is bound). BDF
+//    lanes, kLsodaLike lanes in a BDF segment among them, take each
+//    Newton iteration together: one batched RHS call over the lanes
+//    still iterating and one la::LaneSolver solve that walks their
+//    shared sparse L\U structure with the lanes innermost. Jacobians,
+//    refactorizations and events stay per lane.
 //  * These lane steppers are the only implementation of the six
 //    methods: ode::solve runs the same stepper with one lane, calling
 //    p.rhs on the lane's own vectors.

@@ -1,93 +1,18 @@
 // Steady-state allocation check for the ensemble's DOPRI5 lane block.
 // Once a worker's block is full and no lane joins or retires, a round —
 // seven batched stage calls, the stage sums, the error norms, step
-// control and the rows it records — must not touch the heap. The binary
-// replaces the global operator new/delete with counting versions that
-// forward to malloc/free, which is why it is a test program of its own:
-// the other suites keep the default allocator.
+// control and the rows it records — must not touch the heap
+// (allocations counted by counting_allocator.hpp).
 #include <gtest/gtest.h>
 
-#include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "counting_allocator.hpp"
 #include "omx/obs/trace.hpp"
 #include "omx/ode/ensemble.hpp"
 
-namespace {
-
-thread_local std::size_t t_allocations = 0;
-
-void* counted_alloc(std::size_t size, std::size_t align) {
-  ++t_allocations;
-  void* p = align <= alignof(std::max_align_t)
-                ? std::malloc(size == 0 ? 1 : size)
-                : std::aligned_alloc(align, (size + align - 1) / align * align);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  return counted_alloc(size, alignof(std::max_align_t));
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, static_cast<std::size_t>(align));
-}
-// std::stable_sort's temporary buffer uses the nothrow form; it must pair
-// with the free() below too (a sanitizer's own nothrow new would not).
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  try {
-    return counted_alloc(size, alignof(std::max_align_t));
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace omx::ode {
 namespace {
-
-/// Lends each scenario one preallocated chunk, and samples the calling
-/// thread's allocation count at every commit.
-class SamplingSink final : public TrajectorySink {
- public:
-  SamplingSink(std::size_t scenarios, std::size_t n) : chunks_(scenarios) {
-    for (std::size_t s = 0; s < scenarios; ++s) {
-      chunks_[s].reset(static_cast<std::uint32_t>(s), n, 4);
-    }
-    samples_.reserve(kMaxSamples);
-  }
-
-  TrajectoryChunk* acquire(std::uint32_t scenario, std::size_t) override {
-    TrajectoryChunk& c = chunks_[scenario];
-    c.size = 0;
-    c.final = false;
-    return &c;
-  }
-  void commit(TrajectoryChunk*) override {
-    if (samples_.size() < kMaxSamples) {
-      samples_.push_back(t_allocations);
-    }
-  }
-  void finish(std::uint32_t, const SolverStats&) override {}
-
-  const std::vector<std::size_t>& samples() const { return samples_; }
-
- private:
-  static constexpr std::size_t kMaxSamples = 1 << 16;
-  std::vector<TrajectoryChunk> chunks_;
-  std::vector<std::size_t> samples_;
-};
 
 TEST(LaneBlock, SteadyStateDopri5RoundAllocatesNothing) {
   // Eight oscillator lanes in one block of eight on one worker, a

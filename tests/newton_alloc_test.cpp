@@ -1,50 +1,19 @@
-// Steady-state allocation check for the stiff path. Once a BDF stepper
+// Steady-state allocation checks for the stiff path. Once a BDF stepper
 // on the sparse backend has warmed up, its accepted steps — Jacobian
-// refreshes and beta*h refactorizations included — must not touch the
-// heap. The binary replaces the global operator new/delete with
-// counting versions that forward to malloc/free, which is why it is a
-// test program of its own: the other suites keep the default allocator.
+// refreshes and beta*h refactorizations included — and an event-style
+// restart must not touch the heap, and neither may an ensemble worker's
+// lockstep BDF rounds (allocations counted by counting_allocator.hpp).
 #include <gtest/gtest.h>
 
-#include <cstddef>
-#include <cstdlib>
-#include <new>
+#include <vector>
 
+#include "counting_allocator.hpp"
 #include "omx/models/heat1d.hpp"
 #include "omx/obs/trace.hpp"
 #include "omx/ode/bdf.hpp"
+#include "omx/ode/ensemble.hpp"
 #include "omx/ode/jacobian.hpp"
 #include "omx/pipeline/pipeline.hpp"
-
-namespace {
-
-thread_local std::size_t t_allocations = 0;
-
-void* counted_alloc(std::size_t size, std::size_t align) {
-  ++t_allocations;
-  void* p = align <= alignof(std::max_align_t)
-                ? std::malloc(size == 0 ? 1 : size)
-                : std::aligned_alloc(align, (size + align - 1) / align * align);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  return counted_alloc(size, alignof(std::max_align_t));
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace omx {
 namespace {
@@ -92,6 +61,60 @@ TEST(StiffPath, SteadyStateNewtonLoopAllocatesNothing) {
   EXPECT_GT(after.jac_calls, before.jac_calls) << "no Jacobian refresh";
   EXPECT_GT(after.jac_reuse_hits, before.jac_reuse_hits)
       << "no beta*h refactorization";
+
+  // An event restart: h = 0 picks the initial step with one RHS call
+  // in the stepper's own scratch, and the stepper steps on from there.
+  const std::vector<double> y(stepper.y().begin(), stepper.y().end());
+  const std::uint64_t rhs_before = after.rhs_calls;
+  const std::size_t restart_before = t_allocations;
+  stepper.restart(stepper.t(), y, 0.0);
+  for (int accepted = 0; accepted < 4 && stepper.t() < p.tend;) {
+    accepted += stepper.step() ? 1 : 0;
+  }
+  EXPECT_EQ(t_allocations - restart_before, 0u);
+  EXPECT_GT(stepper.stats().rhs_calls, rhs_before);
+}
+
+TEST(StiffPath, SteadyStateLockstepBdfRoundAllocatesNothing) {
+  // Eight heat lanes in one batch of eight on one worker: every round's
+  // Newton iterations are one batched RHS call and one lanes solve over
+  // the lanes still iterating, with each lane's Jacobian refreshes and
+  // refactorizations on the way, and every step recorded.
+  constexpr std::size_t kLanes = 8;
+  pipeline::CompileOptions copts;
+  copts.build_jacobian = true;
+  pipeline::CompiledModel cm = pipeline::compile_model(
+      [](expr::Context& ctx) {
+        models::Heat1dConfig cfg;
+        cfg.n_cells = 128;
+        return models::build_heat1d(ctx, cfg);
+      },
+      copts);
+  ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 0.2);
+  cm.bind_symbolic_jacobian(p);
+  ASSERT_TRUE(p.batch_rhs);
+  ode::EnsembleSpec spec;
+  spec.workers = 1;
+  spec.max_batch = kLanes;
+  for (std::size_t s = 0; s < kLanes; ++s) {
+    std::vector<double> y0 = p.y0;
+    for (double& v : y0) {
+      v *= 1.0 + 0.05 * static_cast<double>(s);
+    }
+    spec.initial_states.push_back(std::move(y0));
+  }
+  ode::SolverOptions o;
+  o.bdf_max_order = 2;
+  SamplingSink sink(kLanes, p.n);
+  obs::TraceBuffer::global().stop();
+  ode::solve_ensemble(p, ode::Method::kBdf, o, spec, sink);
+
+  // Scaled initial states decay alike, so the lanes run side by side to
+  // tend and the middle half of the commits falls between the first
+  // round and the first retirement.
+  const std::vector<std::size_t>& at = sink.samples();
+  ASSERT_GT(at.size(), 200u);
+  EXPECT_EQ(at[at.size() * 3 / 4] - at[at.size() / 4], 0u);
 }
 
 }  // namespace

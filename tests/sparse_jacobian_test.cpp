@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "omx/la/lu.hpp"
 #include "omx/la/sparse.hpp"
 #include "omx/models/heat1d.hpp"
+#include "omx/models/hybrid.hpp"
 #include "omx/models/hydro.hpp"
 #include "omx/models/oscillator.hpp"
 #include "omx/models/servo.hpp"
@@ -505,6 +508,131 @@ TEST(SparseLu, RefactorUnderRcmMatchesFreshRcm) {
   expect_refactor_matches_fresh(a, sets, la::SparseLu::Ordering::kRcm);
 }
 
+// -- la::LaneSolver vs per-lane solves ---------------------------------------
+
+/// The heat PDE's Newton matrices I - s J at n = 128, J its symbolic
+/// Jacobian at y0, one scale s per lane.
+CsrMatrix heat_jacobian(std::size_t n) {
+  pipeline::CompiledModel cm = compile_with_jacobian(heat_builder(static_cast<int>(n)));
+  ode::Problem p = cm.make_problem(exec::Backend::kReference, 0.0, 1.0);
+  cm.bind_symbolic_jacobian(p);
+  const std::shared_ptr<const ode::JacPlan> plan = ode::make_jac_plan(p);
+  CsrMatrix jac(plan->pattern);
+  p.sparse_jacobian(p.t0, p.y0, jac);
+  return jac;
+}
+
+/// Checks LaneSolver::solve against each lane's own solve, bitwise, for
+/// the lanes `solvers` over the slots `slots`, both into a separate x
+/// and in place.
+void expect_lanes_match(la::LaneSolver& lanes,
+                        const std::vector<const la::LinearSolver*>& solvers,
+                        const std::vector<std::size_t>& slots,
+                        const std::string& label) {
+  SCOPED_TRACE(label);
+  const std::size_t m = solvers.size();
+  const std::size_t n = solvers.front()->size();
+  std::vector<double> b(n * m), x(n * m);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t q = 0; q < m; ++q) {
+      b[i * m + q] = std::sin(0.37 * static_cast<double>(i + 1) +
+                              1.3 * static_cast<double>(q));
+    }
+  }
+  std::vector<double> in_place = b;
+  lanes.solve(solvers, slots, b.data(), x.data());
+  lanes.solve(solvers, slots, in_place.data(), in_place.data());
+  for (std::size_t q = 0; q < m; ++q) {
+    std::vector<double> bq(n), want(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      bq[i] = b[i * m + q];
+    }
+    solvers[q]->solve(bq, want);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::memcmp(&x[i * m + q], &want[i], sizeof(double)), 0)
+          << "lane " << q << " of " << m << ", row " << i;
+      ASSERT_EQ(std::memcmp(&in_place[i * m + q], &want[i], sizeof(double)),
+                0)
+          << "in place: lane " << q << " of " << m << ", row " << i;
+    }
+  }
+}
+
+TEST(SparseLu, SolveLanesMatchesPerLaneSolveBitwise) {
+  struct Case {
+    const char* label;
+    CsrMatrix a;
+    double scale;  // lane q's matrix is I - scale (q + 1) a
+  };
+  // The heat Newton matrices factor without fill; the arrow's natural
+  // order fills the whole matrix, so lanes compare their fill too.
+  std::vector<Case> cases;
+  cases.push_back({"heat n=128", heat_jacobian(128), 1e-5});
+  cases.push_back({"arrow", arrow_matrix(16), -0.05});
+  for (const Case& c : cases) {
+    std::vector<std::unique_ptr<la::SparseLu>> lus;
+    for (std::size_t q = 0; q < 16; ++q) {
+      CsrMatrix mq(c.a.pattern_ptr());
+      const std::vector<double> v =
+          newton_values(c.a, c.scale * static_cast<double>(q + 1));
+      std::copy(v.begin(), v.end(), mq.values().begin());
+      lus.push_back(std::make_unique<la::SparseLu>(mq));
+    }
+    // A lane whose factors swap rows, one under RCM and a dense one:
+    // each must solve alone beside the walking lanes.
+    CsrMatrix pivoting(c.a.pattern_ptr());
+    {
+      std::vector<double> v = newton_values(c.a, c.scale);
+      const std::size_t n = c.a.rows();
+      v[c.a.pattern().find(n - 1, 0) == SparsityPattern::npos
+            ? c.a.pattern().find(1, 0)
+            : c.a.pattern().find(n - 1, 0)] = 1e3;
+      std::copy(v.begin(), v.end(), pivoting.values().begin());
+    }
+    const la::SparseLu pivoted(pivoting);
+    const la::SparseLu rcm(pivoting, la::SparseLu::Ordering::kRcm);
+    const la::LuFactors dense(pivoting.to_dense());
+
+    la::LaneSolver lanes;
+    for (const std::size_t m : {1, 3, 8, 16}) {
+      std::vector<const la::LinearSolver*> solvers;
+      std::vector<std::size_t> slots;
+      for (std::size_t q = 0; q < m; ++q) {
+        solvers.push_back(lus[q].get());
+        slots.push_back(q);
+      }
+      const std::string at = std::string(c.label) + ", width " +
+                             std::to_string(m);
+      expect_lanes_match(lanes, solvers, slots, at);
+      // Scattered slots: the lanes' values are not a contiguous run.
+      std::vector<std::size_t> spread;
+      for (std::size_t q = 0; q < m; ++q) {
+        spread.push_back(2 * (m - q));
+      }
+      expect_lanes_match(lanes, solvers, spread, at + ", spread slots");
+      if (m > 1) {
+        solvers[m / 2] = &pivoted;
+        solvers[0] = &rcm;
+        solvers[m - 1] = &dense;
+        expect_lanes_match(lanes, solvers, slots, at + ", lanes alone");
+      }
+    }
+    // A lane that refactors keeps its slot; the copy must follow.
+    CsrMatrix again(c.a.pattern_ptr());
+    const std::vector<double> v = newton_values(c.a, 3.0 * c.scale);
+    std::copy(v.begin(), v.end(), again.values().begin());
+    lus[2]->refactor(again);
+    std::vector<const la::LinearSolver*> solvers;
+    std::vector<std::size_t> slots;
+    for (std::size_t q = 0; q < 8; ++q) {
+      solvers.push_back(lus[q].get());
+      slots.push_back(q);
+    }
+    expect_lanes_match(lanes, solvers, slots,
+                       std::string(c.label) + ", after a refactor");
+  }
+}
+
 // -- dense vs sparse BDF trajectories ----------------------------------------
 
 TEST(StiffPath, DenseAndSparseBackendsBitwiseIdentical) {
@@ -610,6 +738,147 @@ TEST(StiffPath, EnsembleColoredFdOnMultiLaneInterpMatchesSequential) {
     }
   }
   EXPECT_EQ(mismatched, 0u) << "of " << 20 * want.size() << " lanes";
+}
+
+/// `p` with a batched RHS that evaluates every lane's column through
+/// p.rhs: lane-independent by construction.
+ode::Problem with_batch_rhs(ode::Problem p) {
+  auto scalar = std::make_shared<ode::Problem>(p);
+  p.set_batch_rhs([scalar](std::size_t, std::size_t nb, const double* t,
+                           const double* y, double* f) {
+    const std::size_t n = scalar->n;
+    thread_local std::vector<double> yl, fl;
+    yl.resize(n);
+    fl.resize(n);
+    for (std::size_t j = 0; j < nb; ++j) {
+      for (std::size_t i = 0; i < n; ++i) {
+        yl[i] = y[i * nb + j];
+      }
+      scalar->rhs(t[j], yl, fl);
+      for (std::size_t i = 0; i < n; ++i) {
+        f[i * nb + j] = fl[i];
+      }
+    }
+  });
+  return p;
+}
+
+bool same_rows(const ode::Solution& a, const ode::Solution& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    const double ta = a.time(r), tb = b.time(r);
+    const std::span<const double> ya = a.state(r), yb = b.state(r);
+    if (std::memcmp(&ta, &tb, sizeof ta) != 0 ||
+        std::memcmp(ya.data(), yb.data(), ya.size_bytes()) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool same_stats(const ode::SolverStats& a, const ode::SolverStats& b) {
+  return a.rhs_calls == b.rhs_calls && a.jac_calls == b.jac_calls &&
+         a.steps == b.steps && a.rejected == b.rejected &&
+         a.newton_iters == b.newton_iters &&
+         a.method_switches == b.method_switches &&
+         a.jac_factorizations == b.jac_factorizations &&
+         a.jac_reuse_hits == b.jac_reuse_hits && a.events == b.events &&
+         a.events_terminal == b.events_terminal;
+}
+
+TEST(StiffPath, LockstepWidthSweepMatchesSequentialBitwise) {
+  // BDF lanes take their Newton iterations in lockstep: one batched RHS
+  // and one lanes solve per iteration. Every width (1, odd, a vector
+  // block, two), one and two workers, the sparse backend with the
+  // symbolic and the colored-FD Jacobian, the dense backend, and events
+  // that restart lanes or retire them early must leave each lane's rows
+  // and counters exactly those of its own solve.
+  struct Case {
+    std::string label;
+    ode::Problem p;
+    std::vector<std::vector<double>> y0;
+  };
+  std::vector<Case> cases;
+  pipeline::KernelOptions kopts;
+  kopts.lanes = 2;
+  const pipeline::CompiledModel symbolic =
+      compile_with_jacobian(heat_builder(32));
+  const pipeline::CompiledModel colored =
+      pipeline::compile_model(heat_builder(32));
+  const exec::KernelInstance symbolic_kernel =
+      symbolic.make_kernel(exec::Backend::kInterp, kopts);
+  const exec::KernelInstance colored_kernel =
+      colored.make_kernel(exec::Backend::kInterp, kopts);
+  std::vector<std::vector<double>> heat_y0, track_y0, drops;
+  for (std::size_t s = 0; s < 12; ++s) {
+    const double d = static_cast<double>(s);
+    std::vector<double> y(32);
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      y[i] = (1.0 + 0.1 * d) *
+             std::sin(0.1 * (1.0 + d) * static_cast<double>(i + 1));
+    }
+    heat_y0.push_back(std::move(y));
+    track_y0.push_back({0.2 * d - 1.0});
+    drops.push_back({0.5 + 0.07 * d, 0.0});
+  }
+  {
+    ode::Problem p = symbolic.make_problem(symbolic_kernel, 0.0, 0.05);
+    symbolic.bind_symbolic_jacobian(p);
+    cases.push_back({"heat n=32, symbolic Jacobian", p, heat_y0});
+  }
+  cases.push_back({"heat n=32, colored FD",
+                   colored.make_problem(colored_kernel, 0.0, 0.05),
+                   heat_y0});
+  {
+    // y' = -1000 (y - cos t) - sin t: no pattern, the dense backend.
+    ode::Problem p;
+    p.n = 1;
+    p.set_rhs([](double t, std::span<const double> y, std::span<double> f) {
+      f[0] = -1000.0 * (y[0] - std::cos(t)) - std::sin(t);
+    });
+    p.set_jacobian([](double, std::span<const double>, la::Matrix& j) {
+      j(0, 0) = -1000.0;
+    });
+    p.tend = 1.0;
+    cases.push_back({"stiff tracking", with_batch_rhs(p), track_y0});
+  }
+  const models::BouncingBall ball;
+  cases.push_back({"ball", with_batch_rhs(models::bouncing_ball_problem(
+                               ball, 1.8)),
+                   drops});
+  cases.push_back({"terminal ball",
+                   with_batch_rhs(models::bouncing_ball_problem(ball, 1.8,
+                                                                true)),
+                   drops});
+  for (const Case& c : cases) {
+    for (const ode::Method m : {ode::Method::kBdf, ode::Method::kLsodaLike}) {
+      const ode::SolverOptions o;
+      std::vector<ode::Solution> want;
+      for (const std::vector<double>& y0 : c.y0) {
+        ode::Problem p = c.p;
+        p.y0 = y0;
+        want.push_back(ode::solve(p, m, o));
+      }
+      for (const std::size_t workers : {1, 2}) {
+        for (const std::size_t width : {1, 3, 8, 16}) {
+          ode::EnsembleSpec spec;
+          spec.initial_states = c.y0;
+          spec.workers = workers;
+          spec.max_batch = width;
+          const ode::EnsembleResult r = ode::solve_ensemble(c.p, m, o, spec);
+          for (std::size_t i = 0; i < c.y0.size(); ++i) {
+            const ode::Solution& got = r.solutions[i];
+            EXPECT_TRUE(same_rows(got, want[i]) &&
+                        same_stats(got.stats, want[i].stats))
+                << c.label << ", " << ode::to_string(m) << ", " << workers
+                << " workers, batch " << width << ", scenario " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 // -- reuse policy ------------------------------------------------------------
