@@ -1,12 +1,10 @@
 // Compile-path scaling: pipeline::compile_model per phase, plus the C++
 // emission of the default native kernel's one model form (the batched
-// serial body), on the 2-D bearing at N in {10, 40, 160} rollers. Two
-// cold native builds of N=10 (make_kernel(kNative) into a fresh cache
-// directory, host compiler included) are timed once each: the default
-// unit, and the unit with the parallel-task switch
-// (NativeOptions::tasks), so the export prices the task form on its
-// own. Without a host compiler (or with the native backend disabled)
-// they are skipped with a note.
+// serial body), on the 2-D bearing at N in {10, 40, 160} rollers. Cold
+// native builds of N=10 and N=40 (make_kernel(kNative) into a fresh
+// cache directory, host compiler included) are timed once each. Without
+// a host compiler (or with the native backend disabled) they are skipped
+// with a note.
 //
 // Per-phase times come from the pipeline's own spans, the ones omxbench
 // folds into flatten/analysis/cse/task_planning/tapes, recorded into the
@@ -85,9 +83,8 @@ std::size_t emit_native_form(const pipeline::CompiledModel& cm) {
 
 /// Milliseconds for one cold make_kernel(kNative) of `cm`, host compile
 /// included, into a cache directory nothing has used; a negative value
-/// when the kernel fell back to the interpreter. `tasks` also compiles
-/// the parallel-task switch.
-double cold_native_build_ms(const pipeline::CompiledModel& cm, bool tasks) {
+/// when the kernel fell back to the interpreter.
+double cold_native_build_ms(const pipeline::CompiledModel& cm) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() /
                        ("omx-compile-scaling-" +
@@ -95,7 +92,6 @@ double cold_native_build_ms(const pipeline::CompiledModel& cm, bool tasks) {
   fs::remove_all(dir);
   pipeline::KernelOptions ko;
   ko.native.cache_dir = dir.string();
-  ko.native.tasks = tasks;
   Stopwatch sw;
   const exec::KernelInstance k = cm.make_kernel(exec::Backend::kNative, ko);
   const double ms = sw.seconds() * 1e3;
@@ -158,23 +154,23 @@ int main() {
                 med["task_planning"], median(emit_ms), bytes / 1024.0);
   }
 
-  const pipeline::CompiledModel n10 =
-      pipeline::compile_model([](expr::Context& ctx) {
-        models::BearingConfig cfg;
-        cfg.n_rollers = 10;
-        return models::build_bearing(ctx, cfg);
-      });
-  const double build_ms = cold_native_build_ms(n10, /*tasks=*/false);
-  const double tasks_ms =
-      build_ms >= 0.0 ? cold_native_build_ms(n10, /*tasks=*/true) : -1.0;
-  if (build_ms >= 0.0 && tasks_ms >= 0.0) {
-    metrics.gauge("compile.n10.native_build_ms").set(build_ms);
-    metrics.gauge("compile.n10.native_build_tasks_ms").set(tasks_ms);
-    std::printf("\ncold native build, 10 rollers: %.0f ms"
-                " (%.0f ms with the task form)\n",
-                build_ms, tasks_ms);
-  } else {
-    std::printf("\nnative backend unavailable: native build not measured\n");
+  std::printf("\n");
+  for (const int rollers : {10, 40}) {
+    const pipeline::CompiledModel cm =
+        pipeline::compile_model([&](expr::Context& ctx) {
+          models::BearingConfig cfg;
+          cfg.n_rollers = rollers;
+          return models::build_bearing(ctx, cfg);
+        });
+    const double build_ms = cold_native_build_ms(cm);
+    if (build_ms < 0.0) {
+      std::printf("native backend unavailable: native build not measured\n");
+      break;
+    }
+    metrics.gauge("compile.n" + std::to_string(rollers) + ".native_build_ms")
+        .set(build_ms);
+    std::printf("cold native build, %d rollers: %.0f ms\n", rollers,
+                build_ms);
   }
 
   const char* out_path = "BENCH_compile.json";

@@ -99,7 +99,7 @@ void BM_VmRhs(benchmark::State& state, exec::Backend backend) {
   const vm::Program ser = codegen::compile_serial_tape(f, set);
   exec::KernelInstance inst =
       backend == exec::Backend::kNative
-          ? exec::make_native_kernel(f, set, plan, par, &ser)
+          ? exec::make_native_kernel(f, set, par, &ser)
           : exec::make_interp_kernel(par, &ser);
   if (inst.backend() != backend) {
     state.SkipWithError("native toolchain unavailable; fell back to interp");

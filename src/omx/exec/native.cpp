@@ -17,6 +17,7 @@
 #include "omx/codegen/cpp_emit.hpp"
 #include "omx/exec/vmath_embed.hpp"
 #include "omx/model/flat_system.hpp"
+#include "omx/obs/registry.hpp"
 #include "omx/support/config.hpp"
 #include "omx/vm/program.hpp"
 
@@ -169,19 +170,15 @@ std::string hex(std::uint64_t v) {
 // ------------------------------------------------------ source synthesis
 
 /// Composes the single translation unit: the vmath runtime, the batched
-/// (SoA) serial body and, when `tasks` is set, the parallel-task switch,
-/// each in its own namespace, and the extern "C" export surface the
-/// loader binds to. There is no scalar serial body: a whole-system call
-/// is rhs_batch at nb=1, which is bitwise the scalar result (same
-/// expression trees, no reassociation) and spares the host compiler
-/// another copy of the model. For the same reason the task switch is
-/// emitted only on request: only WorkerPool/ParallelRhs call it.
-/// The unit includes no header: the vmath runtime and the kCxxSimd
-/// spellings use GNU builtins only, so the host compiler parses nothing
-/// but the kernel itself.
+/// (SoA) serial body in its own namespace, and the extern "C" export
+/// surface the loader binds to. There is no scalar serial body: a
+/// whole-system call is rhs_batch at nb=1, which is bitwise the scalar
+/// result (same expression trees, no reassociation) and spares the host
+/// compiler another copy of the model. The unit includes no header: the
+/// vmath runtime and the kCxxSimd spellings use GNU builtins only, so the
+/// host compiler parses nothing but the kernel itself.
 std::string compose_source(const model::FlatSystem& flat,
-                           const codegen::AssignmentSet& set,
-                           const codegen::TaskPlan& plan, bool tasks) {
+                           const codegen::AssignmentSet& set) {
   codegen::EmitOptions eo;
   eo.with_helpers = false;
   eo.with_prelude = false;
@@ -206,28 +203,15 @@ std::string compose_source(const model::FlatSystem& flat,
      << "}  // namespace\n"
      << "namespace omx_serial {\n"
      << batch.code
-     << "}  // namespace omx_serial\n";
-  if (tasks) {
-    os << "namespace omx_parallel {\n"
-       << codegen::emit_cpp_parallel(flat, plan, eo).code
-       << "}  // namespace omx_parallel\n";
-  }
-  os << "extern \"C\" {\n"
-     << "int omx_abi_version() { return 6; }\n"
+     << "}  // namespace omx_serial\n"
+     << "extern \"C\" {\n"
+     << "int omx_abi_version() { return 7; }\n"
      << "unsigned omx_n_state() { return " << flat.num_states() << "u; }\n"
      << "void omx_rhs_serial_batch(unsigned nb, const double* ts,\n"
      << "                          const double* y, double* ydot) {\n"
      << "  omx_serial::rhs_batch(static_cast<int>(nb), ts, y, ydot);\n"
-     << "}\n";
-  if (tasks) {
-    os << "unsigned omx_num_tasks() { return " << plan.tasks.size()
-       << "u; }\n"
-       << "void omx_rhs_task(unsigned task, double t, const double* y,\n"
-       << "                  double* ydot) {\n"
-       << "  omx_parallel::rhs(static_cast<int>(task) + 1, t, y, ydot);\n"
-       << "}\n";
-  }
-  os << "}  // extern \"C\"\n";
+     << "}\n"
+     << "}  // extern \"C\"\n";
   return os.str();
 }
 
@@ -266,15 +250,12 @@ class CacheLock {
 
 // -------------------------------------------------------- loaded module
 
-using TaskEntry = void (*)(unsigned, double, const double*, double*);
 using SerialBatchEntry = void (*)(unsigned, const double*, const double*,
                                   double*);
 
 struct NativeState {
   void* handle = nullptr;
-  TaskEntry task = nullptr;
   SerialBatchEntry serial_batch = nullptr;
-  TaskTable table;
 
   ~NativeState() {
     if (handle != nullptr) {
@@ -287,11 +268,6 @@ struct NativeState {
 // the plain state vector.
 void native_eval(void* ctx, double t, const double* y, double* ydot) {
   static_cast<NativeState*>(ctx)->serial_batch(1, &t, y, ydot);
-}
-
-void native_task(void* ctx, std::size_t /*lane*/, std::uint32_t task,
-                 double t, const double* y, double* ydot) {
-  static_cast<NativeState*>(ctx)->task(task, t, y, ydot);
 }
 
 void native_eval_batch(void* ctx, std::size_t /*lane*/, std::size_t nb,
@@ -407,31 +383,22 @@ std::shared_ptr<NativeState> build_module(const std::string& source,
   auto* n_state = reinterpret_cast<unsigned (*)()>(sym("omx_n_state"));
   state->serial_batch =
       reinterpret_cast<SerialBatchEntry>(sym("omx_rhs_serial_batch"));
-  // The task exports exist iff the unit was built with `tasks`.
-  auto* n_tasks = reinterpret_cast<unsigned (*)()>(sym("omx_num_tasks"));
-  state->task = reinterpret_cast<TaskEntry>(sym("omx_rhs_task"));
-  if (abi == nullptr || n_state == nullptr || state->serial_batch == nullptr ||
-      (opts.tasks && (n_tasks == nullptr || state->task == nullptr))) {
+  if (abi == nullptr || n_state == nullptr || state->serial_batch == nullptr) {
     why = "missing export in " + so.string();
     return nullptr;
   }
-  // ABI 6 = the serial-batch (SoA) entry point over a header-free unit
-  // with the embedded vmath runtime, plus the task entry points iff the
-  // unit was built with `tasks`; whole-system calls use the batch at
-  // nb=1. Stale cache entries can't satisfy this loader; their source
-  // hash differs anyway, so they simply never match — the check guards
-  // hand-placed or corrupt objects.
-  if (abi() != 6) {
+  // ABI 7 = the serial-batch (SoA) entry point over a header-free unit
+  // with the embedded vmath runtime and no other export; whole-system
+  // calls use the batch at nb=1. Stale cache entries can't satisfy this
+  // loader; their source hash differs anyway, so they simply never
+  // match — the check guards hand-placed or corrupt objects.
+  if (abi() != 7) {
     why = "ABI version mismatch in " + so.string();
     return nullptr;
   }
-  if (n_state() != parallel.n_state ||
-      (opts.tasks && n_tasks() != parallel.tasks.size())) {
+  if (n_state() != parallel.n_state) {
     why = "stale cache entry shape mismatch in " + so.string();
     return nullptr;
-  }
-  if (opts.tasks) {
-    state->table = task_table_from_program(parallel);
   }
   return state;
 }
@@ -448,7 +415,6 @@ bool native_toolchain_available() {
 
 KernelInstance make_native_kernel(const model::FlatSystem& flat,
                                   const codegen::AssignmentSet& set,
-                                  const codegen::TaskPlan& plan,
                                   const vm::Program& parallel,
                                   const vm::Program* serial,
                                   const NativeOptions& opts) {
@@ -458,15 +424,14 @@ KernelInstance make_native_kernel(const model::FlatSystem& flat,
     io.lanes = opts.fallback_lanes;
     return make_interp_kernel(parallel, serial, io);
   };
-  if (opts.force_fallback || env_disabled()) {
+  if (env_disabled()) {
     return fallback();
   }
 
   std::string why;
   std::shared_ptr<NativeState> state;
   try {
-    state = build_module(compose_source(flat, set, plan, opts.tasks),
-                         parallel, opts, why);
+    state = build_module(compose_source(flat, set), parallel, opts, why);
   } catch (const std::exception& e) {
     why = e.what();
   }
@@ -475,15 +440,12 @@ KernelInstance make_native_kernel(const model::FlatSystem& flat,
     return fallback();
   }
 
-  static obs::Counter& calls =
-      obs::Registry::global().counter("rhs.calls.native");
-  // Without the task form the kernel has no run_task: a null TaskFn and
-  // table make has_tasks() false and num_tasks() 0.
+  // The unit has no task form: a null TaskFn and table make has_tasks()
+  // false and num_tasks() 0.
   auto view = std::make_shared<RhsKernel>(
-      Backend::kNative, state.get(), &native_eval,
-      opts.tasks ? &native_task : nullptr, parallel.n_state, parallel.n_out,
-      /*num_lanes=*/SIZE_MAX, opts.tasks ? &state->table : nullptr, &calls,
-      &native_eval_batch);
+      Backend::kNative, state.get(), &native_eval, /*task=*/nullptr,
+      parallel.n_state, parallel.n_out, /*num_lanes=*/SIZE_MAX,
+      /*tasks=*/nullptr, &native_eval_batch);
   return KernelInstance(std::move(view), std::move(state));
 }
 

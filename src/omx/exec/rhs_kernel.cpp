@@ -11,6 +11,9 @@
 
 namespace omx::exec {
 
+namespace {
+
+/// Extracts the scheduling metadata of a compiled parallel tape.
 TaskTable task_table_from_program(const vm::Program& p) {
   TaskTable table;
   table.tasks.reserve(p.tasks.size());
@@ -30,8 +33,6 @@ TaskTable task_table_from_program(const vm::Program& p) {
   }
   return table;
 }
-
-namespace {
 
 struct InterpState {
   const vm::Program* parallel = nullptr;
@@ -117,11 +118,9 @@ KernelInstance make_interp_kernel(const vm::Program& parallel,
   OMX_REQUIRE(serial == nullptr || serial->n_out == parallel.n_out,
               "serial/parallel program output mismatch");
   auto state = std::make_shared<InterpState>(parallel, serial, opts.lanes);
-  static obs::Counter& calls =
-      obs::Registry::global().counter("rhs.calls.interp");
   auto view = std::make_shared<RhsKernel>(
       Backend::kInterp, state.get(), &interp_eval, &interp_task,
-      parallel.n_state, parallel.n_out, opts.lanes, &state->table, &calls,
+      parallel.n_state, parallel.n_out, opts.lanes, &state->table,
       &interp_eval_batch);
   return KernelInstance(std::move(view), std::move(state));
 }
@@ -129,12 +128,10 @@ KernelInstance make_interp_kernel(const vm::Program& parallel,
 KernelInstance make_reference_kernel(const model::FlatSystem& flat) {
   auto state = std::make_shared<ReferenceState>();
   state->flat = &flat;
-  static obs::Counter& calls =
-      obs::Registry::global().counter("rhs.calls.reference");
   const auto n = static_cast<std::uint32_t>(flat.num_states());
   auto view = std::make_shared<RhsKernel>(
       Backend::kReference, state.get(), &reference_eval, nullptr, n, n,
-      /*num_lanes=*/1, /*tasks=*/nullptr, &calls, &reference_eval_batch);
+      /*num_lanes=*/1, /*tasks=*/nullptr, &reference_eval_batch);
   return KernelInstance(std::move(view), std::move(state));
 }
 

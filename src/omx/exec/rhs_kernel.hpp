@@ -12,10 +12,11 @@
 //  * run_task:   accumulate one task's contributions  (worker pool)
 //  * eval_batch: nb scenarios at once, SoA layout     (ensemble driver)
 //
-// The native backend compiles no scalar form: its eval is eval_batch
-// at width 1 (at nb=1 the SoA layout is the plain state vector). It has
-// run_task only when built with exec::NativeOptions::tasks; otherwise
-// has_tasks() is false and num_tasks() is 0.
+// Only the interpreter has run_task. The native backend compiles one
+// model form, rhs_batch: its eval is eval_batch at width 1 (at nb=1 the
+// SoA layout is the plain state vector), and like the reference
+// evaluator it has no task decomposition (has_tasks() is false,
+// num_tasks() is 0).
 //
 // The batched entry point uses structure-of-arrays layout: state i of
 // scenario j lives at y_soa[i * nb + j], output slot s of scenario j at
@@ -32,12 +33,11 @@
 // RHS evaluation, and composing run_task over every task id reproduces
 // eval (partial-sum splitting of large equations adds into shared slots,
 // §3.2). `lane` selects one of the kernel's pre-built concurrency lanes
-// (private register files for the interpreter; native code is stateless
-// and ignores it). Calls on distinct lanes are thread-safe; eval and
-// same-lane calls are not. The task <-> lane pairing is the caller's
-// choice and may change call to call — the work-stealing pool runs any
-// task on whichever lane (worker) claimed it — so backends must not key
-// any per-task state off the lane index.
+// (the interpreter's private register files). Calls on distinct lanes
+// are thread-safe; eval and same-lane calls are not. The task <-> lane
+// pairing is the caller's choice and may change call to call — the
+// work-stealing pool runs any task on whichever lane (worker) claimed
+// it — so backends must not key any per-task state off the lane index.
 //
 // Ownership: RhsKernel is a non-owning view. KernelInstance owns the
 // backend state (workspaces, dlopen handle) and guarantees a stable
@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "omx/exec/backend.hpp"
-#include "omx/obs/registry.hpp"
 #include "omx/support/diagnostics.hpp"
 
 namespace omx::model {
@@ -84,9 +83,6 @@ struct TaskTable {
   std::size_t size() const { return tasks.size(); }
 };
 
-/// Extracts the scheduling metadata of a compiled parallel tape.
-TaskTable task_table_from_program(const vm::Program& p);
-
 class RhsKernel {
  public:
   using EvalFn = void (*)(void* ctx, double t, const double* y,
@@ -101,7 +97,7 @@ class RhsKernel {
   RhsKernel(Backend backend, void* ctx, EvalFn eval, TaskFn task,
             std::uint32_t n_state, std::uint32_t n_out,
             std::size_t num_lanes, const TaskTable* tasks,
-            obs::Counter* calls, BatchEvalFn batch_eval = nullptr)
+            BatchEvalFn batch_eval = nullptr)
       : backend_(backend),
         ctx_(ctx),
         eval_(eval),
@@ -110,8 +106,7 @@ class RhsKernel {
         n_state_(n_state),
         n_out_(n_out),
         num_lanes_(num_lanes),
-        tasks_(tasks),
-        calls_(calls) {}
+        tasks_(tasks) {}
 
   Backend backend() const { return backend_; }
   std::uint32_t n_state() const { return n_state_; }
@@ -132,9 +127,6 @@ class RhsKernel {
   /// Whole-system evaluation: ydot = f(t, y), every slot written.
   void operator()(double t, std::span<const double> y,
                   std::span<double> ydot) const {
-    if (calls_ != nullptr) {
-      calls_->add();
-    }
     eval_(ctx_, t, y.data(), ydot.data());
   }
 
@@ -153,9 +145,6 @@ class RhsKernel {
   /// calls on distinct lanes are thread-safe.
   void eval_batch(std::size_t lane, std::size_t nb, const double* t,
                   const double* y_soa, double* ydot_soa) const {
-    if (calls_ != nullptr) {
-      calls_->add(nb);
-    }
     batch_eval_(ctx_, lane, nb, t, y_soa, ydot_soa);
   }
 
@@ -169,7 +158,6 @@ class RhsKernel {
   std::uint32_t n_out_ = 0;
   std::size_t num_lanes_ = 1;
   const TaskTable* tasks_ = nullptr;
-  obs::Counter* calls_ = nullptr;
 };
 
 /// Owns a kernel's backend state. Copyable (copies share the state);

@@ -6,8 +6,8 @@
 // children are exactly the later-starting spans it encloses); identical
 // call paths from different threads merge into one node.
 //
-// This is the layer the ROADMAP's auto-tuning work reads fitted per-span
-// cost terms from, and what the service daemon's p50/p99 gates consume.
+// Its readers are examples/trace_explorer (--profile), the text and JSON
+// exporters in obs/export.hpp, and the obs tests.
 #pragma once
 
 #include <cstdint>

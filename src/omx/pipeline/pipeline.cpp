@@ -26,7 +26,7 @@ exec::KernelInstance CompiledModel::make_kernel(
       exec::NativeOptions no = opts.native;
       no.fallback_lanes = std::max(no.fallback_lanes, opts.lanes);
       return exec::make_native_kernel(
-          *flat, assignments, plan, parallel_program,
+          *flat, assignments, parallel_program,
           serial_program.n_regs > 0 ? &serial_program : nullptr, no);
     }
   }

@@ -37,8 +37,8 @@ void WorkerPool::init() {
   OMX_REQUIRE(opts_.compute_scale >= 1, "compute_scale must be >= 1");
   if (!kernel_->has_tasks()) {
     throw Error(
-        "WorkerPool needs a kernel with a task decomposition; a native "
-        "kernel has one only when built with NativeOptions::tasks");
+        "WorkerPool needs a kernel with a task decomposition; only "
+        "Backend::kInterp kernels have one");
   }
   OMX_REQUIRE(kernel_->num_lanes() >= opts_.num_workers,
               "kernel has fewer lanes than workers");

@@ -92,8 +92,8 @@ class WorkerPool {
   static double sample_hz_env_default();
 
   /// `kernel` must have a task decomposition (throws omx::Error if not:
-  /// a native kernel has one only when built with NativeOptions::tasks),
-  /// at least num_workers concurrency lanes, and must outlive the pool.
+  /// of the built-in backends only Backend::kInterp has one), at least
+  /// num_workers concurrency lanes, and must outlive the pool.
   WorkerPool(const exec::RhsKernel& kernel, const Options& opts);
   ~WorkerPool();
 

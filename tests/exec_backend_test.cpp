@@ -105,69 +105,6 @@ TEST(NativeBackend, MatchesInterpAndReferenceOnHeat1d) {
   }));
 }
 
-TEST(NativeBackend, TaskCompositionReproducesSerialEval) {
-  // run_task has accumulate semantics: composing every task over a
-  // pre-zeroed ydot must reproduce the whole-system eval (§3.2).
-  pipeline::CompiledModel cm = pipeline::compile_model(
-      [](expr::Context& ctx) {
-        models::BearingConfig cfg;
-        cfg.n_rollers = 4;
-        return models::build_bearing(ctx, cfg);
-      });
-  pipeline::KernelOptions ko = test_kernel_opts();
-  ko.native.tasks = true;
-  const KernelInstance native = cm.make_kernel(Backend::kNative, ko);
-  if (native.backend() != Backend::kNative) {
-    GTEST_SKIP() << "no host compiler; native backend unavailable";
-  }
-  const RhsKernel& k = native.kernel();
-  ASSERT_TRUE(k.has_tasks());
-  ASSERT_EQ(k.num_tasks(), cm.plan.tasks.size());
-
-  const std::vector<double> y = start_state(cm);
-  std::vector<double> whole(cm.n()), composed(cm.n(), 0.0);
-  k(0.05, y, whole);
-  for (std::uint32_t t = 0; t < k.num_tasks(); ++t) {
-    k.run_task(/*lane=*/0, t, 0.05, y.data(), composed.data());
-  }
-  for (std::size_t i = 0; i < cm.n(); ++i) {
-    EXPECT_NEAR(composed[i], whole[i],
-                1e-12 * std::max(1.0, std::fabs(whole[i])))
-        << "slot " << i;
-  }
-}
-
-TEST(NativeBackend, WorkerPoolComposesNativeTasks) {
-  // The full parallel path over native code: supervisor + workers
-  // marshalling per-task outputs must match the serial native eval.
-  pipeline::CompiledModel cm = pipeline::compile_model(
-      [](expr::Context& ctx) {
-        models::BearingConfig cfg;
-        cfg.n_rollers = 4;
-        return models::build_bearing(ctx, cfg);
-      });
-  pipeline::KernelOptions ko = test_kernel_opts();
-  ko.native.tasks = true;
-  const KernelInstance native = cm.make_kernel(Backend::kNative, ko);
-  if (native.backend() != Backend::kNative) {
-    GTEST_SKIP() << "no host compiler; native backend unavailable";
-  }
-
-  runtime::ParallelRhsOptions opts;
-  opts.pool.num_workers = 3;
-  runtime::ParallelRhs par(native.kernel(), opts);
-
-  const std::vector<double> y = start_state(cm);
-  std::vector<double> serial(cm.n()), parallel(cm.n());
-  native.kernel()(0.0, y, serial);
-  par.eval(0.0, y, parallel);
-  for (std::size_t i = 0; i < cm.n(); ++i) {
-    EXPECT_NEAR(parallel[i], serial[i],
-                1e-12 * std::max(1.0, std::fabs(serial[i])))
-        << "slot " << i;
-  }
-}
-
 TEST(NativeBackend, SecondBuildHitsCache) {
   pipeline::CompiledModel cm =
       pipeline::compile_model(models::build_oscillator);
@@ -189,8 +126,8 @@ TEST(NativeBackend, SecondBuildHitsCache) {
 }
 
 TEST(NativeBackend, ParallelRhsRejectsKernelWithoutTasks) {
-  // A default native kernel has no task form, so the worker pool has
-  // nothing to run: a caller error that names the option, not a Bug.
+  // A native kernel has no task form, so the worker pool has nothing to
+  // run: a caller error that names the backend that has one, not a Bug.
   const pipeline::CompiledModel cm =
       pipeline::compile_model(models::build_oscillator);
   const KernelInstance native =
@@ -204,7 +141,7 @@ TEST(NativeBackend, ParallelRhsRejectsKernelWithoutTasks) {
     runtime::ParallelRhs par(native.kernel(), runtime::ParallelRhsOptions{});
     FAIL() << "ParallelRhs accepted a kernel without tasks";
   } catch (const omx::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("NativeOptions::tasks"),
+    EXPECT_NE(std::string(e.what()).find("Backend::kInterp"),
               std::string::npos)
         << e.what();
   }
@@ -233,8 +170,8 @@ std::size_t count_extension(const std::filesystem::path& dir,
 }
 
 TEST(NativeBackend, DefaultUnitCarriesOnlyTheBatchedForm) {
-  // Whole-system eval is rhs_batch at nb=1 and tasks are off by default
-  // (ABI 6), so the unit defines neither the scalar serial rhs nor the
+  // Whole-system eval is rhs_batch at nb=1 and the unit has no task form
+  // (ABI 7), so it defines neither the scalar serial rhs nor the
   // parallel-task switch and, for a model with when clauses, none of the
   // event bodies that came with the scalar form.
   namespace fs = std::filesystem;
@@ -252,7 +189,7 @@ TEST(NativeBackend, DefaultUnitCarriesOnlyTheBatchedForm) {
   fs::remove_all(dir);
   ASSERT_EQ(units.size(), 1u);
   const std::string& unit = units[0];
-  EXPECT_NE(unit.find("int omx_abi_version() { return 6; }"),
+  EXPECT_NE(unit.find("int omx_abi_version() { return 7; }"),
             std::string::npos);
   EXPECT_NE(unit.find("void rhs_batch("), std::string::npos);
   EXPECT_EQ(unit.find("namespace omx_parallel"), std::string::npos);
@@ -369,22 +306,6 @@ TEST(NativeBackend, CacheDirWithQuoteAndSpaceBuildsNative) {
   EXPECT_DOUBLE_EQ(ydot[1], -y[0]);
 }
 
-TEST(NativeBackend, ForceFallbackDegradesToInterp) {
-  pipeline::CompiledModel cm =
-      pipeline::compile_model(models::build_oscillator);
-  pipeline::KernelOptions ko = test_kernel_opts();
-  ko.native.force_fallback = true;
-  const KernelInstance k = cm.make_kernel(Backend::kNative, ko);
-  EXPECT_EQ(k.backend(), Backend::kInterp);
-
-  // The fallback kernel still evaluates correctly.
-  const std::vector<double> y = start_state(cm);
-  std::vector<double> ydot(cm.n());
-  k.kernel()(0.0, y, ydot);
-  EXPECT_DOUBLE_EQ(ydot[0], y[1]);
-  EXPECT_DOUBLE_EQ(ydot[1], -y[0]);
-}
-
 TEST(NativeBackend, DisableEnvDegradesToInterp) {
   ::setenv("OMX_NATIVE_DISABLE", "1", 1);
   pipeline::CompiledModel cm =
@@ -393,6 +314,13 @@ TEST(NativeBackend, DisableEnvDegradesToInterp) {
       cm.make_kernel(Backend::kNative, test_kernel_opts());
   ::unsetenv("OMX_NATIVE_DISABLE");
   EXPECT_EQ(k.backend(), Backend::kInterp);
+
+  // The fallback kernel still evaluates correctly.
+  const std::vector<double> y = start_state(cm);
+  std::vector<double> ydot(cm.n());
+  k.kernel()(0.0, y, ydot);
+  EXPECT_DOUBLE_EQ(ydot[0], y[1]);
+  EXPECT_DOUBLE_EQ(ydot[1], -y[0]);
 }
 
 TEST(Kernels, ProblemCarriesKernelArity) {
@@ -845,72 +773,6 @@ TEST(NativeBackend, HeaderFreeUnitResolvesEveryFunction) {
                 std::bit_cast<std::uint64_t>(got[i]))
           << "native batch not bitwise, lane " << j << " slot " << i;
     }
-  }
-}
-
-TEST(NativeBackend, TaskUnitAddsTheSwitchAndKeepsEveryBit) {
-  // tasks = true adds the parallel-task switch and its exports to the
-  // same unit; the two units cache side by side and their eval and
-  // eval_batch outputs are bitwise equal.
-  namespace fs = std::filesystem;
-  const pipeline::CompiledModel cm = compile_bearing4();
-  const fs::path dir = fs::temp_directory_path() / "omx-test-two-units";
-  fs::remove_all(dir);
-  pipeline::KernelOptions ko;
-  ko.native.cache_dir = dir.string();
-  const KernelInstance plain = cm.make_kernel(Backend::kNative, ko);
-  ko.native.tasks = true;
-  const KernelInstance tasked = cm.make_kernel(Backend::kNative, ko);
-  if (plain.backend() != Backend::kNative) {
-    fs::remove_all(dir);
-    GTEST_SKIP() << "no host compiler; native backend unavailable";
-  }
-  const std::size_t objects = count_extension(dir, ".so");
-  const std::vector<std::string> units = composed_units(dir);
-  fs::remove_all(dir);
-  ASSERT_EQ(tasked.backend(), Backend::kNative);
-  EXPECT_EQ(objects, 2u);
-  ASSERT_EQ(units.size(), 2u);
-  std::size_t with_switch = 0;
-  for (const std::string& unit : units) {
-    EXPECT_NE(unit.find("int omx_abi_version() { return 6; }"),
-              std::string::npos);
-    EXPECT_NE(unit.find("void rhs_batch("), std::string::npos);
-    if (unit.find("namespace omx_parallel") != std::string::npos) {
-      ++with_switch;
-      EXPECT_NE(unit.find("void rhs(int worker_id,"), std::string::npos);
-      EXPECT_NE(unit.find("omx_rhs_task"), std::string::npos);
-    }
-  }
-  EXPECT_EQ(with_switch, 1u);
-  EXPECT_FALSE(plain.kernel().has_tasks());
-  EXPECT_EQ(plain.kernel().num_tasks(), 0u);
-  ASSERT_TRUE(tasked.kernel().has_tasks());
-  EXPECT_EQ(tasked.kernel().num_tasks(), cm.plan.tasks.size());
-
-  const std::size_t n = cm.n();
-  const auto expect_bitwise = [](const std::vector<double>& got,
-                                 const std::vector<double>& want,
-                                 const std::string& what) {
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
-                std::bit_cast<std::uint64_t>(want[i]))
-          << what << ", output " << i;
-    }
-  };
-  std::vector<double> a(n), b(n);
-  plain.kernel()(0.1, start_state(cm), a);
-  tasked.kernel()(0.1, start_state(cm), b);
-  expect_bitwise(b, a, "eval");
-  for (const std::size_t nb : {std::size_t{1}, std::size_t{3},
-                               std::size_t{16}}) {
-    const BatchFixture fx(cm, nb);
-    std::vector<double> pa(n * nb), pb(n * nb);
-    plain.kernel().eval_batch(0, nb, fx.ts.data(), fx.y_soa.data(),
-                              pa.data());
-    tasked.kernel().eval_batch(0, nb, fx.ts.data(), fx.y_soa.data(),
-                               pb.data());
-    expect_bitwise(pb, pa, "eval_batch nb=" + std::to_string(nb));
   }
 }
 

@@ -94,7 +94,7 @@ std::unique_ptr<StressKernel> make_stress(std::size_t n_tasks,
   k->kernel = exec::RhsKernel(exec::Backend::kReference, k.get(),
                               &StressKernel::eval_fn,
                               &StressKernel::task_fn, n_state, n_state,
-                              lanes, &k->table, nullptr);
+                              lanes, &k->table);
   return k;
 }
 
