@@ -5,12 +5,13 @@
 // the obs JSON metrics exporter so the trajectory can be tracked across
 // revisions.
 //
-// The acceptance bar for this repo is native >= 2x interp on this body,
-// and stealing >= static-LPT pool throughput (within the bench gate's
-// tolerance) at 4 workers.
+// The acceptance bar for this repo is native >= 2x interp on this body.
+// The worker-pool rows (static LPT throughput, per-call hand-off cost)
+// are report-only.
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "omx/exec/native.hpp"
@@ -114,12 +115,12 @@ int main() {
                   g.counter("backend.native.cache_hits").value()),
               compile_s);
 
-  // Worker pool: static LPT vs intra-call work stealing at 4 workers
-  // over the ideal interconnect. compute_scale pads the task bodies so
-  // thread coordination costs do not drown the comparison; the bench
-  // gate requires stealing to hold static's throughput (the schedules
-  // are already LPT-balanced, so parity — not speedup — is the bar; the
-  // win case is a *mispredicted* schedule, exercised in the tests).
+  // Worker pool: semi-dynamic LPT at 4 workers over the ideal
+  // interconnect. compute_scale pads the task bodies so thread
+  // coordination costs do not drown the throughput figure. The hand-off
+  // row is the other way round: at compute_scale 1, one pooled call
+  // minus one serial call on the same kernel is what the supervisor/
+  // worker exchange itself costs per call.
   constexpr std::size_t kPoolWorkers = 4;
   constexpr std::size_t kComputeScale = 20;
   pipeline::KernelOptions kopts;
@@ -130,23 +131,23 @@ int main() {
   popts.pool.num_workers = kPoolWorkers;
   popts.pool.net = runtime::Interconnect::ideal();
   popts.pool.compute_scale = kComputeScale;
-
-  popts.pool.stealing = false;
   runtime::ParallelRhs rhs_static(pooled.kernel(), popts);
   const double r_static = time_eval(rhs_static, cm.n(), y0);
 
-  popts.pool.stealing = true;
-  runtime::ParallelRhs rhs_steal(pooled.kernel(), popts);
-  const double r_steal = time_eval(rhs_steal, cm.n(), y0);
+  popts.pool.compute_scale = 1;
+  runtime::ParallelRhs rhs_pool1(pooled.kernel(), popts);
+  const double r_pool1 = time_eval(rhs_pool1, cm.n(), y0);
+  runtime::SerialRhs rhs_serial(pooled.kernel());
+  const double r_serial = time_eval(rhs_serial, cm.n(), y0);
+  const double handoff_us = 1e6 * (1.0 / r_pool1 - 1.0 / r_serial);
+  const unsigned hw = std::thread::hardware_concurrency();
 
-  const double steal_ratio = r_static > 0.0 ? r_steal / r_static : 0.0;
   std::printf("\nworker pool (%zu workers, compute_scale %zu, ideal"
               " net):\n", kPoolWorkers, kComputeScale);
   std::printf("%-10s %-16.0f %.0f\n", "static", r_static, 1e9 / r_static);
-  std::printf("%-10s %-16.0f %.0f   (%llu tasks stolen)\n", "stealing",
-              r_steal, 1e9 / r_steal,
-              static_cast<unsigned long long>(rhs_steal.tasks_stolen()));
-  std::printf("stealing/static throughput: %.2fx\n", steal_ratio);
+  std::printf("hand-off per call (compute_scale 1): %.1f us"
+              " (pooled %.1f us - serial %.1f us; %u cores)\n",
+              handoff_us, 1e6 / r_pool1, 1e6 / r_serial, hw);
 
   obs::Registry metrics;
   metrics.gauge("backends.n_states").set(static_cast<double>(cm.n()));
@@ -162,10 +163,9 @@ int main() {
   metrics.gauge("backends.pool.compute_scale")
       .set(static_cast<double>(kComputeScale));
   metrics.gauge("backends.pool.static.calls_per_s").set(r_static);
-  metrics.gauge("backends.pool.stealing.calls_per_s").set(r_steal);
-  metrics.gauge("backends.pool.stealing_over_static").set(steal_ratio);
-  metrics.gauge("backends.pool.tasks_stolen")
-      .set(static_cast<double>(rhs_steal.tasks_stolen()));
+  metrics.gauge("backends.pool.handoff_us").set(handoff_us);
+  metrics.gauge("backends.hardware_concurrency")
+      .set(static_cast<double>(hw));
   const char* out_path = "BENCH_backends.json";
   if (obs::write_file(out_path, obs::metrics_json(metrics.snapshot()))) {
     std::printf("\nwrote %s\n", out_path);

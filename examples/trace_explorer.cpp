@@ -2,9 +2,8 @@
 // supervisor/worker runtime with tracing on, and dumps
 //   * a Chrome trace_event JSON (open in chrome://tracing or
 //     https://ui.perfetto.dev) with one track per worker showing task
-//     spans, idle gaps, the supervisor's scatter/gather phases,
-//     per-worker utilization counter tracks (when OMX_OBS_SAMPLE_HZ or
-//     --sample-hz is set), and named process/thread rows,
+//     spans, idle gaps, the supervisor's scatter/gather phases and
+//     named process/thread rows,
 //   * the text metrics summary (RHS calls, messages, bytes, reschedules,
 //     histogram percentiles),
 //   * with --profile: the aggregated span profile (text to stdout, JSON
@@ -17,6 +16,7 @@
 //   trace_explorer --model bearing2d --workers 4 --out trace.json
 //                  --profile profile.json --recorder recorder.json
 //                  --metrics metrics.json
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +28,7 @@
 #include "omx/obs/export.hpp"
 #include "omx/ode/solve.hpp"
 #include "omx/pipeline/pipeline.hpp"
+#include "omx/support/cli.hpp"
 #include "omx/support/config.hpp"
 
 namespace {
@@ -36,9 +37,9 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--model bearing2d|hydro|heat1d] [--workers N]\n"
                "          [--evals N] [--out trace.json]\n"
-               "          [--sample-hz HZ] [--profile profile.json]\n"
-               "          [--recorder recorder.json]"
-               " [--metrics metrics.json]\n"
+               "          [--profile profile.json]"
+               " [--recorder recorder.json]\n"
+               "          [--metrics metrics.json]\n"
                "       %s --config   (list every OMX_* env knob and its\n"
                "                      current value, then exit)\n",
                argv0,
@@ -69,7 +70,6 @@ int main(int argc, char** argv) {
   std::string model = "bearing2d";
   std::size_t workers = 4;
   std::size_t evals = 64;
-  double sample_hz = -1.0;  // <0: leave the env/option default alone
   std::string out_path = "trace.json";
   std::string profile_path;
   std::string recorder_path;
@@ -83,17 +83,22 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count = [&](const char* flag, long long hi) -> std::size_t {
+      const auto v = cli::parse_int(next(flag), 1, hi);
+      if (!v) {
+        std::exit(usage(argv[0]));
+      }
+      return static_cast<std::size_t>(*v);
+    };
     if (std::strcmp(argv[i], "--config") == 0) {
       std::fputs(config::describe().c_str(), stdout);
       return 0;
     } else if (std::strcmp(argv[i], "--model") == 0) {
       model = next("--model");
     } else if (std::strcmp(argv[i], "--workers") == 0) {
-      workers = static_cast<std::size_t>(std::atoi(next("--workers")));
+      workers = count("--workers", 256);
     } else if (std::strcmp(argv[i], "--evals") == 0) {
-      evals = static_cast<std::size_t>(std::atoi(next("--evals")));
-    } else if (std::strcmp(argv[i], "--sample-hz") == 0) {
-      sample_hz = std::atof(next("--sample-hz"));
+      evals = count("--evals", INT_MAX);
     } else if (std::strcmp(argv[i], "--out") == 0) {
       out_path = next("--out");
     } else if (std::strcmp(argv[i], "--profile") == 0) {
@@ -105,9 +110,6 @@ int main(int argc, char** argv) {
     } else {
       return usage(argv[0]);
     }
-  }
-  if (workers == 0 || evals == 0) {
-    return usage(argv[0]);
   }
 
   pipeline::ModelBuilder builder;
@@ -146,9 +148,6 @@ int main(int argc, char** argv) {
   runtime::ParallelRhsOptions popts;
   popts.pool.num_workers = workers;
   popts.sched.reschedule_period = 16;
-  if (sample_hz >= 0.0) {
-    popts.pool.sample_hz = sample_hz;
-  }
   runtime::ParallelRhs rhs(kern.kernel(), popts);
 
   std::vector<double> y(cm.n()), ydot(cm.n());
@@ -180,10 +179,9 @@ int main(int argc, char** argv) {
 
   std::printf("model %s: %zu states, %zu tasks, %zu workers, %zu evals\n",
               model.c_str(), cm.n(), cm.plan.tasks.size(), workers, evals);
-  std::printf("wrote %s (%zu events, %zu counter samples, %zu bytes) — "
+  std::printf("wrote %s (%zu events, %zu bytes) — "
               "open in chrome://tracing or https://ui.perfetto.dev\n",
-              out_path.c_str(), tb.events().size(),
-              tb.counter_samples().size(), trace.size());
+              out_path.c_str(), tb.events().size(), trace.size());
 
   if (!profile_path.empty()) {
     const obs::Profile prof = obs::aggregate_profile(tb);

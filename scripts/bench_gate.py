@@ -12,12 +12,10 @@ What is gated vs merely reported:
 * fig12.* gauges are *virtual-time* rates out of the simulated 1995
   machines — deterministic and machine-independent — so every
   calls_per_s series point and peak is gated against its baseline.
-* backends.native_over_interp and backends.pool.stealing_over_static are
-  same-machine *ratios*, so they transfer across hosts: native/interp is
-  gated against the repo's >= 2x bar (and the baseline when present);
-  stealing/static is gated against parity (>= 1 - tolerance), since the
-  LPT seed schedule is already balanced and stealing must not cost
-  throughput.
+* backends.native_over_interp is a same-machine *ratio*, so it
+  transfers across hosts: it is gated against the repo's >= 2x bar (and
+  the baseline when present). The worker-pool rows (static calls/s,
+  handoff_us: one pooled call minus one serial call) are report-only.
 * ensemble.interp.batched_over_sequential is a same-machine ratio, but
   its numerator uses 4 workers: the repo's >= 3x bar only holds when the
   host actually has that many cores (the bench exports
@@ -173,16 +171,12 @@ def gate_backends(gate, current, baseline):
                     f"baseline {fmt(base)} - {gate.tolerance:.0%}")
         gate.check(name, current[name], floor, why)
 
-    name = "backends.pool.stealing_over_static"
-    if name in current:
-        gate.check(name, current[name], 1.0 - gate.tolerance,
-                   f"parity - {gate.tolerance:.0%}")
-    else:
-        gate.failures.append(f"{name}: missing from current run")
-
     for name in sorted(current):
         if name.endswith(".calls_per_s") and name.startswith("backends."):
             gate.report(name, current[name], baseline.get(name))
+    name = "backends.pool.handoff_us"
+    if name in current:
+        gate.report(name, current[name], baseline.get(name))
 
 
 def gate_ensemble(gate, current, baseline):

@@ -15,8 +15,8 @@
 # runs once under halt-on-error sanitizer settings.
 # With --tsan the tree is built with -DOMX_SANITIZE=THREAD and the tier-1
 # suite runs under halt-on-error ThreadSanitizer, plus one extra pass of
-# the runtime stress suite with work stealing + tracing forced on (the
-# highest-contention configuration the runtime supports).
+# the runtime stress suite with metrics + tracing forced on (every worker
+# then records into the shared trace buffer).
 # With --coverage the tree is built with gcov instrumentation, the tier-1
 # suite runs once, and scripts/coverage_report.py writes a line-coverage
 # summary to <build-dir>/coverage.txt. Report-only: low coverage does not
@@ -106,7 +106,7 @@ if [[ $MODE == tsan ]]; then
   echo "== tier-1 tests (ThreadSanitizer, halt on error) =="
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-  echo "== runtime stress (TSan + stealing + tracing forced on) =="
+  echo "== runtime stress (TSan + tracing forced on) =="
   # Svc covers the service daemon suite, including the 8-thread
   # concurrent SUBMIT/CANCEL stress against a live in-process server.
   # Event|Hybrid covers the event-handling suites, including the
@@ -127,7 +127,7 @@ if [[ $MODE == tsan ]]; then
   # side, including Ensemble.MultistepLanesMatchIndividualSolves at two
   # workers. LaneBlock covers the explicit steppers' SoA lane blocks at
   # two workers (refills in place, re-strides, the semi-dynamic fill).
-  OMX_POOL_STEALING=1 OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 \
+  OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
       -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|Svc|Event|Hybrid|NativeBackend|StiffPath|SparseLu|Ensemble|SolveDispatch|AutoSwitch|LaneBlock'
   echo "CI OK (TSan)"
@@ -214,11 +214,10 @@ OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 \
 echo "== smoke: trace_explorer writes valid observability artifacts =="
 # The binary validates every JSON artifact with obs::validate_json before
 # writing and exits nonzero on a malformed document, so this step is the
-# trace/profile/recorder schema check. --sample-hz forces the worker
-# utilization counter tracks into the Chrome trace; OMX_OBS_RECORDER
-# arms the flight recorder for the stiff solve.
+# trace/profile/recorder schema check. OMX_OBS_RECORDER arms the flight
+# recorder for the stiff solve.
 OMX_OBS_RECORDER=1 "$BUILD_DIR"/examples/trace_explorer \
-  --model bearing2d --workers 4 --sample-hz 2000 \
+  --model bearing2d --workers 4 \
   --out "$BUILD_DIR"/trace.json \
   --profile "$BUILD_DIR"/profile.json \
   --recorder "$BUILD_DIR"/recorder.json \

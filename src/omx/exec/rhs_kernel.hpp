@@ -36,8 +36,9 @@
 // (the interpreter's private register files). Calls on distinct lanes
 // are thread-safe; eval and same-lane calls are not. The task <-> lane
 // pairing is the caller's choice and may change call to call — the
-// work-stealing pool runs any task on whichever lane (worker) claimed
-// it — so backends must not key any per-task state off the lane index.
+// pool's semi-dynamic LPT schedule moves tasks between workers (lanes)
+// when it is rebuilt — so backends must not key any per-task state off
+// the lane index.
 //
 // Ownership: RhsKernel is a non-owning view. KernelInstance owns the
 // backend state (workspaces, dlopen handle) and guarantees a stable

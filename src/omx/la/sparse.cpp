@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <string>
 
 #include "omx/support/diagnostics.hpp"
@@ -200,71 +199,6 @@ Coloring color_columns(const SparsityPattern& p) {
   return out;
 }
 
-std::vector<std::size_t> reverse_cuthill_mckee(const SparsityPattern& p) {
-  OMX_REQUIRE(p.rows == p.cols, "RCM needs a square pattern");
-  const std::size_t n = p.rows;
-  // Symmetrized adjacency (A + A^T), self-loops dropped.
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = p.row_ptr[r]; k < p.row_ptr[r + 1]; ++k) {
-      const std::size_t c = p.col_idx[k];
-      if (c != r) {
-        adj[r].push_back(c);
-        adj[c].push_back(r);
-      }
-    }
-  }
-  for (auto& nbrs : adj) {
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-  }
-
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  std::vector<bool> visited(n, false);
-  std::vector<std::size_t> frontier;
-  for (;;) {
-    // Seed each component at its minimum-degree unvisited node.
-    std::size_t seed = SparsityPattern::npos;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!visited[i] &&
-          (seed == SparsityPattern::npos ||
-           adj[i].size() < adj[seed].size())) {
-        seed = i;
-      }
-    }
-    if (seed == SparsityPattern::npos) {
-      break;
-    }
-    visited[seed] = true;
-    std::queue<std::size_t> bfs;
-    bfs.push(seed);
-    while (!bfs.empty()) {
-      const std::size_t u = bfs.front();
-      bfs.pop();
-      order.push_back(u);
-      frontier.clear();
-      for (std::size_t v : adj[u]) {
-        if (!visited[v]) {
-          visited[v] = true;
-          frontier.push_back(v);
-        }
-      }
-      std::sort(frontier.begin(), frontier.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return adj[a].size() != adj[b].size()
-                             ? adj[a].size() < adj[b].size()
-                             : a < b;
-                });
-      for (std::size_t v : frontier) {
-        bfs.push(v);
-      }
-    }
-  }
-  std::reverse(order.begin(), order.end());
-  return order;
-}
-
 CsrMatrix::CsrMatrix(std::shared_ptr<const SparsityPattern> pattern)
     : pattern_(std::move(pattern)) {
   OMX_REQUIRE(pattern_ != nullptr, "CsrMatrix needs a pattern");
@@ -330,8 +264,7 @@ std::uint64_t next_generation() {
 
 }  // namespace
 
-SparseLu::SparseLu(const CsrMatrix& a, Ordering ordering)
-    : n_(a.rows()), ordering_kind_(ordering) {
+SparseLu::SparseLu(const CsrMatrix& a) : n_(a.rows()) {
   OMX_REQUIRE(a.rows() == a.cols(), "LU needs a square matrix");
   factorize(a);
   generation_ = next_generation();
@@ -350,29 +283,14 @@ void SparseLu::factorize(const CsrMatrix& a) {
   const SparsityPattern& p = a.pattern();
   pattern_ = a.pattern_ptr();
   a_map_.clear();  // stays empty if the elimination below throws
-  order_.clear();
-  if (ordering_kind_ == Ordering::kRcm) {
-    order_ = reverse_cuthill_mckee(p);
-  }
 
-  // Load the (optionally symmetrically permuted) matrix into per-row
-  // sorted entry vectors.
+  // Load the matrix into per-row sorted entry vectors.
   std::vector<std::vector<Entry>> rows(n_);
-  std::vector<std::size_t> inv_order;
-  if (!order_.empty()) {
-    inv_order.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      inv_order[order_[i]] = i;
-    }
-  }
   for (std::size_t r = 0; r < n_; ++r) {
-    const std::size_t src = order_.empty() ? r : order_[r];
     auto& row = rows[r];
-    row.reserve(p.row_ptr[src + 1] - p.row_ptr[src]);
-    for (std::size_t k = p.row_ptr[src]; k < p.row_ptr[src + 1]; ++k) {
-      const std::size_t c =
-          order_.empty() ? p.col_idx[k] : inv_order[p.col_idx[k]];
-      row.push_back({static_cast<std::uint32_t>(c),
+    row.reserve(p.row_ptr[r + 1] - p.row_ptr[r]);
+    for (std::size_t k = p.row_ptr[r]; k < p.row_ptr[r + 1]; ++k) {
+      row.push_back({static_cast<std::uint32_t>(p.col_idx[k]),
                      static_cast<std::uint32_t>(k), a.values()[k]});
     }
     std::sort(row.begin(), row.end(),
@@ -542,11 +460,8 @@ void SparseLu::factorize(const CsrMatrix& a) {
       }
     }
   }
-  src_.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    src_[i] = order_.empty() ? perm[i] : order_[perm[i]];
-  }
-  work_.assign(order_.empty() && !pivoted ? 0 : n_, 0.0);
+  src_.assign(perm.begin(), perm.end());
+  work_.assign(pivoted ? n_ : 0, 0.0);
 }
 
 bool SparseLu::eliminate_in_place(std::span<const double> a_values) {
@@ -611,12 +526,10 @@ void SparseLu::solve(std::span<const double> b, std::span<double> x) const {
   OMX_REQUIRE(b.size() == n_ && x.size() == n_, "size mismatch");
   // Forward-substitute L (unit diagonal) from the permuted b, then
   // back-substitute U — entry-for-entry the dense loops with the exact
-  // zeros skipped. Without a permutation y lives in x itself (x may
-  // alias b: b[i] is read before x[i] is written); otherwise in work_,
-  // and with RCM the back substitution stays there too.
+  // zeros skipped. Without a row swap y lives in x itself (x may alias
+  // b: b[i] is read before x[i] is written); otherwise in work_.
   double* y = work_.empty() ? x.data() : work_.data();
-  double* out = order_.empty() ? x.data() : work_.data();
-  // y[i-1] and out[i+1] are, when present, the last L term and the
+  // y[i-1] and x[i+1] are, when present, the last L term and the
   // first U term of a row in ascending column order; carrying them in a
   // register keeps the operands and their order while sparing the
   // dependency chain a store-to-load round trip.
@@ -644,15 +557,10 @@ void SparseLu::solve(std::span<const double> b, std::span<double> x) const {
       acc -= val_[k++] * carry;
     }
     for (; k < end; ++k) {
-      acc -= val_[k] * out[col_[k]];
+      acc -= val_[k] * x[col_[k]];
     }
-    out[ii] = acc / val_[d];
-    carry = out[ii];
-  }
-  if (!order_.empty()) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      x[order_[i]] = work_[i];
-    }
+    x[ii] = acc / val_[d];
+    carry = x[ii];
   }
 }
 
@@ -709,7 +617,7 @@ void walk(std::size_t n, const std::size_t* row_ptr, const std::uint32_t* col,
 
 bool LaneSolver::fits(const SparseLu& lu) {
   if (!lu.work_.empty()) {
-    return false;  // a permutation: pivoted or RCM
+    return false;  // pivoted: a row permutation
   }
   if (!pattern_) {
     pattern_ = lu.pattern_;

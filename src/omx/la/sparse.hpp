@@ -4,15 +4,13 @@
 // partial pivoting behind the la::LinearSolver interface, and a lanes
 // solver that runs many lanes' triangular solves side by side.
 //
-// Bitwise contract: with the default natural ordering, SparseLu performs
+// Bitwise contract: SparseLu factors in the natural order and performs
 // exactly the same floating-point operations as the dense LuFactors on
 // the same matrix — structural zeros are exact 0.0 in the dense path, so
 // they can never win the strict-`>` pivot search, their row updates are
 // numerical no-ops, and fill values are computed as `0.0 - m * u` just
 // like the dense in-place update. The stiff solvers rely on this to keep
-// dense-vs-sparse trajectories bit-for-bit identical. The RCM ordering
-// (opt-in, OMX_SPARSE_ORDERING=rcm) trades that identity for reduced
-// fill on patterns the natural order handles badly.
+// dense-vs-sparse trajectories bit-for-bit identical.
 #pragma once
 
 #include <cstddef>
@@ -80,11 +78,6 @@ struct Coloring {
 
 Coloring color_columns(const SparsityPattern& p);
 
-/// Reverse Cuthill-McKee ordering of the symmetrized pattern; returns
-/// perm with perm[new_index] = old_index. Reduces bandwidth (and thus LU
-/// fill) for patterns the natural order handles badly.
-std::vector<std::size_t> reverse_cuthill_mckee(const SparsityPattern& p);
-
 /// CSR value matrix over a shared (immutable) pattern.
 class CsrMatrix {
  public:
@@ -144,12 +137,7 @@ class CsrMatrix {
 /// concurrently on one instance.
 class SparseLu final : public LinearSolver {
  public:
-  enum class Ordering {
-    kNatural,  // bitwise-identical to dense LuFactors (default)
-    kRcm,      // reverse Cuthill-McKee fill reduction (opt-in)
-  };
-
-  explicit SparseLu(const CsrMatrix& a, Ordering ordering = Ordering::kNatural);
+  explicit SparseLu(const CsrMatrix& a);
 
   /// Factors `a` anew, bitwise equal to constructing a fresh SparseLu
   /// from it; reuses the stored structure when it can (see above).
@@ -164,7 +152,6 @@ class SparseLu final : public LinearSolver {
 
   /// Same cheap near-singularity heuristic as the dense LuFactors.
   double pivot_growth() const { return pivot_min_ / pivot_max_; }
-  Ordering ordering() const { return ordering_kind_; }
 
  private:
   friend class LaneSolver;
@@ -173,14 +160,12 @@ class SparseLu final : public LinearSolver {
   bool eliminate_in_place(std::span<const double> a_values);
 
   std::size_t n_ = 0;
-  Ordering ordering_kind_ = Ordering::kNatural;
   std::shared_ptr<const SparsityPattern> pattern_;  // of the factored input
   std::vector<std::size_t> row_ptr_;   // n + 1 offsets into col_/val_
   std::vector<std::uint32_t> col_;     // L\U columns, ascending per row
   std::vector<double> val_;            // L multipliers, pivots, U
   std::vector<std::size_t> diag_;      // index of the pivot per row
   std::vector<std::size_t> src_;       // b index feeding each row
-  std::vector<std::size_t> order_;     // symmetric ordering (RCM) or empty
   std::vector<std::size_t> a_map_;     // input slot -> val_ slot; empty
                                        // when refactor cannot reuse
   std::vector<std::size_t> next_;      // refactor: next L entry per row
@@ -198,9 +183,9 @@ class SparseLu final : public LinearSolver {
 /// i at [i * m + q], m = solvers.size()); x may alias b.
 ///
 /// The SparseLu lanes whose factors share one structure (one pattern
-/// object, the natural ordering, no row swap, the same fill) walk it
-/// together, row by row, the lanes the inner loop, so their divide
-/// chains overlap. For that the solver keeps their factor values
+/// object, no row swap, the same fill) walk it together, row by row,
+/// the lanes the inner loop, so their divide chains overlap. For that
+/// the solver keeps their factor values
 /// lane-interleaved, one slot per lane: the caller names lane q's slot,
 /// slots[q], and keeps it for that lane from call to call, and a slot's
 /// copy is refreshed only when its lane has refactored since. When
@@ -208,7 +193,7 @@ class SparseLu final : public LinearSolver {
 /// all lanes are contiguous and the walk runs as vector loops. Each
 /// walking lane does the operations of its own solve(), in the same
 /// order, so its x is bitwise what solve() gives. Every other lane
-/// (pivoted or RCM factors, another structure, the dense LuFactors) is
+/// (pivoted factors, another structure, the dense LuFactors) is
 /// gathered and solves alone; so is a lone walking lane. Allocates
 /// nothing once it has seen its widest call and its structure; not safe
 /// to use from two threads at once.

@@ -130,7 +130,6 @@ std::string metrics_json(const Snapshot& snap) {
 std::string chrome_trace_json(const TraceBuffer& buffer) {
   const auto events = buffer.events();
   const auto names = buffer.thread_names();
-  const auto samples = buffer.counter_samples();
   std::string out = "{\"traceEvents\": [";
   bool first = true;
   // Process-name metadata labels the whole row in Perfetto.
@@ -148,15 +147,6 @@ std::string chrome_trace_json(const TraceBuffer& buffer) {
     out += " {\"ph\": \"M\", \"pid\": 1, \"tid\": " + std::to_string(tid) +
            ", \"name\": \"thread_name\", \"args\": {\"name\": \"" +
            json_escape(name) + "\"}}";
-  }
-  // Counter samples render as per-track value-over-time plots.
-  for (const CounterSample& s : samples) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += " {\"ph\": \"C\", \"pid\": 1, \"name\": \"" +
-           json_escape(s.track) +
-           "\", \"ts\": " + json_number(s.at_ns / 1e3) +
-           ", \"args\": {\"value\": " + json_number(s.value) + "}}";
   }
   for (const TraceEvent& ev : events) {
     out += first ? "\n" : ",\n";

@@ -37,7 +37,6 @@ TraceBuffer::TraceBuffer() {
 void TraceBuffer::start() {
   std::lock_guard<std::mutex> lock(mutex_);
   events_.clear();
-  counter_samples_.clear();
   epoch_ns_.store(steady_ns(), std::memory_order_relaxed);
   active_.store(true, std::memory_order_relaxed);
 }
@@ -69,19 +68,6 @@ std::uint32_t TraceBuffer::thread_id() {
   return id;
 }
 
-void TraceBuffer::record_counter(std::string track, std::int64_t at_ns,
-                                 double value) {
-  if (!active()) {
-    return;
-  }
-  CounterSample sample;
-  sample.track = std::move(track);
-  sample.at_ns = at_ns;
-  sample.value = value;
-  std::lock_guard<std::mutex> lock(mutex_);
-  counter_samples_.push_back(std::move(sample));
-}
-
 void TraceBuffer::set_thread_name(std::string name) {
   const std::uint32_t tid = thread_id();
   std::lock_guard<std::mutex> lock(mutex_);
@@ -96,11 +82,6 @@ void TraceBuffer::set_process_name(std::string name) {
 std::vector<TraceEvent> TraceBuffer::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return events_;
-}
-
-std::vector<CounterSample> TraceBuffer::counter_samples() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counter_samples_;
 }
 
 std::string TraceBuffer::process_name() const {

@@ -28,14 +28,6 @@ struct TraceEvent {
   std::int64_t dur_ns = 0;
 };
 
-/// One sample on a named counter track ("C" events in the Chrome trace:
-/// worker utilization, queue depths — anything plotted over time).
-struct CounterSample {
-  std::string track;   // e.g. "util/worker-3"
-  std::int64_t at_ns = 0;
-  double value = 0.0;
-};
-
 class TraceBuffer {
  public:
   /// Buffer all built-in instrumentation records into. Auto-started when
@@ -57,9 +49,6 @@ class TraceBuffer {
   void record(std::string name, const char* category, std::int64_t start_ns,
               std::int64_t dur_ns);
 
-  /// Appends one sample to a counter track (no-op while inactive).
-  void record_counter(std::string track, std::int64_t at_ns, double value);
-
   /// Small dense id for the calling thread (assigned on first use).
   static std::uint32_t thread_id();
   /// Names the calling thread's track in exported traces.
@@ -68,7 +57,6 @@ class TraceBuffer {
   void set_process_name(std::string name);
 
   std::vector<TraceEvent> events() const;
-  std::vector<CounterSample> counter_samples() const;
   std::map<std::uint32_t, std::string> thread_names() const;
   std::string process_name() const;
 
@@ -79,7 +67,6 @@ class TraceBuffer {
   std::atomic<std::int64_t> epoch_ns_{0};
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
-  std::vector<CounterSample> counter_samples_;
   std::map<std::uint32_t, std::string> thread_names_;
   std::string process_name_;
 };

@@ -58,7 +58,7 @@ void extrapolate(const std::vector<std::vector<double>>& hist, int points,
 BdfStepper::BdfStepper(const Problem& p, const SolverOptions& opts)
     : p_(p),
       opts_(opts),
-      jac_engine_(p, JacobianEngine::Config{.jac_threads = opts.jac_threads}),
+      jac_engine_(p, JacobianEngine::Config{}),
       history_(kHistory, std::vector<double>(p.n)),
       rhs_const_(p.n),
       predictor_(p.n),

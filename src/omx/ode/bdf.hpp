@@ -23,7 +23,7 @@
 namespace omx::ode {
 
 /// Single-step driver; reads tol, bdf_max_order, h0, hmax,
-/// newton_max_iters, bdf_fixed_h and jac_threads from the options.
+/// newton_max_iters and bdf_fixed_h from the options.
 ///
 /// A step attempt runs in phases, so that an ensemble can take many
 /// lanes' Newton iterations in lockstep (ode/ensemble.cpp): begin_step();

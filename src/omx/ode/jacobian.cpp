@@ -1,8 +1,5 @@
 #include "omx/ode/jacobian.hpp"
 
-#include <cstdlib>
-#include <string_view>
-#include <thread>
 #include <vector>
 
 #include "omx/obs/recorder.hpp"
@@ -70,9 +67,6 @@ std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p) {
   if (env_flag("OMX_SPARSE_DISABLE")) {
     plan->use_sparse = false;
   }
-  if (config::get_string("OMX_SPARSE_ORDERING", "natural") == "rcm") {
-    plan->ordering = la::SparseLu::Ordering::kRcm;
-  }
 
   obs::Registry& reg = obs::Registry::global();
   static obs::Gauge& colors = reg.gauge("jac.colors");
@@ -84,7 +78,7 @@ std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p) {
 
 void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
                          std::span<const double> y, la::CsrMatrix& jac,
-                         std::uint64_t& rhs_calls, int threads) {
+                         std::uint64_t& rhs_calls) {
   const std::size_t n = p.n;
   OMX_REQUIRE(jac.rows() == n && jac.cols() == n, "jacobian shape mismatch");
   OMX_REQUIRE(jac.values().size() == plan.pattern->nnz(),
@@ -97,18 +91,52 @@ void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
   const auto& groups = plan.coloring.groups;
   std::span<double> values = jac.values();
 
-  // One color group: perturb all its columns at once, evaluate, scatter
-  // each column's compressed differences through the CSC view. Every
-  // equation depends on at most one perturbed column (that is what the
-  // distance-2 coloring guarantees), so each difference is bitwise what
-  // a one-column evaluation would have produced.
-  auto process_group = [&](const std::vector<std::size_t>& group,
-                           std::vector<double>& yp, std::vector<double>& f1,
-                           auto&& eval) {
+  // Each color group perturbs all its columns at once; its compressed
+  // differences scatter through the CSC view. Every equation depends on
+  // at most one perturbed column (that is what the distance-2 coloring
+  // guarantees), so each difference is bitwise what a one-column
+  // evaluation would have produced.
+  if (p.batch_rhs && groups.size() > 1) {
+    // One batched call, one lane per color group: lane g carries the
+    // base state with group g's columns perturbed. Lane independence
+    // (problem.hpp) makes each lane bitwise equal to the scalar
+    // evaluation the loop below would have done, while the kernel
+    // vectorizes across the groups. rhs_calls counts lanes so the
+    // colors+1 evaluation ceiling stays comparable.
+    const std::size_t ng = groups.size();
+    simd::aligned_vector<double> ts(ng, t);
+    simd::aligned_vector<double> y_soa(n * ng), f_soa(n * ng);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t g = 0; g < ng; ++g) {
+        y_soa[i * ng + g] = y[i];
+      }
+    }
+    for (std::size_t g = 0; g < ng; ++g) {
+      for (std::size_t j : groups[g]) {
+        y_soa[j * ng + g] = y[j] + fd_increment(y[j]);
+      }
+    }
+    p.batch_rhs(0, ng, ts.data(), y_soa.data(), f_soa.data());
+    rhs_calls += ng;
+    for (std::size_t g = 0; g < ng; ++g) {
+      for (std::size_t j : groups[g]) {
+        const double inv = 1.0 / fd_increment(y[j]);
+        for (std::size_t k = plan.cols.col_ptr[j];
+             k < plan.cols.col_ptr[j + 1]; ++k) {
+          const std::size_t r = plan.cols.row_idx[k];
+          values[plan.cols.csr_pos[k]] = (f_soa[r * ng + g] - f0[r]) * inv;
+        }
+      }
+    }
+    return;
+  }
+  std::vector<double> yp(y.begin(), y.end()), f1(n);
+  for (const auto& group : groups) {
     for (std::size_t j : group) {
       yp[j] = y[j] + fd_increment(y[j]);
     }
-    eval(yp, f1);
+    p.rhs(t, yp, f1);
+    ++rhs_calls;
     for (std::size_t j : group) {
       const double inv = 1.0 / fd_increment(y[j]);
       for (std::size_t k = plan.cols.col_ptr[j]; k < plan.cols.col_ptr[j + 1];
@@ -118,91 +146,6 @@ void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
       }
       yp[j] = y[j];
     }
-  };
-
-  std::size_t nt = 1;
-  if (threads > 1 && p.batch_rhs && groups.size() > 1) {
-    nt = std::min<std::size_t>(static_cast<std::size_t>(threads),
-                               groups.size());
-    if (p.batch_lanes > 0) {
-      nt = std::min(nt, p.batch_lanes);
-    }
-  }
-
-  if (nt <= 1) {
-    if (p.batch_rhs && groups.size() > 1) {
-      // One batched call, one lane per color group: lane g carries the
-      // base state with group g's columns perturbed. Lane independence
-      // (problem.hpp) makes each lane bitwise equal to the scalar
-      // evaluation the loop below would have done, while the kernel
-      // vectorizes across the groups. rhs_calls counts lanes so the
-      // colors+1 evaluation ceiling stays comparable.
-      const std::size_t ng = groups.size();
-      simd::aligned_vector<double> ts(ng, t);
-      simd::aligned_vector<double> y_soa(n * ng), f_soa(n * ng);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t g = 0; g < ng; ++g) {
-          y_soa[i * ng + g] = y[i];
-        }
-      }
-      for (std::size_t g = 0; g < ng; ++g) {
-        for (std::size_t j : groups[g]) {
-          y_soa[j * ng + g] = y[j] + fd_increment(y[j]);
-        }
-      }
-      p.batch_rhs(0, ng, ts.data(), y_soa.data(), f_soa.data());
-      rhs_calls += ng;
-      for (std::size_t g = 0; g < ng; ++g) {
-        for (std::size_t j : groups[g]) {
-          const double inv = 1.0 / fd_increment(y[j]);
-          for (std::size_t k = plan.cols.col_ptr[j];
-               k < plan.cols.col_ptr[j + 1]; ++k) {
-            const std::size_t r = plan.cols.row_idx[k];
-            values[plan.cols.csr_pos[k]] =
-                (f_soa[r * ng + g] - f0[r]) * inv;
-          }
-        }
-      }
-      return;
-    }
-    std::vector<double> yp(y.begin(), y.end()), f1(n);
-    for (const auto& group : groups) {
-      process_group(group, yp, f1,
-                    [&](const std::vector<double>& state,
-                        std::vector<double>& out) { p.rhs(t, state, out); });
-      ++rhs_calls;
-    }
-    return;
-  }
-
-  // Parallel color groups on distinct batched-kernel lanes. The lane
-  // contract (problem.hpp) makes concurrent calls on distinct lanes safe
-  // and each width-1 result bitwise equal to the scalar rhs; scattered
-  // CSR slots are disjoint across groups, so no synchronization is
-  // needed beyond the joins.
-  std::vector<std::uint64_t> calls(nt, 0);
-  auto run = [&](std::size_t lane) {
-    std::vector<double> yp(y.begin(), y.end()), f1(n);
-    for (std::size_t g = lane; g < groups.size(); g += nt) {
-      process_group(groups[g], yp, f1,
-                    [&](const std::vector<double>& state,
-                        std::vector<double>& out) {
-                      p.batch_rhs(lane, 1, &t, state.data(), out.data());
-                    });
-      ++calls[lane];
-    }
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(nt - 1);
-  for (std::size_t w = 1; w < nt; ++w) {
-    workers.emplace_back(run, w);
-  }
-  run(0);
-  for (std::thread& w : workers) {
-    w.join();
-  }
-  for (std::uint64_t c : calls) {
-    rhs_calls += c;
   }
 }
 
@@ -259,8 +202,7 @@ void JacobianEngine::eval_jacobian(double t, std::span<const double> y,
     return;
   } else {
     obs::Span span("jacobian_fd_colored", "ode");
-    colored_fd_jacobian(p_, *plan_, t, y, jac_csr_, stats.rhs_calls,
-                        cfg_.jac_threads);
+    colored_fd_jacobian(p_, *plan_, t, y, jac_csr_, stats.rhs_calls);
   }
   if (!plan_->use_sparse) {
     // Dense backend over a known pattern: same colored/symbolic values,
@@ -290,7 +232,7 @@ void JacobianEngine::factorize(double beta_h) {
       // The engine only ever holds a SparseLu on the sparse backend.
       static_cast<la::SparseLu&>(*solver_).refactor(m_csr_);
     } else {
-      solver_ = std::make_unique<la::SparseLu>(m_csr_, plan_->ordering);
+      solver_ = std::make_unique<la::SparseLu>(m_csr_);
     }
   } else {
     la::Matrix m(p_.n, p_.n);

@@ -56,26 +56,21 @@ struct JacPlan {
   la::ColumnView cols;  // CSC companion for column-wise FD scatter
   /// Factorization backend chosen by fill ratio (and OMX_SPARSE_DISABLE).
   bool use_sparse = false;
-  la::SparseLu::Ordering ordering = la::SparseLu::Ordering::kNatural;
 };
 
 /// Builds the plan from p.sparsity; returns nullptr when the problem has
 /// no pattern (legacy dense path). Honors OMX_SPARSE_DISABLE (forces the
 /// dense backend while keeping the colored FD compression) and
-/// OMX_SPARSE_ORDERING=rcm (opt-in fill-reducing ordering; trades away
-/// the bitwise dense/sparse identity). Also publishes the jac.colors /
-/// jac.nnz gauges.
+/// OMX_SPARSE_FORCE (forces the sparse backend). Also publishes the
+/// jac.colors / jac.nnz gauges.
 std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p);
 
 /// Colored compressed finite-difference Jacobian into CSR values:
-/// colors+1 RHS calls. With `threads > 1` and a bound batch_rhs, color
-/// groups are evaluated concurrently on distinct kernel lanes (the lane
-/// contract guarantees thread safety and bitwise-equal results); without
-/// a batched kernel the evaluation stays serial, since a plain RhsFn
-/// carries no thread-safety guarantee.
+/// colors+1 RHS calls. With a bound batch_rhs the color groups are the
+/// lanes of one batched call; otherwise each group is one rhs call.
 void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
                          std::span<const double> y, la::CsrMatrix& jac,
-                         std::uint64_t& rhs_calls, int threads = 1);
+                         std::uint64_t& rhs_calls);
 
 /// Wraps a Problem's dense Jacobian (or the finite-difference fallback)
 /// into a uniform callable.
@@ -103,9 +98,6 @@ class JacobianEvaluator {
 class JacobianEngine {
  public:
   struct Config {
-    /// Color-group evaluation threads (needs a bound batch_rhs to take
-    /// effect; see colored_fd_jacobian).
-    int jac_threads = 1;
     /// Accepted steps a Jacobian may age before a forced re-evaluation
     /// (LSODA's MSBP is 20).
     std::size_t max_age = 20;

@@ -60,10 +60,6 @@ struct SolverOptions {
   /// kBdf only: fixed-step mode without error control when > 0
   /// (convergence-order studies).
   double bdf_fixed_h = 0.0;
-  /// Stiff methods: color-group evaluation threads for the compressed-FD
-  /// Jacobian (effective only with a bound batch_rhs; the plain RhsFn
-  /// carries no thread-safety guarantee).
-  int jac_threads = 1;
   /// Cooperative cancellation: when non-null, every driver polls the flag
   /// once per step attempt (and solve_ensemble once per batch round) and
   /// throws Cancelled when it reads true. The flag object must outlive

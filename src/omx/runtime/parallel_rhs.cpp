@@ -35,7 +35,7 @@ void ParallelRhs::eval(double t, std::span<const double> y,
       "rhs.eval_seconds", obs::log_spaced_bounds(1e-5, 1.0));
   Stopwatch total;
   pool_->eval(t, y, ydot);
-  if (opts_.semi_dynamic) {
+  {
     Stopwatch sched_time;
     obs::Span span("sched.record", "sched");
     const bool rebuilt = sched_->record(pool_->last_task_seconds());

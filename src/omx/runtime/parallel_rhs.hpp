@@ -17,14 +17,10 @@
 namespace omx::runtime {
 
 struct ParallelRhsOptions {
-  /// Pool options, including `pool.stealing`: with stealing on, the
-  /// semi-dynamic LPT schedule is the *seed* for each call's Chase-Lev
-  /// deques, and idle workers rebalance within the call.
   WorkerPool::Options pool;
+  /// Rescheduling cadence of the semi-dynamic LPT schedule, which every
+  /// call's measured task times feed.
   sched::SemiDynamicOptions sched;
-  /// false = static LPT from the kernel's cost estimates only, no
-  /// re-scheduling.
-  bool semi_dynamic = true;
 };
 
 class ParallelRhs {
@@ -50,8 +46,6 @@ class ParallelRhs {
   /// Wall seconds spent measuring + rebuilding schedules (the <1% claim).
   double scheduling_seconds() const { return scheduling_seconds_; }
   std::size_t num_reschedules() const { return sched_->num_reschedules(); }
-  /// Tasks the pool's workers obtained by stealing (0 in static mode).
-  std::uint64_t tasks_stolen() const { return pool_->tasks_stolen(); }
   MessageStats& stats() { return pool_->stats(); }
 
   /// Measured RHS throughput: calls per second so far.

@@ -1,22 +1,22 @@
 // Chase-Lev work-stealing deque (Chase & Lev, "Dynamic Circular
-// Work-Stealing Deques", SPAA 2005), specialized for the worker pool's
-// epoch discipline:
+// Work-Stealing Deques", SPAA 2005), specialized for the ensemble's
+// scenario deal (WorkSource in ode/ensemble.cpp):
 //
-//  * Fixed capacity. The deque is (re)seeded by the supervisor between
-//    epochs while every worker is parked behind the pool's start/finish
-//    handshake, and only drained (pop/steal) while an epoch runs, so the
-//    circular-growth path of the original algorithm is unnecessary and
-//    indices never wrap.
+//  * Fixed capacity. Each worker's deque is seeded once with its LPT
+//    deal before the worker threads start, and only drained (pop/steal)
+//    afterwards, so the circular-growth path of the original algorithm
+//    is unnecessary and indices never wrap.
 //  * seq_cst atomics instead of standalone fences. ThreadSanitizer does
 //    not model std::atomic_thread_fence, so the classic fence-based C11
 //    formulation produces false race reports; sequentially consistent
-//    operations are strictly stronger, keep the pool TSan-clean, and cost
-//    nothing measurable at the task granularities scheduled here.
+//    operations are strictly stronger, keep the ensemble TSan-clean, and
+//    cost nothing measurable at the per-scenario granularity scheduled
+//    here.
 //
 // The owner pops newest-first from the bottom; thieves steal oldest-first
 // from the top. Seeded with an LPT assignment (descending predicted
-// cost), a thief therefore migrates the largest remaining task — the most
-// rebalancing per steal.
+// cost), a thief therefore migrates the largest remaining item — the
+// most rebalancing per steal.
 #pragma once
 
 #include <atomic>
@@ -32,7 +32,7 @@ class TaskDeque {
   TaskDeque(const TaskDeque&) = delete;
   TaskDeque& operator=(const TaskDeque&) = delete;
 
-  /// Supervisor-only, workers parked: ensures room for `cap` entries.
+  /// Before any pop/steal: ensures room for `cap` entries.
   void reserve(std::size_t cap) {
     if (cap > cap_) {
       buf_.reset(new std::atomic<std::uint32_t>[cap]);
@@ -40,7 +40,7 @@ class TaskDeque {
     }
   }
 
-  /// Supervisor-only, workers parked: refills the deque. tasks[0] becomes
+  /// Before any pop/steal: fills the deque. tasks[0] becomes
   /// the oldest entry (stolen first); tasks.back() is popped first by the
   /// owner. Requires reserve(tasks.size()) to have happened.
   void seed(std::span<const std::uint32_t> tasks) {

@@ -1,14 +1,9 @@
 #include "omx/runtime/worker_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <unordered_set>
 
 #include "omx/obs/trace.hpp"
-#include "omx/support/config.hpp"
 #include "omx/support/timer.hpp"
 
 namespace omx::runtime {
@@ -17,15 +12,6 @@ namespace {
 // Fixed per-message envelope (header, tags) in bytes.
 constexpr std::size_t kHeaderBytes = 16;
 }  // namespace
-
-bool WorkerPool::stealing_env_default() {
-  return config::get_bool("OMX_POOL_STEALING", false);
-}
-
-double WorkerPool::sample_hz_env_default() {
-  const double hz = config::get_double("OMX_OBS_SAMPLE_HZ", 0.0);
-  return hz > 0.0 ? hz : 0.0;
-}
 
 WorkerPool::WorkerPool(const exec::RhsKernel& kernel, const Options& opts)
     : kernel_(&kernel), opts_(opts) {
@@ -45,17 +31,12 @@ void WorkerPool::init() {
   obs::Registry& reg = obs::Registry::global();
   rhs_calls_metric_ = &reg.counter("rhs.calls");
   tasks_run_metric_ = &reg.counter("rhs.tasks_run");
-  steals_metric_ = &reg.counter("pool.steals");
-  steal_failures_metric_ = &reg.counter("pool.steal_failures");
-  idle_metric_ = &reg.counter("pool.idle_nanos");
-  // Steal latency spans lock contention (~100 ns) up to a whole task on a
-  // loaded machine.
-  steal_latency_metric_ = &reg.histogram(
-      "pool.steal_latency_seconds", obs::log_spaced_bounds(1e-7, 1e-2));
   task_seconds_metric_ = &reg.histogram(
       "pool.task_seconds", obs::log_spaced_bounds(1e-7, 1.0));
 
   y_.resize(kernel_->n_state(), 0.0);
+  // Request message: t plus the full state vector.
+  state_bytes_ = kHeaderBytes + 8 * (kernel_->n_state() + 1);
   const exec::TaskTable& table = kernel_->tasks();
   task_seconds_.assign(table.size(), 0.0);
   task_result_offset_.resize(table.size() + 1);
@@ -71,7 +52,6 @@ void WorkerPool::init() {
   for (std::size_t w = 0; w < opts_.num_workers; ++w) {
     auto ws = std::make_unique<WorkerState>();
     ws->task_out.assign(kernel_->n_out(), 0.0);
-    ws->deque.reserve(table.size());
     workers_.push_back(std::move(ws));
   }
   // Default schedule: round-robin, replaced by the caller via
@@ -87,9 +67,6 @@ void WorkerPool::init() {
     workers_[i]->thread =
         std::thread([this, &w_ref, i] { worker_main(w_ref, i); });
   }
-  if (opts_.sample_hz > 0.0) {
-    sampler_thread_ = std::thread([this] { sampler_main(); });
-  }
 }
 
 WorkerPool::~WorkerPool() {
@@ -101,38 +78,6 @@ WorkerPool::~WorkerPool() {
   for (auto& w : workers_) {
     if (w->thread.joinable()) {
       w->thread.join();
-    }
-  }
-  if (sampler_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(sampler_mutex_);
-      sampler_shutdown_ = true;
-    }
-    sampler_cv_.notify_all();
-    sampler_thread_.join();
-  }
-}
-
-void WorkerPool::sampler_main() {
-  obs::TraceBuffer& tb = obs::TraceBuffer::global();
-  tb.set_thread_name("util-sampler");
-  const auto period = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(1.0 / opts_.sample_hz));
-  std::unique_lock<std::mutex> lock(sampler_mutex_);
-  while (!sampler_shutdown_) {
-    // wait_for rather than a plain sleep so the destructor returns in at
-    // most one shutdown-check latency, not one full period.
-    sampler_cv_.wait_for(lock, period, [&] { return sampler_shutdown_; });
-    if (sampler_shutdown_ || !tb.active()) {
-      continue;
-    }
-    const std::int64_t now = tb.now_ns();
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      const bool busy =
-          workers_[i]->busy.load(std::memory_order_relaxed);
-      tb.record_counter("util/worker-" + std::to_string(i), now,
-                        busy ? 1.0 : 0.0);
     }
   }
 }
@@ -148,32 +93,12 @@ void WorkerPool::set_schedule(const sched::Schedule& schedule) {
       OMX_REQUIRE(t < table.size(), "task index out of range");
       outputs += table.tasks[t].out_slots.size();
     }
+    // Response message: one (slot, value) pair per output.
     workers_[w]->result_bytes = kHeaderBytes + 16 * outputs;
   }
   // A task the new schedule omits must contribute zero, not a stale
   // value from an earlier schedule.
   std::fill(task_results_.begin(), task_results_.end(), 0.0);
-  recompute_message_sizes();
-}
-
-void WorkerPool::recompute_message_sizes() {
-  const exec::TaskTable& table = kernel_->tasks();
-  for (auto& w : workers_) {
-    std::size_t payload_states = kernel_->n_state();
-    // Stealing needs the full broadcast: any worker may execute any task
-    // (the paper's own argument for sending everything, §3.2.3).
-    if (opts_.communication_analysis && !opts_.stealing) {
-      std::unordered_set<std::uint32_t> needed;
-      for (std::uint32_t t : w->tasks) {
-        for (std::uint32_t s : table.tasks[t].in_states) {
-          needed.insert(s);
-        }
-      }
-      payload_states = needed.size();
-    }
-    // t plus the states; results carry (slot, value) pairs.
-    w->state_bytes = kHeaderBytes + 8 * (payload_states + 1);
-  }
 }
 
 void WorkerPool::execute_task(WorkerState& w, std::size_t index,
@@ -201,111 +126,26 @@ void WorkerPool::execute_task(WorkerState& w, std::size_t index,
   for (std::uint32_t slot : meta.out_slots) {
     *dst++ = w.task_out[slot];
   }
-  w.outputs_produced += meta.out_slots.size();
-}
-
-bool WorkerPool::steal_task(std::size_t thief, std::uint32_t& task) {
-  // Victim: the most-loaded other worker by (racy) deque size.
-  std::size_t victim = thief;
-  std::size_t victim_size = 0;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (i == thief) {
-      continue;
-    }
-    const std::size_t s = workers_[i]->deque.size_estimate();
-    if (s > victim_size) {
-      victim_size = s;
-      victim = i;
-    }
-  }
-  if (victim == thief) {
-    return false;  // everything is empty or in flight
-  }
-  if (workers_[victim]->deque.steal(task)) {
-    return true;
-  }
-  steal_failures_metric_->add();
-  return false;
 }
 
 void WorkerPool::run_epoch(WorkerState& w, std::size_t index) {
-  std::size_t executed = 0;
-  w.outputs_produced = 0;
-
-  if (!opts_.stealing) {
-    // Static §3.2.3 mode: drain the fixed assignment, nothing else.
-    if (w.tasks.empty()) {
-      return;
-    }
-    stats_.charge(opts_.net, w.state_bytes);  // receive the state message
-    for (std::uint32_t task : w.tasks) {
-      if (abort_.load(std::memory_order_acquire)) {
-        break;
-      }
-      execute_task(w, index, task);
-      ++executed;
-    }
-    if (executed > 0) {
-      tasks_run_metric_->add(executed);
-      stats_.charge(opts_.net, w.result_bytes);  // send the results back
-    }
+  // Drain the fixed assignment (§3.2.3), nothing else.
+  if (w.tasks.empty()) {
     return;
   }
-
-  // Stealing mode: drain the own deque, then steal until no task remains
-  // anywhere. Every worker participates (and pays the full-state receive)
-  // even with an empty seed — it may steal.
-  stats_.charge(opts_.net, w.state_bytes);
-  std::int64_t idle_ns = 0;
-  std::uint64_t steals = 0;
-  bool hunting = false;  // true while looking for a task to steal
-  Stopwatch hunt;
-  while (!abort_.load(std::memory_order_acquire)) {
-    std::uint32_t task = 0;
-    if (w.deque.pop(task)) {
-      execute_task(w, index, task);
-      ++executed;
-      tasks_remaining_.fetch_sub(1, std::memory_order_acq_rel);
-      continue;
+  stats_.charge(opts_.net, state_bytes_);  // receive the state message
+  std::size_t executed = 0;
+  for (std::uint32_t task : w.tasks) {
+    if (abort_.load(std::memory_order_acquire)) {
+      break;
     }
-    if (tasks_remaining_.load(std::memory_order_acquire) == 0) {
-      break;  // epoch complete
-    }
-    if (!hunting) {
-      hunting = true;
-      hunt.reset();
-    }
-    if (steal_task(index, task)) {
-      steal_latency_metric_->observe(hunt.seconds());
-      hunting = false;
-      ++steals;
-      execute_task(w, index, task);
-      ++executed;
-      tasks_remaining_.fetch_sub(1, std::memory_order_acq_rel);
-      continue;
-    }
-    // Nothing stealable, but tasks are still in flight elsewhere: yield
-    // until the stragglers finish (or new steal opportunities appear —
-    // they cannot, tasks are only seeded between epochs, so this wait is
-    // bounded by the longest in-flight task).
-    Stopwatch idle;
-    std::this_thread::yield();
-    idle_ns += idle.nanos();
+    execute_task(w, index, task);
+    ++executed;
   }
   if (executed > 0) {
     tasks_run_metric_->add(executed);
+    stats_.charge(opts_.net, w.result_bytes);  // send the results back
   }
-  if (steals > 0) {
-    steals_metric_->add(steals);
-    tasks_stolen_.fetch_add(steals, std::memory_order_relaxed);
-  }
-  if (idle_ns > 0) {
-    idle_metric_->add(static_cast<std::uint64_t>(idle_ns));
-  }
-  // The response message doubles as the completion report, so it is sent
-  // even when this worker executed nothing — message counts stay
-  // deterministic under dynamic scheduling.
-  stats_.charge(opts_.net, kHeaderBytes + 16 * w.outputs_produced);
 }
 
 void WorkerPool::worker_main(WorkerState& w, std::size_t index) {
@@ -327,7 +167,6 @@ void WorkerPool::worker_main(WorkerState& w, std::size_t index) {
       last_epoch = epoch_;
     }
     std::exception_ptr error;
-    w.busy.store(true, std::memory_order_relaxed);
     try {
       run_epoch(w, index);
     } catch (...) {
@@ -336,7 +175,6 @@ void WorkerPool::worker_main(WorkerState& w, std::size_t index) {
       error = std::current_exception();
       abort_.store(true, std::memory_order_release);
     }
-    w.busy.store(false, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(done_mutex_);
       if (error != nullptr && first_error_ == nullptr) {
@@ -369,18 +207,11 @@ void WorkerPool::eval(double t, std::span<const double> y,
     // receive cost concurrently. All epoch inputs are published by the
     // start_mutex_ acquisition below.
     obs::Span scatter("scatter", "runtime");
-    std::size_t total_tasks = 0;
     for (auto& w : workers_) {
-      if (opts_.stealing) {
-        w->deque.seed(w->tasks);
-        total_tasks += w->tasks.size();
-        stats_.charge(opts_.net, w->state_bytes);  // full broadcast
-      } else if (!w->tasks.empty()) {
-        stats_.charge(opts_.net, w->state_bytes);  // supervisor send cost
+      if (!w->tasks.empty()) {
+        stats_.charge(opts_.net, state_bytes_);  // supervisor send cost
       }
     }
-    tasks_remaining_.store(static_cast<std::int64_t>(total_tasks),
-                           std::memory_order_relaxed);
     abort_.store(false, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(done_mutex_);
@@ -409,10 +240,7 @@ void WorkerPool::eval(double t, std::span<const double> y,
   }
 
   for (auto& w : workers_) {
-    if (opts_.stealing) {
-      // supervisor receive cost, mirroring the worker's send
-      stats_.charge(opts_.net, kHeaderBytes + 16 * w->outputs_produced);
-    } else if (!w->tasks.empty()) {
+    if (!w->tasks.empty()) {
       stats_.charge(opts_.net, w->result_bytes);
     }
   }

@@ -1,5 +1,4 @@
-// Supervisor/worker execution engine (§3.2, Figure 10) with intra-call
-// work stealing.
+// Supervisor/worker execution engine (§3.2, Figure 10).
 //
 // The supervisor (the caller of eval(), i.e. the ODE solver thread)
 // distributes the state vector to worker threads, each worker executes
@@ -9,41 +8,32 @@
 // the sending and receiving side.
 //
 // Start/finish protocol (epoch-based, ThreadSanitizer-clean):
-//  * The supervisor publishes the epoch inputs (t, y, seeded deques,
-//    outstanding-task count), then increments `epoch_` under
-//    `start_mutex_` and broadcasts `start_cv_`. The mutex acquisition
-//    that each worker performs to observe the new epoch is what makes
-//    every preceding plain write (inputs, schedules) visible to it.
-//  * Each worker runs until no runnable task remains (see below), then
-//    increments `workers_done_` under `done_mutex_` and signals
-//    `done_cv_`. The supervisor waits for all workers, which conversely
-//    publishes every worker-side plain write (per-task results, measured
-//    task times) back to the supervisor.
-//  * All remaining intra-epoch shared state is atomic: the Chase-Lev
-//    deques, `tasks_remaining_`, and the `abort_` flag.
+//  * The supervisor publishes the epoch inputs (t, y), then increments
+//    `epoch_` under `start_mutex_` and broadcasts `start_cv_`. The mutex
+//    acquisition that each worker performs to observe the new epoch is
+//    what makes every preceding plain write (inputs, schedules) visible
+//    to it.
+//  * Each worker runs its assigned tasks, then increments
+//    `workers_done_` under `done_mutex_` and signals `done_cv_`. The
+//    supervisor waits for all workers, which conversely publishes every
+//    worker-side plain write (per-task results, measured task times)
+//    back to the supervisor.
+//  * The only intra-epoch shared state is the atomic `abort_` flag.
 //
-// Scheduling: each worker owns a Chase-Lev-style deque (task_deque.hpp)
-// seeded from the current (semi-dynamic LPT) schedule. With
-// `stealing = false` a worker simply drains its static assignment — the
-// paper's §3.2.3 behavior. With `stealing = true` a worker that runs dry
-// steals the oldest (= largest predicted) task from the most-loaded
-// victim, so one mispredicted task no longer idles every other worker
-// for the rest of the call. Measured per-task times are recorded by
-// whichever worker executed the task, so the semi-dynamic LPT scheduler
-// keeps improving the static seed across calls either way.
+// Scheduling: each worker drains its static assignment from the current
+// (semi-dynamic LPT) schedule — the paper's §3.2.3 behavior. Measured
+// per-task times are recorded per task, so the semi-dynamic LPT
+// scheduler rebuilds the assignment from them between calls.
 //
 // Determinism: every task writes its outputs into a private per-task
-// region of `task_results_` (claimed exactly once via the deque), each
-// worker accumulating through its own scratch buffer; the supervisor then
-// sums contributions in task-id order. Results are therefore bit-for-bit
-// identical across worker counts and scheduling modes, and equal to a
-// single-threaded reference that accumulates tasks in id order.
+// region of `task_results_`, each worker accumulating through its own
+// scratch buffer; the supervisor then sums contributions in task-id
+// order. Results are therefore bit-for-bit identical across worker
+// counts, and equal to a single-threaded reference that accumulates
+// tasks in id order.
 //
-// By default the full state vector is sent to every worker — the paper
-// does the same "because of the dynamic scheduling strategy" (§3.2.3).
-// With `communication_analysis = true` (static mode only) each worker is
-// sent just the states its tasks read; stealing forces the full
-// broadcast, since any worker may end up executing any task.
+// The full state vector is sent to every worker — the paper does the
+// same "because of the dynamic scheduling strategy" (§3.2.3).
 #pragma once
 
 #include <atomic>
@@ -56,7 +46,6 @@
 #include "omx/exec/rhs_kernel.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/runtime/interconnect.hpp"
-#include "omx/runtime/task_deque.hpp"
 #include "omx/sched/lpt.hpp"
 #include "omx/support/diagnostics.hpp"
 
@@ -72,24 +61,7 @@ class WorkerPool {
     /// relative to the simulated link than the PowerPC 601 was relative
     /// to its real link).
     std::size_t compute_scale = 1;
-    /// Send only the states each worker needs instead of the full vector.
-    /// Ignored (full broadcast) while stealing is enabled.
-    bool communication_analysis = false;
-    /// Intra-call work stealing. Defaults from the OMX_POOL_STEALING
-    /// environment variable ("0"/"false"/"off" disable, anything else
-    /// enables; unset = disabled).
-    bool stealing = stealing_env_default();
-    /// Busy/idle utilization sampling rate for the Perfetto counter
-    /// tracks ("util/worker-N"). 0 disables the sampler thread entirely.
-    /// Defaults from OMX_OBS_SAMPLE_HZ (unset = 0). Samples are only
-    /// recorded while a trace is active.
-    double sample_hz = sample_hz_env_default();
   };
-
-  /// The Options::stealing default: OMX_POOL_STEALING, unset -> false.
-  static bool stealing_env_default();
-  /// The Options::sample_hz default: OMX_OBS_SAMPLE_HZ, unset -> 0.
-  static double sample_hz_env_default();
 
   /// `kernel` must have a task decomposition (throws omx::Error if not:
   /// of the built-in backends only Backend::kInterp has one), at least
@@ -102,7 +74,6 @@ class WorkerPool {
 
   std::size_t num_workers() const { return workers_.size(); }
   const exec::RhsKernel& kernel() const { return *kernel_; }
-  bool stealing() const { return opts_.stealing; }
 
   /// Replaces the task assignment. `schedule.size()` must equal
   /// num_workers(); task indices refer to kernel().tasks(). Must not be
@@ -127,67 +98,39 @@ class WorkerPool {
     return task_seconds_;
   }
 
-  /// Tasks obtained via steal (vs static assignment) since construction.
-  std::uint64_t tasks_stolen() const {
-    return tasks_stolen_.load(std::memory_order_relaxed);
-  }
-
   MessageStats& stats() { return stats_; }
 
  private:
   struct WorkerState {
     std::thread thread;
-    TaskDeque deque;
     /// Static assignment for the current schedule (LPT order).
     std::vector<std::uint32_t> tasks;
     /// Per-worker accumulation buffer: run_task() adds into these n_out
     /// slots, which are then copied into the task's private result
     /// region — no two workers ever write the same ydot slot.
     std::vector<double> task_out;
-    std::size_t state_bytes = 0;   // request message payload
-    std::size_t result_bytes = 0;  // response payload (static schedule)
-    /// Out-slot values produced in the last epoch (stealing mode
-    /// response payload); written by the worker, read by the supervisor
-    /// after the finish handshake.
-    std::size_t outputs_produced = 0;
-    /// True while the worker is inside run_epoch(); read by the
-    /// utilization sampler thread.
-    std::atomic<bool> busy{false};
+    std::size_t result_bytes = 0;  // response message size
   };
 
   void init();
   void worker_main(WorkerState& w, std::size_t index);
-  void sampler_main();
   /// One worker's share of one epoch; throws through to worker_main.
   void run_epoch(WorkerState& w, std::size_t index);
   void execute_task(WorkerState& w, std::size_t index, std::uint32_t task);
-  /// Steals from the most-loaded other worker. False = nothing stealable
-  /// right now (or the CAS lost a race).
-  bool steal_task(std::size_t thief, std::uint32_t& task);
-  void recompute_message_sizes();
 
   const exec::RhsKernel* kernel_;
   Options opts_;
   MessageStats stats_;
+  std::size_t state_bytes_ = 0;  // request message size (full broadcast)
   obs::Counter* rhs_calls_metric_ = nullptr;
   obs::Counter* tasks_run_metric_ = nullptr;
-  obs::Counter* steals_metric_ = nullptr;
-  obs::Counter* steal_failures_metric_ = nullptr;
-  obs::Counter* idle_metric_ = nullptr;  // pool.idle_nanos
-  obs::Histogram* steal_latency_metric_ = nullptr;
   obs::Histogram* task_seconds_metric_ = nullptr;
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
 
-  // Utilization sampler (active only when opts_.sample_hz > 0).
-  std::thread sampler_thread_;
-  std::mutex sampler_mutex_;
-  std::condition_variable sampler_cv_;
-  bool sampler_shutdown_ = false;  // guarded by sampler_mutex_
-
   // Per-task result storage: task t owns the half-open range
   // [task_result_offset_[t], task_result_offset_[t + 1]) — one double per
-  // out slot. Written by the (single) executor of t, read by the
+  // out slot. Written by the worker assigned t, read by the
   // supervisor after the finish handshake.
   std::vector<double> task_results_;
   std::vector<std::size_t> task_result_offset_;
@@ -211,10 +154,8 @@ class WorkerPool {
   std::size_t workers_done_ = 0;     // guarded by done_mutex_
   std::exception_ptr first_error_;   // guarded by done_mutex_
 
-  // Intra-epoch coordination (stealing-mode termination + abort).
-  std::atomic<std::int64_t> tasks_remaining_{0};
+  // Intra-epoch abort flag.
   std::atomic<bool> abort_{false};
-  std::atomic<std::uint64_t> tasks_stolen_{0};
 };
 
 }  // namespace omx::runtime

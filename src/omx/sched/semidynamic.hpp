@@ -5,10 +5,10 @@
 // this costs "less than 1% of the execution time" — bench/lpt_overhead
 // measures the same number for this implementation.
 //
-// Composes with the worker pool's intra-call stealing: record() takes
-// seconds indexed by *task*, not by worker, so measurements arrive intact
-// no matter which worker ended up executing a task, and the rebuilt LPT
-// schedule is the seed the pool deals into its deques on the next call.
+// record() takes seconds indexed by *task*, not by worker, so a rebuilt
+// schedule that moves a task to another worker keeps its measurement;
+// runtime::ParallelRhs hands the rebuilt schedule to the worker pool
+// before the next call.
 #pragma once
 
 #include "omx/sched/lpt.hpp"

@@ -18,14 +18,10 @@ const std::vector<Knob>& table() {
        "metrics registry on/off (counters, gauges, histograms)"},
       {"OMX_OBS_TRACE", "bool", "false",
        "start the global trace buffer at process start"},
-      {"OMX_OBS_SAMPLE_HZ", "double", "0",
-       "worker-pool utilization sampler rate (0 = off)"},
       {"OMX_OBS_RECORDER", "bool", "false",
        "arm the solver flight recorder at process start"},
       {"OMX_OBS_RECORDER_CAP", "int", "65536",
        "flight-recorder per-thread ring capacity (events)"},
-      {"OMX_POOL_STEALING", "bool", "false",
-       "default for WorkerPool intra-call work stealing"},
       {"OMX_NATIVE_CXX", "string", "auto-detect",
        "host C++ compiler for the native backend"},
       {"OMX_NATIVE_CACHE_DIR", "string", "<tmp>/omx-native-cache",
@@ -36,8 +32,6 @@ const std::vector<Knob>& table() {
        "force the sparse stiff backend regardless of fill ratio"},
       {"OMX_SPARSE_DISABLE", "bool", "false",
        "force the dense stiff backend regardless of fill ratio"},
-      {"OMX_SPARSE_ORDERING", "string", "natural",
-       "sparse LU ordering: natural (bitwise == dense) or rcm"},
       {"OMX_UPDATE_GOLDEN", "bool", "false",
        "tests only: rewrite the golden codegen snapshots instead of "
        "comparing"},
@@ -84,16 +78,6 @@ long get_int(const char* name, long def) {
   }
   char* end = nullptr;
   const long parsed = std::strtol(v, &end, 10);
-  return (end == v) ? def : parsed;
-}
-
-double get_double(const char* name, double def) {
-  const char* v = raw(name);
-  if (v == nullptr) {
-    return def;
-  }
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
   return (end == v) ? def : parsed;
 }
 

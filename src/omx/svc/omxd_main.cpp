@@ -7,6 +7,7 @@
 //
 //   omxd --port 0 --executors 2 --queue-cap 8
 //        --metrics svc_metrics.json --service-json svc_service.json
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 
 #include "omx/obs/export.hpp"
 #include "omx/obs/registry.hpp"
+#include "omx/support/cli.hpp"
 #include "omx/svc/server.hpp"
 
 namespace {
@@ -49,20 +51,27 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](long long lo, long long hi) -> long long {
+      const auto v = omx::cli::parse_int(next(), lo, hi);
+      if (!v) {
+        std::exit(usage(argv[0]));
+      }
+      return *v;
+    };
     if (arg == "--bind") {
       opts.bind = next();
     } else if (arg == "--port") {
-      opts.port = static_cast<std::uint16_t>(std::atoi(next()));
+      opts.port = static_cast<std::uint16_t>(number(0, 65535));
     } else if (arg == "--executors") {
-      opts.executors = static_cast<std::size_t>(std::atol(next()));
+      opts.executors = static_cast<std::size_t>(number(1, 256));
     } else if (arg == "--queue-cap") {
-      opts.queue_cap = static_cast<std::size_t>(std::atol(next()));
+      opts.queue_cap = static_cast<std::size_t>(number(0, INT_MAX));
     } else if (arg == "--retry-after-ms") {
-      opts.retry_after_ms = std::atoi(next());
+      opts.retry_after_ms = static_cast<int>(number(0, INT_MAX));
     } else if (arg == "--idle-timeout-ms") {
-      opts.idle_timeout_ms = std::atoi(next());
+      opts.idle_timeout_ms = static_cast<int>(number(0, INT_MAX));
     } else if (arg == "--job-workers") {
-      opts.job_workers = static_cast<std::size_t>(std::atol(next()));
+      opts.job_workers = static_cast<std::size_t>(number(1, 256));
     } else if (arg == "--interp") {
       opts.backend = omx::exec::Backend::kInterp;
     } else if (arg == "--metrics") {

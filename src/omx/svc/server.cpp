@@ -399,6 +399,10 @@ class StreamSink final : public ode::TrajectorySink {
 // ------------------------------------------------------------- lifecycle
 
 void Server::Impl::start() {
+  // With no executor, AdmissionGate would queue every SUBMIT forever.
+  if (opts.executors == 0) {
+    throw omx::Error("svc: executors must be at least 1");
+  }
   listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   OMX_REQUIRE(listen_fd >= 0, "svc: cannot create listen socket");
   const int one = 1;

@@ -34,7 +34,8 @@ struct ServerOptions {
   std::string bind = "127.0.0.1";
   /// 0 = ephemeral; read the chosen port back with Server::port().
   std::uint16_t port = 0;
-  /// Executor threads = maximum concurrently *running* jobs.
+  /// Executor threads = maximum concurrently *running* jobs; at least 1
+  /// (Server::start throws otherwise).
   std::size_t executors = 2;
   /// Accepted-but-waiting jobs beyond that; the bounded queue.
   std::size_t queue_cap = 8;

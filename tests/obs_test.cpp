@@ -385,7 +385,7 @@ TEST(Export, ProfileJsonAndTextRoundTrip) {
   EXPECT_NE(text.find("wall:"), std::string::npos);
 }
 
-// -- chrome trace metadata + counter tracks ---------------------------------
+// -- chrome trace metadata ------------------------------------------------
 
 TEST(Export, ChromeTracePinsMetadataAndCounterTracks) {
   TraceBuffer tb;
@@ -393,8 +393,6 @@ TEST(Export, ChromeTracePinsMetadataAndCounterTracks) {
   tb.set_process_name("omx/test \"proc\"");
   tb.set_thread_name("driver");
   tb.record("span/a", "test", 1000, 500);
-  tb.record_counter("util/worker-0", 2000, 1.0);
-  tb.record_counter("util/worker-0", 3000, 0.0);
   tb.stop();
   const std::string json = chrome_trace_json(tb);
   EXPECT_TRUE(validate_json(json)) << json;
@@ -411,32 +409,13 @@ TEST(Export, ChromeTracePinsMetadataAndCounterTracks) {
                       "\"driver\"}}"),
             std::string::npos)
       << json;
-  // Counter samples: ns timestamps exported as fractional microseconds.
-  EXPECT_NE(json.find("{\"ph\": \"C\", \"pid\": 1, \"name\": "
-                      "\"util/worker-0\", \"ts\": 2, "
-                      "\"args\": {\"value\": 1}}"),
+  // The span exports as a complete event, its ns times as fractional
+  // microseconds.
+  EXPECT_NE(json.find("{\"ph\": \"X\", \"pid\": 1, \"tid\": " + tid +
+                      ", \"name\": \"span/a\", \"cat\": \"test\", "
+                      "\"ts\": 1, \"dur\": 0.5}"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"ts\": 3, \"args\": {\"value\": 0}}"),
-            std::string::npos)
-      << json;
-  // The span itself still exports as a complete event.
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("span/a"), std::string::npos);
-}
-
-TEST(Trace, CounterSamplesIgnoredWhileInactive) {
-  TraceBuffer tb;
-  tb.record_counter("util/worker-0", 0, 1.0);  // before start
-  tb.start();
-  tb.record_counter("util/worker-0", 10, 0.5);
-  tb.stop();
-  tb.record_counter("util/worker-0", 20, 0.25);  // after stop
-  ASSERT_EQ(tb.counter_samples().size(), 1u);
-  EXPECT_EQ(tb.counter_samples()[0].at_ns, 10);
-  tb.start();  // restart clears old samples
-  tb.stop();
-  EXPECT_TRUE(tb.counter_samples().empty());
 }
 
 // -- flight recorder --------------------------------------------------------

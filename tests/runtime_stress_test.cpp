@@ -1,9 +1,9 @@
-// Work-stealing stress suite: a synthetic kernel with randomized task
-// durations runs under 1-16 workers with stealing on and off, asserting
-// the pool's result is bit-for-bit equal to a single-threaded reference
-// that accumulates tasks in id order through the same per-task
-// accumulation buffers. Also covers worker-exception propagation (the
-// old join-without-shutdown destructor hang) and the steal metrics.
+// Worker-pool stress suite: a synthetic kernel with randomized task
+// durations runs under 1-16 workers, asserting the pool's result is
+// bit-for-bit equal to a single-threaded reference that accumulates
+// tasks in id order through the same per-task accumulation buffers.
+// Also covers worker-exception propagation (the old
+// join-without-shutdown destructor hang).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,8 +16,6 @@
 
 #include "omx/exec/rhs_kernel.hpp"
 #include "omx/obs/recorder.hpp"
-#include "omx/obs/registry.hpp"
-#include "omx/runtime/parallel_rhs.hpp"
 #include "omx/runtime/worker_pool.hpp"
 #include "omx/sched/lpt.hpp"
 #include "omx/support/rng.hpp"
@@ -140,24 +138,20 @@ TEST(RuntimeStress, BitForBitAcrossWorkerCountsAndModes) {
   const std::vector<double> ref0 = reference_eval(*k, 0.0, y);
   const std::vector<double> ref1 = reference_eval(*k, 0.25, y);
 
-  for (const bool stealing : {false, true}) {
-    for (const std::size_t workers : {1u, 2u, 3u, 4u, 8u, 16u}) {
-      WorkerPool::Options opts;
-      opts.num_workers = workers;
-      opts.stealing = stealing;
-      WorkerPool pool(k->kernel, opts);
-      pool.set_schedule(lpt_for(*k, workers));
-      std::vector<double> got(k->n_state);
-      for (int round = 0; round < 3; ++round) {
-        const double t = round == 1 ? 0.25 : 0.0;
-        const std::vector<double>& ref = round == 1 ? ref1 : ref0;
-        pool.eval(t, y, got);
-        for (std::uint32_t i = 0; i < k->n_state; ++i) {
-          // EXPECT_EQ on double: exact, bit-for-bit comparison.
-          EXPECT_EQ(got[i], ref[i])
-              << "workers=" << workers << " stealing=" << stealing
-              << " round=" << round << " slot=" << i;
-        }
+  for (const std::size_t workers : {1u, 2u, 3u, 4u, 8u, 16u}) {
+    WorkerPool::Options opts;
+    opts.num_workers = workers;
+    WorkerPool pool(k->kernel, opts);
+    pool.set_schedule(lpt_for(*k, workers));
+    std::vector<double> got(k->n_state);
+    for (int round = 0; round < 3; ++round) {
+      const double t = round == 1 ? 0.25 : 0.0;
+      const std::vector<double>& ref = round == 1 ? ref1 : ref0;
+      pool.eval(t, y, got);
+      for (std::uint32_t i = 0; i < k->n_state; ++i) {
+        // EXPECT_EQ on double: exact, bit-for-bit comparison.
+        EXPECT_EQ(got[i], ref[i])
+            << "workers=" << workers << " round=" << round << " slot=" << i;
       }
     }
   }
@@ -171,7 +165,6 @@ TEST(RuntimeStress, RandomSeedsSweep) {
     const std::vector<double> ref = reference_eval(*k, 1.5, y);
     WorkerPool::Options opts;
     opts.num_workers = 1 + seed % 8;
-    opts.stealing = true;
     WorkerPool pool(k->kernel, opts);
     pool.set_schedule(lpt_for(*k, opts.num_workers));
     std::vector<double> got(k->n_state);
@@ -180,104 +173,29 @@ TEST(RuntimeStress, RandomSeedsSweep) {
   }
 }
 
-TEST(RuntimeStress, StealsHappenUnderPathologicalImbalance) {
-  obs::set_enabled(true);
-  const auto k = make_stress(48, 16, /*seed=*/3, /*lanes=*/4,
-                             /*max_iters=*/30000);
+TEST(RuntimeStress, WorkerExceptionPropagatesAndPoolSurvives) {
+  const auto k = make_stress(24, 8, /*seed=*/5, /*lanes=*/4,
+                             /*max_iters=*/200);
   const auto y = start_state(k->n_state);
   const std::vector<double> ref = reference_eval(*k, 0.0, y);
-
   WorkerPool::Options opts;
   opts.num_workers = 4;
-  opts.stealing = true;
   WorkerPool pool(k->kernel, opts);
-  // Pathological seed: everything on worker 0; 1-3 can only steal.
-  sched::Schedule s(4);
-  for (std::uint32_t t = 0; t < k->table.size(); ++t) {
-    s[0].push_back(t);
-  }
-  pool.set_schedule(s);
+  pool.set_schedule(lpt_for(*k, 4));
   std::vector<double> got(k->n_state);
+
+  k->throw_task = 13;
+  EXPECT_THROW(pool.eval(0.0, y, got), std::runtime_error);
+
+  // The pool must stay usable after the failed epoch...
+  k->throw_task = kNoThrow;
   pool.eval(0.0, y, got);
   EXPECT_EQ(got, ref);
-  EXPECT_GT(pool.tasks_stolen(), 0u)
-      << "idle workers never stole from the loaded victim";
-}
 
-TEST(RuntimeStress, StolenTimingsFeedSemiDynamicLpt) {
-  const auto k = make_stress(32, 12, /*seed=*/11, /*lanes=*/4,
-                             /*max_iters=*/1500);
-  const auto y = start_state(k->n_state);
-  const std::vector<double> ref = reference_eval(*k, 0.0, y);
-
-  ParallelRhsOptions opts;
-  opts.pool.num_workers = 4;
-  opts.pool.stealing = true;
-  opts.sched.reschedule_period = 2;
-  ParallelRhs rhs(k->kernel, opts);
-  std::vector<double> got(k->n_state);
-  const std::size_t initial = rhs.num_reschedules();
-  for (int i = 0; i < 8; ++i) {
-    rhs.eval(0.0, y, got);
-    EXPECT_EQ(got, ref) << "call " << i;
-  }
-  // Measured (possibly stolen) task times drove schedule rebuilds.
-  EXPECT_EQ(rhs.num_reschedules(), initial + 4);
-}
-
-TEST(RuntimeStress, WorkerExceptionPropagatesAndPoolSurvives) {
-  for (const bool stealing : {false, true}) {
-    const auto k = make_stress(24, 8, /*seed=*/5, /*lanes=*/4,
-                               /*max_iters=*/200);
-    const auto y = start_state(k->n_state);
-    const std::vector<double> ref = reference_eval(*k, 0.0, y);
-    WorkerPool::Options opts;
-    opts.num_workers = 4;
-    opts.stealing = stealing;
-    WorkerPool pool(k->kernel, opts);
-    pool.set_schedule(lpt_for(*k, 4));
-    std::vector<double> got(k->n_state);
-
-    k->throw_task = 13;
-    EXPECT_THROW(pool.eval(0.0, y, got), std::runtime_error)
-        << "stealing=" << stealing;
-
-    // The pool must stay usable after the failed epoch...
-    k->throw_task = kNoThrow;
-    pool.eval(0.0, y, got);
-    EXPECT_EQ(got, ref) << "stealing=" << stealing;
-
-    // ...and throwing again right before destruction must not hang the
-    // destructor (the old code joined without signaling shutdown).
-    k->throw_task = 13;
-    EXPECT_THROW(pool.eval(0.0, y, got), std::runtime_error);
-  }
-}
-
-TEST(RuntimeStress, MessageCountsAreDeterministicUnderStealing) {
-  const auto k = make_stress(40, 16, /*seed=*/21, /*lanes=*/8,
-                             /*max_iters=*/500);
-  const auto y = start_state(k->n_state);
-  for (const std::size_t workers : {2u, 5u}) {
-    WorkerPool::Options opts;
-    opts.num_workers = workers;
-    opts.stealing = true;
-    WorkerPool pool(k->kernel, opts);
-    pool.set_schedule(lpt_for(*k, workers));
-    std::vector<double> got(k->n_state);
-    pool.stats().reset();
-    pool.eval(0.0, y, got);
-    // Per worker: supervisor send + worker receive + worker (completion)
-    // send + supervisor receive — regardless of who stole what.
-    EXPECT_EQ(pool.stats().messages.load(), 4 * workers);
-  }
-}
-
-TEST(RuntimeStress, StealingHonorsEnvDefault) {
-  // The option default is captured from OMX_POOL_STEALING at Options
-  // construction; unset in the test environment means disabled.
-  WorkerPool::Options opts;
-  EXPECT_EQ(opts.stealing, WorkerPool::stealing_env_default());
+  // ...and throwing again right before destruction must not hang the
+  // destructor (the old code joined without signaling shutdown).
+  k->throw_task = 13;
+  EXPECT_THROW(pool.eval(0.0, y, got), std::runtime_error);
 }
 
 TEST(RuntimeStress, RecorderConcurrentWritersAndReaders) {

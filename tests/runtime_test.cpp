@@ -82,8 +82,8 @@ TEST(WorkerPool, RepeatedEvalsAreDeterministic) {
 
 TEST(WorkerPool, BitForBitIdenticalAcrossWorkerCountsAndStealing) {
   // Per-task result buffers + task-id-order accumulation make the result
-  // bit-for-bit identical no matter how many workers run or who steals
-  // what — a stronger guarantee than the seed's EXPECT_NEAR checks.
+  // bit-for-bit identical no matter how many workers run — a stronger
+  // guarantee than the seed's EXPECT_NEAR checks.
   const Compiled c = compile_bearing(6);
   const auto y = start_state(*c.flat);
   WorkerPool::Options base_opts;
@@ -95,38 +95,15 @@ TEST(WorkerPool, BitForBitIdenticalAcrossWorkerCountsAndStealing) {
   base.eval(0.2, y, ref);
 
   for (const std::size_t workers : {2u, 4u, 8u}) {
-    for (const bool stealing : {false, true}) {
-      WorkerPool::Options opts;
-      opts.num_workers = workers;
-      opts.stealing = stealing;
-      const exec::KernelInstance pool_kernel =
-          exec::make_interp_kernel(c.program, nullptr, {opts.num_workers});
-      WorkerPool pool(pool_kernel.kernel(), opts);
-      std::vector<double> got(y.size());
-      pool.eval(0.2, y, got);
-      EXPECT_EQ(got, ref)
-          << "workers=" << workers << " stealing=" << stealing;
-    }
+    WorkerPool::Options opts;
+    opts.num_workers = workers;
+    const exec::KernelInstance pool_kernel =
+        exec::make_interp_kernel(c.program, nullptr, {opts.num_workers});
+    WorkerPool pool(pool_kernel.kernel(), opts);
+    std::vector<double> got(y.size());
+    pool.eval(0.2, y, got);
+    EXPECT_EQ(got, ref) << "workers=" << workers;
   }
-}
-
-TEST(ParallelRhs, StealingKeepsSemiDynamicCadence) {
-  const Compiled c = compile_bearing(3);
-  const auto y = start_state(*c.flat);
-  ParallelRhsOptions opts;
-  opts.pool.num_workers = 3;
-  opts.pool.stealing = true;
-  opts.sched.reschedule_period = 4;
-  const exec::KernelInstance rhs_kernel = exec::make_interp_kernel(
-      c.program, nullptr, {opts.pool.num_workers});
-  ParallelRhs rhs(rhs_kernel.kernel(), opts);
-  std::vector<double> out(y.size());
-  const std::size_t initial = rhs.num_reschedules();
-  for (int i = 0; i < 12; ++i) {
-    rhs.eval(0.0, y, out);
-  }
-  // Stolen-task timings feed sched::semidynamic exactly like static ones.
-  EXPECT_EQ(rhs.num_reschedules(), initial + 3);
 }
 
 TEST(WorkerPool, CountsMessages) {

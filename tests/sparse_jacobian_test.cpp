@@ -164,36 +164,6 @@ TEST(ColoredFd, MatchesDenseFdOnHeatPde) {
   }
 }
 
-TEST(ParallelColoredFd, ThreadedGroupsMatchSerial) {
-  pipeline::CompiledModel cm = pipeline::compile_model(heat_builder(32));
-  pipeline::KernelOptions kopts;
-  kopts.lanes = 4;
-  exec::KernelInstance kernel = cm.make_kernel(exec::Backend::kInterp, kopts);
-  ode::Problem p = cm.make_problem(kernel, 0.0, 1.0);
-  ASSERT_TRUE(p.batch_rhs);
-  std::shared_ptr<const ode::JacPlan> plan = ode::make_jac_plan(p);
-  ASSERT_TRUE(plan != nullptr);
-
-  std::vector<double> y = p.y0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    y[i] += 0.5 + 0.03 * static_cast<double>(i);
-  }
-
-  CsrMatrix serial(plan->pattern);
-  std::uint64_t serial_calls = 0;
-  ode::colored_fd_jacobian(p, *plan, 0.0, y, serial, serial_calls,
-                           /*threads=*/1);
-  CsrMatrix threaded(plan->pattern);
-  std::uint64_t threaded_calls = 0;
-  ode::colored_fd_jacobian(p, *plan, 0.0, y, threaded, threaded_calls,
-                           /*threads=*/4);
-  EXPECT_EQ(serial_calls, threaded_calls);
-  ASSERT_EQ(serial.values().size(), threaded.values().size());
-  for (std::size_t k = 0; k < serial.values().size(); ++k) {
-    EXPECT_EQ(serial.values()[k], threaded.values()[k]) << "slot " << k;
-  }
-}
-
 // -- symbolic sparse Jacobian tape -------------------------------------------
 
 TEST(SparseJacobianTape, MatchesDenseTapeOnHeatPde) {
@@ -319,7 +289,7 @@ TEST(SparseLu, SingularColumnThrowsDiagnostic) {
 
 CsrMatrix arrow_matrix(std::size_t n) {
   // Dense first row and column: the natural elimination order fills the
-  // whole matrix; RCM pushes the hub to the end, keeping fill minimal.
+  // whole matrix.
   std::vector<std::pair<std::size_t, std::size_t>> trips;
   for (std::size_t i = 0; i < n; ++i) {
     trips.emplace_back(0, i);
@@ -343,27 +313,20 @@ CsrMatrix arrow_matrix(std::size_t n) {
 TEST(SparseLu, PathologicalFillStaysCorrectAndRcmReducesIt) {
   const std::size_t n = 16;
   CsrMatrix a = arrow_matrix(n);
-  la::SparseLu natural(a, la::SparseLu::Ordering::kNatural);
-  la::SparseLu rcm(a, la::SparseLu::Ordering::kRcm);
+  la::SparseLu natural(a);
   la::LuFactors dense(a.to_dense());
 
-  std::vector<double> b(n), xn(n), xr(n), xd(n);
+  std::vector<double> b(n), xn(n), xd(n);
   for (std::size_t i = 0; i < n; ++i) {
     b[i] = 0.5 + 0.125 * static_cast<double>(i % 7);
   }
   natural.solve(b, xn);
-  rcm.solve(b, xr);
   dense.solve(b, xd);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(xn[i], xd[i]) << "natural component " << i;
-    // RCM reorders the arithmetic, so identity is only up to rounding.
-    EXPECT_NEAR(xr[i], xd[i], 1e-12 * (1.0 + std::fabs(xd[i])))
-        << "rcm component " << i;
   }
-  // Natural elimination of the hub-first arrow fills everything; RCM
-  // eliminates the spokes first and stays near the original nnz.
+  // Natural elimination of the hub-first arrow fills everything.
   EXPECT_EQ(natural.factor_nnz(), n * n);
-  EXPECT_LT(rcm.factor_nnz(), a.pattern().nnz() + n);
 }
 
 // -- SparseLu::refactor vs a fresh factorization ----------------------------
@@ -380,30 +343,27 @@ std::vector<double> lu_solve(const la::LinearSolver& lu) {
 
 /// Factors the first of `value_sets` (each a full set of CSR values for
 /// `a`'s pattern), refactors one SparseLu through all of them, and checks
-/// every step against a freshly constructed SparseLu, bitwise, and —
-/// under the natural ordering — against the dense LuFactors too.
+/// every step against a freshly constructed SparseLu and the dense
+/// LuFactors, bitwise.
 void expect_refactor_matches_fresh(
-    CsrMatrix a, const std::vector<std::vector<double>>& value_sets,
-    la::SparseLu::Ordering ordering = la::SparseLu::Ordering::kNatural) {
+    CsrMatrix a, const std::vector<std::vector<double>>& value_sets) {
   std::copy(value_sets.front().begin(), value_sets.front().end(),
             a.values().begin());
-  la::SparseLu lu(a, ordering);
+  la::SparseLu lu(a);
   for (std::size_t v = 0; v < value_sets.size(); ++v) {
     SCOPED_TRACE("value set " + std::to_string(v));
     ASSERT_EQ(value_sets[v].size(), a.values().size());
     std::copy(value_sets[v].begin(), value_sets[v].end(),
               a.values().begin());
     lu.refactor(a);
-    const la::SparseLu fresh(a, ordering);
+    const la::SparseLu fresh(a);
     const std::vector<double> got = lu_solve(lu);
     const std::vector<double> want = lu_solve(fresh);
     // A reused structure may keep fill whose multiplier is now zero.
     EXPECT_GE(lu.factor_nnz(), fresh.factor_nnz());
     EXPECT_EQ(lu.pivot_growth(), fresh.pivot_growth());
-    if (ordering == la::SparseLu::Ordering::kNatural) {
-      const std::vector<double> dense = lu_solve(la::LuFactors(a.to_dense()));
-      EXPECT_EQ(want, dense);
-    }
+    const std::vector<double> dense = lu_solve(la::LuFactors(a.to_dense()));
+    EXPECT_EQ(want, dense);
     EXPECT_EQ(got, want);
   }
 }
@@ -499,15 +459,6 @@ TEST(SparseLu, RefactorZeroPivotThrowsSameDiagnostic) {
   }
 }
 
-TEST(SparseLu, RefactorUnderRcmMatchesFreshRcm) {
-  const CsrMatrix a = arrow_matrix(16);
-  std::vector<std::vector<double>> sets;
-  for (double s : {-0.01, -0.1, -0.02}) {
-    sets.push_back(newton_values(a, s));
-  }
-  expect_refactor_matches_fresh(a, sets, la::SparseLu::Ordering::kRcm);
-}
-
 // -- la::LaneSolver vs per-lane solves ---------------------------------------
 
 /// The heat PDE's Newton matrices I - s J at n = 128, J its symbolic
@@ -578,8 +529,8 @@ TEST(SparseLu, SolveLanesMatchesPerLaneSolveBitwise) {
       std::copy(v.begin(), v.end(), mq.values().begin());
       lus.push_back(std::make_unique<la::SparseLu>(mq));
     }
-    // A lane whose factors swap rows, one under RCM and a dense one:
-    // each must solve alone beside the walking lanes.
+    // A lane whose factors swap rows and a dense one: each must solve
+    // alone beside the walking lanes.
     CsrMatrix pivoting(c.a.pattern_ptr());
     {
       std::vector<double> v = newton_values(c.a, c.scale);
@@ -590,7 +541,6 @@ TEST(SparseLu, SolveLanesMatchesPerLaneSolveBitwise) {
       std::copy(v.begin(), v.end(), pivoting.values().begin());
     }
     const la::SparseLu pivoted(pivoting);
-    const la::SparseLu rcm(pivoting, la::SparseLu::Ordering::kRcm);
     const la::LuFactors dense(pivoting.to_dense());
 
     la::LaneSolver lanes;
@@ -612,7 +562,6 @@ TEST(SparseLu, SolveLanesMatchesPerLaneSolveBitwise) {
       expect_lanes_match(lanes, solvers, spread, at + ", spread slots");
       if (m > 1) {
         solvers[m / 2] = &pivoted;
-        solvers[0] = &rcm;
         solvers[m - 1] = &dense;
         expect_lanes_match(lanes, solvers, slots, at + ", lanes alone");
       }

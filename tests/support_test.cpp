@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "omx/support/cli.hpp"
 #include "omx/support/diagnostics.hpp"
 #include "omx/support/interner.hpp"
 #include "omx/support/json.hpp"
@@ -172,6 +173,19 @@ TEST(Json, RejectsRunawayNesting) {
     deep += "[";
   }
   EXPECT_THROW(support::json::parse(deep), omx::Error);
+}
+
+TEST(Cli, ParseIntAcceptsOnlyAWholeIntegerInRange) {
+  EXPECT_EQ(cli::parse_int("4", 1, 256), 4);
+  EXPECT_EQ(cli::parse_int("0", 0, 65535), 0);
+  EXPECT_EQ(cli::parse_int("65535", 0, 65535), 65535);
+  // Non-numeric, partly numeric, empty, signed-out-of-range and
+  // overflowing values are all rejected, never read as 0 or wrapped.
+  for (const char* bad : {"abc", "", "4x", " 4", "+4", "4.0", "-1", "0",
+                          "257", "99999999999999999999999"}) {
+    EXPECT_FALSE(cli::parse_int(bad, 1, 256).has_value()) << bad;
+  }
+  EXPECT_FALSE(cli::parse_int("70000", 0, 65535).has_value());
 }
 
 }  // namespace

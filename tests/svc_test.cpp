@@ -240,6 +240,18 @@ TEST(SvcServer, AdmissionRejectCarriesRetryHint) {
   server.stop();
 }
 
+TEST(SvcServer, ZeroExecutorsIsRejected) {
+  // With no executor thread every SUBMIT would queue and never finish.
+  ServerOptions so = test_server_opts();
+  so.executors = 0;
+  Server none(so);
+  EXPECT_THROW(none.start(), omx::Error);
+  so.executors = 1;
+  Server one(so);
+  EXPECT_NO_THROW(one.start());
+  one.stop();
+}
+
 TEST(SvcServer, CancelAbortsInFlightLanes) {
   const std::uint64_t lanes_before =
       obs::Registry::global().counter("ensemble.lanes_cancelled").value();
