@@ -17,12 +17,16 @@
 // pipeline (structural pattern + colored FD + sparse LU) on the
 // tridiagonal heat-PDE stencil across sizes, exporting BENCH_sparse.json
 // for scripts/bench_gate.py (gate_sparse: parity at n <= 16, >= 2x at
-// the largest size).
+// the largest size). At n = 128 it also reports, without a gate, the
+// BDF stepper's cost per lane step in an ensemble worker's lockstep
+// lanes against the same lanes solved one by one.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <numbers>
+#include <string>
 #include <vector>
 
 #include "omx/analysis/partition.hpp"
@@ -30,7 +34,9 @@
 #include "omx/models/heat1d.hpp"
 #include "omx/obs/export.hpp"
 #include "omx/obs/registry.hpp"
+#include "omx/ode/ensemble.hpp"
 #include "omx/ode/jacobian.hpp"
+#include "omx/ode/sink.hpp"
 #include "omx/ode/solve.hpp"
 #include "omx/parser/parser.hpp"
 #include "omx/pipeline/pipeline.hpp"
@@ -156,6 +162,86 @@ LuTimings time_sparse_lu(const omx::la::CsrMatrix& jac) {
   return best;
 }
 
+// Microseconds per lane step of 64 heat n = 128 scenarios (modes 1-3,
+// amplitudes 0.5-1.5) under BDF2 with the symbolic Jacobian on the
+// native kernel (the interpreter when no host compiler is available):
+// once as one worker's ensemble at max_batch 16, whose BDF lanes step in
+// lockstep, and once one scenario after another through ode::solve.
+// Each is the best of several sweeps; both take the same steps.
+struct BdfLaneTimings {
+  double ensemble_us = 0.0;
+  double sequential_us = 0.0;
+  bool native = false;
+};
+
+BdfLaneTimings time_bdf_lanes() {
+  using namespace omx;
+  using clock = std::chrono::steady_clock;
+  constexpr int kCells = 128;
+  constexpr std::size_t kScenarios = 64;
+  models::Heat1dConfig cfg;
+  cfg.n_cells = kCells;
+  pipeline::CompileOptions copts;
+  copts.build_jacobian = true;
+  pipeline::CompiledModel cm = pipeline::compile_model(
+      [&cfg](expr::Context& ctx) { return models::build_heat1d(ctx, cfg); },
+      copts);
+  const exec::KernelInstance kernel = cm.make_kernel(exec::Backend::kNative);
+  ode::Problem p = cm.make_problem(kernel, 0.0, 0.025);
+  cm.bind_symbolic_jacobian(p);
+  ode::EnsembleSpec spec;
+  spec.workers = 1;
+  spec.max_batch = 16;
+  // Scenario s starts from amp * sin(mode pi x), an eigenvector of the
+  // discrete Laplacian; a state's node number is in its name (rod.u[12]).
+  std::vector<int> node;
+  for (const model::FlatState& st : cm.flat->states()) {
+    const std::string& name = cm.ctx->names.name(st.name);
+    node.push_back(std::atoi(name.c_str() + name.rfind('[') + 1));
+  }
+  const double dx = 1.0 / (kCells + 1);
+  for (std::size_t s = 0; s < kScenarios; ++s) {
+    const int mode = 1 + static_cast<int>(s % 3);
+    const double amp = 0.5 + static_cast<double>((s * 37) % 64) / 64.0;
+    std::vector<double> y0;
+    for (const int k : node) {
+      y0.push_back(amp * std::sin(mode * std::numbers::pi * dx * k));
+    }
+    spec.initial_states.push_back(std::move(y0));
+  }
+  ode::SolverOptions o;
+  o.bdf_max_order = 2;
+  BdfLaneTimings best{1e300, 1e300,
+                      kernel.backend() == exec::Backend::kNative};
+  for (int rep = 0; rep < 5; ++rep) {
+    ode::StatsOnlySink ens(kScenarios), seq(kScenarios);
+    const auto t0 = clock::now();
+    ode::solve_ensemble(p, ode::Method::kBdf, o, spec, ens);
+    const auto t1 = clock::now();
+    for (std::size_t s = 0; s < kScenarios; ++s) {
+      ode::Problem ps = p;
+      ps.y0 = spec.initial_states[s];
+      ode::solve(ps, ode::Method::kBdf, o, seq, static_cast<std::uint32_t>(s));
+    }
+    const auto t2 = clock::now();
+    std::uint64_t steps = 0;
+    for (std::size_t s = 0; s < kScenarios; ++s) {
+      steps += ens.stats(s).steps;
+      if (ens.stats(s).steps != seq.stats(s).steps) {
+        std::fprintf(stderr, "bdf lanes: scenario %zu steps differ\n", s);
+        std::exit(1);
+      }
+    }
+    const auto per_step = [steps](clock::duration d) {
+      return std::chrono::duration<double, std::micro>(d).count() /
+             static_cast<double>(steps);
+    };
+    best.ensemble_us = std::min(best.ensemble_us, per_step(t1 - t0));
+    best.sequential_us = std::min(best.sequential_us, per_step(t2 - t1));
+  }
+  return best;
+}
+
 void bench_sparse_backends() {
   using namespace omx;
   const std::vector<int> sizes{8, 16, 32, 64, 128};
@@ -227,6 +313,15 @@ void bench_sparse_backends() {
       g("refactor_us", lu.refactor_us);
       g("lu_solve_us", lu.solve_us);
       g("lu_solve_lanes16_us", lu.solve_lanes16_us);
+      const BdfLaneTimings bdf = time_bdf_lanes();
+      std::printf(
+          "  n=%d BDF2 lane step (%s kernel, 1 worker): ensemble of 64 at "
+          "max_batch 16 %.2f us, one by one %.2f us (%.2fx)\n",
+          n, bdf.native ? "native" : "interp", bdf.ensemble_us,
+          bdf.sequential_us, bdf.sequential_us / bdf.ensemble_us);
+      g("bdf_ensemble_us_per_lane_step", bdf.ensemble_us);
+      g("bdf_sequential_us_per_lane_step", bdf.sequential_us);
+      g("bdf_sequential_over_ensemble", bdf.sequential_us / bdf.ensemble_us);
     }
   }
   metrics.gauge("sparse.heat.largest_n")

@@ -119,9 +119,12 @@ if [[ $MODE == tsan ]]; then
   # ensemble lanes, including
   # StiffPath.EnsembleColoredFdOnMultiLaneInterpMatchesSequential: four
   # BDF workers whose colored-FD Jacobians must each stay on their own
-  # interpreter lane, and StiffPath.LockstepWidthSweepMatchesSequentialBitwise:
+  # interpreter lane, StiffPath.LockstepWidthSweepMatchesSequentialBitwise:
   # BDF and LSODA lanes taking their Newton iterations in lockstep (one
-  # batched RHS, one lanes solve) at widths 1-16 on one and two workers.
+  # batched RHS, one lanes solve) at widths 1-16 on one and two workers,
+  # and StiffPath.LockstepMixedLaneStatesMatchSequentialBitwise: heat lanes
+  # at different orders, doubling and rejecting side by side in one SoA
+  # lane block at widths 3-16 on one and two workers.
   # Ensemble|SolveDispatch|AutoSwitch covers the multistep lane stepper
   # (kAdamsPece, kBdf, kLsodaLike) that ensemble workers now run side by
   # side, including Ensemble.MultistepLanesMatchIndividualSolves at two

@@ -651,26 +651,42 @@ void LaneSolver::hold(std::size_t slot, const SparseLu& lu) {
 void LaneSolver::solve(std::span<const LinearSolver* const> solvers,
                        std::span<const std::size_t> slots, const double* b,
                        double* x) {
+  run(solvers, slots, false, solvers.size(), b, x);
+}
+
+void LaneSolver::solve(std::span<const LinearSolver* const> solvers,
+                       std::span<const std::size_t> slots, std::size_t stride,
+                       const double* b, double* x) {
+  run(solvers, slots, true, stride, b, x);
+}
+
+void LaneSolver::run(std::span<const LinearSolver* const> solvers,
+                     std::span<const std::size_t> slots, bool by_slot,
+                     std::size_t stride, const double* b, double* x) {
   OMX_REQUIRE(slots.size() == solvers.size(), "one slot per lane");
   const std::size_t m = solvers.size();
   if (m == 0) {
     return;
   }
-  auto alone = [&](std::size_t q) {
+  auto alone = [&](std::size_t q, std::size_t c) {
     const std::size_t n = solvers[q]->size();
-    if (m == 1) {
+    if (stride == 1) {
       solvers[q]->solve({b, n}, {x, n});
       return;
     }
     work_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      work_[i] = b[i * m + q];
+      work_[i] = b[i * stride + c];
     }
     solvers[q]->solve(work_, work_);
     for (std::size_t i = 0; i < n; ++i) {
-      x[i * m + q] = work_[i];
+      x[i * stride + c] = work_[i];
     }
   };
+  if (m == 1) {
+    alone(0, by_slot ? slots[0] : 0);  // a lone lane walks nothing
+    return;
+  }
   const std::size_t top = *std::max_element(slots.begin(), slots.end());
   if (top >= width_) {
     // Re-stride to the wider block; every slot is copied again.
@@ -679,36 +695,39 @@ void LaneSolver::solve(std::span<const LinearSolver* const> solvers,
   }
   cols_.clear();
   keys_.clear();
+  std::size_t walker = 0;  // the last walking lane
   for (std::size_t q = 0; q < m; ++q) {
+    const std::size_t c = by_slot ? slots[q] : q;
     const auto* lu = dynamic_cast<const SparseLu*>(solvers[q]);
     if (lu != nullptr && fits(*lu)) {
       hold(slots[q], *lu);
-      cols_.push_back(q);
+      cols_.push_back(c);
       keys_.push_back(slots[q]);
+      walker = q;
     } else {
-      alone(q);
+      alone(q, c);
     }
   }
   const std::size_t lanes = cols_.size();
   if (lanes <= 1) {
     if (lanes == 1) {
-      alone(cols_[0]);
+      alone(walker, cols_[0]);
     }
     return;
   }
-  bool dense = lanes == m;
+  bool dense = lanes == stride;
   for (std::size_t r = 0; dense && r < lanes; ++r) {
-    dense = keys_[r] == r;
+    dense = keys_[r] == r && cols_[r] == r;
   }
   const std::size_t n = row_ptr_.size() - 1;
   if (dense) {
     const auto id = [](std::size_t r) { return r; };
     walk<true>(n, row_ptr_.data(), col_.data(), diag_.data(), vals_.data(),
-               width_, lanes, id, id, m, b, x);
+               width_, lanes, id, id, stride, b, x);
   } else {
     walk<false>(n, row_ptr_.data(), col_.data(), diag_.data(), vals_.data(),
                 width_, lanes, [&](std::size_t r) { return cols_[r]; },
-                [&](std::size_t r) { return keys_[r]; }, m, b, x);
+                [&](std::size_t r) { return keys_[r]; }, stride, b, x);
   }
 }
 

@@ -201,8 +201,19 @@ class LaneSolver {
  public:
   void solve(std::span<const LinearSolver* const> solvers,
              std::span<const std::size_t> slots, const double* b, double* x);
+  /// The same with lane q in column slots[q] of the n x `stride` arrays
+  /// b and x (a lane block whose slots are the lanes' slots here); the
+  /// walk is a vector loop when the lanes are all `stride` slots in
+  /// order.
+  void solve(std::span<const LinearSolver* const> solvers,
+             std::span<const std::size_t> slots, std::size_t stride,
+             const double* b, double* x);
 
  private:
+  /// Lane q's column is slots[q] when `by_slot`, else q.
+  void run(std::span<const LinearSolver* const> solvers,
+           std::span<const std::size_t> slots, bool by_slot,
+           std::size_t stride, const double* b, double* x);
   /// True when `lu` can walk the held structure; the first such lane
   /// sets it.
   bool fits(const SparseLu& lu);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "omx/la/matrix.hpp"
-#include "omx/la/sparse.hpp"
 #include "omx/obs/recorder.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/obs/trace.hpp"
@@ -23,6 +22,7 @@
 #include "omx/ode/bdf.hpp"
 #include "omx/ode/events.hpp"
 #include "omx/ode/jacobian.hpp"
+#include "omx/ode/lane_block.hpp"
 #include "omx/runtime/task_deque.hpp"
 #include "omx/sched/lpt.hpp"
 #include "omx/support/simd.hpp"
@@ -91,105 +91,6 @@ obs::Counter& lanes_event_stopped_counter() {
       obs::Registry::global().counter("ensemble.lanes_event_stopped");
   return c;
 }
-
-// ------------------------------------------------------------ lane blocks
-
-/// Lane j's column of a stride-nb SoA array, gathered into / scattered
-/// from a contiguous vector. Only the paths that need one lane's state as
-/// a span use these: records, armed events, dense output and width-1
-/// evaluations.
-void gather(const double* soa, std::size_t nb, std::size_t j,
-            std::span<double> v) {
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = soa[i * nb + j];
-  }
-}
-
-void scatter(std::span<const double> v, double* soa, std::size_t nb,
-             std::size_t j) {
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    soa[i * nb + j] = v[i];
-  }
-}
-
-/// f(e, j) for every element e = i * nb + j of an n x nb lane block, the
-/// lane loop innermost, so a stage sum vectorizes over the lanes with
-/// each element's operations unchanged. A width-1 block (ode::solve) is
-/// a plain vector walked by a plain loop: a forced vector loop's set-up
-/// costs more than it saves on the small systems single solves run.
-template <typename F>
-void for_lanes(std::size_t n, std::size_t nb, F&& f) {
-  if (nb == 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      f(i, std::size_t{0});
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t row = i * nb;
-    OMX_PRAGMA_SIMD
-    for (std::size_t j = 0; j < nb; ++j) {
-      f(row + j, j);
-    }
-  }
-}
-
-/// A worker's lanes in SoA: `arrays` arrays of n x width() doubles, the
-/// element i of the lane in slot j at [i * width() + j]. That is the
-/// batched kernel's layout at call width width(), so a stage hands the
-/// block straight to batch_rhs. The first `kept` arrays carry a lane's
-/// state from one round to the next and move with it when the block is
-/// re-strided; the others are scratch within a round. Storage grows with
-/// the widest block and never shrinks.
-class LaneBlock {
- public:
-  LaneBlock(std::size_t n, std::size_t arrays, std::size_t kept)
-      : n_(n), kept_(kept), a_(arrays) {}
-
-  std::size_t width() const { return w_; }
-  double* operator[](std::size_t a) { return a_[a].data(); }
-  void swap(std::size_t a, std::size_t b) { a_[a].swap(a_[b]); }
-
-  /// Adds an empty slot at the end.
-  void grow() {
-    const std::size_t w = w_ + 1;
-    if (a_[0].size() < n_ * w) {
-      for (simd::aligned_vector<double>& v : a_) {
-        v.resize(n_ * w);
-      }
-    }
-    for (std::size_t a = 0; a < kept_; ++a) {
-      // Every element moves up (or stays), so walk down.
-      double* v = a_[a].data();
-      for (std::size_t i = n_; i-- > 0;) {
-        for (std::size_t j = w_; j-- > 0;) {
-          v[i * w + j] = v[i * w_ + j];
-        }
-      }
-    }
-    w_ = w;
-  }
-
-  /// Re-strides to keep.size() slots: new slot j takes the lane of old
-  /// slot keep[j] (keep ascending).
-  void restride(std::span<const std::size_t> keep) {
-    const std::size_t w = keep.size();
-    for (std::size_t a = 0; a < kept_; ++a) {
-      // Every element moves down (or stays), so walk up.
-      double* v = a_[a].data();
-      for (std::size_t i = 0; i < n_; ++i) {
-        for (std::size_t j = 0; j < w; ++j) {
-          v[i * w + j] = v[i * w_ + keep[j]];
-        }
-      }
-    }
-    w_ = w;
-  }
-
- private:
-  std::size_t n_, kept_, w_ = 0;
-  std::vector<simd::aligned_vector<double>> a_;
-};
 
 [[noreturn]] void throw_nonfinite(const char* method, double t) {
   throw omx::Error(std::string(method) +
@@ -284,14 +185,24 @@ class StepperBase {
       return std::nullopt;
     }
     ++live_;
+    const std::size_t j = vacant_slot();
+    if (j == lanes_.size()) {
+      lanes_.push_back(std::move(L));
+    } else {
+      lanes_[j] = std::move(L);
+    }
+    return j;
+  }
+
+  /// The slot join() seats the next lane in: the first vacant one, else a
+  /// new one at the end.
+  std::size_t vacant_slot() const {
     for (std::size_t j = 0; j < lanes_.size(); ++j) {
       if (lanes_[j].done) {
-        lanes_[j] = std::move(L);
         return j;
       }
     }
-    lanes_.push_back(std::move(L));
-    return lanes_.size() - 1;
+    return lanes_.size();
   }
 
   /// Closes the vacant slots, keeping order. Returns the old slots of the
@@ -963,10 +874,6 @@ struct MultistepLane : LaneCore {
   std::size_t seg_accepted = 0, since_check = 0, sigma_hits = 0,
               easy_streak = 0;
   Vec yprev;  // armed lanes: the jump's start, for the Hermite interpolant
-  // A BDF attempt the last lockstep round began for this round: none,
-  // one awaiting its Newton iterations, or one that needs none.
-  enum class Begun : std::uint8_t { kNone, kIterate, kFinish };
-  Begun begun = Begun::kNone;
 };
 
 /// Calls `f` on the segment's engaged stepper.
@@ -994,16 +901,16 @@ void add_stats(SolverStats& into, const SolverStats& from) {
 ///
 /// A round steps the Adams lanes one at a time, each evaluating its own
 /// RHS. The BDF lanes (kLsodaLike lanes in a BDF segment among them)
-/// take their step attempts in lockstep: each begins its attempt alone,
-/// then every Newton iteration is one RHS call over the lanes still
+/// keep their history and Newton state in one BdfLanes block, slot j
+/// being the lane in slot j, and take their step attempts together
+/// (BdfLanes::attempt): the elementwise phases run lane-inner over the
+/// block, every Newton iteration is one RHS call over the lanes still
 /// iterating (batched on the worker's kernel lane when one is bound) and
-/// one la::LaneSolver solve over their factorizations, and each finishes
-/// its attempt alone. A lane leaves the iteration when it converges or
-/// fails. Jacobian evaluation, refactoring and events stay per lane, and
-/// every lane does its own operations in its own order, so its bits do
-/// not depend on the lanes beside it. A round with one BDF lane that
-/// has not begun its attempt takes BdfStepper::step(), the same phases
-/// in sequence.
+/// one la::LaneSolver solve over their factorizations. Jacobian
+/// evaluation, refactoring and events stay per lane, and every lane does
+/// its own operations in its own order, so its bits do not depend on the
+/// lanes beside it. A lane seated in a slot reuses the Jacobian engine
+/// the slot's last BDF lane left.
 class MultistepStepper : public StepperBase<MultistepLane> {
  public:
   MultistepStepper(const Problem& pp, const SolverOptions& oo, Method method,
@@ -1012,10 +919,8 @@ class MultistepStepper : public StepperBase<MultistepLane> {
                                                          : to_string(method),
                     sink),
         method_(method),
-        lane_(lane),
-        batched_(batched),
         lane_p_(pp),
-        fa_(pp.n) {
+        ya_(pp.n) {
     if (batched) {
       // Every evaluation of the lane, the colored-FD Jacobian's batched
       // call included, runs on this worker's kernel lane; one lane also
@@ -1032,9 +937,12 @@ class MultistepStepper : public StepperBase<MultistepLane> {
       });
       lane_p_.batch_lanes = 1;
     }
-    // One Jacobian plan serves every BDF segment.
-    if (method != Method::kAdamsPece && !lane_p_.jac_plan) {
-      lane_p_.jac_plan = make_jac_plan(lane_p_);
+    if (method != Method::kAdamsPece) {
+      // One Jacobian plan serves every BDF segment.
+      if (!lane_p_.jac_plan) {
+        lane_p_.jac_plan = make_jac_plan(lane_p_);
+      }
+      bdf_lanes_.emplace(lane_p_, lane, batched);
     }
   }
 
@@ -1043,10 +951,14 @@ class MultistepStepper : public StepperBase<MultistepLane> {
            OnRetire& on_retire) {
     MultistepLane L = make_lane(scenario, y0);
     L.y.assign(y0.begin(), y0.end());
+    const std::size_t slot = vacant_slot();
+    if (bdf_lanes_) {
+      bdf_lanes_->seat(slot);
+    }
     // kLsodaLike starts no segment on an empty span; the one-segment
     // methods still run their start-up.
     if (method_ != Method::kLsodaLike || L.t < p.tend) {
-      begin(L, /*bdf=*/method_ == Method::kBdf);
+      begin(L, /*bdf=*/method_ == Method::kBdf, slot);
     } else {
       L.done = true;
     }
@@ -1055,7 +967,7 @@ class MultistepStepper : public StepperBase<MultistepLane> {
 
   template <typename OnRetire>
   void round(OnRetire& on_retire) {
-    settle_slots();
+    settle();
     bdf_.clear();
     for (std::size_t j = 0; j < lanes_.size(); ++j) {
       MultistepLane& L = lanes_[j];
@@ -1068,21 +980,40 @@ class MultistepStepper : public StepperBase<MultistepLane> {
         bdf_.push_back(j);
       }
     }
-    if (bdf_.size() == 1 &&
-        lanes_[bdf_[0]].begun == MultistepLane::Begun::kNone) {
-      MultistepLane& L = lanes_[bdf_[0]];
-      bdf_after(L, L.seg->bdf->step());
-    } else if (!bdf_.empty()) {
+    if (!bdf_.empty()) {
       bdf_lockstep();
     }
     retire_done(on_retire);
   }
 
  private:
+  /// Closes the vacant slots; the BDF block re-strides to the live
+  /// lanes, and their steppers follow their slots.
+  void settle() {
+    const std::span<const std::size_t> keep = settle_slots();
+    if (!bdf_lanes_ || keep.empty()) {
+      return;
+    }
+    bdf_lanes_->restride(keep);
+    for (std::size_t j = 0; j < lanes_.size(); ++j) {
+      if (lanes_[j].seg->bdf) {
+        lanes_[j].seg->bdf->set_slot(j);
+      }
+    }
+  }
+
+  std::size_t slot_of(const MultistepLane& L) const {
+    return static_cast<std::size_t>(&L - lanes_.data());
+  }
+
+  /// A stepper's state as a contiguous span.
+  std::span<const double> state(AdamsStepper& st) { return st.y(); }
+  std::span<const double> state(BdfStepper& st) { return st.y(ya_); }
+
   /// Starts a segment at the lane's (t, y). The stepper's start-up (the
   /// Adams history rebuild, the fixed-step BDF bootstrap) may already
   /// advance; that jump is swept for events like any other.
-  void begin(MultistepLane& L, bool bdf) {
+  void begin(MultistepLane& L, bool bdf, std::size_t slot) {
     SolverOptions so = o;
     if (method_ == Method::kLsodaLike) {
       so.bdf_fixed_h = 0.0;
@@ -1096,7 +1027,7 @@ class MultistepStepper : public StepperBase<MultistepLane> {
     s.p.t0 = L.t;
     s.p.y0 = L.y;
     if (bdf) {
-      s.bdf.emplace(s.p, so);
+      s.bdf.emplace(s.p, so, *bdf_lanes_, slot);
     } else {
       s.adams.emplace(s.p, so);
     }
@@ -1157,73 +1088,15 @@ class MultistepStepper : public StepperBase<MultistepLane> {
     advance(L);
   }
 
-  /// The attempts of the BDF lanes in bdf_, their Newton iterations in
-  /// lockstep. A lane's position in bdf_ is its slot in the lanes
-  /// solver. The SoA arrays y, f and g (g turns into the correction in
-  /// place) hold the iterating lanes at width m, in slot order. A lane
-  /// that stays on BDF begins its next attempt as soon as it has finished
-  /// this one, while its state is still in cache.
+  /// The attempts of the BDF lanes in bdf_, taken together.
   void bdf_lockstep() {
-    using Begun = MultistepLane::Begun;
-    const std::size_t n = p.n;
-    const std::size_t nb = bdf_.size();
     steppers_.clear();
-    iterating_.clear();
-    for (std::size_t q = 0; q < nb; ++q) {
-      MultistepLane& L = lanes_[bdf_[q]];
-      BdfStepper& st = *L.seg->bdf;
-      steppers_.push_back(&st);
-      if (L.begun == Begun::kNone) {
-        L.begun = st.begin_step() ? Begun::kIterate : Begun::kFinish;
-      }
-      if (L.begun == Begun::kIterate) {
-        iterating_.push_back(q);
-      }
-      L.begun = Begun::kNone;
+    for (const std::size_t j : bdf_) {
+      steppers_.push_back(&*lanes_[j].seg->bdf);
     }
-    if (y_.size() < n * nb) {
-      for (Vec* v : {&y_, &f_, &g_}) {
-        v->resize(n * nb);
-      }
-      ts_.resize(nb);
-      solvers_.resize(nb);
-    }
-    while (!iterating_.empty()) {
-      const std::size_t m = iterating_.size();
-      for (std::size_t q = 0; q < m; ++q) {
-        const BdfStepper& st = *steppers_[iterating_[q]];
-        ts_[q] = st.newton_t();
-        if (batched_) {
-          scatter(st.newton_y(), y_.data(), m, q);
-        } else {
-          p.rhs(ts_[q], st.newton_y(), fa_);
-          scatter(fa_, f_.data(), m, q);
-        }
-      }
-      if (batched_) {
-        p.batch_rhs(lane_, m, ts_.data(), y_.data(), f_.data());
-      }
-      for (std::size_t q = 0; q < m; ++q) {
-        BdfStepper& st = *steppers_[iterating_[q]];
-        st.newton_residual(f_.data() + q, g_.data() + q, m);
-        solvers_[q] = &st.newton_solver();
-      }
-      lane_solver_.solve({solvers_.data(), m}, {iterating_.data(), m},
-                         g_.data(), g_.data());
-      std::size_t kept = 0;
-      for (std::size_t q = 0; q < m; ++q) {
-        if (steppers_[iterating_[q]]->newton_update(g_.data() + q, m)) {
-          iterating_[kept++] = iterating_[q];
-        }
-      }
-      iterating_.resize(kept);
-    }
-    for (std::size_t q = 0; q < nb; ++q) {
-      MultistepLane& L = lanes_[bdf_[q]];
-      bdf_after(L, steppers_[q]->finish_step());
-      if (!L.done && L.seg->bdf) {
-        L.begun = L.seg->bdf->begin_step() ? Begun::kIterate : Begun::kFinish;
-      }
+    bdf_lanes_->attempt(steppers_);
+    for (std::size_t q = 0; q < bdf_.size(); ++q) {
+      bdf_after(lanes_[bdf_[q]], steppers_[q]->accepted());
     }
   }
 
@@ -1245,7 +1118,7 @@ class MultistepStepper : public StepperBase<MultistepLane> {
       // cadence row would just duplicate the event time.
       if (count_accepted(L, st.t()) &&
           L.events.events_fired() == fired_before) {
-        L.rec.append(st.t(), st.y());
+        L.rec.append(st.t(), st.y_column(), st.y_stride());
       }
       if (st.last_newton_iters() <= 2 &&
           st.h() >= kNonstiffHFraction * (p.tend - p.t0)) {
@@ -1291,7 +1164,8 @@ class MultistepStepper : public StepperBase<MultistepLane> {
   void switch_to(MultistepLane& L, bool bdf) {
     const double h = visit(*L.seg, [&](auto& st) {
       L.t = st.t();
-      L.y.assign(st.y().begin(), st.y().end());
+      const std::span<const double> y = state(st);
+      L.y.assign(y.begin(), y.end());
       return st.h();
     });
     end_segment(L);
@@ -1299,7 +1173,7 @@ class MultistepStepper : public StepperBase<MultistepLane> {
     obs::record_step(obs::StepEventKind::kMethodSwitch, bdf ? "bdf" : "adams",
                      0, L.t, h, 0.0);
     if (L.t < p.tend) {
-      begin(L, bdf);
+      begin(L, bdf, slot_of(L));
     } else {
       L.done = true;
     }
@@ -1317,7 +1191,7 @@ class MultistepStepper : public StepperBase<MultistepLane> {
     return visit(s, [&](auto& st) {
       while (st.t() > t_prev) {
         const EventHandler::Hit hit =
-            L.events.check(t_prev, st.t(), st.y(), method_name, st.stats(),
+            L.events.check(t_prev, st.t(), state(st), method_name, st.stats(),
                            [&] { return dense(s.p, st, t_prev, L.yprev); });
         if (!hit.fired) {
           return false;
@@ -1358,20 +1232,13 @@ class MultistepStepper : public StepperBase<MultistepLane> {
   }
 
   Method method_;
-  std::size_t lane_;  // this worker's kernel lane
-  bool batched_;      // the RHS runs through p.batch_rhs
   Problem lane_p_;  // the base problem, with the RHS on this worker's lane
-  // Lockstep state, grown to the widest round and kept: the lane slots
-  // of the round's BDF lanes and their steppers, the positions in bdf_
-  // of the lanes still iterating, their times, SoA iterates, RHS values
-  // and residuals, and their factorizations.
+  // The BDF lanes' block (every method but kAdamsPece), the lane slots of
+  // a round's BDF lanes and their steppers.
+  std::optional<BdfLanes> bdf_lanes_;
   std::vector<std::size_t> bdf_;
   std::vector<BdfStepper*> steppers_;
-  std::vector<std::size_t> iterating_;
-  Vec ts_, y_, f_, g_;
-  std::vector<const la::LinearSolver*> solvers_;
-  la::LaneSolver lane_solver_;
-  Vec fa_;  // one lane's RHS value
+  Vec ya_;  // one BDF lane's gathered state
 };
 
 // ----------------------------------------------------------- scheduling

@@ -35,11 +35,15 @@
 //    stepper, up to max_batch of them per worker. Adams lanes step one
 //    at a time, each evaluating its own RHS (through the batched kernel
 //    at width 1 on the worker's kernel lane when one is bound). BDF
-//    lanes, kLsodaLike lanes in a BDF segment among them, take each
-//    Newton iteration together: one batched RHS call over the lanes
-//    still iterating and one la::LaneSolver solve that walks their
-//    shared sparse L\U structure with the lanes innermost. Jacobians,
-//    refactorizations and events stay per lane.
+//    lanes, kLsodaLike lanes in a BDF segment among them, keep their
+//    history and Newton state in one SoA lane block (ode::BdfLanes) and
+//    take each step attempt together: the predictor, residual, update
+//    and error norms run lane-inner over the block, and each Newton
+//    iteration is one batched RHS call over the lanes still iterating
+//    and one la::LaneSolver solve that walks their shared sparse L\U
+//    structure with the lanes innermost. Jacobians, refactorizations
+//    and events stay per lane; a lane reuses its slot's Jacobian
+//    engine.
 //  * These lane steppers are the only implementation of the six
 //    methods: ode::solve runs the same stepper with one lane, calling
 //    p.rhs on the lane's own vectors.

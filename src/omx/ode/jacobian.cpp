@@ -16,6 +16,13 @@ bool env_flag(const char* name) {
   return config::get_bool(name, false);
 }
 
+// Accepted steps a Jacobian may age before a forced re-evaluation
+// (LSODA's MSBP is 20).
+constexpr std::size_t kMaxAge = 20;
+// Newton iteration count at/above which convergence counts as degraded:
+// the next prepare() re-evaluates the Jacobian.
+constexpr std::size_t kSlowIters = 5;
+
 }  // namespace
 
 void finite_difference_jacobian(const RhsFn& rhs, double t,
@@ -149,8 +156,7 @@ void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
   }
 }
 
-JacobianEngine::JacobianEngine(const Problem& p, const Config& cfg)
-    : p_(p), cfg_(cfg) {
+JacobianEngine::JacobianEngine(const Problem& p) : p_(p) {
   plan_ = p.jac_plan ? p.jac_plan : make_jac_plan(p);
   if (plan_) {
     jac_csr_ = la::CsrMatrix(plan_->pattern);
@@ -246,12 +252,15 @@ void JacobianEngine::factorize(double beta_h) {
   factored_beta_h_ = beta_h;
 }
 
+bool JacobianEngine::stale() const {
+  return !have_jac_ || refresh_requested_ || age_ >= kMaxAge;
+}
+
 la::LinearSolver& JacobianEngine::prepare(double t,
                                           std::span<const double> y,
                                           double beta_h,
                                           SolverStats& stats) {
-  const bool need_jac =
-      !have_jac_ || refresh_requested_ || age_ >= cfg_.max_age;
+  const bool need_jac = stale();
   const bool need_factor = need_jac || factored_beta_h_ != beta_h;
   if (need_jac) {
     static obs::Histogram& build_hist = obs::Registry::global().histogram(
@@ -285,7 +294,7 @@ void JacobianEngine::invalidate() {
 
 void JacobianEngine::on_step_accepted(std::size_t newton_iters) {
   ++age_;
-  if (newton_iters >= cfg_.slow_iters) {
+  if (newton_iters >= kSlowIters) {
     refresh_requested_ = true;  // convergence-rate degradation
   }
 }

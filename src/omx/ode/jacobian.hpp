@@ -97,22 +97,18 @@ class JacobianEvaluator {
 /// Newton iteration, with the LSODA-style reuse/refresh policy.
 class JacobianEngine {
  public:
-  struct Config {
-    /// Accepted steps a Jacobian may age before a forced re-evaluation
-    /// (LSODA's MSBP is 20).
-    std::size_t max_age = 20;
-    /// Newton iteration count at/above which convergence counts as
-    /// degraded — the next prepare() re-evaluates the Jacobian.
-    std::size_t slow_iters = 5;
-  };
+  explicit JacobianEngine(const Problem& p);
 
-  JacobianEngine(const Problem& p, const Config& cfg);
+  /// True when the next prepare() evaluates the Jacobian (never
+  /// evaluated, aged out, degradation or divergence flagged).
+  bool stale() const;
 
   /// Ensures a factorization of M = I - beta_h * J consistent with the
   /// reuse policy and returns the solver to iterate with. Evaluates the
   /// Jacobian only when stale (never evaluated, aged out, degradation or
   /// divergence flagged); a beta_h change alone refactors with the
   /// existing values and counts a reuse hit.
+  /// `y` is read only when stale().
   la::LinearSolver& prepare(double t, std::span<const double> y,
                             double beta_h, SolverStats& stats);
 
@@ -139,7 +135,6 @@ class JacobianEngine {
   void factorize(double beta_h);
 
   const Problem& p_;
-  Config cfg_;
   std::shared_ptr<const JacPlan> plan_;  // null = legacy dense path
   la::CsrMatrix jac_csr_;                // pattern path: Jacobian values
   la::CsrMatrix m_csr_;                  // pattern path: iteration matrix

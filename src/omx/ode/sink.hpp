@@ -122,6 +122,26 @@ class TrajectoryWriter {
     }
   }
 
+  /// Records one accepted step whose state is every `stride`-th element
+  /// from `y` (one lane's column of a lane block).
+  void append(double t, const double* y, std::size_t stride) {
+    if (stride == 1) {
+      append(t, {y, n_});
+      return;
+    }
+    if (chunk_ == nullptr) {
+      chunk_ = sink_->acquire(scenario_, n_);
+    }
+    chunk_->times[chunk_->size] = t;
+    double* dst = chunk_->row(chunk_->size);
+    for (std::size_t i = 0; i < n_; ++i) {
+      dst[i] = y[i * stride];
+    }
+    if (++chunk_->size == chunk_->capacity) {
+      sink_->commit(std::exchange(chunk_, nullptr));
+    }
+  }
+
   /// Commits the partial tail chunk (flagged final) and delivers the
   /// end-of-trajectory signal with the solve's statistics.
   void finish(const SolverStats& stats) {

@@ -36,7 +36,8 @@ TEST(StiffPath, SteadyStateNewtonLoopAllocatesNothing) {
 
   ode::SolverOptions opts;
   opts.bdf_max_order = 2;
-  ode::BdfStepper stepper(p, opts);
+  ode::BdfLanes lanes(p);
+  ode::BdfStepper stepper(p, opts, lanes, 0);
   // Warm-up: the first factorization, the order ramp and the early
   // rejections size every buffer. The step size then still doubles a
   // few times, so the window below sees beta*h refactorizations.
@@ -63,8 +64,10 @@ TEST(StiffPath, SteadyStateNewtonLoopAllocatesNothing) {
       << "no beta*h refactorization";
 
   // An event restart: h = 0 picks the initial step with one RHS call
-  // in the stepper's own scratch, and the stepper steps on from there.
-  const std::vector<double> y(stepper.y().begin(), stepper.y().end());
+  // in its lanes block's scratch, and the stepper steps on from there.
+  std::vector<double> scratch(p.n);
+  const std::span<const double> yn = stepper.y(scratch);
+  const std::vector<double> y(yn.begin(), yn.end());
   const std::uint64_t rhs_before = after.rhs_calls;
   const std::size_t restart_before = t_allocations;
   stepper.restart(stepper.t(), y, 0.0);

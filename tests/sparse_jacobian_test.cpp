@@ -830,6 +830,97 @@ TEST(StiffPath, LockstepWidthSweepMatchesSequentialBitwise) {
   }
 }
 
+TEST(StiffPath, LockstepMixedLaneStatesMatchSequentialBitwise) {
+  // Heat lanes of different modes and amplitudes share their BDF rounds
+  // while their states drift apart: lanes at different orders, a lane
+  // whose step just doubled by subsampling its history and rejected
+  // lanes, side by side in one block. Each lane's rows and counters must
+  // be exactly those of its own solve, and its final state must match
+  // the semidiscrete heat equation's exact solution.
+  constexpr int kCells = 128;
+  constexpr double kTend = 0.025;
+  constexpr std::size_t kScenarios = 14;
+  const pipeline::CompiledModel cm =
+      compile_with_jacobian(heat_builder(kCells));
+  pipeline::KernelOptions kopts;
+  kopts.lanes = 2;
+  const exec::KernelInstance kernel =
+      cm.make_kernel(exec::Backend::kInterp, kopts);
+  ode::Problem p = cm.make_problem(kernel, 0.0, kTend);
+  cm.bind_symbolic_jacobian(p);
+  // A state's node number is in its name (rod.u[12]).
+  std::vector<int> node;
+  for (const model::FlatState& st : cm.flat->states()) {
+    const std::string& name = cm.ctx->names.name(st.name);
+    node.push_back(std::atoi(name.c_str() + name.rfind('[') + 1));
+  }
+  // Scenario s: amp(s) (sin(m1 pi x) + sin(m2 pi x) / 2), a slow and a
+  // fast eigenmode of the discrete Laplacian.
+  const auto amp = [](std::size_t s) {
+    return 0.02 + 0.3 * static_cast<double>(s);
+  };
+  const auto exact = [&](std::size_t s, std::size_t i, double t) {
+    models::Heat1dConfig cfg;
+    cfg.n_cells = kCells;
+    cfg.mode = 1 + static_cast<int>(s % 3);
+    double u = models::heat1d_semidiscrete_exact(cfg, node[i], t);
+    cfg.mode = 5 + static_cast<int>((s * 5) % 11);
+    u += 0.5 * models::heat1d_semidiscrete_exact(cfg, node[i], t);
+    return amp(s) * u;
+  };
+  std::vector<std::vector<double>> y0s(kScenarios);
+  for (std::size_t s = 0; s < kScenarios; ++s) {
+    for (std::size_t i = 0; i < node.size(); ++i) {
+      y0s[s].push_back(exact(s, i, 0.0));
+    }
+  }
+  for (const int order : {2, 5}) {
+    ode::SolverOptions o;
+    o.bdf_max_order = order;
+    o.max_steps = 5000;  // a broken lane throws instead of crawling on
+    const std::string label = "order " + std::to_string(order);
+    std::vector<ode::Solution> want;
+    std::uint64_t rejected = 0;
+    bool doubled = false;
+    for (std::size_t s = 0; s < kScenarios; ++s) {
+      ode::Problem ps = p;
+      ps.y0 = y0s[s];
+      want.push_back(ode::solve(ps, ode::Method::kBdf, o));
+      const ode::Solution& sol = want.back();
+      rejected += sol.stats.rejected;
+      for (std::size_t r = 2; r < sol.size(); ++r) {
+        doubled = doubled || sol.time(r) - sol.time(r - 1) ==
+                                 2.0 * (sol.time(r - 1) - sol.time(r - 2));
+      }
+      const std::span<const double> y = sol.final_state();
+      double err = 0.0;
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        err = std::max(err, std::fabs(y[i] - exact(s, i, kTend)));
+      }
+      EXPECT_LE(err, 1e-3 * amp(s)) << label << ", scenario " << s;
+    }
+    EXPECT_GT(rejected, 0u) << label;
+    EXPECT_TRUE(doubled) << label;
+    for (const std::size_t workers : {1, 2}) {
+      for (const std::size_t width : {3, 8, 16}) {
+        ode::EnsembleSpec spec;
+        spec.initial_states = y0s;
+        spec.workers = workers;
+        spec.max_batch = width;
+        const ode::EnsembleResult r =
+            ode::solve_ensemble(p, ode::Method::kBdf, o, spec);
+        for (std::size_t s = 0; s < kScenarios; ++s) {
+          const ode::Solution& got = r.solutions[s];
+          EXPECT_TRUE(same_rows(got, want[s]) &&
+                      same_stats(got.stats, want[s].stats))
+              << label << ", " << workers << " workers, batch " << width
+              << ", scenario " << s;
+        }
+      }
+    }
+  }
+}
+
 // -- reuse policy ------------------------------------------------------------
 
 TEST(ReusePolicy, RefactorsWithoutReevaluatingOnStepChanges) {
