@@ -114,7 +114,8 @@ if [[ $MODE == tsan ]]; then
   # out of order while workers steal and repack batches. NativeBackend
   # covers the native kernels, including
   # ConcurrentBuildersCompileEachModuleOnce: racing cold host compiles of
-  # one model through the shared cache.
+  # one model, and one build of the vector-math runtime object they all
+  # link, through the shared cache.
   # StiffPath|SparseLu covers the stiff path's linear algebra and its
   # ensemble lanes, including
   # StiffPath.EnsembleColoredFdOnMultiLaneInterpMatchesSequential: four

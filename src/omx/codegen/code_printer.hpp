@@ -13,9 +13,9 @@ namespace omx::codegen {
 // kCxxSimd renders the same C++ as kCxx except for the function names.
 // The transcendental intrinsics with no vectorizable libm entry point
 // (sin, cos, tanh, exp, log, pow, hypot, min, max) are printed as their
-// omx_* vector-math runtime names (exec/vmath_functions.h): branch-free
-// straight-line implementations the host compiler can clone per SIMD
-// lane. Every other intrinsic prints as its GNU builtin (__builtin_tan,
+// omx_* vector-math runtime names (exec/vmath_functions.h and
+// exec/vmath_select.h): branch-free straight-line implementations with
+// SIMD clones the lane loops call, or inline selects. Every other intrinsic prints as its GNU builtin (__builtin_tan,
 // __builtin_sqrt, ...), which gcc treats exactly like the std:: call, so
 // the native translation unit needs no header. Used by the native
 // backend; standalone artifacts keep the self-contained std:: spellings.

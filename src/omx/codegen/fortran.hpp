@@ -38,10 +38,11 @@ struct EmitOptions {
   /// vector-math runtime names (Lang::kCxxSimd) instead of std:: libm,
   /// so the rhs_batch lane loops vectorize without scalarizing on math
   /// calls, and every other intrinsic as its GNU builtin, so the code
-  /// needs no header. The caller must provide the vmath definitions in
-  /// the same translation unit (the native backend embeds
-  /// exec/vmath_functions.h; see exec::vmath_source()). Standalone
-  /// artifacts keep the default self-contained std:: spellings.
+  /// needs no header. The caller must declare the vmath functions and
+  /// define the selects (the native backend declares the runtime it
+  /// links from its prebuilt object and embeds exec/vmath_select.h; see
+  /// exec/native.cpp). Standalone artifacts keep the default
+  /// self-contained std:: spellings.
   bool simd_math = false;
 };
 

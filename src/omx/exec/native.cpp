@@ -39,6 +39,11 @@ obs::Counter& native_cache_hits() {
       obs::Registry::global().counter("backend.native.cache_hits");
   return c;
 }
+obs::Counter& native_runtime_builds() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("backend.native.runtime_builds");
+  return c;
+}
 obs::Counter& native_fallbacks() {
   static obs::Counter& c =
       obs::Registry::global().counter("backend.native.fallbacks");
@@ -131,15 +136,20 @@ std::string codegen_flags() {
          tuning_flags();
 }
 
-fs::path cache_dir(const NativeOptions& opts) {
-  if (!opts.cache_dir.empty()) {
-    return opts.cache_dir;
-  }
+/// The cache every process shares: $OMX_NATIVE_CACHE_DIR, else
+/// <tmp>/omx-native-cache. The vector-math runtime object always lives
+/// here, so a caller that gives each model its own cache directory still
+/// builds the runtime once.
+fs::path shared_cache_dir() {
   const std::string env = config::get_string("OMX_NATIVE_CACHE_DIR", "");
   if (!env.empty()) {
     return env;
   }
   return fs::temp_directory_path() / "omx-native-cache";
+}
+
+fs::path cache_dir(const NativeOptions& opts) {
+  return opts.cache_dir.empty() ? shared_cache_dir() : fs::path(opts.cache_dir);
 }
 
 std::uint64_t fnv1a(std::string_view s) {
@@ -169,23 +179,70 @@ std::string hex(std::uint64_t v) {
 
 // ------------------------------------------------------ source synthesis
 
-/// Composes the single translation unit: the vmath runtime, the batched
-/// (SoA) serial body in its own namespace, and the extern "C" export
-/// surface the loader binds to. There is no scalar serial body: a
-/// whole-system call is rhs_batch at nb=1, which is bitwise the scalar
-/// result (same expression trees, no reassociation) and spares the host
-/// compiler another copy of the model. The unit includes no header: the
-/// vmath runtime and the kCxxSimd spellings use GNU builtins only, so the
-/// host compiler parses nothing but the kernel itself.
+/// The vector-math runtime's public functions, by arity.
+struct VmathFn {
+  const char* name;
+  int arity;
+};
+constexpr VmathFn kVmathFns[] = {{"exp", 1},  {"log", 1},   {"sin", 1},
+                                 {"cos", 1},  {"tanh", 1},  {"hypot", 2},
+                                 {"pow", 2}};
+
+std::string vmath_params(const VmathFn& f) {
+  return f.arity == 1 ? "double a" : "double a, double b";
+}
+
+/// The runtime unit, compiled once per key into a PIC object that every
+/// kernel links. The vmath text is included with each public name
+/// defined to a private one, so its bodies stay static inline; each
+/// public name is then an extern "C" wrapper around its own inline body.
+/// `declare simd` gives every wrapper SIMD clones for the model units'
+/// lane loops to call. A wrapper inlines the bodies it uses (pow's
+/// log and exp included): calling another wrapper would make each of
+/// its clones a scalar loop of calls. Hidden visibility keeps the
+/// wrappers out of every kernel's dynamic symbol table.
+std::string runtime_source() {
+  std::ostringstream os;
+  os << "// Synthesized by omx::exec (native vector-math runtime)."
+        " Do not edit.\n";
+  for (const VmathFn& f : kVmathFns) {
+    os << "#define omx_" << f.name << " omx_vm_in_" << f.name << "\n";
+  }
+  os << vmath_source();
+  for (const VmathFn& f : kVmathFns) {
+    os << "#undef omx_" << f.name << "\n";
+  }
+  os << "extern \"C\" {\n";
+  for (const VmathFn& f : kVmathFns) {
+    os << "#pragma omp declare simd notinbranch\n"
+       << "__attribute__((visibility(\"hidden\"))) double omx_" << f.name
+       << "(" << vmath_params(f) << ") {\n"
+       << "  return omx_vm_in_" << f.name << (f.arity == 1 ? "(a)" : "(a, b)")
+       << ";\n}\n";
+  }
+  os << "}  // extern \"C\"\n";
+  return os.str();
+}
+
+/// Composes the model's translation unit: the runtime's declarations, the
+/// inline selects, the batched (SoA) serial body in its own internal
+/// namespace, and the extern "C" export surface the loader binds to. The
+/// runtime functions are declared `const, nothrow, leaf`: without that
+/// gcc reads each call as one that may clobber memory or throw and gives
+/// up on the lane loop. There is no scalar serial body: a whole-system call is
+/// rhs_batch at nb=1, which is bitwise the scalar result (same expression
+/// trees, no reassociation) and spares the host compiler another copy of
+/// the model. The unit includes no header: the selects and the kCxxSimd
+/// spellings use GNU builtins only, so the host compiler parses nothing
+/// but the kernel itself.
 std::string compose_source(const model::FlatSystem& flat,
                            const codegen::AssignmentSet& set) {
   codegen::EmitOptions eo;
   eo.with_helpers = false;
   eo.with_prelude = false;
-  // Transcendentals print as the omx_* vmath runtime names; the
-  // definitions are embedded below so every kernel ships its own
-  // branch-free math and every lane of rhs_batch, vectorized or not,
-  // computes the same bits.
+  // Transcendentals print as the omx_* vmath runtime names, which every
+  // kernel links from the one runtime object: every lane of rhs_batch,
+  // vectorized or not, computes the same bits.
   eo.simd_math = true;
   const codegen::EmitResult batch =
       codegen::emit_cpp_serial_batch(flat, set, eo);
@@ -193,19 +250,23 @@ std::string compose_source(const model::FlatSystem& flat,
   std::ostringstream os;
   os << "// Synthesized by omx::exec (native backend). Do not edit.\n"
      << "#define OMX_SIMD_LOOP _Pragma(\"omp simd\")\n"
-     << "// ---- omx vector-math runtime (exec/vmath_functions.h) ----\n"
-     << vmath_source()
-     << "// ---- end vector-math runtime ----\n"
+     << "// ---- omx vector-math runtime (linked object) ----\n"
+     << "extern \"C\" {\n";
+  for (const VmathFn& f : kVmathFns) {
+    os << "#pragma omp declare simd notinbranch\n"
+       << "__attribute__((const, nothrow, leaf, visibility(\"hidden\")))"
+          " double omx_"
+       << f.name << "(" << vmath_params(f) << ");\n";
+  }
+  os << "}  // extern \"C\"\n"
+     << vmath_select_source()
      << "namespace {\n"
-     << "inline double omx_sign(double x) {\n"
-     << "  return x > 0.0 ? 1.0 : (x < 0.0 ? -1.0 : 0.0);\n"
-     << "}\n"
-     << "}  // namespace\n"
      << "namespace omx_serial {\n"
      << batch.code
      << "}  // namespace omx_serial\n"
+     << "}  // namespace\n"
      << "extern \"C\" {\n"
-     << "int omx_abi_version() { return 7; }\n"
+     << "int omx_abi_version() { return 8; }\n"
      << "unsigned omx_n_state() { return " << flat.num_states() << "u; }\n"
      << "void omx_rhs_serial_batch(unsigned nb, const double* ts,\n"
      << "                          const double* y, double* ydot) {\n"
@@ -218,12 +279,12 @@ std::string compose_source(const model::FlatSystem& flat,
 // --------------------------------------------------------- cache locking
 
 /// Advisory inter-process lock on one cache key. Two processes (or two
-/// threads — flock is per open file description) compiling the same
-/// model otherwise race: both run the compiler, and the second rename
-/// clobbers an object the first may already have dlopen'ed. The loser
-/// blocks on the lockfile, then finds the published .so and takes the
-/// cache-hit path. The lockfile itself is left behind (removing it
-/// would race a third waiter locking the same inode).
+/// threads — flock is per open file description) building the same
+/// artifact otherwise race: both run the compiler, and the second rename
+/// clobbers an object the first may already have loaded or linked. The
+/// loser blocks on the lockfile, then finds the published artifact and
+/// takes the cache-hit path. The lockfile itself is left behind
+/// (removing it would race a third waiter locking the same inode).
 class CacheLock {
  public:
   explicit CacheLock(const fs::path& lockfile) {
@@ -284,6 +345,70 @@ void diag(const std::string& why) {
                why.c_str());
 }
 
+enum class Build { kHit, kCompiled, kFailed };
+
+/// Publishes `<dir>/<stem><ext>`, compiled from `source` with
+/// `cxx -std=c++17 -O2 -fPIC <flags> -o <tmp> <stem>.cpp<inputs>`, unless
+/// it is already published. Builders of one stem are serialized across
+/// threads and processes by its CacheLock; whoever loses the race finds
+/// the artifact published on the re-check. The rename is the atomic
+/// publish point, so concurrent processes sharing the cache never load a
+/// half-written artifact, and published artifacts are immutable, so the
+/// fast path needs no lock. Sets `why` on failure.
+Build build_cached(const fs::path& dir, const std::string& stem,
+                   const std::string& ext, const std::string& source,
+                   const std::string& flags, const std::string& inputs,
+                   obs::Gauge& seconds, std::string& why) {
+  std::error_code ec;
+  const fs::path out = dir / (stem + ext);
+  if (fs::exists(out, ec)) {
+    return Build::kHit;
+  }
+  fs::create_directories(dir, ec);
+  if (ec) {
+    why = "cannot create cache dir " + dir.string();
+    return Build::kFailed;
+  }
+  const CacheLock lock(dir / (stem + ".lock"));
+  if (!lock.held()) {
+    why = "cannot lock cache key " + stem + " in " + dir.string();
+    return Build::kFailed;
+  }
+  if (fs::exists(out, ec)) {
+    return Build::kHit;
+  }
+  const fs::path cpp = dir / (stem + ".cpp");
+  const fs::path log = dir / (stem + ".log");
+  {
+    std::ofstream file(cpp);
+    file << source;
+    if (!file) {
+      why = "cannot write " + cpp.string();
+      return Build::kFailed;
+    }
+  }
+  const fs::path tmp = dir / (stem + ext + ".tmp");
+  const std::string cmd = compiler() + " -std=c++17 -O2 -fPIC" + flags +
+                          " -o " + shell_quote(tmp.string()) + " " +
+                          shell_quote(cpp.string()) + inputs + " > " +
+                          shell_quote(log.string()) + " 2>&1";
+  const auto start = std::chrono::steady_clock::now();
+  const int rc = std::system(cmd.c_str());
+  seconds.set(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - start)
+                  .count());
+  if (rc != 0) {
+    why = "compile failed (see " + log.string() + ")";
+    return Build::kFailed;
+  }
+  fs::rename(tmp, out, ec);
+  if (ec && !fs::exists(out)) {
+    why = "cannot publish " + out.string();
+    return Build::kFailed;
+  }
+  return Build::kCompiled;
+}
+
 /// Compiles (or reuses) the shared object and loads it. Returns null and
 /// sets `why` on any failure.
 std::shared_ptr<NativeState> build_module(const std::string& source,
@@ -296,77 +421,48 @@ std::shared_ptr<NativeState> build_module(const std::string& source,
     return nullptr;
   }
 
-  std::error_code ec;
-  const fs::path dir = cache_dir(opts);
-  fs::create_directories(dir, ec);
-  if (ec) {
-    why = "cannot create cache dir " + dir.string();
-    return nullptr;
+  std::string flags = codegen_flags();
+  if (!opts.extra_flags.empty()) {
+    flags += " " + opts.extra_flags;
   }
+  // The runtime object's key covers everything that shapes its code; the
+  // kernel's key covers its own source and the runtime it links.
+  static const std::string runtime = runtime_source();
+  const std::string runtime_stem =
+      "omx_vmath_" + hex(fnv1a(runtime + "\x1f" + cxx + "\x1f" + flags));
+  const std::string stem = "omx_" + hex(fnv1a(source + "\x1f" + runtime_stem));
+  const fs::path dir = cache_dir(opts);
+  const fs::path so = dir / (stem + ".so");
+  const fs::path shared = shared_cache_dir();
+  const std::string link =
+      " " + shell_quote((shared / (runtime_stem + ".o")).string());
 
-  const std::string key = hex(fnv1a(source + "\x1f" + cxx + "\x1f" +
-                                    codegen_flags() + "\x1f" +
-                                    opts.extra_flags));
-  const fs::path so = dir / ("omx_" + key + ".so");
-  const fs::path cpp = dir / ("omx_" + key + ".cpp");
-  const fs::path log = dir / ("omx_" + key + ".log");
-
-  if (fs::exists(so, ec)) {
-    // Published objects are immutable (rename is the atomic publish
-    // point), so the fast path needs no lock.
-    native_cache_hits().add();
-  } else {
-    // Serialize compilers of the same key across threads AND processes;
-    // whoever loses the race finds the .so published and takes the
-    // cache-hit path on the re-check below.
-    CacheLock lock(dir / ("omx_" + key + ".lock"));
-    if (!lock.held()) {
-      why = "cannot lock cache key " + key + " in " + dir.string();
+  std::error_code ec;
+  if (!fs::exists(so, ec)) {
+    static obs::Gauge& runtime_seconds = obs::Registry::global().gauge(
+        "backend.native.runtime_build_seconds");
+    const Build rt = build_cached(shared, runtime_stem, ".o", runtime,
+                                  " -c" + flags, "", runtime_seconds, why);
+    if (rt == Build::kFailed) {
+      why = "vector-math runtime: " + why;
       return nullptr;
     }
-    if (fs::exists(so, ec)) {
-      native_cache_hits().add();
-    } else {
-      {
-        std::ofstream out(cpp);
-        out << source;
-        if (!out) {
-          why = "cannot write " + cpp.string();
-          return nullptr;
-        }
-      }
-      std::string cmd =
-          cxx + " -std=c++17 -O2 -fPIC -shared" + codegen_flags();
-      if (!opts.extra_flags.empty()) {
-        cmd += " " + opts.extra_flags;
-      }
-      const fs::path so_tmp = dir / ("omx_" + key + ".so.tmp");
-      cmd += " -o " + shell_quote(so_tmp.string()) + " " +
-             shell_quote(cpp.string()) + " > " + shell_quote(log.string()) +
-             " 2>&1";
-
-      const auto start = std::chrono::steady_clock::now();
-      const int rc = std::system(cmd.c_str());
-      const double secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      static obs::Gauge& compile_seconds =
-          obs::Registry::global().gauge("backend.compile_seconds");
-      compile_seconds.set(secs);
-      if (rc != 0) {
-        why = "compile failed (see " + log.string() + ")";
-        return nullptr;
-      }
-      // Atomic publish so concurrent processes sharing the cache never
-      // dlopen a half-written object.
-      fs::rename(so_tmp, so, ec);
-      if (ec && !fs::exists(so)) {
-        why = "cannot publish " + so.string();
-        return nullptr;
-      }
-      native_compiles().add();
+    if (rt == Build::kCompiled) {
+      native_runtime_builds().add();
     }
+  }
+  static obs::Gauge& compile_seconds =
+      obs::Registry::global().gauge("backend.compile_seconds");
+  switch (build_cached(dir, stem, ".so", source, " -shared" + flags, link,
+                       compile_seconds, why)) {
+    case Build::kFailed:
+      return nullptr;
+    case Build::kHit:
+      native_cache_hits().add();
+      break;
+    case Build::kCompiled:
+      native_compiles().add();
+      break;
   }
 
   auto state = std::make_shared<NativeState>();
@@ -387,12 +483,12 @@ std::shared_ptr<NativeState> build_module(const std::string& source,
     why = "missing export in " + so.string();
     return nullptr;
   }
-  // ABI 7 = the serial-batch (SoA) entry point over a header-free unit
-  // with the embedded vmath runtime and no other export; whole-system
-  // calls use the batch at nb=1. Stale cache entries can't satisfy this
-  // loader; their source hash differs anyway, so they simply never
-  // match — the check guards hand-placed or corrupt objects.
-  if (abi() != 7) {
+  // ABI 8 = the serial-batch (SoA) entry point over a header-free unit
+  // linked with the prebuilt vector-math runtime object, and no other
+  // export; whole-system calls use the batch at nb=1. Stale cache entries
+  // can't satisfy this loader; their source hash differs anyway, so they
+  // simply never match — the check guards hand-placed or corrupt objects.
+  if (abi() != 8) {
     why = "ABI version mismatch in " + so.string();
     return nullptr;
   }

@@ -8,24 +8,33 @@
 // (cached under a build directory keyed by source hash), dlopens it and
 // wraps the exported entry point in an exec::RhsKernel.
 //
-// The unit (ABI 7) is the vmath runtime plus the batched rhs_batch behind
-// omx_rhs_serial_batch, and nothing else. It has no scalar serial form:
-// the kernel's whole-system eval is rhs_batch at nb=1, bitwise equal to a
-// scalar evaluation. It has no parallel-task form either, so the kernel
-// has no run_task (has_tasks() is false) and runtime::WorkerPool and
-// runtime::ParallelRhs reject it; the paper's equation-level tasks run on
-// interpreter kernels (Backend::kInterp).
+// The unit (ABI 8) is the batched rhs_batch behind omx_rhs_serial_batch
+// plus the inline selects (fmax, fmin, sign), and nothing else. The
+// transcendentals (exp, log, sin, cos, tanh, hypot, pow) are only
+// declared there: the vector-math runtime (vmath_functions.h) is compiled
+// once per (compiler, flags, runtime text) into a PIC object in the
+// shared cache and linked into every kernel, so a cold build compiles
+// only the model. Each .so stays self-contained for dlopen and exports
+// only omx_abi_version, omx_n_state and omx_rhs_serial_batch. The unit
+// has no scalar serial form: the kernel's whole-system eval is rhs_batch
+// at nb=1, bitwise equal to a scalar evaluation. It has no parallel-task
+// form either, so the kernel has no run_task (has_tasks() is false) and
+// runtime::WorkerPool and runtime::ParallelRhs reject it; the paper's
+// equation-level tasks run on interpreter kernels (Backend::kInterp).
 //
 // Graceful degradation: when no host compiler is available (or the
-// compile/load fails), the factory emits a one-line diagnostic and
-// returns an interpreter kernel over the same task structure — callers
-// never see a hard failure, only a kernel whose backend() says kInterp.
+// runtime object's build, the kernel's compile or the load fails), the
+// factory emits a one-line diagnostic and returns an interpreter kernel
+// over the same task structure — callers never see a hard failure, only
+// a kernel whose backend() says kInterp.
 //
 // Environment knobs:
 //   OMX_NATIVE_CXX        compiler to use (default: c++, g++, clang++ in
 //                         PATH order)
-//   OMX_NATIVE_CACHE_DIR  cache directory (default:
-//                         <tmp>/omx-native-cache)
+//   OMX_NATIVE_CACHE_DIR  shared cache directory (default:
+//                         <tmp>/omx-native-cache); always holds the
+//                         runtime object, and the kernels too unless
+//                         NativeOptions::cache_dir names another
 //   OMX_NATIVE_DISABLE    "1" forces the interpreter fallback
 #pragma once
 
@@ -37,8 +46,9 @@
 namespace omx::exec {
 
 struct NativeOptions {
-  /// Compiled-object cache directory; empty = $OMX_NATIVE_CACHE_DIR or
-  /// <system temp>/omx-native-cache.
+  /// Kernel cache directory; empty = $OMX_NATIVE_CACHE_DIR or
+  /// <system temp>/omx-native-cache. The runtime object always lives in
+  /// that shared directory.
   std::string cache_dir;
   /// Extra flags appended to the compile command line.
   std::string extra_flags;

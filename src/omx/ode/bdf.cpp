@@ -77,9 +77,7 @@ BdfLanes::BdfLanes(const Problem& p, std::size_t lane, bool batched)
       wa_(p.n) {}
 
 void BdfLanes::seat(std::size_t slot) {
-  while (blk_.width() <= slot) {
-    blk_.grow();
-  }
+  blk_.widen(slot);
   const std::size_t w = blk_.width();
   if (engines_.size() < w) {
     engines_.resize(w);

@@ -50,8 +50,10 @@ class BdfLanes {
                     bool batched = false);
 
   std::size_t width() const { return blk_.width(); }
-  /// Widens the block to hold `slot`.
+  /// Widens the block to hold `slot` (LaneBlock::widen).
   void seat(std::size_t slot);
+  /// LaneBlock::trim: drops the slots from `w` on, which hold no lane.
+  void trim(std::size_t w) { blk_.trim(w); }
   /// LaneBlock::restride; each kept slot's engine moves with its lane,
   /// and the lanes' steppers must be told their new slots (set_slot).
   void restride(std::span<const std::size_t> keep);

@@ -290,21 +290,24 @@ class BlockStepper : public StepperBase<Lane> {
       return;
     }
     const std::size_t j = *slot;
-    if (j == blk_.width()) {
-      blk_.grow();
+    if (j >= blk_.width()) {
+      blk_.widen(j);
       for (simd::aligned_vector<double>* v : {&ts_, &h_, &c_, &acc_}) {
-        v->resize(j + 1);
+        v->resize(blk_.width());
       }
     }
     scatter(y0, blk_[kY], blk_.width(), j);
   }
 
   /// Starts a round: the block re-strides once to the live width if
-  /// lanes retired since the last round and no scenario refilled them.
+  /// lanes retired since the last round and no scenario refilled them,
+  /// and drops the slots a widening left without a lane.
   void settle() {
     const std::span<const std::size_t> keep = this->settle_slots();
     if (!keep.empty()) {
       blk_.restride(keep);
+    } else if (blk_.width() > lanes_.size()) {
+      blk_.trim(lanes_.size());
     }
   }
 
@@ -988,10 +991,17 @@ class MultistepStepper : public StepperBase<MultistepLane> {
 
  private:
   /// Closes the vacant slots; the BDF block re-strides to the live
-  /// lanes, and their steppers follow their slots.
+  /// lanes, and their steppers follow their slots. A block a widening
+  /// left wider than the lanes drops its empty slots.
   void settle() {
     const std::span<const std::size_t> keep = settle_slots();
-    if (!bdf_lanes_ || keep.empty()) {
+    if (!bdf_lanes_) {
+      return;
+    }
+    if (keep.empty()) {
+      if (bdf_lanes_->width() > lanes_.size()) {
+        bdf_lanes_->trim(lanes_.size());
+      }
       return;
     }
     bdf_lanes_->restride(keep);

@@ -3,6 +3,7 @@
 // in (ode/bdf.cpp). Internal to the ode library.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -89,9 +90,10 @@ class LaneBlock {
   const double* operator[](std::size_t a) const { return a_[a].data(); }
   void swap(std::size_t a, std::size_t b) { a_[a].swap(a_[b]); }
 
-  /// Adds an empty slot at the end.
-  void grow() {
-    const std::size_t w = w_ + 1;
+  /// Adds k empty slots at the end: one resize and one pass over the
+  /// kept arrays, whatever k.
+  void grow(std::size_t k) {
+    const std::size_t w = w_ + k;
     if (a_[0].size() < n_ * w) {
       for (simd::aligned_vector<double>& v : a_) {
         v.resize(n_ * w);
@@ -109,23 +111,43 @@ class LaneBlock {
     w_ = w;
   }
 
+  /// Widens the block to hold `slot`, at least doubling it: a batch that
+  /// fills one lane at a time then re-strides O(log w) times, not once
+  /// per lane. The slots no lane takes stay until trim() or restride().
+  void widen(std::size_t slot) {
+    if (slot >= w_) {
+      grow(std::max(slot + 1, 2 * w_) - w_);
+    }
+  }
+
   /// Re-strides to keep.size() slots: new slot j takes the lane of old
   /// slot keep[j] (keep ascending).
   void restride(std::span<const std::size_t> keep) {
-    const std::size_t w = keep.size();
+    move_down(keep.size(), [&](std::size_t j) { return keep[j]; });
+  }
+
+  /// Drops the slots from `w` on, which hold no lane.
+  void trim(std::size_t w) {
+    move_down(w, [](std::size_t j) { return j; });
+  }
+
+ private:
+  /// Re-strides to w slots, new slot j taking old slot from(j) (from
+  /// ascending, from(j) >= j).
+  template <typename From>
+  void move_down(std::size_t w, From from) {
     for (std::size_t a = 0; a < kept_; ++a) {
       // Every element moves down (or stays), so walk up.
       double* v = a_[a].data();
       for (std::size_t i = 0; i < n_; ++i) {
         for (std::size_t j = 0; j < w; ++j) {
-          v[i * w + j] = v[i * w_ + keep[j]];
+          v[i * w + j] = v[i * w_ + from(j)];
         }
       }
     }
     w_ = w;
   }
 
- private:
   std::size_t n_, kept_, w_ = 0;
   std::vector<simd::aligned_vector<double>> a_;
 };

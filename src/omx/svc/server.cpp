@@ -455,6 +455,12 @@ void Server::Impl::stop() {
       job->cancel.store(true, std::memory_order_relaxed);
     }
   }
+  {
+    // The executors' wait predicate reads `running` under task_mutex. An
+    // executor between its check and its wait would miss a notify sent
+    // without the mutex and never wake, so stop() hangs in join().
+    const std::lock_guard<std::mutex> lock(task_mutex);
+  }
   task_cv.notify_all();
   wake();
   if (loop_thread.joinable()) {

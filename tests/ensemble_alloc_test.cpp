@@ -10,6 +10,7 @@
 #include "counting_allocator.hpp"
 #include "omx/obs/trace.hpp"
 #include "omx/ode/ensemble.hpp"
+#include "omx/ode/lane_block.hpp"
 
 namespace omx::ode {
 namespace {
@@ -51,6 +52,69 @@ TEST(LaneBlock, SteadyStateDopri5RoundAllocatesNothing) {
   const std::vector<std::size_t>& at = sink.samples();
   ASSERT_GT(at.size(), 400u);
   EXPECT_EQ(at[at.size() * 3 / 4] - at[at.size() / 4], 0u);
+}
+
+/// A 3 x w block with 2 kept arrays whose element (a, i, j) is
+/// 100 a + 10 i + j for the lanes j < lanes.
+void fill(LaneBlock& b, std::size_t lanes) {
+  for (std::size_t a = 0; a < 2; ++a) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (std::size_t j = 0; j < lanes; ++j) {
+        b[a][i * b.width() + j] = static_cast<double>(100 * a + 10 * i + j);
+      }
+    }
+  }
+}
+
+void expect_lanes(const LaneBlock& b, std::size_t lanes) {
+  for (std::size_t a = 0; a < 2; ++a) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (std::size_t j = 0; j < lanes; ++j) {
+        EXPECT_EQ(b[a][i * b.width() + j],
+                  static_cast<double>(100 * a + 10 * i + j))
+            << "array " << a << " row " << i << " lane " << j;
+      }
+    }
+  }
+}
+
+TEST(LaneBlock, GrowByManySlotsKeepsEveryLane) {
+  LaneBlock one(3, 3, 2), many(3, 3, 2);
+  one.grow(1);
+  many.grow(1);
+  fill(one, 1);
+  fill(many, 1);
+  for (int k = 0; k < 4; ++k) {
+    one.grow(1);
+  }
+  many.grow(4);
+  ASSERT_EQ(one.width(), 5u);
+  ASSERT_EQ(many.width(), 5u);
+  expect_lanes(many, 1);
+  for (std::size_t a = 0; a < 2; ++a) {
+    for (std::size_t e = 0; e < 3; ++e) {
+      EXPECT_EQ(many[a][e * 5], one[a][e * 5]);
+    }
+  }
+}
+
+TEST(LaneBlock, WidenDoublesAndTrimDropsTheEmptySlots) {
+  // Lanes joining one at a time: the block doubles, and trim() brings
+  // it back to the lanes that joined with every kept element in place.
+  LaneBlock b(3, 3, 2);
+  std::vector<std::size_t> widths;
+  for (std::size_t slot = 0; slot < 5; ++slot) {
+    b.widen(slot);
+    widths.push_back(b.width());
+  }
+  EXPECT_EQ(widths, (std::vector<std::size_t>{1, 2, 4, 4, 8}));
+  fill(b, 5);
+  b.trim(5);
+  ASSERT_EQ(b.width(), 5u);
+  expect_lanes(b, 5);
+  b.widen(5);
+  EXPECT_EQ(b.width(), 10u);
+  expect_lanes(b, 5);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // when the toolchain is unavailable.
 #include <gtest/gtest.h>
 
+#include <dlfcn.h>
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -171,9 +173,10 @@ std::size_t count_extension(const std::filesystem::path& dir,
 
 TEST(NativeBackend, DefaultUnitCarriesOnlyTheBatchedForm) {
   // Whole-system eval is rhs_batch at nb=1 and the unit has no task form
-  // (ABI 7), so it defines neither the scalar serial rhs nor the
+  // (ABI 8), so it defines neither the scalar serial rhs nor the
   // parallel-task switch and, for a model with when clauses, none of the
-  // event bodies that came with the scalar form.
+  // event bodies that came with the scalar form. The vector-math runtime
+  // is linked from its prebuilt object: the unit only declares it.
   namespace fs = std::filesystem;
   const pipeline::CompiledModel cm = pipeline::compile_model(
       [](expr::Context& ctx) { return models::build_bouncing_ball(ctx); });
@@ -189,8 +192,11 @@ TEST(NativeBackend, DefaultUnitCarriesOnlyTheBatchedForm) {
   fs::remove_all(dir);
   ASSERT_EQ(units.size(), 1u);
   const std::string& unit = units[0];
-  EXPECT_NE(unit.find("int omx_abi_version() { return 7; }"),
+  EXPECT_NE(unit.find("int omx_abi_version() { return 8; }"),
             std::string::npos);
+  EXPECT_NE(unit.find("double omx_sin(double a);"), std::string::npos);
+  EXPECT_EQ(unit.find("omx_vm_sincos"), std::string::npos);
+  EXPECT_EQ(unit.find("omx_vm_u2d"), std::string::npos);
   EXPECT_NE(unit.find("void rhs_batch("), std::string::npos);
   EXPECT_EQ(unit.find("namespace omx_parallel"), std::string::npos);
   EXPECT_EQ(unit.find("omx_rhs_task"), std::string::npos);
@@ -648,32 +654,39 @@ TEST(NativeBackend, ConcurrentBuildersCompileEachModuleOnce) {
   // racing compiles of the same model neither clobber each other's
   // artifacts nor compile redundantly. flock on distinct fds excludes
   // within one process too, so racing threads exercise the same path.
+  // The vector-math runtime object lives in the shared cache under the
+  // same protocol: racing builders in a fresh shared cache build it
+  // exactly once. (Each test runs in its own process, so the environment
+  // is this test's own.)
   namespace fs = std::filesystem;
+  const fs::path tmp = fs::temp_directory_path();
+  const fs::path calib_shared = tmp / "omx-test-lock-calib-shared";
+  const fs::path race_shared = tmp / "omx-test-lock-race-shared";
+  const fs::path calib_dir = tmp / "omx-test-lock-calib";
+  const fs::path race_dir = tmp / "omx-test-lock-race";
+  for (const fs::path& d : {calib_shared, race_shared, calib_dir, race_dir}) {
+    fs::remove_all(d);
+  }
   pipeline::CompiledModel cm =
       pipeline::compile_model(models::build_oscillator);
   obs::Counter& compiles =
       obs::Registry::global().counter("backend.native.compiles");
+  obs::Counter& runtime_builds =
+      obs::Registry::global().counter("backend.native.runtime_builds");
 
   // Calibrate: how many modules does one cold build of this model
   // compile?
-  const fs::path calib_dir =
-      fs::temp_directory_path() / "omx-test-lock-calib";
-  fs::remove_all(calib_dir);
+  ::setenv("OMX_NATIVE_CACHE_DIR", calib_shared.c_str(), 1);
   pipeline::KernelOptions ko;
   ko.native.cache_dir = calib_dir.string();
   const std::uint64_t before_calib = compiles.value();
   const KernelInstance probe = cm.make_kernel(Backend::kNative, ko);
-  if (probe.backend() != Backend::kNative) {
-    GTEST_SKIP() << "no host compiler; native backend unavailable";
-  }
   const std::uint64_t per_build = compiles.value() - before_calib;
-  ASSERT_GT(per_build, 0u);
 
-  const fs::path race_dir =
-      fs::temp_directory_path() / "omx-test-lock-race";
-  fs::remove_all(race_dir);
+  ::setenv("OMX_NATIVE_CACHE_DIR", race_shared.c_str(), 1);
   ko.native.cache_dir = race_dir.string();
   const std::uint64_t before_race = compiles.value();
+  const std::uint64_t runtime_before = runtime_builds.value();
   constexpr int kBuilders = 4;
   std::vector<KernelInstance> kernels;
   kernels.reserve(kBuilders);
@@ -690,10 +703,19 @@ TEST(NativeBackend, ConcurrentBuildersCompileEachModuleOnce) {
   for (std::thread& t : threads) {
     t.join();
   }
+  ::unsetenv("OMX_NATIVE_CACHE_DIR");
+  for (const fs::path& d : {calib_shared, race_shared, calib_dir, race_dir}) {
+    fs::remove_all(d);
+  }
+  if (probe.backend() != Backend::kNative) {
+    GTEST_SKIP() << "no host compiler; native backend unavailable";
+  }
+  ASSERT_GT(per_build, 0u);
 
-  // Exactly one builder compiled; the rest blocked on the lock and then
-  // hit the published artifact.
+  // Exactly one builder compiled the model and one the runtime object;
+  // the rest blocked on the locks and then hit the published artifacts.
   EXPECT_EQ(compiles.value() - before_race, per_build);
+  EXPECT_EQ(runtime_builds.value() - runtime_before, 1u);
   const std::vector<double> y = start_state(cm);
   std::vector<double> want(cm.n());
   probe.kernel()(0.1, y, want);
@@ -705,6 +727,60 @@ TEST(NativeBackend, ConcurrentBuildersCompileEachModuleOnce) {
       EXPECT_DOUBLE_EQ(got[i], want[i]);
     }
   }
+}
+
+TEST(NativeBackend, RuntimeObjectFailureFallsBackToInterp) {
+  // A host compiler that fails on the runtime unit (built with -c) but
+  // builds anything else: the kernel degrades to the interpreter with the
+  // one-line diagnostic, and nothing throws. The backend reads the
+  // compiler once per process, so the wrapper is set before anything
+  // probes it; ctest runs each test in its own process.
+  namespace fs = std::filesystem;
+  if (std::system("command -v c++ > /dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "no c++ in PATH to wrap";
+  }
+  const fs::path dir = fs::temp_directory_path() / "omx-test-runtime-fail";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path cxx = dir / "cxx.sh";
+  {
+    std::ofstream script(cxx);
+    script << "#!/bin/sh\n"
+              "echo \"$@\" >> \"$0.calls\"\n"
+              "for a in \"$@\"; do [ \"$a\" = -c ] && exit 1; done\n"
+              "exec c++ \"$@\"\n";
+  }
+  fs::permissions(cxx, fs::perms::owner_all);
+  ::setenv("OMX_NATIVE_CXX", cxx.c_str(), 1);
+  ::setenv("OMX_NATIVE_CACHE_DIR", (dir / "shared").c_str(), 1);
+  const pipeline::CompiledModel cm =
+      pipeline::compile_model(models::build_oscillator);
+  pipeline::KernelOptions ko;
+  ko.native.cache_dir = (dir / "kernels").string();
+  testing::internal::CaptureStderr();
+  KernelInstance k;
+  EXPECT_NO_THROW(k = cm.make_kernel(Backend::kNative, ko));
+  const std::string err = testing::internal::GetCapturedStderr();
+  ::unsetenv("OMX_NATIVE_CXX");
+  ::unsetenv("OMX_NATIVE_CACHE_DIR");
+  const bool wrapped = fs::exists(dir / "cxx.sh.calls");
+  const bool built_kernel = fs::exists(dir / "kernels") &&
+                            count_extension(dir / "kernels", ".so") > 0;
+  fs::remove_all(dir);
+  if (!wrapped) {
+    GTEST_SKIP() << "the host compiler was chosen before this test ran; "
+                    "run the test in its own process";
+  }
+  EXPECT_EQ(k.backend(), Backend::kInterp);
+  EXPECT_FALSE(built_kernel);
+  EXPECT_NE(err.find("native backend unavailable (vector-math runtime"),
+            std::string::npos)
+      << err;
+  const std::vector<double> y = start_state(cm);
+  std::vector<double> ydot(cm.n());
+  k.kernel()(0.0, y, ydot);
+  EXPECT_DOUBLE_EQ(ydot[0], y[1]);
+  EXPECT_DOUBLE_EQ(ydot[1], -y[0]);
 }
 
 // ------------------------------------------- header-free native kernels
@@ -774,6 +850,42 @@ TEST(NativeBackend, HeaderFreeUnitResolvesEveryFunction) {
           << "native batch not bitwise, lane " << j << " slot " << i;
     }
   }
+}
+
+TEST(NativeBackend, KernelObjectExportsOnlyItsEntryPoints) {
+  // The runtime object's wrappers and their SIMD clones are hidden, and
+  // the model body is internal: a kernel's dynamic symbol table holds
+  // its three omx_* entry points and nothing the next kernel loaded
+  // could bind to instead of its own.
+  namespace fs = std::filesystem;
+  const pipeline::CompiledModel cm = compile_all_functions();
+  const fs::path dir = fs::temp_directory_path() / "omx-test-exports";
+  fs::remove_all(dir);
+  pipeline::KernelOptions ko;
+  ko.native.cache_dir = dir.string();
+  if (cm.make_kernel(Backend::kNative, ko).backend() != Backend::kNative) {
+    fs::remove_all(dir);
+    GTEST_SKIP() << "no host compiler; native backend unavailable";
+  }
+  fs::path so;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".so") {
+      so = e.path();
+    }
+  }
+  void* handle = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
+  ASSERT_NE(handle, nullptr) << dlerror();
+  for (const char* name :
+       {"omx_abi_version", "omx_n_state", "omx_rhs_serial_batch"}) {
+    EXPECT_NE(dlsym(handle, name), nullptr) << name;
+  }
+  for (const char* name :
+       {"omx_exp", "omx_sin", "omx_pow", "_ZGVdN4v_omx_exp",
+        "_ZGVeN8vv_omx_pow", "_ZN10omx_serial9rhs_batchEiPKdS1_Pd"}) {
+    EXPECT_EQ(dlsym(handle, name), nullptr) << name << " is exported";
+  }
+  dlclose(handle);
+  fs::remove_all(dir);
 }
 
 /// The native scalar eval at the start state (t = 0.1) followed by an

@@ -343,7 +343,7 @@ TEST(SinkEnsemble, StatsOnlySinkKeepsFinalStateAndStats) {
 // is the lane-independence contract the whole vectorization effort
 // rests on (interp batch == interp scalar, native batch == native
 // scalar; the two backends agree to 1e-12 but not bitwise, since the
-// native transcendentals are the embedded vmath runtime, not libm).
+// native transcendentals are the linked vmath runtime, not libm).
 
 pipeline::KernelOptions cache_opts() {
   pipeline::KernelOptions ko;

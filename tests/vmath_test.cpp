@@ -1,6 +1,7 @@
 // Accuracy and special-value tests for the branch-free vector-math
-// runtime the native backend embeds into every compiled kernel
-// (exec/vmath_functions.h). The same header is compiled here directly,
+// runtime the native backend links into every compiled kernel
+// (exec/vmath_functions.h) and the selects every kernel carries inline
+// (exec/vmath_select.h). The same headers are compiled here directly,
 // so these bounds hold for the exact code the JIT'd kernels run.
 //
 // The solver-facing accuracy contract is the cross-backend 1e-12
@@ -15,6 +16,7 @@
 #include <limits>
 
 #include "omx/exec/vmath_functions.h"
+#include "omx/exec/vmath_select.h"
 
 namespace {
 
