@@ -45,6 +45,45 @@ Problem stiff_tracking(bool with_jacobian = true) {
   return p;
 }
 
+// Van der Pol at mu = 1000 with its analytic Jacobian: stiff, and at
+// large beta*h the Newton matrix's first column pivots on row 1.
+Problem van_der_pol() {
+  constexpr double kMu = 1000.0;
+  Problem p;
+  p.n = 2;
+  p.set_rhs([](double, std::span<const double> y, std::span<double> f) {
+    f[0] = y[1];
+    f[1] = kMu * (1.0 - y[0] * y[0]) * y[1] - y[0];
+  });
+  p.set_jacobian([](double, std::span<const double> y, omx::la::Matrix& j) {
+    j(0, 0) = 0.0;
+    j(0, 1) = 1.0;
+    j(1, 0) = -2.0 * kMu * y[0] * y[1] - 1.0;
+    j(1, 1) = kMu * (1.0 - y[0] * y[0]);
+  });
+  p.t0 = 0.0;
+  p.tend = 1000.0;
+  p.y0 = {2.0, 0.0};
+  return p;
+}
+
+// A 4-state stiff linear reaction chain with a forcing term, no Jacobian
+// and no pattern: finite differences over the full 4 x 4 pattern.
+Problem chain() {
+  Problem p;
+  p.n = 4;
+  p.set_rhs([](double t, std::span<const double> y, std::span<double> f) {
+    f[0] = -1e4 * y[0] + 1e3 * y[3] + std::cos(t);
+    f[1] = 1e4 * y[0] - 1e2 * y[1];
+    f[2] = 1e2 * y[1] - y[2];
+    f[3] = y[2] - 1e3 * y[3];
+  });
+  p.t0 = 0.0;
+  p.tend = 10.0;
+  p.y0 = {1.0, 0.0, 0.0, 0.0};
+  return p;
+}
+
 SolverOptions no_record() {
   SolverOptions o;
   o.record_every = 1u << 30;
@@ -109,6 +148,27 @@ void BM_LsodaLikeStiff(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LsodaLikeStiff);
+
+// One ode::solve kBdf per iteration, at bdf_max_order state.range(0).
+void BM_BdfVanDerPol(benchmark::State& state) {
+  const Problem p = van_der_pol();
+  SolverOptions o = no_record();
+  o.bdf_max_order = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solve(p, Method::kBdf, o).final_state()[0]);
+  }
+}
+BENCHMARK(BM_BdfVanDerPol)->Arg(2)->Arg(4);
+
+void BM_BdfChainFiniteDiffJac(benchmark::State& state) {
+  const Problem p = chain();
+  SolverOptions o = no_record();
+  o.bdf_max_order = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solve(p, Method::kBdf, o).final_state()[0]);
+  }
+}
+BENCHMARK(BM_BdfChainFiniteDiffJac)->Arg(2)->Arg(4);
 
 }  // namespace
 

@@ -12,14 +12,17 @@
 // monolithic system, (b) as K independent systems (legal because the
 // dependency analysis proves independence).
 //
-// The second half measures point (3) *inside* a subsystem: the legacy
-// dense stiff path (dense FD Jacobian + dense LU) against the sparse
-// pipeline (structural pattern + colored FD + sparse LU) on the
-// tridiagonal heat-PDE stencil across sizes, exporting BENCH_sparse.json
-// for scripts/bench_gate.py (gate_sparse: parity at n <= 16, >= 2x at
-// the largest size). At n = 128 it also reports, without a gate, the
-// BDF stepper's cost per lane step in an ensemble worker's lockstep
-// lanes against the same lanes solved one by one.
+// The second half measures point (3) *inside* a subsystem: the stiff
+// path on the full n x n pattern (the problem without its pattern:
+// n+1-call FD Jacobian, sparse LU over every entry) against the same
+// path on the structural pattern (colored FD + sparse LU on the band)
+// on the tridiagonal heat-PDE stencil across sizes, exporting
+// BENCH_sparse.json for scripts/bench_gate.py (gate_sparse: parity at
+// n <= 16, >= 2x at the largest size). At n = 128 it also reports,
+// without a gate, the BDF stepper's cost per lane step in an ensemble
+// worker's lockstep lanes against the same lanes solved one by one.
+// Last, also without a gate, the full-pattern sparse LU against the
+// textbook dense LuFactors at n = 8, 16 and 32.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "omx/analysis/partition.hpp"
+#include "omx/la/lu.hpp"
 #include "omx/model/flatten.hpp"
 #include "omx/models/heat1d.hpp"
 #include "omx/obs/export.hpp"
@@ -127,7 +131,7 @@ LuTimings time_sparse_lu(const omx::la::CsrMatrix& jac) {
   std::vector<double> b(pat.rows, 1.0), x(pat.rows);
   constexpr std::size_t kLanes = 16;
   const std::vector<omx::la::SparseLu> lane_lus(kLanes, lu);
-  std::vector<const omx::la::LinearSolver*> lanes;
+  std::vector<const omx::la::SparseLu*> lanes;
   std::vector<std::size_t> slots;
   for (std::size_t q = 0; q < kLanes; ++q) {
     lanes.push_back(&lane_lus[q]);
@@ -242,13 +246,105 @@ BdfLaneTimings time_bdf_lanes() {
   return best;
 }
 
+// The full-pattern sparse LU against the textbook dense LuFactors on one
+// n x n matrix: SparseLu::refactor (what each Newton factorization costs)
+// over LuFactors' construct plus factor (what a fresh dense factorization
+// costs), and solve over solve; each the best mean over several batches.
+// The unpivoted matrix is D = I n + R, R pseudo-random in [-1, 1), whose
+// diagonal dominates its columns, so partial pivoting never swaps; the
+// pivoted one is D with its rows reversed, so every pivot is a swap with
+// a strict unique maximum and the refactor replays the stored order.
+struct FullLuTimings {
+  double refactor_us = 0.0, lu_factor_us = 0.0;
+  double solve_us = 0.0, lu_solve_us = 0.0;
+};
+
+FullLuTimings time_full_lu(std::size_t n, bool pivoted) {
+  using clock = std::chrono::steady_clock;
+  omx::la::Matrix d(n, n);
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const double r =
+          static_cast<double>(state >> 11) * 0x1.0p-53 * 2.0 - 1.0;
+      d(pivoted ? n - 1 - i : i, j) =
+          r + (i == j ? static_cast<double>(n) : 0.0);
+    }
+  }
+  omx::la::CsrMatrix a(std::make_shared<omx::la::SparsityPattern>(
+      omx::la::SparsityPattern::dense(n)));
+  std::copy(d.data().begin(), d.data().end(), a.values().begin());
+  omx::la::SparseLu lu(a);
+  std::vector<double> b(n, 1.0), x(n);
+  const int reps = static_cast<int>(40000 / n);
+  const auto mean_us = [reps](clock::duration dt) {
+    return std::chrono::duration<double, std::micro>(dt).count() / reps;
+  };
+  double growth = 0.0;  // checked below, so the dense factorizations stay
+  FullLuTimings best{1e300, 1e300, 1e300, 1e300};
+  for (int batch = 0; batch < 7; ++batch) {
+    const auto t0 = clock::now();
+    for (int rep = 0; rep < reps; ++rep) {
+      lu.refactor(a);
+    }
+    const auto t1 = clock::now();
+    for (int rep = 0; rep < reps; ++rep) {
+      growth += omx::la::LuFactors(d).pivot_growth();
+    }
+    const auto t2 = clock::now();
+    for (int rep = 0; rep < reps; ++rep) {
+      lu.solve(b, x);
+    }
+    const auto t3 = clock::now();
+    const omx::la::LuFactors dense(d);
+    for (int rep = 0; rep < reps; ++rep) {
+      dense.solve(b, x);
+    }
+    const auto t4 = clock::now();
+    best.refactor_us = std::min(best.refactor_us, mean_us(t1 - t0));
+    best.lu_factor_us = std::min(best.lu_factor_us, mean_us(t2 - t1));
+    best.solve_us = std::min(best.solve_us, mean_us(t3 - t2));
+    best.lu_solve_us = std::min(best.lu_solve_us, mean_us(t4 - t3));
+  }
+  if (!(growth > 0.0)) {
+    std::fprintf(stderr, "full LU n=%zu: no dense factorization\n", n);
+    std::exit(1);
+  }
+  return best;
+}
+
+void bench_full_lu(omx::obs::Registry& metrics) {
+  std::printf("\nfull-pattern sparse LU vs dense LuFactors (report-only):\n");
+  std::printf("  %4s %8s %12s %12s %9s %10s %10s %9s\n", "n", "pivots",
+              "refactor us", "LU fact. us", "ratio", "solve us", "LU sol. us",
+              "ratio");
+  for (const std::size_t n : {8, 16, 32}) {
+    for (const bool pivoted : {false, true}) {
+      const FullLuTimings r = time_full_lu(n, pivoted);
+      const double factor_ratio = r.refactor_us / r.lu_factor_us;
+      const double solve_ratio = r.solve_us / r.lu_solve_us;
+      std::printf("  %4zu %8s %12.3f %12.3f %8.2fx %10.3f %10.3f %8.2fx\n",
+                  n, pivoted ? "swapped" : "none", r.refactor_us,
+                  r.lu_factor_us, factor_ratio, r.solve_us, r.lu_solve_us,
+                  solve_ratio);
+      char name[96];
+      std::snprintf(name, sizeof name, "sparse.full.n%zu.%s", n,
+                    pivoted ? "pivoted" : "unpivoted");
+      metrics.gauge(std::string(name) + ".refactor_over_lu")
+          .set(factor_ratio);
+      metrics.gauge(std::string(name) + ".solve_over_lu").set(solve_ratio);
+    }
+  }
+}
+
 void bench_sparse_backends() {
   using namespace omx;
   const std::vector<int> sizes{8, 16, 32, 64, 128};
   obs::Registry metrics;
 
   std::printf("\nstiff backend inside one subsystem (heat PDE, BDF2):\n");
-  std::printf("  %6s %10s %10s %9s %7s %14s\n", "n", "dense ms", "sparse ms",
+  std::printf("  %6s %10s %10s %9s %7s %14s\n", "n", "full ms", "struct ms",
               "speedup", "colors", "jac-build RHS");
 
   for (int n : sizes) {
@@ -261,19 +357,18 @@ void bench_sparse_backends() {
     o.tol.atol = 1e-9;
     o.record_every = 1u << 30;
 
-    // Legacy dense path: no pattern, dense FD (n+1 calls) + dense LU.
+    // Full pattern: no structure known, FD over every column (n+1
+    // calls) + sparse LU over all n x n entries.
     ode::Problem dense_p = cm.make_problem(exec::Backend::kInterp, 0.0, 0.05);
     dense_p.sparsity.reset();
     ode::SolverStats dense_stats;
     const double dense_s = time_solve(dense_p, o, &dense_stats);
 
-    // Sparse pipeline: structural pattern + colored FD + sparse LU.
-    ::setenv("OMX_SPARSE_FORCE", "1", 1);
+    // Structural pattern: colored FD + sparse LU on the band.
     ode::Problem sparse_p = cm.make_problem(exec::Backend::kInterp, 0.0, 0.05);
     ode::SolverStats sparse_stats;
     const double sparse_s = time_solve(sparse_p, o, &sparse_stats);
     std::shared_ptr<const ode::JacPlan> plan = ode::make_jac_plan(sparse_p);
-    ::unsetenv("OMX_SPARSE_FORCE");
 
     // One Jacobian build in isolation: colors+1 RHS calls vs n+1.
     la::CsrMatrix jac(plan->pattern);
@@ -326,6 +421,7 @@ void bench_sparse_backends() {
   }
   metrics.gauge("sparse.heat.largest_n")
       .set(static_cast<double>(sizes.back()));
+  bench_full_lu(metrics);
 
   const char* out_path = "BENCH_sparse.json";
   if (obs::write_file(out_path, obs::metrics_json(metrics.snapshot()))) {

@@ -28,12 +28,18 @@ What is gated vs merely reported:
   impact). Both are machine-independent; hybrid throughput and its
   batched/sequential ratio are report-only.
 * sparse.heat.n<N>.sparse_over_dense are same-machine wall-clock ratios
-  of the sparse stiff path (colored FD + sparse LU) over the legacy
-  dense path on the tridiagonal heat PDE: parity (>= 1 - tolerance) is
-  required at n <= 16, and the repo's >= 2x bar at the largest size.
-  The structural counts are gated as exact ceilings — jac_build_rhs_calls
-  <= colors + 1 and colors <= 5 for the tridiagonal stencil — because
-  they are machine-independent. Absolute *_wall_s values are report-only.
+  of the stiff path on the tridiagonal heat PDE's structural pattern
+  (colored FD + sparse LU on the band) over the same path on the full
+  n x n pattern (the problem without its pattern: n+1-call FD + sparse
+  LU over every entry, the operations of the retired dense backend):
+  parity (>= 1 - tolerance) is required at n <= 16, and the repo's
+  >= 2x bar at the largest size. The structural counts are gated as
+  exact ceilings — jac_build_rhs_calls <= colors + 1 and colors <= 5
+  for the tridiagonal stencil — because they are machine-independent.
+  Absolute *_wall_s values are report-only, and so are the
+  sparse.full.n<N>.* ratios of the full-pattern sparse LU over the
+  textbook dense LuFactors (refactor over construct plus factor, solve
+  over solve).
 * simd.native.batch*_over_scalar are same-machine per-call throughput
   ratios of the vectorized rhs_batch lanes over the scalar native entry
   point on the bearing model. The repo's >= 4x bar applies to the best
@@ -277,8 +283,9 @@ def gate_sparse(gate, current, baseline):
                        builds, colors + 1.0, "colors + 1")
 
     for name in sorted(current):
-        if name.startswith("sparse.heat.") and \
-                name.endswith(("_wall_s", "_us")):
+        if (name.startswith("sparse.heat.") and
+                name.endswith(("_wall_s", "_us"))) or \
+                name.startswith("sparse.full."):
             gate.report(name, current[name], baseline.get(name))
 
 

@@ -115,7 +115,9 @@ if [[ $MODE == tsan ]]; then
   # covers the native kernels, including
   # ConcurrentBuildersCompileEachModuleOnce: racing cold host compiles of
   # one model, and one build of the vector-math runtime object they all
-  # link, through the shared cache.
+  # link, through the shared cache, and
+  # RacingFirstBuildsOfOneModelShareItsContextSafely: four first native
+  # builds of one model whose emissions meet on its expression context.
   # StiffPath|SparseLu covers the stiff path's linear algebra and its
   # ensemble lanes, including
   # StiffPath.EnsembleColoredFdOnMultiLaneInterpMatchesSequential: four

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -244,8 +245,12 @@ std::string compose_source(const model::FlatSystem& flat,
   // kernel links from the one runtime object: every lane of rhs_batch,
   // vectorized or not, computes the same bits.
   eo.simd_math = true;
+  // Emission interns into the model's expression context, which two
+  // builders of one model's kernels may share.
+  std::unique_lock<std::mutex> emitting(flat.ctx().emit_mutex);
   const codegen::EmitResult batch =
       codegen::emit_cpp_serial_batch(flat, set, eo);
+  emitting.unlock();
 
   std::ostringstream os;
   os << "// Synthesized by omx::exec (native backend). Do not edit.\n"

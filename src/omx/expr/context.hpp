@@ -3,6 +3,7 @@
 // whole compile-and-run pipeline of a model.
 #pragma once
 
+#include <mutex>
 #include <string_view>
 
 #include "omx/expr/builder.hpp"
@@ -13,6 +14,10 @@ namespace omx::expr {
 struct Context {
   Interner names;
   Pool pool;
+  /// The tables are not thread-safe. Work that may run on several
+  /// threads at once and interns into them (code emission: CSE temps and
+  /// local aliases) holds this lock.
+  std::mutex emit_mutex;
 
   /// Interns `name` and returns the symbol expression for it.
   Ex var(std::string_view name) {

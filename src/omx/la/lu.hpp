@@ -1,29 +1,25 @@
-// LU factorization with partial pivoting and triangular solves.
-// Substrate for the modified-Newton iteration inside the BDF solver
-// (solving (I - h*beta*J) dx = -r each iteration).
+// Dense LU factorization with partial pivoting and triangular solves:
+// the textbook reference that la::SparseLu must reproduce bit for bit
+// (the la tests' oracle). The solvers factor through SparseLu.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "omx/la/linear_solver.hpp"
 #include "omx/la/matrix.hpp"
 
 namespace omx::la {
 
 /// In-place LU factorization of a square matrix, PA = LU.
-class LuFactors final : public LinearSolver {
+class LuFactors {
  public:
   /// Factorizes `a` (copied). Throws omx::Error on a singular pivot.
   explicit LuFactors(Matrix a);
 
-  std::size_t size() const override { return lu_.rows(); }
+  std::size_t size() const { return lu_.rows(); }
 
   /// Solves A x = b; `x` may alias `b`.
-  void solve(std::span<const double> b, std::span<double> x) const override;
-
-  const char* kind() const override { return "dense_lu"; }
-  std::size_t factor_nnz() const override { return lu_.rows() * lu_.cols(); }
+  void solve(std::span<const double> b, std::span<double> x) const;
 
   /// Reciprocal condition estimate via max-norm of pivots (cheap heuristic,
   /// good enough to detect near-singularity for Newton restarts).

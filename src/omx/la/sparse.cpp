@@ -72,11 +72,6 @@ SparsityPattern SparsityPattern::from_triplets(
   return p;
 }
 
-double SparsityPattern::fill_ratio() const {
-  const double total = static_cast<double>(rows) * static_cast<double>(cols);
-  return total == 0.0 ? 0.0 : static_cast<double>(nnz()) / total;
-}
-
 std::size_t SparsityPattern::lower_bandwidth() const {
   std::size_t b = 0;
   for (std::size_t r = 0; r < rows; ++r) {
@@ -272,7 +267,7 @@ SparseLu::SparseLu(const CsrMatrix& a) : n_(a.rows()) {
 
 void SparseLu::refactor(const CsrMatrix& a) {
   OMX_REQUIRE(a.rows() == n_ && a.cols() == n_, "refactor size mismatch");
-  if (a_map_.empty() || a.pattern_ptr() != pattern_ ||
+  if (a_map_.empty() || &a.pattern() != pattern_.get() ||
       !eliminate_in_place(a.values())) {
     factorize(a);
   }
@@ -326,7 +321,7 @@ void SparseLu::factorize(const CsrMatrix& a) {
     const std::size_t imax = std::min(n_ - 1, k + bandwidth_);
 
     // Partial pivot over the band window — same strict-`>` rule as the
-    // dense LuFactors; structurally absent entries are exact zeros and
+    // dense LU (lu.hpp); structurally absent entries are exact zeros and
     // can never win, so the choice matches the dense scan bit-for-bit.
     std::size_t piv = k;
     double best = 0.0;
@@ -434,9 +429,11 @@ void SparseLu::factorize(const CsrMatrix& a) {
     }
   }
 
-  // Flatten into the CSR arrays solve() and refactor() read. Without row
-  // swaps, row r of the factors holds every entry of input row r, so
-  // each input slot has a fixed home for refactor().
+  // Flatten into the CSR arrays solve() and refactor() read. Every input
+  // entry ends in the row its input row was swapped to, so each input
+  // slot has a fixed home for refactor(); a pivoted order is kept for
+  // replay only when the band window is the whole matrix.
+  const bool mapped = !pivoted || bandwidth_ + 1 == n_;
   row_ptr_.assign(n_ + 1, 0);
   for (std::size_t i = 0; i < n_; ++i) {
     row_ptr_[i + 1] = row_ptr_[i] + rows[i].size();
@@ -444,7 +441,7 @@ void SparseLu::factorize(const CsrMatrix& a) {
   col_.resize(row_ptr_[n_]);
   val_.resize(row_ptr_[n_]);
   diag_.resize(n_);
-  a_map_.resize(pivoted ? 0 : p.nnz());
+  a_map_.resize(mapped ? p.nnz() : 0);
   next_.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) {
     auto it = find_col(rows[i], static_cast<std::uint32_t>(i));
@@ -455,7 +452,7 @@ void SparseLu::factorize(const CsrMatrix& a) {
       const Entry& e = rows[i][k];
       col_[row_ptr_[i] + k] = e.col;
       val_[row_ptr_[i] + k] = e.val;
-      if (!pivoted && e.slot != kFill) {
+      if (mapped && e.slot != kFill) {
         a_map_[e.slot] = row_ptr_[i] + k;
       }
     }
@@ -465,9 +462,20 @@ void SparseLu::factorize(const CsrMatrix& a) {
 }
 
 bool SparseLu::eliminate_in_place(std::span<const double> a_values) {
-  std::fill(val_.begin(), val_.end(), 0.0);
-  for (std::size_t k = 0; k < a_values.size(); ++k) {
-    val_[a_map_[k]] = a_values[k];
+  if (col_.size() != a_values.size()) {
+    std::fill(val_.begin(), val_.end(), 0.0);  // fill slots start at zero
+    for (std::size_t k = 0; k < a_values.size(); ++k) {
+      val_[a_map_[k]] = a_values[k];
+    }
+  } else {
+    // No fill: row i holds exactly input row src_[i], in its order (the
+    // identity without a row swap), so the scatter is row copies.
+    const std::vector<std::size_t>& in = pattern_->row_ptr;
+    for (std::size_t i = 0; i < n_; ++i) {
+      std::copy(a_values.begin() + static_cast<std::ptrdiff_t>(in[src_[i]]),
+                a_values.begin() + static_cast<std::ptrdiff_t>(in[src_[i] + 1]),
+                val_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[i]));
+    }
   }
   std::copy(row_ptr_.begin(), row_ptr_.end() - 1, next_.begin());
   pivot_min_ = std::numeric_limits<double>::infinity();
@@ -478,8 +486,11 @@ bool SparseLu::eliminate_in_place(std::span<const double> a_values) {
   // band window of its column, so next_[i] always points at the L entry
   // the current column can touch. Slots the general path would leave
   // absent hold exact zeros here, which neither win a pivot nor change a
-  // value they are subtracted from. A failed check returns at once and
-  // leaves val_ half updated; the general path then starts over.
+  // value they are subtracted from. A stored row swap (work_ is sized
+  // then) is replayed only while each pivot strictly beats every other
+  // candidate. A failed check returns at once and leaves val_ half
+  // updated; the general path then starts over.
+  const bool replay = !work_.empty();
   for (std::size_t k = 0; k < n_; ++k) {
     const std::size_t imax = std::min(n_ - 1, k + bandwidth_);
     const std::size_t kd = diag_[k];
@@ -492,13 +503,19 @@ bool SparseLu::eliminate_in_place(std::span<const double> a_values) {
 
     const double inv_pivot = 1.0 / val_[kd];
     const std::size_t kend = row_ptr_[k + 1];
+    // Row k's U part is one run of columns when its span equals its
+    // length (columns strictly ascend); so is a target row's stretch
+    // with the same first and last column and length.
+    const std::size_t len = kend - kd - 1;
+    const bool run = len > 0 && col_[kend - 1] - col_[kd + 1] == len - 1;
     for (std::size_t i = k + 1; i <= imax; ++i) {
       std::size_t q = next_[i];
       if (q >= diag_[i] || col_[q] != k) {
         continue;
       }
-      if (std::fabs(val_[q]) > best) {
-        return false;  // pivot swap
+      const double v = std::fabs(val_[q]);
+      if (v > best || (replay && v == best)) {
+        return false;  // another pivot
       }
       const double m = val_[q] * inv_pivot;
       val_[q] = m;
@@ -507,6 +524,24 @@ bool SparseLu::eliminate_in_place(std::span<const double> a_values) {
         continue;
       }
       const std::size_t iend = row_ptr_[i + 1];
+      if (run) {
+        while (q < iend && col_[q] < col_[kd + 1]) {
+          ++q;
+        }
+        if (q + len > iend || col_[q] != col_[kd + 1] ||
+            col_[q + len - 1] != col_[kend - 1]) {
+          return false;  // needs fill the stored structure lacks
+        }
+        // Rows i and k are disjoint stretches of val_, and each element's
+        // update is its own, so packing them into vectors keeps the bits.
+        double* dst = val_.data() + q;
+        const double* src = val_.data() + kd + 1;
+        OMX_PRAGMA_SIMD
+        for (std::size_t u = 0; u < len; ++u) {
+          dst[u] -= m * src[u];
+        }
+        continue;
+      }
       for (std::size_t u = kd + 1; u < kend; ++u) {
         while (q < iend && col_[q] < col_[u]) {
           ++q;
@@ -648,19 +683,19 @@ void LaneSolver::hold(std::size_t slot, const SparseLu& lu) {
   held_[slot] = lu.generation_;
 }
 
-void LaneSolver::solve(std::span<const LinearSolver* const> solvers,
+void LaneSolver::solve(std::span<const SparseLu* const> solvers,
                        std::span<const std::size_t> slots, const double* b,
                        double* x) {
   run(solvers, slots, false, solvers.size(), b, x);
 }
 
-void LaneSolver::solve(std::span<const LinearSolver* const> solvers,
+void LaneSolver::solve(std::span<const SparseLu* const> solvers,
                        std::span<const std::size_t> slots, std::size_t stride,
                        const double* b, double* x) {
   run(solvers, slots, true, stride, b, x);
 }
 
-void LaneSolver::run(std::span<const LinearSolver* const> solvers,
+void LaneSolver::run(std::span<const SparseLu* const> solvers,
                      std::span<const std::size_t> slots, bool by_slot,
                      std::size_t stride, const double* b, double* x) {
   OMX_REQUIRE(slots.size() == solvers.size(), "one slot per lane");
@@ -698,9 +733,8 @@ void LaneSolver::run(std::span<const LinearSolver* const> solvers,
   std::size_t walker = 0;  // the last walking lane
   for (std::size_t q = 0; q < m; ++q) {
     const std::size_t c = by_slot ? slots[q] : q;
-    const auto* lu = dynamic_cast<const SparseLu*>(solvers[q]);
-    if (lu != nullptr && fits(*lu)) {
-      hold(slots[q], *lu);
+    if (fits(*solvers[q])) {
+      hold(slots[q], *solvers[q]);
       cols_.push_back(c);
       keys_.push_back(slots[q]);
       walker = q;

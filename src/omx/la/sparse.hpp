@@ -1,16 +1,18 @@
 // Sparse linear-algebra substrate for the stiff path: CSR sparsity
 // patterns, distance-2 column coloring (compressed finite-difference
-// Jacobians), a CSR value matrix, a sparse LU factorization with
-// partial pivoting behind the la::LinearSolver interface, and a lanes
-// solver that runs many lanes' triangular solves side by side.
+// Jacobians), a CSR value matrix, the sparse LU factorization with
+// partial pivoting that every implicit solver's Newton matrix goes
+// through (a problem without a pattern factors over the full one), and a
+// lanes solver that runs many lanes' triangular solves side by side.
 //
 // Bitwise contract: SparseLu factors in the natural order and performs
-// exactly the same floating-point operations as the dense LuFactors on
-// the same matrix — structural zeros are exact 0.0 in the dense path, so
-// they can never win the strict-`>` pivot search, their row updates are
-// numerical no-ops, and fill values are computed as `0.0 - m * u` just
-// like the dense in-place update. The stiff solvers rely on this to keep
-// dense-vs-sparse trajectories bit-for-bit identical.
+// exactly the same floating-point operations as the textbook dense LU
+// (lu.hpp, the tests' oracle) on the same matrix — structural zeros are
+// exact 0.0 in the dense path, so they can never win the strict-`>`
+// pivot search, their row updates are numerical no-ops, and fill values
+// are computed as `0.0 - m * u` just like the dense in-place update. So
+// a full pattern and a structural one give bit-for-bit identical
+// trajectories.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "omx/la/linear_solver.hpp"
 #include "omx/la/matrix.hpp"
 
 namespace omx::la {
@@ -40,7 +41,6 @@ struct SparsityPattern {
       std::vector<std::pair<std::size_t, std::size_t>> entries);
 
   std::size_t nnz() const { return col_idx.size(); }
-  double fill_ratio() const;
   /// max(i - j) over stored entries with i > j (0 when none).
   std::size_t lower_bandwidth() const;
   /// max(j - i) over stored entries with j > i (0 when none).
@@ -125,17 +125,23 @@ class CsrMatrix {
 ///    it builds the structure and writes it into the flat arrays.
 ///  * refactor(a) scatters `a` into the stored structure through a map
 ///    built by the last general factorization and re-runs only the
-///    numeric elimination. It falls back to the general path when a
-///    pivot swap would happen, when a row update needs an entry the
-///    structure lacks, when a pivot is zero (the general path then
-///    throws its usual diagnostic), when the stored structure came from
-///    a pivoted factorization, or when `a` is over another pattern
-///    object.
+///    numeric elimination, in the stored row order. A row update whose
+///    pivot row holds one run of columns that the target row holds too
+///    runs as a straight loop. It falls back to the general path when
+///    another pivot would be chosen, when a row update needs an entry
+///    the structure lacks, when a pivot is zero (the general path then
+///    throws its usual diagnostic), or when `a` is over another pattern
+///    object. A pivoted order is replayed only when every pivot is its
+///    column's strict unique maximum (a tie's winner depends on where
+///    the general path's swaps left the candidate rows) and only when
+///    the band window is the whole matrix (after swaps, a banded
+///    structure's L entries can lie outside the positional window);
+///    other pivoted structures always take the general path.
 ///
 /// The solver owns solve()'s scratch and sizes it when it factors, so
 /// solve() allocates nothing; it is therefore not safe to call solve()
 /// concurrently on one instance.
-class SparseLu final : public LinearSolver {
+class SparseLu {
  public:
   explicit SparseLu(const CsrMatrix& a);
 
@@ -145,12 +151,13 @@ class SparseLu final : public LinearSolver {
   /// until a refactor succeeds.
   void refactor(const CsrMatrix& a);
 
-  std::size_t size() const override { return n_; }
-  void solve(std::span<const double> b, std::span<double> x) const override;
-  const char* kind() const override { return "sparse_lu"; }
-  std::size_t factor_nnz() const override { return col_.size(); }
+  std::size_t size() const { return n_; }
+  /// Solves A x = b; `x` may alias `b`.
+  void solve(std::span<const double> b, std::span<double> x) const;
+  /// Nonzeros stored in the factors.
+  std::size_t factor_nnz() const { return col_.size(); }
 
-  /// Same cheap near-singularity heuristic as the dense LuFactors.
+  /// Same cheap near-singularity heuristic as the dense LU in lu.hpp.
   double pivot_growth() const { return pivot_min_ / pivot_max_; }
 
  private:
@@ -193,25 +200,25 @@ class SparseLu final : public LinearSolver {
 /// all lanes are contiguous and the walk runs as vector loops. Each
 /// walking lane does the operations of its own solve(), in the same
 /// order, so its x is bitwise what solve() gives. Every other lane
-/// (pivoted factors, another structure, the dense LuFactors) is
-/// gathered and solves alone; so is a lone walking lane. Allocates
-/// nothing once it has seen its widest call and its structure; not safe
-/// to use from two threads at once.
+/// (pivoted factors, another structure) is gathered and solves alone;
+/// so is a lone walking lane. Allocates nothing once it has seen its
+/// widest call and its structure; not safe to use from two threads at
+/// once.
 class LaneSolver {
  public:
-  void solve(std::span<const LinearSolver* const> solvers,
+  void solve(std::span<const SparseLu* const> solvers,
              std::span<const std::size_t> slots, const double* b, double* x);
   /// The same with lane q in column slots[q] of the n x `stride` arrays
   /// b and x (a lane block whose slots are the lanes' slots here); the
   /// walk is a vector loop when the lanes are all `stride` slots in
   /// order.
-  void solve(std::span<const LinearSolver* const> solvers,
+  void solve(std::span<const SparseLu* const> solvers,
              std::span<const std::size_t> slots, std::size_t stride,
              const double* b, double* x);
 
  private:
   /// Lane q's column is slots[q] when `by_slot`, else q.
-  void run(std::span<const LinearSolver* const> solvers,
+  void run(std::span<const SparseLu* const> solvers,
            std::span<const std::size_t> slots, bool by_slot,
            std::size_t stride, const double* b, double* x);
   /// True when `lu` can walk the held structure; the first such lane

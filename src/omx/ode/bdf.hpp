@@ -110,7 +110,7 @@ class BdfLanes {
   // holding their oldest history point.
   std::vector<std::size_t> began_, iterating_;
   std::array<std::vector<std::size_t>, kHistory> oldest_;
-  std::vector<const la::LinearSolver*> solvers_;
+  std::vector<const la::SparseLu*> solvers_;
   // predict()'s groups: the first `groups` of groups_ are in use.
   struct Group {
     int cls = 0;  // 2 (k - 1) + (points - k)
@@ -209,7 +209,7 @@ class BdfStepper {
     bool clipped = false;   // the final step, shortened to reach tend
   } attempt_;
   // Newton state of the attempt in flight.
-  const la::LinearSolver* solver_ = nullptr;
+  const la::SparseLu* solver_ = nullptr;
   std::size_t iter_ = 0;
   double prev_norm_ = 0.0;
   bool refreshed_ = false;  // the Jacobian was refreshed on divergence

@@ -1483,17 +1483,15 @@ void solve_ensemble(const Problem& p, Method method,
 
   obs::Span span("solve_ensemble", "ode");
 
-  // Derive the stiff methods' sparsity pattern, coloring and backend
-  // choice ONCE here and share the immutable plan across every lane's
-  // solver instead of re-deriving it per scenario.
+  // Derive the stiff methods' Jacobian pattern and coloring ONCE here and
+  // share the immutable plan across every lane's solver instead of
+  // re-deriving it per scenario.
   Problem base = p;
   if ((method == Method::kBdf || method == Method::kLsodaLike) &&
       !base.jac_plan) {
     base.jac_plan = make_jac_plan(base);
-    if (base.jac_plan) {
-      jac_plans_built_counter().add();
-      jac_plan_reuse_counter().add(ns - 1);
-    }
+    jac_plans_built_counter().add();
+    jac_plan_reuse_counter().add(ns - 1);
   }
 
   std::size_t nw = std::clamp<std::size_t>(spec.workers, 1, ns);

@@ -4,17 +4,13 @@
 
 #include "omx/obs/recorder.hpp"
 #include "omx/obs/registry.hpp"
-#include "omx/support/config.hpp"
+#include "omx/obs/trace.hpp"
 #include "omx/support/simd.hpp"
 #include "omx/support/timer.hpp"
 
 namespace omx::ode {
 
 namespace {
-
-bool env_flag(const char* name) {
-  return config::get_bool(name, false);
-}
 
 // Accepted steps a Jacobian may age before a forced re-evaluation
 // (LSODA's MSBP is 20).
@@ -50,30 +46,25 @@ void finite_difference_jacobian(const RhsFn& rhs, double t,
 }
 
 std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p) {
-  if (!p.sparsity) {
-    return nullptr;
-  }
-  OMX_REQUIRE(p.sparsity->rows == p.n && p.sparsity->cols == p.n,
-              "sparsity pattern shape does not match problem size");
   auto plan = std::make_shared<JacPlan>();
-  plan->pattern =
-      std::make_shared<la::SparsityPattern>(p.sparsity->with_diagonal());
-  plan->coloring = la::color_columns(*plan->pattern);
+  if (p.sparsity) {
+    OMX_REQUIRE(p.sparsity->rows == p.n && p.sparsity->cols == p.n,
+                "sparsity pattern shape does not match problem size");
+    plan->pattern =
+        std::make_shared<la::SparsityPattern>(p.sparsity->with_diagonal());
+    plan->coloring = la::color_columns(*plan->pattern);
+  } else {
+    plan->pattern =
+        std::make_shared<la::SparsityPattern>(la::SparsityPattern::dense(p.n));
+    // Every column shares every row, so the greedy coloring gives column
+    // j color j; built directly, not in color_columns' O(n^3).
+    plan->coloring.num_colors = static_cast<int>(p.n);
+    for (std::size_t j = 0; j < p.n; ++j) {
+      plan->coloring.color.push_back(static_cast<int>(j));
+      plan->coloring.groups.push_back({j});
+    }
+  }
   plan->cols = la::columns(*plan->pattern);
-
-  // Backend selection: sparse pays off once the pattern is actually
-  // sparse and the system large enough that O(n^3) dense factorization
-  // dominates. OMX_SPARSE_DISABLE is the escape hatch (keeps the colored
-  // FD compression, forces dense LU); OMX_SPARSE_FORCE overrides the
-  // heuristic the other way (benches use it to measure both backends).
-  const double fill = plan->pattern->fill_ratio();
-  plan->use_sparse = p.n >= 8 && fill <= 0.25;
-  if (env_flag("OMX_SPARSE_FORCE")) {
-    plan->use_sparse = true;
-  }
-  if (env_flag("OMX_SPARSE_DISABLE")) {
-    plan->use_sparse = false;
-  }
 
   obs::Registry& reg = obs::Registry::global();
   static obs::Gauge& colors = reg.gauge("jac.colors");
@@ -156,98 +147,54 @@ void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
   }
 }
 
-JacobianEngine::JacobianEngine(const Problem& p) : p_(p) {
-  plan_ = p.jac_plan ? p.jac_plan : make_jac_plan(p);
-  if (plan_) {
-    jac_csr_ = la::CsrMatrix(plan_->pattern);
-    if (plan_->use_sparse) {
-      m_csr_ = la::CsrMatrix(plan_->pattern);
-    }
-  }
-  if (!plan_ || !plan_->use_sparse) {
-    jac_dense_ = la::Matrix(p.n, p.n);
-  }
-}
+JacobianEngine::JacobianEngine(const Problem& p)
+    : p_(p),
+      plan_(p.jac_plan ? p.jac_plan : make_jac_plan(p)),
+      jac_(plan_->pattern),
+      m_(plan_->pattern) {}
 
 void JacobianEngine::eval_jacobian(double t, std::span<const double> y,
                                    SolverStats& stats) {
-  if (!plan_) {
-    // Legacy dense path: analytic JacFn or n+1-call forward differences.
-    obs::Span span(p_.jacobian ? "jacobian" : "jacobian_fd", "ode");
-    if (p_.jacobian) {
-      p_.jacobian(t, y, jac_dense_);
-    } else {
-      finite_difference_jacobian(p_.rhs, t, y, jac_dense_, stats.rhs_calls);
-    }
-    ++stats.jac_calls;
-    return;
-  }
-
-  const la::SparsityPattern& pat = *plan_->pattern;
-  if (p_.sparse_jacobian) {
+  if (p_.sparse_jacobian && p_.sparsity) {
     obs::Span span("jacobian_sparse", "ode");
-    p_.sparse_jacobian(t, y, jac_csr_);
+    p_.sparse_jacobian(t, y, jac_);
   } else if (p_.jacobian) {
+    // Evaluate dense into the engine's scratch and gather the pattern
+    // entries: the pattern is structural (or full), so it covers every
+    // possible nonzero.
     obs::Span span("jacobian", "ode");
-    if (!plan_->use_sparse) {
-      p_.jacobian(t, y, jac_dense_);
-      ++stats.jac_calls;
-      return;
+    if (dense_.rows() != p_.n) {
+      dense_ = la::Matrix(p_.n, p_.n);
     }
-    // Sparse backend with a dense analytic JacFn: evaluate dense once
-    // and gather the pattern entries (the pattern is structural, so it
-    // covers every possible nonzero).
-    la::Matrix dense(p_.n, p_.n);
-    p_.jacobian(t, y, dense);
+    p_.jacobian(t, y, dense_);
+    const la::SparsityPattern& pat = *plan_->pattern;
+    std::span<double> jv = jac_.values();
     for (std::size_t r = 0; r < pat.rows; ++r) {
       for (std::size_t k = pat.row_ptr[r]; k < pat.row_ptr[r + 1]; ++k) {
-        jac_csr_.values()[k] = dense(r, pat.col_idx[k]);
+        jv[k] = dense_(r, pat.col_idx[k]);
       }
     }
-    ++stats.jac_calls;
-    return;
   } else {
     obs::Span span("jacobian_fd_colored", "ode");
-    colored_fd_jacobian(p_, *plan_, t, y, jac_csr_, stats.rhs_calls);
-  }
-  if (!plan_->use_sparse) {
-    // Dense backend over a known pattern: same colored/symbolic values,
-    // scattered into the dense mirror (off-pattern entries stay the
-    // exact zeros construction gave them).
-    for (std::size_t r = 0; r < pat.rows; ++r) {
-      for (std::size_t k = pat.row_ptr[r]; k < pat.row_ptr[r + 1]; ++k) {
-        jac_dense_(r, pat.col_idx[k]) = jac_csr_.values()[k];
-      }
-    }
+    colored_fd_jacobian(p_, *plan_, t, y, jac_, stats.rhs_calls);
   }
   ++stats.jac_calls;
 }
 
 void JacobianEngine::factorize(double beta_h) {
   factored_beta_h_ = -1.0;  // stale until the factorization below succeeds
-  if (plan_ && plan_->use_sparse) {
-    const la::SparsityPattern& pat = *plan_->pattern;
-    std::span<const double> jv = jac_csr_.values();
-    std::span<double> mv = m_csr_.values();
-    for (std::size_t r = 0; r < pat.rows; ++r) {
-      for (std::size_t k = pat.row_ptr[r]; k < pat.row_ptr[r + 1]; ++k) {
-        mv[k] = (pat.col_idx[k] == r ? 1.0 : 0.0) - beta_h * jv[k];
-      }
+  const la::SparsityPattern& pat = *plan_->pattern;
+  std::span<const double> jv = jac_.values();
+  std::span<double> mv = m_.values();
+  for (std::size_t r = 0; r < pat.rows; ++r) {
+    for (std::size_t k = pat.row_ptr[r]; k < pat.row_ptr[r + 1]; ++k) {
+      mv[k] = (pat.col_idx[k] == r ? 1.0 : 0.0) - beta_h * jv[k];
     }
-    if (solver_) {
-      // The engine only ever holds a SparseLu on the sparse backend.
-      static_cast<la::SparseLu&>(*solver_).refactor(m_csr_);
-    } else {
-      solver_ = std::make_unique<la::SparseLu>(m_csr_);
-    }
+  }
+  if (lu_) {
+    lu_->refactor(m_);
   } else {
-    la::Matrix m(p_.n, p_.n);
-    for (std::size_t i = 0; i < p_.n; ++i) {
-      for (std::size_t j = 0; j < p_.n; ++j) {
-        m(i, j) = (i == j ? 1.0 : 0.0) - beta_h * jac_dense_(i, j);
-      }
-    }
-    solver_ = std::make_unique<la::LuFactors>(std::move(m));
+    lu_.emplace(m_);
   }
   factored_beta_h_ = beta_h;
 }
@@ -256,10 +203,8 @@ bool JacobianEngine::stale() const {
   return !have_jac_ || refresh_requested_ || age_ >= kMaxAge;
 }
 
-la::LinearSolver& JacobianEngine::prepare(double t,
-                                          std::span<const double> y,
-                                          double beta_h,
-                                          SolverStats& stats) {
+la::SparseLu& JacobianEngine::prepare(double t, std::span<const double> y,
+                                      double beta_h, SolverStats& stats) {
   const bool need_jac = stale();
   const bool need_factor = need_jac || factored_beta_h_ != beta_h;
   if (need_jac) {
@@ -283,7 +228,7 @@ la::LinearSolver& JacobianEngine::prepare(double t,
     ++stats.jac_factorizations;
     obs::record_jac(obs::StepEventKind::kJacFactorize, "bdf", t, beta_h);
   }
-  return *solver_;
+  return *lu_;
 }
 
 void JacobianEngine::invalidate() {

@@ -1,32 +1,32 @@
 // Jacobian evaluation for the implicit solvers.
 //
-// Three layers, selected per Problem:
-//  * Legacy dense: forward-difference n+1 RHS calls + dense LU — what
-//    LSODA does internally, and what the paper calls "usually very
-//    expensive" (§3.2.1). Used when no sparsity information exists.
-//  * Colored compressed FD: with a structural pattern attached
-//    (Problem::sparsity), a greedy distance-2 column coloring packs all
-//    columns of one color into a single perturbed RHS evaluation —
+// Every Jacobian lives on a pattern: the problem's structural one
+// (Problem::sparsity, with the diagonal added) or, without one, the full
+// n x n pattern. Two ways to fill it:
+//  * Colored compressed FD: a greedy distance-2 column coloring packs
+//    all columns of one color into a single perturbed RHS evaluation —
 //    colors+1 calls instead of n+1 (3+1 for a tridiagonal heat-PDE
 //    stencil). Because each equation reads at most one perturbed column
 //    per color group, the compressed differences are bitwise identical
-//    to one-column-at-a-time differences.
-//  * Symbolic: a bound JacFn / SparseJacFn evaluates the tape-compiled
-//    derivative directly.
+//    to one-column-at-a-time differences. Over the full pattern every
+//    column is its own color: the n+1-call forward differences LSODA
+//    does internally, which the paper calls "usually very expensive"
+//    (§3.2.1).
+//  * Symbolic: a bound SparseJacFn evaluates the tape-compiled
+//    derivative directly, and a dense JacFn is gathered onto the pattern.
 //
 // JacobianEngine owns the Jacobian values, the iteration matrix
-// M = I - beta*h*J, its factorization (dense or sparse LU, picked by
-// fill ratio), and the LSODA-style reuse policy: a beta*h change alone
-// refactors with the existing Jacobian values (a "reuse hit"); only
-// divergence, slow convergence, or age forces a re-evaluation.
+// M = I - beta*h*J, its la::SparseLu factorization, and the LSODA-style
+// reuse policy: a beta*h change alone refactors with the existing
+// Jacobian values (a "reuse hit"); only divergence, slow convergence, or
+// age forces a re-evaluation.
 #pragma once
 
 #include <cmath>
 #include <memory>
+#include <optional>
 
-#include "omx/la/lu.hpp"
 #include "omx/la/sparse.hpp"
-#include "omx/obs/trace.hpp"
 #include "omx/ode/problem.hpp"
 
 namespace omx::ode {
@@ -42,27 +42,23 @@ inline double fd_increment(double yj, double typ = 1.0) {
 
 /// Forward-difference dense Jacobian: J(:,j) = (f(y + e_j dj) - f(y)) / dj.
 /// Costs n+1 RHS evaluations. `rhs_calls` is incremented accordingly.
+/// colored_fd_jacobian over the full pattern reproduces it bit for bit.
 void finite_difference_jacobian(const RhsFn& rhs, double t,
                                 std::span<const double> y, la::Matrix& jac,
                                 std::uint64_t& rhs_calls);
 
-/// Prepared sparse-Jacobian plan, shared across Problem copies (ensemble
-/// lanes, kLsodaLike segments). Immutable once built.
+/// Prepared Jacobian plan, shared across Problem copies (ensemble lanes,
+/// kLsodaLike segments). Immutable once built.
 struct JacPlan {
-  /// Structural pattern augmented with the diagonal (the iteration
-  /// matrix I - beta*h*J needs it).
+  /// The pattern augmented with the diagonal (the iteration matrix
+  /// I - beta*h*J needs it).
   std::shared_ptr<const la::SparsityPattern> pattern;
   la::Coloring coloring;
   la::ColumnView cols;  // CSC companion for column-wise FD scatter
-  /// Factorization backend chosen by fill ratio (and OMX_SPARSE_DISABLE).
-  bool use_sparse = false;
 };
 
-/// Builds the plan from p.sparsity; returns nullptr when the problem has
-/// no pattern (legacy dense path). Honors OMX_SPARSE_DISABLE (forces the
-/// dense backend while keeping the colored FD compression) and
-/// OMX_SPARSE_FORCE (forces the sparse backend). Also publishes the
-/// jac.colors / jac.nnz gauges.
+/// Builds the plan from p.sparsity, or from the full n x n pattern when
+/// the problem has none. Also publishes the jac.colors / jac.nnz gauges.
 std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p);
 
 /// Colored compressed finite-difference Jacobian into CSR values:
@@ -71,27 +67,6 @@ std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p);
 void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
                          std::span<const double> y, la::CsrMatrix& jac,
                          std::uint64_t& rhs_calls);
-
-/// Wraps a Problem's dense Jacobian (or the finite-difference fallback)
-/// into a uniform callable.
-class JacobianEvaluator {
- public:
-  explicit JacobianEvaluator(const Problem& p) : p_(p) {}
-
-  void operator()(double t, std::span<const double> y, la::Matrix& jac,
-                  SolverStats& stats) const {
-    obs::Span span(p_.jacobian ? "jacobian" : "jacobian_fd", "ode");
-    if (p_.jacobian) {
-      p_.jacobian(t, y, jac);
-    } else {
-      finite_difference_jacobian(p_.rhs, t, y, jac, stats.rhs_calls);
-    }
-    ++stats.jac_calls;
-  }
-
- private:
-  const Problem& p_;
-};
 
 /// Owns Jacobian values + iteration-matrix factorization for a modified
 /// Newton iteration, with the LSODA-style reuse/refresh policy.
@@ -104,13 +79,13 @@ class JacobianEngine {
   bool stale() const;
 
   /// Ensures a factorization of M = I - beta_h * J consistent with the
-  /// reuse policy and returns the solver to iterate with. Evaluates the
-  /// Jacobian only when stale (never evaluated, aged out, degradation or
-  /// divergence flagged); a beta_h change alone refactors with the
-  /// existing values and counts a reuse hit.
+  /// reuse policy and returns it (at the same address every time).
+  /// Evaluates the Jacobian only when stale (never evaluated, aged out,
+  /// degradation or divergence flagged); a beta_h change alone refactors
+  /// with the existing values and counts a reuse hit.
   /// `y` is read only when stale().
-  la::LinearSolver& prepare(double t, std::span<const double> y,
-                            double beta_h, SolverStats& stats);
+  la::SparseLu& prepare(double t, std::span<const double> y, double beta_h,
+                        SolverStats& stats);
 
   /// Flags Newton divergence: the next prepare() re-evaluates the
   /// Jacobian at whatever iterate it is given.
@@ -125,21 +100,17 @@ class JacobianEngine {
   /// slow-convergence degradation trigger.
   void on_step_accepted(std::size_t newton_iters);
 
-  /// True when the sparse LU backend is active.
-  bool sparse() const { return plan_ && plan_->use_sparse; }
-  const JacPlan* plan() const { return plan_.get(); }
-
  private:
   void eval_jacobian(double t, std::span<const double> y,
                      SolverStats& stats);
   void factorize(double beta_h);
 
   const Problem& p_;
-  std::shared_ptr<const JacPlan> plan_;  // null = legacy dense path
-  la::CsrMatrix jac_csr_;                // pattern path: Jacobian values
-  la::CsrMatrix m_csr_;                  // pattern path: iteration matrix
-  la::Matrix jac_dense_;                 // dense backend: Jacobian mirror
-  std::unique_ptr<la::LinearSolver> solver_;
+  std::shared_ptr<const JacPlan> plan_;
+  la::CsrMatrix jac_;   // Jacobian values on the plan's pattern
+  la::CsrMatrix m_;     // iteration matrix on the same pattern
+  la::Matrix dense_;    // a dense JacFn's output, gathered into jac_
+  std::optional<la::SparseLu> lu_;
   bool have_jac_ = false;
   bool refresh_requested_ = false;
   std::size_t age_ = 0;

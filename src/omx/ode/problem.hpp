@@ -31,7 +31,7 @@ struct SparsityPattern;
 
 namespace omx::ode {
 
-struct JacPlan;    // ode/jacobian.hpp: pattern + coloring + backend choice
+struct JacPlan;    // ode/jacobian.hpp: pattern + coloring
 struct EventSpec;  // ode/events.hpp: zero-crossing guards + resets
 
 using RhsFn = support::FunctionRef<void(double t, std::span<const double> y,
@@ -99,13 +99,14 @@ struct Problem {
   /// can be nonzero. pipeline::CompiledModel::make_problem attaches it
   /// from the dependency analysis; hand-built problems may set it
   /// directly (or via analysis::probe_sparsity). When absent the stiff
-  /// solvers keep the legacy dense Jacobian path.
+  /// solvers work on the full n x n pattern.
   std::shared_ptr<const la::SparsityPattern> sparsity;
-  /// Optional pattern-aligned symbolic Jacobian (CSR values only); used
-  /// in preference to `jacobian` when the sparse backend is active.
+  /// Optional pattern-aligned symbolic Jacobian (CSR values only, in the
+  /// order of `sparsity` with the diagonal added); used in preference to
+  /// `jacobian` when `sparsity` is set, ignored otherwise.
   SparseJacFn sparse_jacobian;
-  /// Prepared Jacobian plan (pattern + coloring + dense/sparse backend
-  /// choice). Built from `sparsity` when absent: once per solve_ensemble
+  /// Prepared Jacobian plan (pattern + coloring). Built from `sparsity`
+  /// (or the full pattern) when absent: once per solve_ensemble
   /// call, or once per stiff solve, and shared across lanes and
   /// kLsodaLike segments via Problem copies.
   std::shared_ptr<const JacPlan> jac_plan;

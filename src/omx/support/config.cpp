@@ -28,10 +28,6 @@ const std::vector<Knob>& table() {
        "shared-object cache directory for compiled kernels"},
       {"OMX_NATIVE_DISABLE", "bool", "false",
        "force the interpreter fallback (skip native compilation)"},
-      {"OMX_SPARSE_FORCE", "bool", "false",
-       "force the sparse stiff backend regardless of fill ratio"},
-      {"OMX_SPARSE_DISABLE", "bool", "false",
-       "force the dense stiff backend regardless of fill ratio"},
       {"OMX_UPDATE_GOLDEN", "bool", "false",
        "tests only: rewrite the golden codegen snapshots instead of "
        "comparing"},

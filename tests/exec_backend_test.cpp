@@ -729,6 +729,49 @@ TEST(NativeBackend, ConcurrentBuildersCompileEachModuleOnce) {
   }
 }
 
+TEST(NativeBackend, RacingFirstBuildsOfOneModelShareItsContextSafely) {
+  // Emitting a model's C++ interns CSE temps and local aliases into the
+  // model's expression context. Four threads make the first native
+  // kernels of one CompiledModel at once, before any other build of it,
+  // so their emissions meet on the context's tables (the TSan stress
+  // pass runs this). Each kernel must evaluate like the reference, and
+  // all alike.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "omx-test-first-race";
+  fs::remove_all(dir);
+  const pipeline::CompiledModel cm =
+      pipeline::compile_model(models::build_hydro);
+  pipeline::KernelOptions ko;
+  ko.native.cache_dir = dir.string();
+  constexpr int kBuilders = 4;
+  std::vector<KernelInstance> kernels(kBuilders);
+  std::vector<std::thread> threads;
+  threads.reserve(kBuilders);
+  for (int i = 0; i < kBuilders; ++i) {
+    threads.emplace_back([&cm, &ko, &kernels, i] {
+      kernels[static_cast<std::size_t>(i)] =
+          cm.make_kernel(Backend::kNative, ko);
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  fs::remove_all(dir);
+  const std::vector<double> y = start_state(cm);
+  std::vector<double> want(cm.n()), first(cm.n());
+  cm.make_kernel(Backend::kReference).kernel()(0.1, y, want);
+  kernels.front().kernel()(0.1, y, first);
+  for (const KernelInstance& k : kernels) {
+    std::vector<double> got(cm.n());
+    k.kernel()(0.1, y, got);
+    for (std::size_t i = 0; i < cm.n(); ++i) {
+      EXPECT_NEAR(got[i], want[i], 1e-12 * std::max(1.0, std::fabs(want[i])))
+          << "state " << i;
+      EXPECT_EQ(got[i], first[i]) << "state " << i;
+    }
+  }
+}
+
 TEST(NativeBackend, RuntimeObjectFailureFallsBackToInterp) {
   // A host compiler that fails on the runtime unit (built with -c) but
   // builds anything else: the kernel degrades to the interpreter with the

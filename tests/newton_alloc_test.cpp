@@ -1,13 +1,17 @@
 // Steady-state allocation checks for the stiff path. Once a BDF stepper
-// on the sparse backend has warmed up, its accepted steps — Jacobian
-// refreshes and beta*h refactorizations included — and an event-style
-// restart must not touch the heap, and neither may an ensemble worker's
-// lockstep BDF rounds (allocations counted by counting_allocator.hpp).
+// has warmed up, its accepted steps — Jacobian refreshes and beta*h
+// refactorizations included — and an event-style restart must not touch
+// the heap, on a structural pattern and on the full one alike; neither
+// may an ensemble worker's lockstep BDF rounds or the replay of a pivoted
+// LU (allocations counted by counting_allocator.hpp).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
 #include <vector>
 
 #include "counting_allocator.hpp"
+#include "omx/la/sparse.hpp"
 #include "omx/models/heat1d.hpp"
 #include "omx/obs/trace.hpp"
 #include "omx/ode/bdf.hpp"
@@ -32,7 +36,6 @@ TEST(StiffPath, SteadyStateNewtonLoopAllocatesNothing) {
   cm.bind_symbolic_jacobian(p);
   p.jac_plan = ode::make_jac_plan(p);
   ASSERT_TRUE(p.jac_plan != nullptr);
-  ASSERT_TRUE(p.jac_plan->use_sparse);
 
   ode::SolverOptions opts;
   opts.bdf_max_order = 2;
@@ -76,6 +79,94 @@ TEST(StiffPath, SteadyStateNewtonLoopAllocatesNothing) {
   }
   EXPECT_EQ(t_allocations - restart_before, 0u);
   EXPECT_GT(stepper.stats().rhs_calls, rhs_before);
+}
+
+TEST(StiffPath, SteadyStateDenseNewtonLoopAllocatesNothing) {
+  // Four coupled states, a hand-written dense Jacobian and no pattern:
+  // the engine works on the full 4 x 4 pattern and gathers the JacFn's
+  // matrix from its own scratch.
+  ode::Problem p;
+  p.n = 4;
+  p.set_rhs([](double t, std::span<const double> y, std::span<double> f) {
+    f[0] = -200.0 * (y[0] - std::cos(t)) + y[1] * y[3];
+    f[1] = 10.0 * (y[0] - y[1]) - y[1] * y[1] * y[1];
+    f[2] = y[1] - 50.0 * y[2] + 0.1 * y[0] * y[3];
+    f[3] = y[2] - 0.5 * y[3] - y[0] * y[1];
+  });
+  p.set_jacobian([](double, std::span<const double> y, la::Matrix& j) {
+    j(0, 0) = -200.0;
+    j(0, 1) = y[3];
+    j(0, 2) = 0.0;
+    j(0, 3) = y[1];
+    j(1, 0) = 10.0;
+    j(1, 1) = -10.0 - 3.0 * y[1] * y[1];
+    j(1, 2) = 0.0;
+    j(1, 3) = 0.0;
+    j(2, 0) = 0.1 * y[3];
+    j(2, 1) = 1.0;
+    j(2, 2) = -50.0;
+    j(2, 3) = 0.1 * y[0];
+    j(3, 0) = -y[1];
+    j(3, 1) = -y[0];
+    j(3, 2) = 1.0;
+    j(3, 3) = -0.5;
+  });
+  p.tend = 100.0;
+  p.y0 = {0.0, 1.0, 0.5, -1.0};
+
+  ode::SolverOptions opts;
+  opts.bdf_max_order = 2;
+  ode::BdfLanes lanes(p);
+  ode::BdfStepper stepper(p, opts, lanes, 0);
+  for (int accepted = 0; accepted < 4;) {
+    ASSERT_LT(stepper.t(), p.tend);
+    accepted += stepper.step() ? 1 : 0;
+  }
+
+  obs::TraceBuffer::global().stop();
+  const ode::SolverStats before = stepper.stats();
+  const std::size_t allocations_before = t_allocations;
+  for (int accepted = 0; accepted < 100 && stepper.t() < p.tend;) {
+    accepted += stepper.step() ? 1 : 0;
+  }
+  const std::size_t allocations = t_allocations - allocations_before;
+  const ode::SolverStats& after = stepper.stats();
+
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(after.steps - before.steps, 40u);
+  EXPECT_GT(after.jac_calls, before.jac_calls) << "no Jacobian refresh";
+  EXPECT_GT(after.jac_reuse_hits, before.jac_reuse_hits)
+      << "no beta*h refactorization";
+}
+
+TEST(SparseLu, PivotedRefactorReplayAllocatesNothing) {
+  // A full 6 x 6 matrix whose every pivot is a row swap: once factored,
+  // refactoring it (rescaled, so every pivot repeats) replays the stored
+  // row order in place instead of building the structure again.
+  constexpr std::size_t n = 6;
+  la::CsrMatrix a(std::make_shared<la::SparsityPattern>(
+      la::SparsityPattern::dense(n)));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      // Row n-1-i of a column-dominant matrix: the pivot of column j is
+      // input row n-1-j, by a strict margin.
+      a.values()[(n - 1 - i) * n + j] =
+          i == j ? 10.0 + static_cast<double>(j)
+                 : 1.0 / static_cast<double>(2 + i + 3 * j);
+    }
+  }
+  la::SparseLu lu(a);
+  std::vector<double> x(n, 1.0);
+  const std::size_t before = t_allocations;
+  for (int rep = 0; rep < 10; ++rep) {
+    for (double& v : a.values()) {
+      v *= rep % 2 == 0 ? 2.0 : -0.5;
+    }
+    lu.refactor(a);
+    lu.solve(x, x);
+  }
+  EXPECT_EQ(t_allocations - before, 0u);
+  EXPECT_TRUE(std::isfinite(x[0]));
 }
 
 TEST(StiffPath, SteadyStateLockstepBdfRoundAllocatesNothing) {

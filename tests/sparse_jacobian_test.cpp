@@ -1,8 +1,8 @@
 // Differential tests for the sparse Jacobian pipeline: structural
 // patterns vs finite-difference probes, colored compressed FD vs the
 // dense one-column-at-a-time Jacobian, sparse LU vs dense LU (bitwise,
-// by design), dense-vs-sparse BDF trajectories, and the LSODA-style
-// reuse policy.
+// by design) with its refactor paths, full-vs-structural-pattern BDF
+// trajectories, and the LSODA-style reuse policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,31 +31,6 @@ namespace {
 
 using la::CsrMatrix;
 using la::SparsityPattern;
-
-/// RAII environment override; restores the previous value on scope exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) {
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 pipeline::CompiledModel compile_with_jacobian(
     const pipeline::ModelBuilder& builder) {
@@ -266,7 +241,6 @@ TEST(SparseLu, BitwiseIdenticalToDenseLuOnBandedMatrix) {
   // Banded fast path: tridiagonal factors stay tridiagonal (plus pivot
   // spill into the first superdiagonals), far below n^2.
   EXPECT_LT(sparse.factor_nnz(), n * n / 2);
-  EXPECT_EQ(std::string(sparse.kind()), "sparse_lu");
 }
 
 TEST(SparseLu, SingularColumnThrowsDiagnostic) {
@@ -331,8 +305,10 @@ TEST(SparseLu, PathologicalFillStaysCorrectAndRcmReducesIt) {
 
 // -- SparseLu::refactor vs a fresh factorization ----------------------------
 
-/// Solution of a x = b through `lu`, with b fixed per size.
-std::vector<double> lu_solve(const la::LinearSolver& lu) {
+/// Solution of a x = b through `lu` (a SparseLu or LuFactors), with b
+/// fixed per size.
+template <typename Lu>
+std::vector<double> lu_solve(const Lu& lu) {
   std::vector<double> x(lu.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = 0.75 - 0.125 * static_cast<double>(i % 5);
@@ -459,6 +435,113 @@ TEST(SparseLu, RefactorZeroPivotThrowsSameDiagnostic) {
   }
 }
 
+// -- full-pattern refactor: the run fast path and pivot replay -------------
+
+/// An n x n matrix on the full pattern: D = n I + R, R pseudo-random in
+/// [-1, 1), so D's diagonal dominates its columns and partial pivoting
+/// never swaps; `reversed` stores D's rows in reverse order, so every
+/// pivot is a row swap and the strict unique maximum of its column.
+CsrMatrix full_matrix(std::size_t n, bool reversed, std::uint64_t seed) {
+  CsrMatrix a(std::make_shared<SparsityPattern>(SparsityPattern::dense(n)));
+  std::uint64_t state = seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const double r =
+          static_cast<double>(state >> 11) * 0x1.0p-53 * 2.0 - 1.0;
+      a.values()[(reversed ? n - 1 - i : i) * n + j] =
+          r + (i == j ? static_cast<double>(n) : 0.0);
+    }
+  }
+  return a;
+}
+
+std::vector<double> values_of(const CsrMatrix& a) {
+  return {a.values().begin(), a.values().end()};
+}
+
+std::vector<double> scaled(std::vector<double> v, double s) {
+  for (double& x : v) {
+    x *= s;
+  }
+  return v;
+}
+
+TEST(SparseLu, RefactorOnFullPatternMatchesFreshAndDenseLu) {
+  // Refactors of unpivoted full structures take the straight-loop run
+  // update; refactors of pivoted ones replay the stored row order while
+  // every pivot repeats. Both must be bitwise a fresh SparseLu and the
+  // dense LuFactors, also across switches between the two.
+  for (const std::size_t n : {2, 4, 8, 16, 32}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const CsrMatrix plain = full_matrix(n, false, 11 + n);
+    const CsrMatrix swapped = full_matrix(n, true, 11 + n);
+    const std::vector<double> p = values_of(plain);
+    const std::vector<double> w = values_of(swapped);
+    expect_refactor_matches_fresh(
+        plain, {p, newton_values(plain, 0.01), scaled(p, 0.5),
+                newton_values(plain, -0.2)});
+    expect_refactor_matches_fresh(
+        swapped, {w, scaled(w, 3.0), scaled(w, -0.25), w});
+    expect_refactor_matches_fresh(plain, {p, w, scaled(w, 2.0), p, w});
+  }
+}
+
+TEST(SparseLu, RefactorReplayFallsBackWhenAnotherPivotWins) {
+  // The stored order pivots column 0 on input row n - 1. Swapping the
+  // values of input rows n - 1 and n - 2 makes row n - 2 win column 0:
+  // the replay must give way to the general path.
+  const std::size_t n = 8;
+  const CsrMatrix a = full_matrix(n, true, 5);
+  const std::vector<double> w = values_of(a);
+  std::vector<double> other = w;
+  std::swap_ranges(other.begin() + (n - 1) * n, other.begin() + n * n,
+                   other.begin() + (n - 2) * n);
+  expect_refactor_matches_fresh(a, {w, other, w, scaled(other, 0.5)});
+}
+
+TEST(SparseLu, RefactorReplayFallsBackOnATie) {
+  // Input row 0 gets the magnitude of column 0's stored pivot (input row
+  // n - 1) with the other sign. The general path keeps the first of
+  // equal candidates in its current row order, input row 0, so the
+  // replay, which cannot tell that order, must give way.
+  const std::size_t n = 8;
+  const CsrMatrix a = full_matrix(n, true, 7);
+  const std::vector<double> w = values_of(a);
+  std::vector<double> tie = w;
+  tie[0] = -w[(n - 1) * n];
+  expect_refactor_matches_fresh(a, {w, tie, w});
+}
+
+TEST(SparseLu, RefactorOfPivotedBandedMatrixMatchesFresh) {
+  // Tridiagonal with a full first row, and a subdiagonal that dominates:
+  // every column swaps rows, and input row 0 sinks to the last row. Its
+  // L entries then lie left of their columns' band windows, where a
+  // replay of the stored order would not look, while its diagonal is an
+  // input entry, so no zero pivot would give the replay away. Each
+  // refactor must take the general path and match a fresh factorization.
+  const std::size_t n = 8;
+  std::vector<std::pair<std::size_t, std::size_t>> trips;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t hi = i == 0 ? n : std::min(n, i + 2);
+    for (std::size_t j = i == 0 ? 0 : i - 1; j < hi; ++j) {
+      trips.emplace_back(i, j);
+    }
+  }
+  CsrMatrix a(std::make_shared<SparsityPattern>(
+      SparsityPattern::from_triplets(n, n, std::move(trips))));
+  const SparsityPattern& sp = a.pattern();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = sp.row_ptr[i]; k < sp.row_ptr[i + 1]; ++k) {
+      const std::size_t j = sp.col_idx[k];
+      a.values()[k] = j + 1 == i ? 10.0 + static_cast<double>(i)
+                                 : 1.0 / static_cast<double>(1 + i + 2 * j);
+    }
+  }
+  const std::vector<double> v = values_of(a);
+  expect_refactor_matches_fresh(a, {v, scaled(v, 2.0), scaled(v, -0.5), v});
+}
+
 // -- la::LaneSolver vs per-lane solves ---------------------------------------
 
 /// The heat PDE's Newton matrices I - s J at n = 128, J its symbolic
@@ -477,7 +560,7 @@ CsrMatrix heat_jacobian(std::size_t n) {
 /// the lanes `solvers` over the slots `slots`, both into a separate x
 /// and in place.
 void expect_lanes_match(la::LaneSolver& lanes,
-                        const std::vector<const la::LinearSolver*>& solvers,
+                        const std::vector<const la::SparseLu*>& solvers,
                         const std::vector<std::size_t>& slots,
                         const std::string& label) {
   SCOPED_TRACE(label);
@@ -529,8 +612,8 @@ TEST(SparseLu, SolveLanesMatchesPerLaneSolveBitwise) {
       std::copy(v.begin(), v.end(), mq.values().begin());
       lus.push_back(std::make_unique<la::SparseLu>(mq));
     }
-    // A lane whose factors swap rows and a dense one: each must solve
-    // alone beside the walking lanes.
+    // A lane whose factors swap rows and one over another pattern (the
+    // full one): each must solve alone beside the walking lanes.
     CsrMatrix pivoting(c.a.pattern_ptr());
     {
       std::vector<double> v = newton_values(c.a, c.scale);
@@ -541,11 +624,20 @@ TEST(SparseLu, SolveLanesMatchesPerLaneSolveBitwise) {
       std::copy(v.begin(), v.end(), pivoting.values().begin());
     }
     const la::SparseLu pivoted(pivoting);
-    const la::LuFactors dense(pivoting.to_dense());
+    CsrMatrix full(std::make_shared<SparsityPattern>(
+        SparsityPattern::dense(c.a.rows())));
+    {
+      CsrMatrix m(c.a.pattern_ptr());
+      const std::vector<double> v = newton_values(c.a, c.scale);
+      std::copy(v.begin(), v.end(), m.values().begin());
+      const la::Matrix d = m.to_dense();  // row-major: the full CSR order
+      std::copy(d.data().begin(), d.data().end(), full.values().begin());
+    }
+    const la::SparseLu other(full);
 
     la::LaneSolver lanes;
     for (const std::size_t m : {1, 3, 8, 16}) {
-      std::vector<const la::LinearSolver*> solvers;
+      std::vector<const la::SparseLu*> solvers;
       std::vector<std::size_t> slots;
       for (std::size_t q = 0; q < m; ++q) {
         solvers.push_back(lus[q].get());
@@ -562,7 +654,7 @@ TEST(SparseLu, SolveLanesMatchesPerLaneSolveBitwise) {
       expect_lanes_match(lanes, solvers, spread, at + ", spread slots");
       if (m > 1) {
         solvers[m / 2] = &pivoted;
-        solvers[m - 1] = &dense;
+        solvers[m - 1] = &other;
         expect_lanes_match(lanes, solvers, slots, at + ", lanes alone");
       }
     }
@@ -571,7 +663,7 @@ TEST(SparseLu, SolveLanesMatchesPerLaneSolveBitwise) {
     const std::vector<double> v = newton_values(c.a, 3.0 * c.scale);
     std::copy(v.begin(), v.end(), again.values().begin());
     lus[2]->refactor(again);
-    std::vector<const la::LinearSolver*> solvers;
+    std::vector<const la::SparseLu*> solvers;
     std::vector<std::size_t> slots;
     for (std::size_t q = 0; q < 8; ++q) {
       solvers.push_back(lus[q].get());
@@ -585,21 +677,29 @@ TEST(SparseLu, SolveLanesMatchesPerLaneSolveBitwise) {
 // -- dense vs sparse BDF trajectories ----------------------------------------
 
 TEST(StiffPath, DenseAndSparseBackendsBitwiseIdentical) {
-  pipeline::CompiledModel cm = pipeline::compile_model(heat_builder(24));
+  // A problem without a pattern factors over the full one; the same
+  // problem over its structural pattern must step bit for bit alike.
+  // Both sides evaluate the same symbolic Jacobian: the structural side
+  // through its sparse tape, the full side (which ignores the sparse
+  // callback) gathered from the dense form.
+  pipeline::CompiledModel cm = compile_with_jacobian(heat_builder(24));
   ode::SolverOptions opts;
   opts.tol.rtol = 1e-7;
   opts.tol.atol = 1e-10;
 
   ode::Solution dense_sol;
   {
-    ScopedEnv disable("OMX_SPARSE_DISABLE", "1");
     ode::Problem p = cm.make_problem(exec::Backend::kReference, 0.0, 0.25);
+    cm.bind_symbolic_jacobian(p);
+    p.sparsity.reset();
+    ASSERT_EQ(ode::make_jac_plan(p)->pattern->nnz(), p.n * p.n);
     dense_sol = ode::solve(p, ode::Method::kBdf, opts);
   }
   ode::Solution sparse_sol;
   {
-    ScopedEnv force("OMX_SPARSE_FORCE", "1");
     ode::Problem p = cm.make_problem(exec::Backend::kReference, 0.0, 0.25);
+    cm.bind_symbolic_jacobian(p);
+    ASSERT_LT(ode::make_jac_plan(p)->pattern->nnz(), 3 * p.n);
     sparse_sol = ode::solve(p, ode::Method::kBdf, opts);
   }
 
@@ -712,6 +812,47 @@ ode::Problem with_batch_rhs(ode::Problem p) {
   return p;
 }
 
+TEST(ColoredFd, FullPatternMatchesDenseFdBitwise) {
+  // Without a pattern the solvers color the full one: every column its
+  // own group, so colored FD must be the n+1-call dense forward
+  // differences bit for bit, one rhs call per column or one batched call
+  // with a lane per column.
+  ode::Problem p;
+  p.n = 5;
+  p.set_rhs([](double t, std::span<const double> y, std::span<double> f) {
+    double sum = 0.0;
+    for (std::size_t j = 0; j < y.size(); ++j) {
+      sum += std::sin(static_cast<double>(j + 1) * y[j]);
+    }
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      f[i] = -3.0 * y[i] * y[(i + 1) % y.size()] +
+             sum / (1.0 + t + y[i] * y[i]);
+    }
+  });
+  const std::vector<double> y{0.3, -1.7, 2.5e3, -4.1e-2, 0.9};
+  la::Matrix dense(p.n, p.n);
+  std::uint64_t dense_calls = 0;
+  ode::finite_difference_jacobian(p.rhs, 0.5, y, dense, dense_calls);
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "one call per column");
+    const ode::Problem q = batched ? with_batch_rhs(p) : p;
+    const std::shared_ptr<const ode::JacPlan> plan = ode::make_jac_plan(q);
+    ASSERT_EQ(plan->pattern->nnz(), p.n * p.n);
+    ASSERT_EQ(plan->coloring.num_colors, static_cast<int>(p.n));
+    CsrMatrix colored(plan->pattern);
+    std::uint64_t calls = 0;
+    ode::colored_fd_jacobian(q, *plan, 0.5, y, colored, calls);
+    EXPECT_EQ(calls, dense_calls);
+    for (std::size_t i = 0; i < p.n; ++i) {
+      for (std::size_t j = 0; j < p.n; ++j) {
+        const double c = colored.at(i, j);
+        EXPECT_EQ(std::memcmp(&c, &dense(i, j), sizeof c), 0)
+            << "entry " << i << "," << j;
+      }
+    }
+  }
+}
+
 bool same_rows(const ode::Solution& a, const ode::Solution& b) {
   if (a.size() != b.size()) {
     return false;
@@ -740,8 +881,8 @@ bool same_stats(const ode::SolverStats& a, const ode::SolverStats& b) {
 TEST(StiffPath, LockstepWidthSweepMatchesSequentialBitwise) {
   // BDF lanes take their Newton iterations in lockstep: one batched RHS
   // and one lanes solve per iteration. Every width (1, odd, a vector
-  // block, two), one and two workers, the sparse backend with the
-  // symbolic and the colored-FD Jacobian, the dense backend, and events
+  // block, two), one and two workers, a structural pattern with the
+  // symbolic and the colored-FD Jacobian, the full pattern, and events
   // that restart lanes or retire them early must leave each lane's rows
   // and counters exactly those of its own solve.
   struct Case {
@@ -781,7 +922,7 @@ TEST(StiffPath, LockstepWidthSweepMatchesSequentialBitwise) {
                    colored.make_problem(colored_kernel, 0.0, 0.05),
                    heat_y0});
   {
-    // y' = -1000 (y - cos t) - sin t: no pattern, the dense backend.
+    // y' = -1000 (y - cos t) - sin t: no pattern, the full 1 x 1 one.
     ode::Problem p;
     p.n = 1;
     p.set_rhs([](double t, std::span<const double> y, std::span<double> f) {
