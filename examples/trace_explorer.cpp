@@ -129,12 +129,12 @@ int main(int argc, char** argv) {
 
   // Record everything from the first compile phase on.
   obs::TraceBuffer& tb = obs::TraceBuffer::global();
-  tb.start();
+  // --recorder arms the solver's step events too.
+  tb.start(recorder_path.empty()
+               ? obs::TraceBuffer::kSpans
+               : obs::TraceBuffer::kSpans | obs::TraceBuffer::kSteps);
   tb.set_process_name("omx/" + model);
   tb.set_thread_name("supervisor");
-  if (!recorder_path.empty()) {
-    obs::Recorder::global().start();
-  }
 
   pipeline::CompileOptions copts;
   // The --recorder solve feeds the BDF phase a symbolic Jacobian so the
@@ -168,7 +168,6 @@ int main(int argc, char** argv) {
     ode::SolverOptions sopts;
     ode::StatsOnlySink stats_sink(1);
     ode::solve(prob, ode::Method::kLsodaLike, sopts, stats_sink);
-    obs::Recorder::global().stop();
   }
   tb.stop();
 
@@ -193,14 +192,13 @@ int main(int argc, char** argv) {
   }
 
   if (!recorder_path.empty()) {
-    const obs::Recorder& rec = obs::Recorder::global();
-    if (!emit_json(recorder_path, obs::recorder_json(rec),
+    if (!emit_json(recorder_path, obs::recorder_json(tb),
                    "recorder_json")) {
       return 1;
     }
     std::printf("wrote %s (%zu step events, %llu dropped)\n",
-                recorder_path.c_str(), rec.events().size(),
-                static_cast<unsigned long long>(rec.dropped()));
+                recorder_path.c_str(), tb.step_events().size(),
+                static_cast<unsigned long long>(tb.dropped()));
   }
 
   if (!metrics_path.empty()) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: configure with warnings-as-errors, build, run the tier-1
-# test suite, then run it once more with observability (metrics + tracing)
-# force-enabled to catch instrumentation regressions that only fire when a
-# trace is being recorded. The default path finishes with the benchmark
+# test suite, then run it once more with observability (metrics, trace
+# spans and solver step events) force-enabled to catch instrumentation
+# regressions that only fire when events are being recorded. The default path finishes with the benchmark
 # regression gate (scripts/bench_gate.py against bench/baselines/).
 #
 # Usage: scripts/ci.sh [--sanitize|--tsan|--coverage|--service] [build-dir]
@@ -15,8 +15,8 @@
 # runs once under halt-on-error sanitizer settings.
 # With --tsan the tree is built with -DOMX_SANITIZE=THREAD and the tier-1
 # suite runs under halt-on-error ThreadSanitizer, plus one extra pass of
-# the runtime stress suite with metrics + tracing forced on (every worker
-# then records into the shared trace buffer).
+# the runtime stress suite with metrics, spans and step events forced on
+# (every worker then records into the shared event store).
 # With --coverage the tree is built with gcov instrumentation, the tier-1
 # suite runs once, and scripts/coverage_report.py writes a line-coverage
 # summary to <build-dir>/coverage.txt. Report-only: low coverage does not
@@ -106,7 +106,11 @@ if [[ $MODE == tsan ]]; then
   echo "== tier-1 tests (ThreadSanitizer, halt on error) =="
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-  echo "== runtime stress (TSan + tracing forced on) =="
+  echo "== runtime stress (TSan + spans and step events forced on) =="
+  # RuntimeStress covers the worker pool and the event store, including
+  # RecorderConcurrentWritersAndReaders (step events past a per-thread
+  # capacity) and SpanWritersAndConcurrentReader (8 threads closing spans
+  # across chunks of their logs while a reader snapshots events()).
   # Svc covers the service daemon suite, including the 8-thread
   # concurrent SUBMIT/CANCEL stress against a live in-process server.
   # Event|Hybrid covers the event-handling suites, including the
@@ -133,7 +137,7 @@ if [[ $MODE == tsan ]]; then
   # side, including Ensemble.MultistepLanesMatchIndividualSolves at two
   # workers. LaneBlock covers the explicit steppers' SoA lane blocks at
   # two workers (refills in place, re-strides, the semi-dynamic fill).
-  OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 \
+  OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 OMX_OBS_RECORDER=1 \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
       -R 'RuntimeStress|WorkerPool|ParallelRhs|ParallelColoredFd|Svc|Event|Hybrid|NativeBackend|StiffPath|SparseLu|Ensemble|SolveDispatch|AutoSwitch|LaneBlock'
   echo "CI OK (TSan)"
@@ -213,15 +217,15 @@ fi
 echo "== tier-1 tests (default observability) =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== tier-1 tests (observability forced on: metrics + tracing) =="
-OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 \
+echo "== tier-1 tests (observability forced on: metrics, spans, step events) =="
+OMX_OBS_ENABLED=1 OMX_OBS_TRACE=1 OMX_OBS_RECORDER=1 \
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 echo "== smoke: trace_explorer writes valid observability artifacts =="
 # The binary validates every JSON artifact with obs::validate_json before
 # writing and exits nonzero on a malformed document, so this step is the
-# trace/profile/recorder schema check. OMX_OBS_RECORDER arms the flight
-# recorder for the stiff solve.
+# trace/profile/recorder schema check. OMX_OBS_RECORDER arms step events
+# at process start; --recorder arms them again with the trace's spans.
 OMX_OBS_RECORDER=1 "$BUILD_DIR"/examples/trace_explorer \
   --model bearing2d --workers 4 \
   --out "$BUILD_DIR"/trace.json \

@@ -225,14 +225,14 @@ std::string profile_json(const Profile& profile) {
   return out;
 }
 
-std::string recorder_json(const Recorder& recorder) {
+std::string recorder_json(const TraceBuffer& buffer) {
   std::string out =
-      "{\n  \"dropped\": " + std::to_string(recorder.dropped()) +
+      "{\n  \"dropped\": " + std::to_string(buffer.dropped()) +
       ",\n  \"capacity_per_thread\": " +
-      std::to_string(recorder.capacity_per_thread()) +
+      std::to_string(buffer.step_capacity_per_thread()) +
       ",\n  \"events\": [";
   bool first = true;
-  for (const StepEvent& ev : recorder.events()) {
+  for (const StepEvent& ev : buffer.step_events()) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"kind\": \"" + std::string(to_string(ev.kind)) +

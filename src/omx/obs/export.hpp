@@ -10,7 +10,6 @@
 #include <string_view>
 
 #include "omx/obs/profile.hpp"
-#include "omx/obs/recorder.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/obs/trace.hpp"
 
@@ -27,10 +26,11 @@ std::string profile_text(const Profile& profile);
 /// depth-first order (each node directly follows its parent).
 std::string profile_json(const Profile& profile);
 
-/// Flight-recorder log as JSON: {"dropped": N, "capacity_per_thread": C,
-/// "events": [{"kind", "method", "t", "h", "err", "order", "lane",
-/// "tid", "when_ns"}]}, events time-sorted.
-std::string recorder_json(const Recorder& recorder);
+/// The buffer's step events (the flight-recorder log) as JSON:
+/// {"dropped": N, "capacity_per_thread": C, "events": [{"kind", "method",
+/// "t", "h", "err", "order", "lane", "tid", "when_ns"}]}, events
+/// time-sorted.
+std::string recorder_json(const TraceBuffer& buffer);
 
 /// JSON string escaping for callers composing their own documents.
 std::string json_escape(std::string_view s);

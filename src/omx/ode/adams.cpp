@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "omx/obs/recorder.hpp"
+#include "omx/obs/trace.hpp"
 
 namespace omx::ode {
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "omx/obs/recorder.hpp"
+#include "omx/obs/trace.hpp"
 
 namespace omx::ode {
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "omx/la/matrix.hpp"
-#include "omx/obs/recorder.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/obs/trace.hpp"
 #include "omx/ode/adams.hpp"
@@ -23,7 +22,6 @@
 #include "omx/ode/events.hpp"
 #include "omx/ode/jacobian.hpp"
 #include "omx/ode/lane_block.hpp"
-#include "omx/runtime/task_deque.hpp"
 #include "omx/sched/lpt.hpp"
 #include "omx/support/simd.hpp"
 #include "omx/support/timer.hpp"
@@ -1255,58 +1253,61 @@ class MultistepStepper : public StepperBase<MultistepLane> {
 
 /// The scenarios' semi-dynamic LPT (§3.2.3): a static deal that is
 /// corrected only where a worker runs dry. A worker tops its batch up
-/// from its own deque (pop); it steals only once that is spent, and then
-/// only into a batch that has run empty or into slots its retired lanes
-/// left, so one thread starting early cannot take its siblings' deals
-/// into one wide batch while they sit idle.
-struct WorkSource {
-  std::vector<runtime::TaskDeque> deques;
-  std::size_t nw = 0;
-
-  explicit WorkSource(std::size_t num_workers, std::size_t num_scenarios)
-      : deques(num_workers), nw(num_workers) {
-    // Equal scenario weights: LPT degenerates to a deterministic
-    // round-robin card deal, which is exactly the right seed — stealing
-    // absorbs the *runtime* imbalance of scenarios that converge at
-    // different speeds.
-    const std::vector<double> weights(num_scenarios, 1.0);
-    const sched::Schedule sched = sched::lpt_schedule(weights, num_workers);
-    for (std::size_t w = 0; w < num_workers; ++w) {
-      deques[w].reserve(sched[w].size());
-      deques[w].seed(sched[w]);
-    }
-  }
+/// from the back of its own deal (pop); it steals from the front of the
+/// most-loaded deal only once its own is spent, and then only into a
+/// batch that has run empty or into slots its retired lanes left, so one
+/// thread starting early cannot take its siblings' deals into one wide
+/// batch while they sit idle. One mutex guards every deal: each take is
+/// followed by a whole scenario's solve, so the lock costs nothing
+/// measurable.
+class WorkSource {
+ public:
+  // Equal scenario weights: LPT degenerates to a deterministic
+  // round-robin card deal, which is exactly the right seed — stealing
+  // absorbs the *runtime* imbalance of scenarios that converge at
+  // different speeds.
+  WorkSource(std::size_t num_workers, std::size_t num_scenarios)
+      : deals_(sched::lpt_schedule(std::vector<double>(num_scenarios, 1.0),
+                                   num_workers)),
+        front_(num_workers, 0) {}
 
   /// Takes the next scenario of the worker's own deal.
-  bool pop(std::size_t w, std::uint32_t& s) { return deques[w].pop(s); }
-
-  /// Steals from the most-loaded victim. Returns false only when every
-  /// other deque is empty.
-  bool steal(std::size_t w, std::uint32_t& s) {
-    for (;;) {
-      std::size_t victim = nw;
-      std::size_t best = 0;
-      for (std::size_t v = 0; v < nw; ++v) {
-        if (v == w) {
-          continue;
-        }
-        const std::size_t sz = deques[v].size_estimate();
-        if (sz > best) {
-          best = sz;
-          victim = v;
-        }
-      }
-      if (victim == nw) {
-        return false;
-      }
-      if (deques[victim].steal(s)) {
-        return true;
-      }
-      // Lost the race; sizes changed, pick again.
+  bool pop(std::size_t w, std::uint32_t& s) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::uint32_t>& deal = deals_[w];
+    if (deal.size() == front_[w]) {
+      return false;
     }
+    s = deal.back();
+    deal.pop_back();
+    return true;
   }
-};
 
+  /// Steals from the most-loaded other deal. Returns false only when
+  /// every other deal is spent.
+  bool steal(std::size_t w, std::uint32_t& s) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t victim = deals_.size();
+    std::size_t best = 0;
+    for (std::size_t v = 0; v < deals_.size(); ++v) {
+      const std::size_t left = deals_[v].size() - front_[v];
+      if (v != w && left > best) {
+        best = left;
+        victim = v;
+      }
+    }
+    if (victim == deals_.size()) {
+      return false;
+    }
+    s = deals_[victim][front_[victim]++];
+    return true;
+  }
+
+ private:
+  std::mutex mutex_;
+  sched::Schedule deals_;
+  std::vector<std::size_t> front_;  // each deal's first untaken scenario
+};
 
 /// Ensemble-only lane accounting: the active-scenario gauge, the
 /// retire/event-stop counters, the lane recorder events and the RHS total

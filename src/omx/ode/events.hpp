@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "omx/la/matrix.hpp"
-#include "omx/obs/recorder.hpp"
+#include "omx/obs/trace.hpp"
 #include "omx/ode/sink.hpp"
 
 namespace omx::ode {

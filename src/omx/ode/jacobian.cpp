@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "omx/obs/recorder.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/obs/trace.hpp"
 #include "omx/support/simd.hpp"
@@ -76,13 +75,14 @@ std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p) {
 
 void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
                          std::span<const double> y, la::CsrMatrix& jac,
-                         std::uint64_t& rhs_calls) {
+                         std::uint64_t& rhs_calls, FdScratch& scratch) {
   const std::size_t n = p.n;
   OMX_REQUIRE(jac.rows() == n && jac.cols() == n, "jacobian shape mismatch");
   OMX_REQUIRE(jac.values().size() == plan.pattern->nnz(),
               "jacobian values do not match the plan pattern");
 
-  std::vector<double> f0(n);
+  std::vector<double>& f0 = scratch.f0;
+  f0.resize(n);
   p.rhs(t, y, f0);
   ++rhs_calls;
 
@@ -102,8 +102,12 @@ void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
     // vectorizes across the groups. rhs_calls counts lanes so the
     // colors+1 evaluation ceiling stays comparable.
     const std::size_t ng = groups.size();
-    simd::aligned_vector<double> ts(ng, t);
-    simd::aligned_vector<double> y_soa(n * ng), f_soa(n * ng);
+    simd::aligned_vector<double>& ts = scratch.ts;
+    simd::aligned_vector<double>& y_soa = scratch.y_soa;
+    simd::aligned_vector<double>& f_soa = scratch.f_soa;
+    ts.assign(ng, t);
+    y_soa.resize(n * ng);
+    f_soa.resize(n * ng);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t g = 0; g < ng; ++g) {
         y_soa[i * ng + g] = y[i];
@@ -128,7 +132,10 @@ void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
     }
     return;
   }
-  std::vector<double> yp(y.begin(), y.end()), f1(n);
+  std::vector<double>& yp = scratch.yp;
+  std::vector<double>& f1 = scratch.f1;
+  yp.assign(y.begin(), y.end());
+  f1.resize(n);
   for (const auto& group : groups) {
     for (std::size_t j : group) {
       yp[j] = y[j] + fd_increment(y[j]);
@@ -176,7 +183,7 @@ void JacobianEngine::eval_jacobian(double t, std::span<const double> y,
     }
   } else {
     obs::Span span("jacobian_fd_colored", "ode");
-    colored_fd_jacobian(p_, *plan_, t, y, jac_, stats.rhs_calls);
+    colored_fd_jacobian(p_, *plan_, t, y, jac_, stats.rhs_calls, fd_);
   }
   ++stats.jac_calls;
 }

@@ -25,9 +25,11 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "omx/la/sparse.hpp"
 #include "omx/ode/problem.hpp"
+#include "omx/support/simd.hpp"
 
 namespace omx::ode {
 
@@ -61,12 +63,19 @@ struct JacPlan {
 /// the problem has none. Also publishes the jac.colors / jac.nnz gauges.
 std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p);
 
+/// colored_fd_jacobian's buffers, grown on first use and reused after.
+struct FdScratch {
+  std::vector<double> f0, f1, yp;
+  simd::aligned_vector<double> ts, y_soa, f_soa;
+};
+
 /// Colored compressed finite-difference Jacobian into CSR values:
 /// colors+1 RHS calls. With a bound batch_rhs the color groups are the
 /// lanes of one batched call; otherwise each group is one rhs call.
+/// Allocates nothing once `scratch` has grown to the problem.
 void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
                          std::span<const double> y, la::CsrMatrix& jac,
-                         std::uint64_t& rhs_calls);
+                         std::uint64_t& rhs_calls, FdScratch& scratch);
 
 /// Owns Jacobian values + iteration-matrix factorization for a modified
 /// Newton iteration, with the LSODA-style reuse/refresh policy.
@@ -110,6 +119,7 @@ class JacobianEngine {
   la::CsrMatrix jac_;   // Jacobian values on the plan's pattern
   la::CsrMatrix m_;     // iteration matrix on the same pattern
   la::Matrix dense_;    // a dense JacFn's output, gathered into jac_
+  FdScratch fd_;        // the colored FD's buffers
   std::optional<la::SparseLu> lu_;
   bool have_jac_ = false;
   bool refresh_requested_ = false;

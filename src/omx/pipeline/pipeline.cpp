@@ -107,15 +107,17 @@ void CompiledModel::bind_symbolic_jacobian(ode::Problem& p) const {
   OMX_REQUIRE(sparse_jacobian_program.n_regs > 0,
               "jacobian program not built");
   // solve_ensemble evaluates copies of one Problem on several workers at
-  // once, so each thread evaluates in a register file of its own, reset
-  // from the program on every call (no allocation once it has grown).
+  // once, so each thread evaluates in a register file and an output
+  // buffer of its own, reset from the program on every call (no
+  // allocation once they have grown).
   const vm::Program* sp = &sparse_jacobian_program;
   p.set_jacobian([sp, pattern = jac_sparsity](double t,
                                               std::span<const double> y,
                                               la::Matrix& jac) {
     const std::size_t n = pattern->rows;
     OMX_REQUIRE(jac.rows() == n && jac.cols() == n, "jacobian shape");
-    std::vector<double> vals(sp->n_out);
+    thread_local std::vector<double> vals;
+    vals.resize(sp->n_out);
     thread_local vm::Workspace ws;
     ws.reset(*sp);
     vm::eval_rhs_serial(*sp, t, y, vals, ws);

@@ -119,8 +119,7 @@ void WorkerPool::execute_task(WorkerState& w, std::size_t index,
   task_seconds_[task] = timer.seconds();
   task_seconds_metric_->observe(task_seconds_[task]);
   if (tracing) {
-    tb.record("task/" + std::to_string(task), "task", span_start,
-              tb.now_ns() - span_start);
+    tb.record("task", "task", span_start, tb.now_ns() - span_start, task);
   }
   double* dst = task_results_.data() + task_result_offset_[task];
   for (std::uint32_t slot : meta.out_slots) {

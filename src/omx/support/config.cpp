@@ -17,11 +17,10 @@ const std::vector<Knob>& table() {
       {"OMX_OBS_ENABLED", "bool", "true",
        "metrics registry on/off (counters, gauges, histograms)"},
       {"OMX_OBS_TRACE", "bool", "false",
-       "start the global trace buffer at process start"},
+       "arm trace spans in the global event store at process start"},
       {"OMX_OBS_RECORDER", "bool", "false",
-       "arm the solver flight recorder at process start"},
-      {"OMX_OBS_RECORDER_CAP", "int", "65536",
-       "flight-recorder per-thread ring capacity (events)"},
+       "arm solver step events (the flight recorder) in the global event "
+       "store at process start; 65536 kept per thread, the rest counted"},
       {"OMX_NATIVE_CXX", "string", "auto-detect",
        "host C++ compiler for the native backend"},
       {"OMX_NATIVE_CACHE_DIR", "string", "<tmp>/omx-native-cache",
@@ -65,16 +64,6 @@ bool get_bool(const char* name, bool def) {
   }
   const std::string_view s(v);
   return !(s == "0" || s == "false" || s == "off" || s == "no");
-}
-
-long get_int(const char* name, long def) {
-  const char* v = raw(name);
-  if (v == nullptr) {
-    return def;
-  }
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  return (end == v) ? def : parsed;
 }
 
 std::string get_string(const char* name, const std::string& def) {

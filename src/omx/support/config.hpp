@@ -7,7 +7,6 @@
 //
 //   bool:   unset or empty -> default; "0"/"false"/"off"/"no" -> false;
 //           anything else -> true
-//   int:    unset, empty or unparseable -> default
 //   string: unset or empty -> default
 //
 // Getters OMX_REQUIRE the knob to be declared in the registry table
@@ -24,7 +23,7 @@ namespace omx::config {
 
 struct Knob {
   const char* name;          // e.g. "OMX_NATIVE_CXX"
-  const char* type;          // "bool" | "int" | "string"
+  const char* type;          // "bool" | "string"
   const char* default_text;  // human-readable default
   const char* help;          // one-line description
 };
@@ -36,7 +35,6 @@ const std::vector<Knob>& knobs();
 bool is_set(const char* name);
 
 bool get_bool(const char* name, bool def);
-long get_int(const char* name, long def);
 std::string get_string(const char* name, const std::string& def);
 
 /// --help-style dump of every knob with its current value.

@@ -1,8 +1,9 @@
-// Steady-state allocation check for the ensemble's DOPRI5 lane block.
-// Once a worker's block is full and no lane joins or retires, a round —
-// seven batched stage calls, the stage sums, the error norms, step
-// control and the rows it records — must not touch the heap
-// (allocations counted by counting_allocator.hpp).
+// Steady-state allocation checks for the ensemble's DOPRI5 lane block and
+// for recording. Once a worker's block is full and no lane joins or
+// retires, a round — seven batched stage calls, the stage sums, the error
+// norms, step control and the rows it records — must not touch the heap;
+// nor may closing a span or recording a step event once the thread's log
+// chunk is warm (allocations counted by counting_allocator.hpp).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -42,8 +43,9 @@ TEST(LaneBlock, SteadyStateDopri5RoundAllocatesNothing) {
   SolverOptions o;
   o.tol = {1e-8, 1e-10};
   SamplingSink sink(kLanes, p.n);
-  // Trace capture copies span names by design; the window measures the
-  // stepper, so it runs with tracing off (the CI pass forces it on).
+  // Recording grows each thread's log a chunk at a time; the window
+  // measures the stepper, so it runs with recording off (the CI pass
+  // forces spans and step events on).
   obs::TraceBuffer::global().stop();
   solve_ensemble(p, Method::kDopri5, o, spec, sink);
 
@@ -52,6 +54,26 @@ TEST(LaneBlock, SteadyStateDopri5RoundAllocatesNothing) {
   const std::vector<std::size_t>& at = sink.samples();
   ASSERT_GT(at.size(), 400u);
   EXPECT_EQ(at[at.size() * 3 / 4] - at[at.size() / 4], 0u);
+}
+
+TEST(Trace, RecordingAllocatesNothingOnceTheChunkIsWarm) {
+  // Spans and step events go to the thread's own log: a slot store, no
+  // lock, no name copy. The first record of the thread makes its log;
+  // the 40 records after it fit its first chunk of 64.
+  obs::TraceBuffer& tb = obs::TraceBuffer::global();
+  tb.start(obs::TraceBuffer::kSpans | obs::TraceBuffer::kSteps);
+  { obs::Span warm("warm", "test"); }
+  const std::size_t before = t_allocations;
+  for (int i = 0; i < 20; ++i) {
+    obs::Span span("span", "test");
+    obs::record_step(obs::StepEventKind::kStepAccepted, "bdf", 2, i, 0.1,
+                     0.5);
+  }
+  const std::size_t allocations = t_allocations - before;
+  tb.stop();
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(tb.events().size(), 21u);
+  EXPECT_EQ(tb.step_events().size(), 20u);
 }
 
 /// A 3 x w block with 2 kept arrays whose element (a, i, j) is

@@ -14,7 +14,7 @@
 
 #include "omx/models/coupled_osc.hpp"
 #include "omx/models/hybrid.hpp"
-#include "omx/obs/recorder.hpp"
+#include "omx/obs/trace.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/ode/ensemble.hpp"
 
@@ -258,8 +258,8 @@ TEST(HybridEnsemble, TerminalEventsRetireLanesIndependently) {
 // A multistep lane stopped by a terminal event reports its stop at the
 // event time, which is where its trajectory ends, not at tend.
 TEST(HybridEnsemble, BdfLanesReportEventStopsAtTheirFinalTime) {
-  obs::Recorder& rec = obs::Recorder::global();
-  rec.start();
+  obs::TraceBuffer& rec = obs::TraceBuffer::global();
+  rec.start(obs::TraceBuffer::kSteps);
   const models::BouncingBall cfg;
   const Problem base =
       models::bouncing_ball_problem(cfg, 5.0, /*terminal=*/true);
@@ -267,7 +267,7 @@ TEST(HybridEnsemble, BdfLanesReportEventStopsAtTheirFinalTime) {
   const EnsembleResult r = solve_ensemble(base, Method::kBdf, {}, spec);
   rec.stop();
   std::vector<int> stops(spec.initial_states.size(), 0);
-  for (const obs::StepEvent& ev : rec.events()) {
+  for (const obs::StepEvent& ev : rec.step_events()) {
     if (ev.kind != obs::StepEventKind::kLaneEventStop) {
       continue;
     }

@@ -1,7 +1,8 @@
 // Steady-state allocation checks for the stiff path. Once a BDF stepper
 // has warmed up, its accepted steps — Jacobian refreshes and beta*h
 // refactorizations included — and an event-style restart must not touch
-// the heap, on a structural pattern and on the full one alike; neither
+// the heap, on a structural pattern and on the full one alike, with a
+// symbolic, hand-written or colored finite-difference Jacobian; neither
 // may an ensemble worker's lockstep BDF rounds or the replay of a pivoted
 // LU (allocations counted by counting_allocator.hpp).
 #include <gtest/gtest.h>
@@ -22,39 +23,39 @@
 namespace omx {
 namespace {
 
-TEST(StiffPath, SteadyStateNewtonLoopAllocatesNothing) {
+/// The heat PDE compiled with its symbolic Jacobian tapes.
+pipeline::CompiledModel compile_heat(std::size_t cells) {
   pipeline::CompileOptions copts;
   copts.build_jacobian = true;
-  pipeline::CompiledModel cm = pipeline::compile_model(
-      [](expr::Context& ctx) {
+  return pipeline::compile_model(
+      [cells](expr::Context& ctx) {
         models::Heat1dConfig cfg;
-        cfg.n_cells = 128;
+        cfg.n_cells = cells;
         return models::build_heat1d(ctx, cfg);
       },
       copts);
-  ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 1.0);
-  cm.bind_symbolic_jacobian(p);
-  p.jac_plan = ode::make_jac_plan(p);
-  ASSERT_TRUE(p.jac_plan != nullptr);
+}
 
-  ode::SolverOptions opts;
-  opts.bdf_max_order = 2;
-  ode::BdfLanes lanes(p);
-  ode::BdfStepper stepper(p, opts, lanes, 0);
+/// Warms `stepper` up, then expects its next 100 accepted steps (fewer
+/// at `tend`) to allocate nothing, with Jacobian refreshes and beta*h
+/// refactorizations among them.
+void expect_steady_state_allocates_nothing(ode::BdfStepper& stepper,
+                                           double tend) {
   // Warm-up: the first factorization, the order ramp and the early
   // rejections size every buffer. The step size then still doubles a
   // few times, so the window below sees beta*h refactorizations.
   for (int accepted = 0; accepted < 4;) {
-    ASSERT_LT(stepper.t(), p.tend);
+    ASSERT_LT(stepper.t(), tend);
     accepted += stepper.step() ? 1 : 0;
   }
 
-  // Trace capture copies span names by design; the window measures the
-  // solver, so it runs with tracing off (the CI pass forces it on).
+  // Recording grows each thread's log a chunk at a time; the window
+  // measures the solver, so it runs with recording off (the CI pass
+  // forces spans and step events on).
   obs::TraceBuffer::global().stop();
   const ode::SolverStats before = stepper.stats();
   const std::size_t allocations_before = t_allocations;
-  for (int accepted = 0; accepted < 100 && stepper.t() < p.tend;) {
+  for (int accepted = 0; accepted < 100 && stepper.t() < tend;) {
     accepted += stepper.step() ? 1 : 0;
   }
   const std::size_t allocations = t_allocations - allocations_before;
@@ -65,13 +66,27 @@ TEST(StiffPath, SteadyStateNewtonLoopAllocatesNothing) {
   EXPECT_GT(after.jac_calls, before.jac_calls) << "no Jacobian refresh";
   EXPECT_GT(after.jac_reuse_hits, before.jac_reuse_hits)
       << "no beta*h refactorization";
+}
+
+TEST(StiffPath, SteadyStateNewtonLoopAllocatesNothing) {
+  pipeline::CompiledModel cm = compile_heat(128);
+  ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 1.0);
+  cm.bind_symbolic_jacobian(p);
+  p.jac_plan = ode::make_jac_plan(p);
+  ASSERT_TRUE(p.jac_plan != nullptr);
+
+  ode::SolverOptions opts;
+  opts.bdf_max_order = 2;
+  ode::BdfLanes lanes(p);
+  ode::BdfStepper stepper(p, opts, lanes, 0);
+  expect_steady_state_allocates_nothing(stepper, p.tend);
 
   // An event restart: h = 0 picks the initial step with one RHS call
   // in its lanes block's scratch, and the stepper steps on from there.
   std::vector<double> scratch(p.n);
   const std::span<const double> yn = stepper.y(scratch);
   const std::vector<double> y(yn.begin(), yn.end());
-  const std::uint64_t rhs_before = after.rhs_calls;
+  const std::uint64_t rhs_before = stepper.stats().rhs_calls;
   const std::size_t restart_before = t_allocations;
   stepper.restart(stepper.t(), y, 0.0);
   for (int accepted = 0; accepted < 4 && stepper.t() < p.tend;) {
@@ -118,25 +133,46 @@ TEST(StiffPath, SteadyStateDenseNewtonLoopAllocatesNothing) {
   opts.bdf_max_order = 2;
   ode::BdfLanes lanes(p);
   ode::BdfStepper stepper(p, opts, lanes, 0);
-  for (int accepted = 0; accepted < 4;) {
-    ASSERT_LT(stepper.t(), p.tend);
-    accepted += stepper.step() ? 1 : 0;
-  }
+  expect_steady_state_allocates_nothing(stepper, p.tend);
+}
 
-  obs::TraceBuffer::global().stop();
-  const ode::SolverStats before = stepper.stats();
-  const std::size_t allocations_before = t_allocations;
-  for (int accepted = 0; accepted < 100 && stepper.t() < p.tend;) {
-    accepted += stepper.step() ? 1 : 0;
-  }
-  const std::size_t allocations = t_allocations - allocations_before;
-  const ode::SolverStats& after = stepper.stats();
+TEST(StiffPath, SteadyStateColoredFdNewtonLoopAllocatesNothing) {
+  // No Jacobian bound: every refresh is a colored finite difference on
+  // the structural pattern, its color groups the lanes of one batched
+  // call or one RHS call each, and the differences land in the engine's
+  // own scratch.
+  pipeline::CompiledModel cm = compile_heat(128);
+  for (const bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "one call per color group");
+    ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 1.0);
+    ASSERT_TRUE(p.sparsity && p.batch_rhs);
+    ASSERT_FALSE(p.jacobian || p.sparse_jacobian);
+    if (!batched) {
+      p.batch_rhs = nullptr;
+    }
 
-  EXPECT_EQ(allocations, 0u);
-  EXPECT_GT(after.steps - before.steps, 40u);
-  EXPECT_GT(after.jac_calls, before.jac_calls) << "no Jacobian refresh";
-  EXPECT_GT(after.jac_reuse_hits, before.jac_reuse_hits)
-      << "no beta*h refactorization";
+    ode::SolverOptions opts;
+    opts.bdf_max_order = 2;
+    ode::BdfLanes lanes(p);
+    ode::BdfStepper stepper(p, opts, lanes, 0);
+    expect_steady_state_allocates_nothing(stepper, p.tend);
+  }
+}
+
+TEST(StiffPath, SteadyStateDenseSymbolicNewtonLoopAllocatesNothing) {
+  // The symbolic Jacobian over the full pattern: with the sparsity reset
+  // the engine evaluates the bound dense JacFn and gathers its matrix.
+  pipeline::CompiledModel cm = compile_heat(32);
+  ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 1.0);
+  cm.bind_symbolic_jacobian(p);
+  p.sparsity.reset();
+  ASSERT_EQ(ode::make_jac_plan(p)->pattern->nnz(), p.n * p.n);
+
+  ode::SolverOptions opts;
+  opts.bdf_max_order = 2;
+  ode::BdfLanes lanes(p);
+  ode::BdfStepper stepper(p, opts, lanes, 0);
+  expect_steady_state_allocates_nothing(stepper, p.tend);
 }
 
 TEST(SparseLu, PivotedRefactorReplayAllocatesNothing) {
@@ -175,15 +211,7 @@ TEST(StiffPath, SteadyStateLockstepBdfRoundAllocatesNothing) {
   // the lanes still iterating, with each lane's Jacobian refreshes and
   // refactorizations on the way, and every step recorded.
   constexpr std::size_t kLanes = 8;
-  pipeline::CompileOptions copts;
-  copts.build_jacobian = true;
-  pipeline::CompiledModel cm = pipeline::compile_model(
-      [](expr::Context& ctx) {
-        models::Heat1dConfig cfg;
-        cfg.n_cells = 128;
-        return models::build_heat1d(ctx, cfg);
-      },
-      copts);
+  pipeline::CompiledModel cm = compile_heat(128);
   ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 0.2);
   cm.bind_symbolic_jacobian(p);
   ASSERT_TRUE(p.batch_rhs);

@@ -139,6 +139,69 @@ TEST(Trace, ThreadsGetDistinctIds) {
   EXPECT_EQ(TraceBuffer::thread_id(), main_id);  // stable per thread
 }
 
+TEST(Trace, StepEventInsideASpanFallsInsideItsInterval) {
+  // Spans and step events share one epoch and one thread id: a step
+  // event recorded while a span is open is stamped inside the span.
+  TraceBuffer& tb = TraceBuffer::global();
+  tb.start(TraceBuffer::kSpans | TraceBuffer::kSteps);
+  {
+    Span s("outer", "test");
+    record_step(StepEventKind::kStepAccepted, "bdf", 2, 0.5, 1e-3, 0.1);
+  }
+  tb.stop();
+  const std::vector<TraceEvent> spans = tb.events();
+  const std::vector<StepEvent> steps = tb.step_events();
+  ASSERT_EQ(spans.size(), 1u);
+  ASSERT_EQ(steps.size(), 1u);
+  EXPECT_EQ(spans[0].name, "outer");
+  EXPECT_LE(spans[0].start_ns, steps[0].when_ns);
+  EXPECT_LE(steps[0].when_ns, spans[0].start_ns + spans[0].dur_ns);
+  EXPECT_EQ(spans[0].tid, TraceBuffer::thread_id());
+  EXPECT_EQ(steps[0].tid, TraceBuffer::thread_id());
+}
+
+TEST(Trace, SpansPastTheStepCapacityAreAllKept) {
+  // Spans are never dropped; step events keep the first 65536 per thread
+  // and count the rest.
+  constexpr std::size_t kCapacity = 65536;
+  constexpr std::size_t kEach = kCapacity + 1000;
+  TraceBuffer tb;
+  EXPECT_EQ(tb.step_capacity_per_thread(), kCapacity);
+  tb.start(TraceBuffer::kSpans | TraceBuffer::kSteps);
+  for (std::size_t i = 0; i < kEach; ++i) {
+    tb.record("span", "test", static_cast<std::int64_t>(i), 1);
+    StepEvent ev;
+    ev.t = static_cast<double>(i);
+    tb.record(ev);
+  }
+  tb.stop();
+  const std::vector<TraceEvent> spans = tb.events();
+  ASSERT_EQ(spans.size(), kEach);
+  std::size_t out_of_order = 0;
+  for (std::size_t i = 0; i < kEach; ++i) {
+    out_of_order += spans[i].start_ns != static_cast<std::int64_t>(i);
+  }
+  EXPECT_EQ(out_of_order, 0u);
+  const std::vector<StepEvent> steps = tb.step_events();
+  ASSERT_EQ(steps.size(), kCapacity);
+  EXPECT_EQ(steps.back().t, static_cast<double>(kCapacity - 1));
+  EXPECT_EQ(tb.dropped(), kEach - kCapacity);
+}
+
+TEST(Trace, SpanIdsReadBackInTheName) {
+  // A task span logs the task id, not a name; events() builds "task/<id>".
+  TraceBuffer tb;
+  tb.start();
+  tb.record("task", "task", 0, 5, 17);
+  tb.record("idle", "worker", 5, 1);
+  tb.stop();
+  const std::vector<TraceEvent> spans = tb.events();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "task/17");
+  EXPECT_STREQ(spans[0].category, "task");
+  EXPECT_EQ(spans[1].name, "idle");
+}
+
 // -- JSON validator sanity (it guards the exporter tests below) -------------
 
 TEST(ValidateJson, AcceptsAndRejects) {
@@ -418,21 +481,26 @@ TEST(Export, ChromeTracePinsMetadataAndCounterTracks) {
       << json;
 }
 
-// -- flight recorder --------------------------------------------------------
+// -- flight recorder: step events in the one store -----------------------
 
 TEST(Recorder, DisabledRecordsNothing) {
-  Recorder rec(16);
+  TraceBuffer rec(16);
   StepEvent ev;
   ev.kind = StepEventKind::kStepAccepted;
   rec.record(ev);  // never started: must be a no-op
-  EXPECT_FALSE(rec.enabled());
-  EXPECT_TRUE(rec.events().empty());
+  EXPECT_FALSE(rec.steps_active());
+  EXPECT_TRUE(rec.step_events().empty());
   EXPECT_EQ(rec.dropped(), 0u);
+  // Armed for spans only, step events stay off.
+  rec.start(TraceBuffer::kSpans);
+  rec.record(ev);
+  EXPECT_FALSE(rec.steps_active());
+  EXPECT_TRUE(rec.step_events().empty());
 }
 
 TEST(Recorder, OverflowDropsAndCountsInsteadOfBlocking) {
-  Recorder rec(8);
-  rec.start();
+  TraceBuffer rec(8);
+  rec.start(TraceBuffer::kSteps);
   for (int i = 0; i < 20; ++i) {
     StepEvent ev;
     ev.kind = StepEventKind::kStepAccepted;
@@ -441,7 +509,7 @@ TEST(Recorder, OverflowDropsAndCountsInsteadOfBlocking) {
     rec.record(ev);
   }
   rec.stop();
-  const std::vector<StepEvent> events = rec.events();
+  const std::vector<StepEvent> events = rec.step_events();
   ASSERT_EQ(events.size(), 8u);  // first `capacity` kept, rest dropped
   EXPECT_EQ(rec.dropped(), 12u);
   for (int i = 0; i < 8; ++i) {
@@ -450,23 +518,26 @@ TEST(Recorder, OverflowDropsAndCountsInsteadOfBlocking) {
 }
 
 TEST(Recorder, StartResetsEventsAndDrops) {
-  Recorder rec(4);
-  rec.start();
+  TraceBuffer rec(4);
+  rec.start(TraceBuffer::kSpans | TraceBuffer::kSteps);
   for (int i = 0; i < 6; ++i) {
     rec.record(StepEvent{});
   }
-  EXPECT_EQ(rec.events().size(), 4u);
+  rec.record("span", "test", 0, 1);
+  EXPECT_EQ(rec.step_events().size(), 4u);
   EXPECT_EQ(rec.dropped(), 2u);
-  rec.start();  // fresh rings
+  EXPECT_EQ(rec.events().size(), 1u);
+  rec.start(TraceBuffer::kSteps);  // fresh logs, spans included
+  EXPECT_TRUE(rec.step_events().empty());
   EXPECT_TRUE(rec.events().empty());
   EXPECT_EQ(rec.dropped(), 0u);
   rec.record(StepEvent{});
-  EXPECT_EQ(rec.events().size(), 1u);
+  EXPECT_EQ(rec.step_events().size(), 1u);
 }
 
 TEST(Recorder, MergedEventsAreTimeSortedAcrossThreads) {
-  Recorder rec(4096);
-  rec.start();
+  TraceBuffer rec(4096);
+  rec.start(TraceBuffer::kSteps);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&rec] {
@@ -482,7 +553,7 @@ TEST(Recorder, MergedEventsAreTimeSortedAcrossThreads) {
     t.join();
   }
   rec.stop();
-  const std::vector<StepEvent> events = rec.events();
+  const std::vector<StepEvent> events = rec.step_events();
   ASSERT_EQ(events.size(), 400u);
   EXPECT_EQ(rec.dropped(), 0u);
   for (std::size_t i = 1; i < events.size(); ++i) {
@@ -491,8 +562,8 @@ TEST(Recorder, MergedEventsAreTimeSortedAcrossThreads) {
 }
 
 TEST(Export, RecorderJsonRoundTrips) {
-  Recorder rec(16);
-  rec.start();
+  TraceBuffer rec(16);
+  rec.start(TraceBuffer::kSteps);
   StepEvent ev;
   ev.kind = StepEventKind::kJacEvaluate;
   ev.method = "bdf";
@@ -509,8 +580,8 @@ TEST(Export, RecorderJsonRoundTrips) {
   EXPECT_NE(json.find("\"kind\": \"jac_evaluate\""), std::string::npos);
   EXPECT_NE(json.find("\"method\": \"bdf\""), std::string::npos);
   EXPECT_NE(json.find("\"order\": 3"), std::string::npos);
-  // An empty recorder is still a valid document.
-  Recorder empty(4);
+  // An empty log is still a valid document.
+  TraceBuffer empty(4);
   EXPECT_TRUE(validate_json(recorder_json(empty)));
 }
 

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "omx/models/hybrid.hpp"
-#include "omx/obs/recorder.hpp"
+#include "omx/obs/trace.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/ode/solve.hpp"
 #include "omx/pipeline/pipeline.hpp"
@@ -134,8 +134,8 @@ TEST(EventRestart, BdfReevaluatesJacobianAfterEvent) {
   SolverOptions o;
   o.tol = {1e-8, 1e-10};
 
-  obs::Recorder& rec = obs::Recorder::global();
-  rec.start();
+  obs::TraceBuffer& rec = obs::TraceBuffer::global();
+  rec.start(obs::TraceBuffer::kSteps);
   const Solution s = solve(p, Method::kBdf, o);
   rec.stop();
 
@@ -146,7 +146,7 @@ TEST(EventRestart, BdfReevaluatesJacobianAfterEvent) {
 
   bool event_seen = false;
   bool jac_after_event = false;
-  for (const obs::StepEvent& ev : rec.events()) {
+  for (const obs::StepEvent& ev : rec.step_events()) {
     if (ev.kind == obs::StepEventKind::kEvent) {
       event_seen = true;
     } else if (event_seen &&

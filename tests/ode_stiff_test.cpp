@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "omx/obs/recorder.hpp"
+#include "omx/obs/trace.hpp"
 #include "omx/ode/solve.hpp"
 
 namespace omx::ode {
@@ -202,12 +202,12 @@ TEST(AutoSwitch, HonoursH0AndHmax) {
   SolverOptions o;
   o.h0 = 1e-3;
   o.hmax = 0.01;  // the automatic control grows h to about 0.1
-  obs::Recorder& rec = obs::Recorder::global();
-  rec.start();
+  obs::TraceBuffer& rec = obs::TraceBuffer::global();
+  rec.start(obs::TraceBuffer::kSteps);
   const Solution s = solve(p, Method::kLsodaLike, o);
   rec.stop();
   std::vector<double> h;
-  for (const obs::StepEvent& ev : rec.events()) {
+  for (const obs::StepEvent& ev : rec.step_events()) {
     if (ev.kind == obs::StepEventKind::kStepAccepted ||
         ev.kind == obs::StepEventKind::kStepRejected) {
       h.push_back(ev.h);
@@ -221,12 +221,12 @@ TEST(AutoSwitch, HonoursH0AndHmax) {
 
 TEST(AutoSwitch, SwitchesToBdfOnStiffProblem) {
   const Problem p = stiff_tracking(2.0);
-  obs::Recorder& rec = obs::Recorder::global();
-  rec.start();
+  obs::TraceBuffer& rec = obs::TraceBuffer::global();
+  rec.start(obs::TraceBuffer::kSteps);
   const Solution s = solve(p, Method::kLsodaLike, {});
   rec.stop();
   std::vector<std::string> targets;
-  for (const obs::StepEvent& ev : rec.events()) {
+  for (const obs::StepEvent& ev : rec.step_events()) {
     if (ev.kind == obs::StepEventKind::kMethodSwitch) {
       targets.emplace_back(ev.method);
     }

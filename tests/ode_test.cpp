@@ -14,7 +14,7 @@
 
 #include "omx/models/heat1d.hpp"
 #include "omx/models/hybrid.hpp"
-#include "omx/obs/recorder.hpp"
+#include "omx/obs/trace.hpp"
 #include "omx/ode/adams.hpp"
 #include "omx/ode/ensemble.hpp"
 #include "omx/ode/events.hpp"
@@ -619,10 +619,10 @@ TEST(Ensemble, MultistepLanesMatchIndividualSolves) {
 
 TEST(Ensemble, FlightRecorderStaysWithinRingBudgetAt256Scenarios) {
   // The ISSUE acceptance bar: a 256-scenario ensemble with the flight
-  // recorder armed must fit the default per-thread ring (no drops), and
+  // recorder armed must fit the per-thread step-event cap (no drops), and
   // every scenario's pack and retire must be on the log.
-  obs::Recorder& rec = obs::Recorder::global();
-  rec.start();
+  obs::TraceBuffer& rec = obs::TraceBuffer::global();
+  rec.start(obs::TraceBuffer::kSteps);
   const Problem base = oscillator(2.0);
   EnsembleSpec spec;
   for (std::size_t s = 0; s < 256; ++s) {
@@ -637,11 +637,11 @@ TEST(Ensemble, FlightRecorderStaysWithinRingBudgetAt256Scenarios) {
   rec.stop();
   ASSERT_EQ(r.solutions.size(), 256u);
 
-  EXPECT_EQ(rec.dropped(), 0u) << "ensemble run overflowed the ring";
+  EXPECT_EQ(rec.dropped(), 0u) << "ensemble run overflowed the step-event cap";
   std::size_t packs = 0;
   std::size_t retires = 0;
   std::size_t refills = 0;
-  for (const obs::StepEvent& ev : rec.events()) {
+  for (const obs::StepEvent& ev : rec.step_events()) {
     switch (ev.kind) {
       case obs::StepEventKind::kLanePack: ++packs; break;
       case obs::StepEventKind::kLaneRefill: ++refills; break;
@@ -661,8 +661,8 @@ TEST(Ensemble, WorkerTopsUpFromItsOwnDealOnly) {
   // each, and a worker steals only once its batch is empty. So however
   // the threads start, no batch holds more than 4 lanes: a thread that
   // starts first must not take its sibling's deal into a 7+1 split.
-  obs::Recorder& rec = obs::Recorder::global();
-  rec.start();
+  obs::TraceBuffer& rec = obs::TraceBuffer::global();
+  rec.start(obs::TraceBuffer::kSteps);
   const Problem base = oscillator(2.0);
   EnsembleSpec spec;
   for (std::size_t s = 0; s < 8; ++s) {
@@ -678,7 +678,7 @@ TEST(Ensemble, WorkerTopsUpFromItsOwnDealOnly) {
   // Each thread's lane events are in its own order: count its live lanes.
   std::map<std::uint32_t, std::size_t> live, widest;
   std::size_t joined = 0;
-  for (const obs::StepEvent& ev : rec.events()) {
+  for (const obs::StepEvent& ev : rec.step_events()) {
     switch (ev.kind) {
       case obs::StepEventKind::kLanePack:
       case obs::StepEventKind::kLaneRefill:

@@ -9,13 +9,14 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "omx/exec/rhs_kernel.hpp"
-#include "omx/obs/recorder.hpp"
+#include "omx/obs/trace.hpp"
 #include "omx/runtime/worker_pool.hpp"
 #include "omx/sched/lpt.hpp"
 #include "omx/support/rng.hpp"
@@ -200,21 +201,21 @@ TEST(RuntimeStress, WorkerExceptionPropagatesAndPoolSurvives) {
 
 TEST(RuntimeStress, RecorderConcurrentWritersAndReaders) {
   // Flight-recorder race gate (runs under TSan via the RuntimeStress
-  // filter): 8 writer threads hammer small rings to overflow while a
-  // reader concurrently snapshots events() and dropped(). record() must
-  // never block and every event must land exactly once or be counted as
-  // dropped.
+  // filter): 8 writer threads record step events past a small per-thread
+  // capacity while a reader concurrently snapshots step_events() and
+  // dropped(). record() must never block and every event must land
+  // exactly once or be counted as dropped.
   constexpr std::size_t kCapacity = 1024;
   constexpr int kWriters = 8;
   constexpr int kRecordsPerWriter = 10000;
-  obs::Recorder rec(kCapacity);
-  rec.start();
+  obs::TraceBuffer rec(kCapacity);
+  rec.start(obs::TraceBuffer::kSteps);
 
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load(std::memory_order_relaxed)) {
-      const std::vector<obs::StepEvent> snap = rec.events();
-      // A concurrent snapshot sees a time-sorted prefix of each ring.
+      const std::vector<obs::StepEvent> snap = rec.step_events();
+      // A concurrent snapshot sees a time-sorted prefix of each log.
       for (std::size_t i = 1; i < snap.size(); ++i) {
         ASSERT_LE(snap[i - 1].when_ns, snap[i].when_ns);
       }
@@ -242,11 +243,59 @@ TEST(RuntimeStress, RecorderConcurrentWritersAndReaders) {
   reader.join();
   rec.stop();
 
-  // Accounting is exact: each writer fills its ring, then drops.
-  EXPECT_EQ(rec.events().size(), kWriters * kCapacity);
+  // Accounting is exact: each writer fills its capacity, then drops.
+  EXPECT_EQ(rec.step_events().size(), kWriters * kCapacity);
   EXPECT_EQ(rec.dropped(),
             static_cast<std::uint64_t>(kWriters) *
                 (kRecordsPerWriter - kCapacity));
+}
+
+TEST(RuntimeStress, SpanWritersAndConcurrentReader) {
+  // Span race gate (runs under TSan via the RuntimeStress filter): 8
+  // threads close spans, each across many chunks of its log, while a
+  // reader snapshots events(). A snapshot sees a prefix of each thread's
+  // spans, in the order they closed; at the end every span is there.
+  constexpr int kWriters = 8;
+  constexpr int kSpansPerWriter = 5000;
+  obs::TraceBuffer& tb = obs::TraceBuffer::global();
+  tb.start();
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      std::map<std::uint32_t, std::int64_t> last_end;
+      for (const obs::TraceEvent& ev : tb.events()) {
+        ASSERT_EQ(ev.name, "span");
+        const std::int64_t end = ev.start_ns + ev.dur_ns;
+        ASSERT_LE(last_end[ev.tid], end);
+        last_end[ev.tid] = end;
+      }
+    }
+  });
+
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([] {
+      for (int i = 0; i < kSpansPerWriter; ++i) {
+        obs::Span span("span", "test");
+      }
+    });
+  }
+  for (auto& t : writers) {
+    t.join();
+  }
+  done.store(true, std::memory_order_relaxed);
+  reader.join();
+  tb.stop();
+
+  std::map<std::uint32_t, std::int64_t> per_thread;
+  for (const obs::TraceEvent& ev : tb.events()) {
+    ++per_thread[ev.tid];
+  }
+  EXPECT_EQ(per_thread.size(), static_cast<std::size_t>(kWriters));
+  for (const auto& [tid, count] : per_thread) {
+    EXPECT_EQ(count, kSpansPerWriter) << "thread " << tid;
+  }
 }
 
 }  // namespace

@@ -120,7 +120,8 @@ TEST(ColoredFd, MatchesDenseFdOnHeatPde) {
 
   CsrMatrix colored(plan->pattern);
   std::uint64_t colored_calls = 0;
-  ode::colored_fd_jacobian(p, *plan, 0.0, y, colored, colored_calls);
+  ode::FdScratch scratch;
+  ode::colored_fd_jacobian(p, *plan, 0.0, y, colored, colored_calls, scratch);
   EXPECT_EQ(colored_calls,
             static_cast<std::uint64_t>(plan->coloring.num_colors) + 1);
 
@@ -841,7 +842,8 @@ TEST(ColoredFd, FullPatternMatchesDenseFdBitwise) {
     ASSERT_EQ(plan->coloring.num_colors, static_cast<int>(p.n));
     CsrMatrix colored(plan->pattern);
     std::uint64_t calls = 0;
-    ode::colored_fd_jacobian(q, *plan, 0.5, y, colored, calls);
+    ode::FdScratch scratch;
+    ode::colored_fd_jacobian(q, *plan, 0.5, y, colored, calls, scratch);
     EXPECT_EQ(calls, dense_calls);
     for (std::size_t i = 0; i < p.n; ++i) {
       for (std::size_t j = 0; j < p.n; ++j) {
