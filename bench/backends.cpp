@@ -6,8 +6,8 @@
 // revisions.
 //
 // The acceptance bar for this repo is native >= 2x interp on this body.
-// The worker-pool rows (static LPT throughput, per-call hand-off cost)
-// are report-only.
+// The single-solve rows (one ode::solve per backend) and the worker-pool
+// rows (static LPT throughput, per-call hand-off cost) are report-only.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -18,26 +18,21 @@
 #include "omx/models/bearing2d.hpp"
 #include "omx/obs/export.hpp"
 #include "omx/obs/registry.hpp"
+#include "omx/ode/solve.hpp"
 #include "omx/pipeline/pipeline.hpp"
 #include "omx/runtime/parallel_rhs.hpp"
 
 namespace {
 
-/// Times repeated whole-system evals of any RHS-shaped callable; returns
-/// calls per second.
-template <typename Eval>
-double time_eval(Eval&& eval, std::size_t n_out,
-                 std::span<const double> y0) {
+/// Times repeated calls of `body`, warmed up and calibrated to ~0.3 s of
+/// work starting from `reps` calls; returns calls per second.
+template <typename Body>
+double rate(Body&& body, std::size_t reps) {
   using clock = std::chrono::steady_clock;
-  std::vector<double> y(y0.begin(), y0.end());
-  std::vector<double> ydot(n_out);
-
-  // Warm up and calibrate the repetition count to ~0.3 s of work.
-  std::size_t reps = 64;
   for (;;) {
     const auto t0 = clock::now();
     for (std::size_t i = 0; i < reps; ++i) {
-      eval(0.0, y, ydot);
+      body();
     }
     const double secs = std::chrono::duration<double>(clock::now() - t0)
                             .count();
@@ -50,6 +45,32 @@ double time_eval(Eval&& eval, std::size_t n_out,
                      1
                : reps * 8;
   }
+}
+
+/// Times repeated whole-system evals of any RHS-shaped callable; returns
+/// calls per second.
+template <typename Eval>
+double time_eval(Eval&& eval, std::size_t n_out,
+                 std::span<const double> y0) {
+  std::vector<double> y(y0.begin(), y0.end());
+  std::vector<double> ydot(n_out);
+  return rate([&] { eval(0.0, y, ydot); }, 64);
+}
+
+/// Times repeated single dopri5 solves of the kernel's problem over
+/// [0, tend], final state only; returns solves per second. Every
+/// evaluation is one eval_batch call at width 1 on kernel lane 0.
+double time_solve(const omx::pipeline::CompiledModel& cm,
+                  const omx::exec::KernelInstance& k, double tend) {
+  const omx::ode::Problem p = cm.make_problem(k, 0.0, tend);
+  omx::ode::SolverOptions o;
+  o.record_every = 1u << 30;
+  return rate(
+      [&] {
+        omx::ode::StatsOnlySink sink;
+        omx::ode::solve(p, omx::ode::Method::kDopri5, o, sink);
+      },
+      1);
 }
 
 double time_kernel(const omx::exec::RhsKernel& k,
@@ -96,6 +117,18 @@ int main() {
   } else {
     std::printf("%-10s %-16s (no host compiler; fell back to interp)\n",
                 "native", "n/a");
+  }
+
+  // Single solves: the whole solver loop around each kernel. Report-only.
+  constexpr double kSolveTend = 0.004;
+  std::printf("\n%-10s %-16s %s (dopri5 to t=%g)\n", "backend", "solves/s",
+              "ms/solve", kSolveTend);
+  const double s_interp = time_solve(cm, interp, kSolveTend);
+  std::printf("%-10s %-16.1f %.3f\n", "interp", s_interp, 1e3 / s_interp);
+  double s_native = 0.0;
+  if (have_native) {
+    s_native = time_solve(cm, native, kSolveTend);
+    std::printf("%-10s %-16.1f %.3f\n", "native", s_native, 1e3 / s_native);
   }
 
   const double speedup = have_native ? r_native / r_interp : 0.0;
@@ -157,6 +190,8 @@ int main() {
   metrics.gauge("backends.native.available").set(have_native ? 1.0 : 0.0);
   metrics.gauge("backends.native.calls_per_s").set(r_native);
   metrics.gauge("backends.native_over_interp").set(speedup);
+  metrics.gauge("backends.interp.solves_per_s").set(s_interp);
+  metrics.gauge("backends.native.solves_per_s").set(s_native);
   metrics.gauge("backends.native.compile_seconds").set(compile_s);
   metrics.gauge("backends.pool.workers")
       .set(static_cast<double>(kPoolWorkers));

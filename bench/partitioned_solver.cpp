@@ -374,8 +374,9 @@ void bench_sparse_backends() {
     la::CsrMatrix jac(plan->pattern);
     std::uint64_t build_calls = 0;
     ode::FdScratch scratch;
-    ode::colored_fd_jacobian(sparse_p, *plan, 0.0, sparse_p.y0, jac,
-                             build_calls, scratch);
+    ode::LaneRhs f(sparse_p, 0);
+    ode::colored_fd_jacobian(f, *plan, 0.0, sparse_p.y0, jac, build_calls,
+                             scratch);
 
     const double speedup = sparse_s > 0.0 ? dense_s / sparse_s : 0.0;
     std::printf("  %6d %10.3f %10.3f %8.2fx %7d %11llu/%llu\n", n,

@@ -20,6 +20,7 @@
 #include "omx/model/flat_system.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/support/config.hpp"
+#include "omx/support/hash.hpp"
 #include "omx/vm/program.hpp"
 
 namespace omx::exec {
@@ -153,15 +154,6 @@ fs::path cache_dir(const NativeOptions& opts) {
   return opts.cache_dir.empty() ? shared_cache_dir() : fs::path(opts.cache_dir);
 }
 
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// `s` as one single-quoted shell word: each ' becomes '\\''.
 std::string shell_quote(const std::string& s) {
   std::string q = "'";
@@ -169,13 +161,6 @@ std::string shell_quote(const std::string& s) {
     q += c == '\'' ? std::string("'\\''") : std::string(1, c);
   }
   return q + "'";
-}
-
-std::string hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 // ------------------------------------------------------ source synthesis
@@ -434,8 +419,10 @@ std::shared_ptr<NativeState> build_module(const std::string& source,
   // kernel's key covers its own source and the runtime it links.
   static const std::string runtime = runtime_source();
   const std::string runtime_stem =
-      "omx_vmath_" + hex(fnv1a(runtime + "\x1f" + cxx + "\x1f" + flags));
-  const std::string stem = "omx_" + hex(fnv1a(source + "\x1f" + runtime_stem));
+      "omx_vmath_" +
+      support::hex16(support::fnv1a(runtime + "\x1f" + cxx + "\x1f" + flags));
+  const std::string stem =
+      "omx_" + support::hex16(support::fnv1a(source + "\x1f" + runtime_stem));
   const fs::path dir = cache_dir(opts);
   const fs::path so = dir / (stem + ".so");
   const fs::path shared = shared_cache_dir();

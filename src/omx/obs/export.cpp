@@ -1,9 +1,11 @@
 #include "omx/obs/export.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+
+#include "omx/support/diagnostics.hpp"
+#include "omx/support/json.hpp"
 
 namespace omx::obs {
 
@@ -250,193 +252,16 @@ std::string recorder_json(const TraceBuffer& buffer) {
   return out;
 }
 
-// -- minimal JSON validator --------------------------------------------------
-
-namespace {
-
-struct JsonParser {
-  std::string_view s;
-  std::size_t i = 0;
-
-  bool eof() const { return i >= s.size(); }
-  char peek() const { return s[i]; }
-  void skip_ws() {
-    while (!eof() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                      s[i] == '\r')) {
-      ++i;
-    }
-  }
-  bool lit(std::string_view word) {
-    if (s.substr(i, word.size()) != word) {
-      return false;
-    }
-    i += word.size();
-    return true;
-  }
-
-  bool value() {
-    skip_ws();
-    if (eof()) {
-      return false;
-    }
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return lit("true");
-      case 'f': return lit("false");
-      case 'n': return lit("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++i;  // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++i;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (eof() || peek() != '"' || !string()) {
-        return false;
-      }
-      skip_ws();
-      if (eof() || s[i] != ':') {
-        return false;
-      }
-      ++i;
-      if (!value()) {
-        return false;
-      }
-      skip_ws();
-      if (eof()) {
-        return false;
-      }
-      if (peek() == ',') {
-        ++i;
-        continue;
-      }
-      if (peek() == '}') {
-        ++i;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++i;  // '['
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++i;
-      return true;
-    }
-    while (true) {
-      if (!value()) {
-        return false;
-      }
-      skip_ws();
-      if (eof()) {
-        return false;
-      }
-      if (peek() == ',') {
-        ++i;
-        continue;
-      }
-      if (peek() == ']') {
-        ++i;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool string() {
-    ++i;  // opening quote
-    while (!eof()) {
-      const char c = s[i];
-      if (c == '"') {
-        ++i;
-        return true;
-      }
-      if (c == '\\') {
-        ++i;
-        if (eof()) {
-          return false;
-        }
-        const char e = s[i];
-        if (e == 'u') {
-          for (int k = 0; k < 4; ++k) {
-            ++i;
-            if (eof() || !std::isxdigit(static_cast<unsigned char>(s[i]))) {
-              return false;
-            }
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return false;
-      }
-      ++i;
-    }
-    return false;
-  }
-
-  bool number() {
-    const std::size_t start = i;
-    if (!eof() && peek() == '-') {
-      ++i;
-    }
-    std::size_t digits = 0;
-    while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-      ++i;
-      ++digits;
-    }
-    if (digits == 0) {
-      return false;
-    }
-    if (!eof() && peek() == '.') {
-      ++i;
-      digits = 0;
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        ++i;
-        ++digits;
-      }
-      if (digits == 0) {
-        return false;
-      }
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++i;
-      if (!eof() && (peek() == '+' || peek() == '-')) {
-        ++i;
-      }
-      digits = 0;
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        ++i;
-        ++digits;
-      }
-      if (digits == 0) {
-        return false;
-      }
-    }
-    return i > start;
-  }
-};
-
-}  // namespace
-
 bool validate_json(std::string_view text) {
-  JsonParser p{text};
-  if (!p.value()) {
+  // The exporters' documents nest a few levels; the cap only has to
+  // stop a runaway recursion, not a hostile client.
+  constexpr int kMaxDepth = 1024;
+  try {
+    support::json::parse(text, kMaxDepth);
+    return true;
+  } catch (const omx::Error&) {
     return false;
   }
-  p.skip_ws();
-  return p.eof();
 }
 
 bool write_file(const std::string& path, std::string_view content) {

@@ -35,9 +35,9 @@ std::string recorder_json(const TraceBuffer& buffer);
 /// JSON string escaping for callers composing their own documents.
 std::string json_escape(std::string_view s);
 
-/// Strict structural validation (objects/arrays/strings/numbers/bools/
-/// null, no trailing garbage). Used by tests to round-trip exporter
-/// output without an external JSON dependency.
+/// Strict validation through support::json::parse (RFC 8259, no
+/// trailing garbage, up to 1024 levels of nesting). Used by tests to
+/// round-trip exporter output without an external JSON dependency.
 bool validate_json(std::string_view text);
 
 /// Writes `content` to `path`; returns false on I/O failure.

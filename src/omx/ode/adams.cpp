@@ -15,30 +15,32 @@ constexpr double kAm[4] = {9.0 / 24, 19.0 / 24, -5.0 / 24, 1.0 / 24};
 constexpr double kMilne = 19.0 / 270.0;
 }  // namespace
 
-AdamsStepper::AdamsStepper(const Problem& p, const SolverOptions& opts)
-    : p_(p), opts_(opts), y_(p.n) {
+AdamsStepper::AdamsStepper(const Problem& p, const SolverOptions& opts,
+                           std::size_t lane)
+    : p_(p),
+      opts_(opts),
+      rhs_(p, lane),
+      y_(p.n),
+      f_(4, std::vector<double>(p.n)),
+      yp_(p.n),
+      yc_(p.n),
+      fc_(p.n),
+      err_(p.n),
+      w_(p.n) {
   restart(p.t0, p.y0, opts.h0);
 }
 
 void AdamsStepper::restart(double t, std::span<const double> y, double h) {
   t_ = t;
   std::copy(y.begin(), y.end(), y_.begin());
-  if (h > 0.0) {
-    h_ = h;
-  } else {
-    // Automatic initial step (Hairer's d0/d1 heuristic): h ~ 1% of the
-    // solution's characteristic time scale ||y||_w / ||y'||_w.
-    std::vector<double> f(p_.n), w(p_.n);
-    p_.rhs(t_, y_, f);
-    ++stats_.rhs_calls;
-    error_weights(y_, opts_.tol, w);
-    const double d0 = la::wrms_norm(y_, w);
-    const double d1 = la::wrms_norm(f, w);
-    h_ = (d0 > 1e-5 && d1 > 1e-5) ? 0.01 * d0 / d1
-                                  : 1e-3 * (p_.tend - p_.t0);
-  }
   const double hmax = opts_.hmax > 0.0 ? opts_.hmax : (p_.tend - p_.t0);
-  h_ = std::min(h_, hmax);
+  if (h > 0.0) {
+    h_ = std::min(h, hmax);
+  } else {
+    rhs_(t_, y_, fc_);
+    ++stats_.rhs_calls;
+    h_ = initial_step(y_, fc_, opts_.tol, p_.tend - p_.t0, hmax, w_);
+  }
   // The history rebuild advances 3 substeps; keep them well inside the
   // remaining interval.
   const double remaining = p_.tend - t_;
@@ -49,51 +51,22 @@ void AdamsStepper::restart(double t, std::span<const double> y, double h) {
   consecutive_rejects_ = 0;
 }
 
-void AdamsStepper::rk4_step(double t, std::span<const double> y, double h,
-                            std::span<double> out) {
-  const std::size_t n = p_.n;
-  std::vector<double> k1(n), k2(n), k3(n), k4(n), tmp(n);
-  p_.rhs(t, y, k1);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * h * k1[i];
-  p_.rhs(t + 0.5 * h, tmp, k2);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * h * k2[i];
-  p_.rhs(t + 0.5 * h, tmp, k3);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + h * k3[i];
-  p_.rhs(t + h, tmp, k4);
-  stats_.rhs_calls += 4;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-  }
-}
-
 void AdamsStepper::rebuild_history() {
   // Take three RK4 substeps *backwards-filling* the f history forward:
   // history holds f at t_n, t_n - h, ..., but we cannot step backwards, so
   // we advance three RK4 steps and shift the window: the stepper's (t_, y_)
   // moves to the last substep.
-  const std::size_t n = p_.n;
-  f_.assign(4, std::vector<double>(n));
-  std::vector<double> y = y_;
-  double t = t_;
-  p_.rhs(t, y, f_[3]);
+  rhs_(t_, y_, f_[3]);
   ++stats_.rhs_calls;
   for (int k = 2; k >= 0; --k) {
     // Each history point is produced by 4 RK4 substeps: the local error
     // (h/4)^5-scale stays far below the ABM4 error controller's budget,
     // so rebuilds never pollute the controlled accuracy.
-    std::vector<double> next(n);
-    const int sub = 4;
-    for (int s = 0; s < sub; ++s) {
-      rk4_step(t, y, h_ / sub, next);
-      t += h_ / sub;
-      y = next;
-    }
-    p_.rhs(t, y, f_[static_cast<std::size_t>(k)]);
+    t_ = rk4_substeps(rhs_, t_, h_, 4, y_, rk4_, stats_);
+    rhs_(t_, y_, f_[static_cast<std::size_t>(k)]);
     ++stats_.rhs_calls;
     stats_.steps++;
   }
-  t_ = t;
-  std::copy(y.begin(), y.end(), y_.begin());
   steps_since_rebuild_ = 0;
 }
 
@@ -103,9 +76,7 @@ bool AdamsStepper::step() {
   if (rem < h_) {
     // Finish the last partial interval with a single RK4 step (same order;
     // keeps the Adams history spacing strictly uniform).
-    std::vector<double> out(n);
-    rk4_step(t_, y_, rem, out);
-    std::copy(out.begin(), out.end(), y_.begin());
+    rk4_substeps(rhs_, t_, rem, 1, y_, rk4_, stats_);
     t_ = p_.tend;
     ++stats_.steps;
     consecutive_rejects_ = 0;
@@ -114,24 +85,23 @@ bool AdamsStepper::step() {
   const double h = h_;
 
   // Predict (AB4).
-  std::vector<double> yp(n), fc(n), yc(n), err(n), w(n);
   for (std::size_t i = 0; i < n; ++i) {
-    yp[i] = y_[i] + h * (kAb[0] * f_[0][i] + kAb[1] * f_[1][i] +
-                         kAb[2] * f_[2][i] + kAb[3] * f_[3][i]);
+    yp_[i] = y_[i] + h * (kAb[0] * f_[0][i] + kAb[1] * f_[1][i] +
+                          kAb[2] * f_[2][i] + kAb[3] * f_[3][i]);
   }
   // Evaluate, correct (AM4), evaluate (PECE).
-  p_.rhs(t_ + h, yp, fc);
+  rhs_(t_ + h, yp_, fc_);
   for (std::size_t i = 0; i < n; ++i) {
-    yc[i] = y_[i] + h * (kAm[0] * fc[i] + kAm[1] * f_[0][i] +
-                         kAm[2] * f_[1][i] + kAm[3] * f_[2][i]);
+    yc_[i] = y_[i] + h * (kAm[0] * fc_[i] + kAm[1] * f_[0][i] +
+                          kAm[2] * f_[1][i] + kAm[3] * f_[2][i]);
   }
   stats_.rhs_calls += 1;
 
   for (std::size_t i = 0; i < n; ++i) {
-    err[i] = kMilne * (yc[i] - yp[i]);
+    err_[i] = kMilne * (yc_[i] - yp_[i]);
   }
-  error_weights(yc, opts_.tol, w);
-  const double e = la::wrms_norm(err, w);
+  error_weights(yc_, opts_.tol, w_);
+  const double e = la::wrms_norm(err_, w_);
   if (!std::isfinite(e)) {
     // A NaN/Inf from the RHS fails every accept test; report the real
     // cause instead of rejecting down to a step-size underflow.
@@ -143,10 +113,10 @@ bool AdamsStepper::step() {
     obs::record_step(obs::StepEventKind::kStepAccepted, "adams", 4, t_, h,
                      e);
     t_ += h;
-    std::copy(yc.begin(), yc.end(), y_.begin());
+    std::copy(yc_.begin(), yc_.end(), y_.begin());
     // Shift history; final evaluation of PECE.
     std::rotate(f_.rbegin(), f_.rbegin() + 1, f_.rend());
-    p_.rhs(t_, y_, f_[0]);
+    rhs_(t_, y_, f_[0]);
     ++stats_.rhs_calls;
     ++stats_.steps;
     consecutive_rejects_ = 0;
@@ -208,7 +178,7 @@ double AdamsStepper::stiffness_ratio() {
     for (std::size_t i = 0; i < n; ++i) {
       yp[i] = y_[i] + eps * dir[i] / dn;
     }
-    p_.rhs(t_, yp, f1);
+    rhs_(t_, yp, f1);
     ++stats_.rhs_calls;
     for (std::size_t i = 0; i < n; ++i) {
       f1[i] -= f_[0][i];

@@ -8,14 +8,17 @@
 // the predictor/corrector difference scaled by the method constant.
 #pragma once
 
+#include "omx/ode/lane_rhs.hpp"
 #include "omx/ode/solve.hpp"
 
 namespace omx::ode {
 
-/// Single-step driver; reads tol, h0 and hmax from the options.
+/// Single-step driver; reads tol, h0 and hmax from the options. Every
+/// RHS evaluation goes through one LaneRhs on kernel lane `lane`.
 class AdamsStepper {
  public:
-  AdamsStepper(const Problem& p, const SolverOptions& opts);
+  AdamsStepper(const Problem& p, const SolverOptions& opts,
+               std::size_t lane = 0);
 
   /// Initializes (or re-initializes) at (t, y) with step h (0 = auto).
   void restart(double t, std::span<const double> y, double h);
@@ -44,19 +47,23 @@ class AdamsStepper {
   double stiffness_ratio();
 
   SolverStats& stats() { return stats_; }
+  /// The stepper's RHS, for evaluations beside the steps (dense output).
+  LaneRhs& rhs() { return rhs_; }
 
  private:
   void rebuild_history();
-  void rk4_step(double t, std::span<const double> y, double h,
-                std::span<double> out);
 
   const Problem& p_;
   SolverOptions opts_;
+  LaneRhs rhs_;
   double t_ = 0.0;
   double h_ = 0.0;
   std::vector<double> y_;
   // f history: f_[0] = f(t_n), f_[1] = f(t_{n-1}), ...
   std::vector<std::vector<double>> f_;
+  // A step's predictor, corrector, RHS value, error and error weights,
+  // and the RK4 stages.
+  std::vector<double> yp_, yc_, fc_, err_, w_, rk4_;
   std::size_t consecutive_rejects_ = 0;
   std::size_t steps_since_rebuild_ = 0;
   std::size_t growth_bounces_ = 0;

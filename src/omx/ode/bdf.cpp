@@ -36,40 +36,17 @@ const double kExtrap[6][6] = {
     {5, -10, 10, -5, 1, 0},   {6, -15, 20, -15, 6, -1},
 };
 
-/// Advances y from t over h by 20 classical RK4 substeps: the fixed-step
-/// mode's start-up and final interval, which must not contaminate the
-/// BDF-k convergence order.
-void rk4_substeps(const Problem& p, double t, double h, std::vector<double>& y,
-                  SolverStats& stats) {
-  const std::size_t n = p.n;
-  std::vector<double> k1(n), k2(n), k3(n), k4(n), tmp(n);
-  const int sub = 20;
-  const double hs = h / sub;
-  double ts = t;
-  for (int s = 0; s < sub; ++s) {
-    p.rhs(ts, y, k1);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * hs * k1[i];
-    p.rhs(ts + 0.5 * hs, tmp, k2);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * hs * k2[i];
-    p.rhs(ts + 0.5 * hs, tmp, k3);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + hs * k3[i];
-    p.rhs(ts + hs, tmp, k4);
-    stats.rhs_calls += 4;
-    for (std::size_t i = 0; i < n; ++i) {
-      y[i] += hs / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
-    ts += hs;
-  }
-}
+// RK4 substeps per interval of the fixed-step mode's start-up and final
+// interval, which must not contaminate the BDF-k convergence order.
+constexpr int kRk4Substeps = 20;
 
 }  // namespace
 
 // ------------------------------------------------------------ BdfLanes
 
-BdfLanes::BdfLanes(const Problem& p, std::size_t lane, bool batched)
+BdfLanes::BdfLanes(const Problem& p, std::size_t lane)
     : p_(p),
-      lane_(lane),
-      batched_(batched),
+      f_(p, lane),
       blk_(p.n, kG + 1, kHistory),
       col_(p.n),
       ya_(p.n),
@@ -115,7 +92,7 @@ void BdfLanes::restride(std::span<const std::size_t> keep) {
 
 JacobianEngine& BdfLanes::engine(std::size_t slot) {
   if (!engines_[slot]) {
-    engines_[slot] = std::make_unique<JacobianEngine>(p_);
+    engines_[slot] = std::make_unique<JacobianEngine>(p_, f_);
   }
   return *engines_[slot];
 }
@@ -318,20 +295,8 @@ void BdfLanes::eval_rhs() {
   const std::size_t n = p_.n, w = width(), m = iterating_.size();
   const double* y = blk_[kYnew];
   double* f = blk_[kF];
-  if (!batched_) {
-    if (w == 1) {
-      p_.rhs(ts_[0], {y, n}, {f, n});
-      return;
-    }
-    for (const std::size_t j : iterating_) {
-      gather(y, w, j, ya_);
-      p_.rhs(ts_[j], ya_, fa_);
-      scatter(fa_, f, w, j);
-    }
-    return;
-  }
   if (m == w) {
-    p_.batch_rhs(lane_, w, ts_.data(), y, f);
+    f_(w, ts_.data(), y, f);
     return;
   }
   // A thinned iteration: the lanes still iterating, compacted.
@@ -343,7 +308,7 @@ void BdfLanes::eval_rhs() {
       yc_[i * m + q] = y[i * w + iterating_[q]];
     }
   }
-  p_.batch_rhs(lane_, m, tc_.data(), yc_.data(), fc_.data());
+  f_(m, tc_.data(), yc_.data(), fc_.data());
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t q = 0; q < m; ++q) {
       f[i * w + iterating_[q]] = fc_[i * m + q];
@@ -370,30 +335,25 @@ void BdfStepper::restart(double t, std::span<const double> y, double h) {
   push_history(y);
   order_ = 1;
   jac_->invalidate();
-  if (h > 0.0) {
-    h_ = h;
-  } else {
-    // Hairer's d0/d1 heuristic (see adams.cpp), in the lanes' scratch.
-    std::vector<double>& f = lanes_.fa_;
-    std::vector<double>& w = lanes_.wa_;
-    p_.rhs(t_, y, f);
-    ++stats_.rhs_calls;
-    error_weights(y, opts_.tol, w);
-    const double d0 = la::wrms_norm(y, w);
-    const double d1 = la::wrms_norm(f, w);
-    h_ = (d0 > 1e-5 && d1 > 1e-5) ? 0.01 * d0 / d1
-                                  : 1e-3 * (p_.tend - p_.t0);
-  }
   const double hmax = opts_.hmax > 0.0 ? opts_.hmax : (p_.tend - p_.t0);
-  h_ = std::min(h_, hmax);
+  if (h > 0.0) {
+    h_ = std::min(h, hmax);
+  } else {
+    std::vector<double>& f = lanes_.fa_;
+    lanes_.f_(t_, y, f);
+    ++stats_.rhs_calls;
+    h_ = initial_step(y, f, opts_.tol, p_.tend - p_.t0, hmax, lanes_.wa_);
+  }
 
   if (opts_.bdf_fixed_h > 0.0 && opts_.bdf_max_order > 1) {
     // Fixed-step mode: bootstrap an accurate uniform history with finely
     // sub-stepped RK4 so every subsequent step is pure order-k BDF (the
     // convergence-order tests rely on this).
-    std::vector<double> ycur(y.begin(), y.end());
+    std::vector<double>& ycur = lanes_.ya_;
+    ycur.assign(y.begin(), y.end());
     for (int m = 1; m < opts_.bdf_max_order; ++m) {
-      rk4_substeps(p_, t_, h_, ycur, stats_);
+      rk4_substeps(lanes_.f_, t_, h_, kRk4Substeps, ycur, lanes_.rk4_,
+                   stats_);
       t_ += h_;
       ++stats_.steps;
       push_history(ycur);
@@ -441,9 +401,9 @@ bool BdfStepper::begin() {
   if (fixed && clipped) {
     // Fixed-step mode exists for order measurements: finish the partial
     // final interval with finely sub-stepped RK4.
-    std::vector<double> ycur(p_.n);
+    std::vector<double>& ycur = lanes_.ya_;
     gather(lanes_.blk_[map_[0]], lanes_.width(), slot_, ycur);
-    rk4_substeps(p_, t_, h, ycur, stats_);
+    rk4_substeps(lanes_.f_, t_, h, kRk4Substeps, ycur, lanes_.rk4_, stats_);
     t_ = p_.tend;
     push_history(ycur);
     ++stats_.steps;

@@ -43,11 +43,12 @@ class BdfStepper;
 /// reached its widest; not safe to use from two threads at once.
 class BdfLanes {
  public:
-  /// Every lane evaluates `p`: its RHS through p.batch_rhs on kernel
-  /// lane `lane` when `batched`, else through p.rhs, and its Jacobian
-  /// through the slot's engine.
-  explicit BdfLanes(const Problem& p, std::size_t lane = 0,
-                    bool batched = false);
+  /// Every lane evaluates `p`: its RHS through one LaneRhs on kernel
+  /// lane `lane`, and its Jacobian through the slot's engine.
+  explicit BdfLanes(const Problem& p, std::size_t lane = 0);
+  // The slots' engines and steppers refer into the block.
+  BdfLanes(const BdfLanes&) = delete;
+  BdfLanes& operator=(const BdfLanes&) = delete;
 
   std::size_t width() const { return blk_.width(); }
   /// Widens the block to hold `slot` (LaneBlock::widen).
@@ -60,11 +61,11 @@ class BdfLanes {
 
   /// One step attempt of each lane in `lanes` (distinct slots). Each
   /// lane begins its attempt; the predictor and the BDF sum run over the
-  /// lanes together; then every Newton iteration is one RHS evaluation
-  /// over the lanes still iterating (one batched call when batched), the
-  /// residual, one la::LaneSolver solve and the update, and a lane leaves
-  /// the iteration when it converges or fails; the error norms run over
-  /// the lanes together, and each lane ends its attempt. Every lane does
+  /// lanes together; then every Newton iteration is one LaneRhs call
+  /// over the lanes still iterating, the residual, one la::LaneSolver
+  /// solve and the update, and a lane leaves the iteration when it
+  /// converges or fails; the error norms run over the lanes together,
+  /// and each lane ends its attempt. Every lane does
   /// its own operations in its own order, so its bits do not depend on
   /// the lanes beside it. BdfStepper::accepted() has each outcome.
   void attempt(std::span<BdfStepper* const> lanes);
@@ -96,8 +97,7 @@ class BdfLanes {
   void eval_rhs();
 
   const Problem& p_;
-  std::size_t lane_;
-  bool batched_;
+  LaneRhs f_;  // every evaluation of the lanes, their Jacobians' included
   LaneBlock blk_;
   std::vector<std::unique_ptr<JacobianEngine>> engines_;  // by slot
   // Slot-indexed, for the lanes of the attempt in flight: the stepper,
@@ -119,9 +119,10 @@ class BdfLanes {
   };
   std::vector<Group> groups_;
   la::LaneSolver lane_solver_;
-  // One lane's gathered vectors: a column, an RHS input and value, and
-  // restart()'s error weights; the compacted RHS input and value.
-  std::vector<double> col_, ya_, fa_, wa_;
+  // One lane's vectors: a gathered column, the fixed-step mode's RK4
+  // state, restart()'s RHS value and error weights, and the RK4 stages;
+  // the compacted RHS input, value and times.
+  std::vector<double> col_, ya_, fa_, wa_, rk4_;
   simd::aligned_vector<double> yc_, fc_, tc_;
 };
 

@@ -22,6 +22,7 @@
 #include "omx/ode/events.hpp"
 #include "omx/ode/jacobian.hpp"
 #include "omx/ode/lane_block.hpp"
+#include "omx/ode/lane_rhs.hpp"
 #include "omx/sched/lpt.hpp"
 #include "omx/support/simd.hpp"
 #include "omx/support/timer.hpp"
@@ -99,12 +100,13 @@ obs::Counter& lanes_event_stopped_counter() {
 //
 // The one implementation of every Method. A stepper integrates a set of
 // lanes (scenarios) in lockstep: one round() is one step attempt for
-// every lane. The explicit steppers keep their lanes in a LaneBlock and
-// fuse each stage's RHS evaluations into one batched call on it. Every
-// lane keeps its own t, h, step control and events, and batched kernels
-// are lane-independent, so a lane's trajectory is the same whichever
-// lanes share its block. ode::solve is the same stepper with one lane
-// (detail::solve_one_lane).
+// every lane. Every evaluation goes through one LaneRhs bound to the
+// worker's kernel lane. The explicit steppers keep their lanes in a
+// LaneBlock and fuse each stage's RHS evaluations into one call on it.
+// Every lane keeps its own t, h, step control and events, and batched
+// kernels are lane-independent, so a lane's trajectory is the same
+// whichever lanes share its block. ode::solve is the same stepper with
+// one lane on kernel lane 0 (detail::solve_one_lane).
 
 using Vec = std::vector<double>;
 
@@ -264,18 +266,11 @@ class BlockStepper : public StepperBase<Lane> {
   using Base::lanes_;
   static constexpr std::size_t kY = 0;
 
-  /// `batched`: a stage is one p.batch_rhs call on private workspace
-  /// `lane`; otherwise every lane calls p.rhs on its own gathered
-  /// vectors.
+  /// Every evaluation is one LaneRhs call on kernel lane `lane`.
   BlockStepper(const Problem& pp, const SolverOptions& oo, const char* method,
-               std::size_t lane, TrajectorySink& sink, bool batched,
-               std::size_t arrays, std::size_t kept)
-      : Base(pp, oo, method, sink),
-        blk_(pp.n, arrays, kept),
-        lane_(lane),
-        batched_(batched),
-        ya_(pp.n),
-        fa_(pp.n) {}
+               std::size_t lane, TrajectorySink& sink, std::size_t arrays,
+               std::size_t kept)
+      : Base(pp, oo, method, sink), blk_(pp.n, arrays, kept), rhs_(pp, lane) {}
 
   std::size_t width() const { return blk_.width(); }
 
@@ -319,30 +314,9 @@ class BlockStepper : public StepperBase<Lane> {
     return into;
   }
 
-  /// f(t, y) for one lane's contiguous vectors: a width-1 SoA block is
-  /// the plain state vector.
-  void eval_one(double t, std::span<const double> y, std::span<double> f) {
-    if (batched_) {
-      p.batch_rhs(lane_, 1, &t, y.data(), f.data());
-    } else {
-      p.rhs(t, y, f);
-    }
-  }
-
-  /// Array `out` = f(ts_, array `in`) for every lane, as one batched call.
+  /// Array `out` = f(ts_, array `in`) for every lane, as one call.
   void eval(std::size_t in, std::size_t out) {
-    const std::size_t nb = width(), n = p.n;
-    if (batched_) {
-      p.batch_rhs(lane_, nb, ts_.data(), blk_[in], blk_[out]);
-    } else if (nb == 1) {
-      p.rhs(ts_[0], {blk_[in], n}, {blk_[out], n});
-    } else {
-      for (std::size_t j = 0; j < nb; ++j) {
-        gather(blk_[in], nb, j, ya_);
-        p.rhs(ts_[j], ya_, fa_);
-        scatter(fa_, blk_[out], nb, j);
-      }
-    }
+    rhs_(width(), ts_.data(), blk_[in], blk_[out]);
   }
 
   LaneBlock blk_;
@@ -350,11 +324,7 @@ class BlockStepper : public StepperBase<Lane> {
   // lane and a per-lane accumulator (64-byte aligned per the simd.hpp
   // contract).
   simd::aligned_vector<double> ts_, h_, c_, acc_;
-
- private:
-  std::size_t lane_;
-  bool batched_;
-  Vec ya_, fa_;  // one lane's gathered input / output for p.rhs
+  LaneRhs rhs_;  // also one lane's contiguous vectors: a width-1 block
 };
 
 struct FixedLane : LaneCore {
@@ -372,8 +342,8 @@ class FixedStepper : public BlockStepper<FixedLane> {
 
  public:
   FixedStepper(const Problem& pp, const SolverOptions& oo, Method method,
-               std::size_t lane, TrajectorySink& sink, bool batched)
-      : BlockStepper(pp, oo, to_string(method), lane, sink, batched, 6, 1),
+               std::size_t lane, TrajectorySink& sink)
+      : BlockStepper(pp, oo, to_string(method), lane, sink, 6, 1),
         rk4_(method == Method::kRk4),
         y1_(pp.n),
         f0_(pp.n),
@@ -493,8 +463,8 @@ class FixedStepper : public BlockStepper<FixedLane> {
     const EventHandler::Hit hit =
         L.events.check(t_prev, L.t, y1, method_name, L.stats, [&] {
           // Cubic Hermite over the step from its endpoint derivatives.
-          eval_one(t_prev, L.yprev, f0_);
-          eval_one(L.t, y1, f1_);
+          rhs_(t_prev, L.yprev, f0_);
+          rhs_(L.t, y1, f1_);
           L.stats.rhs_calls += 2;
           return DenseOutput::hermite(t_prev, L.yprev, f0_, L.t, y1, f1_);
         });
@@ -560,8 +530,8 @@ class Dopri5Stepper : public BlockStepper<Dopri5Lane> {
 
  public:
   Dopri5Stepper(const Problem& pp, const SolverOptions& oo, std::size_t lane,
-                TrajectorySink& sink, bool batched)
-      : BlockStepper(pp, oo, "dopri5", lane, sink, batched, 9, 2),
+                TrajectorySink& sink)
+      : BlockStepper(pp, oo, "dopri5", lane, sink, 9, 2),
         hmax_(oo.hmax > 0.0 ? oo.hmax : (pp.tend - pp.t0)),
         f0_(pp.n),
         w_(pp.n) {
@@ -636,11 +606,10 @@ class Dopri5Stepper : public BlockStepper<Dopri5Lane> {
   }
 
  private:
-  /// First evaluation and automatic initial step (Hairer's d0/d1
-  /// heuristic: h ~ 1% of ||y||_w / ||y'||_w) for the lanes that joined
-  /// since the last round. A block of fresh lanes (a job's start) takes
-  /// its first f as one batched call; a lane refilled beside running
-  /// ones is evaluated alone.
+  /// First evaluation and automatic initial step (initial_step) for the
+  /// lanes that joined since the last round. A block of fresh lanes (a
+  /// job's start) takes its first f as one call; a lane refilled beside
+  /// running ones is evaluated alone.
   void init_fresh() {
     const std::size_t nb = width();
     std::size_t fresh = 0;
@@ -661,19 +630,14 @@ class Dopri5Stepper : public BlockStepper<Dopri5Lane> {
       }
       const std::span<const double> y0 = col(kY, j, dense_[0]);
       if (fresh != nb) {
-        eval_one(L.t, y0, f0_);
+        rhs_(L.t, y0, f0_);
         scatter(f0_, blk_[kK], nb, j);
       }
       const std::span<const double> f0 = col(kK, j, f0_);
       ++L.stats.rhs_calls;
       double h = o.h0;
       if (h <= 0.0) {
-        error_weights(y0, o.tol, w_);
-        const double d0 = la::wrms_norm(y0, w_);
-        const double d1 = la::wrms_norm(f0, w_);
-        h = (d0 > 1e-5 && d1 > 1e-5) ? 0.01 * d0 / d1
-                                     : 1e-3 * (p.tend - p.t0);
-        h = std::min(h, hmax_);
+        h = initial_step(y0, f0, o.tol, p.tend - p.t0, hmax_, w_);
       }
       L.h = h;
       L.fresh = false;
@@ -755,11 +719,10 @@ class Dopri5Stepper : public BlockStepper<Dopri5Lane> {
           L.event_stopped = true;
           L.done = true;
         } else {
-          eval_one(L.t, post, f0_);
+          rhs_(L.t, post, f0_);
           ++L.stats.rhs_calls;
           scatter(f0_, blk_[kK + 6], nb, j);
-          L.h = event_restart_step(post, f0_, o.tol, p.tend - p.t0, hmax_,
-                                   w_);
+          L.h = initial_step(post, f0_, o.tol, p.tend - p.t0, hmax_, w_);
           L.err_prev = 1.0;
         }
       } else {
@@ -900,50 +863,35 @@ void add_stats(SolverStats& into, const SolverStats& from) {
 /// BdfStepper. kAdamsPece and kBdf run one segment; kLsodaLike starts on
 /// Adams and starts a new segment at every switch.
 ///
-/// A round steps the Adams lanes one at a time, each evaluating its own
-/// RHS. The BDF lanes (kLsodaLike lanes in a BDF segment among them)
+/// Every evaluation, Jacobians' included, runs on the worker's kernel
+/// lane. A round steps the Adams lanes one at a time, each evaluating its
+/// own RHS. The BDF lanes (kLsodaLike lanes in a BDF segment among them)
 /// keep their history and Newton state in one BdfLanes block, slot j
 /// being the lane in slot j, and take their step attempts together
 /// (BdfLanes::attempt): the elementwise phases run lane-inner over the
 /// block, every Newton iteration is one RHS call over the lanes still
-/// iterating (batched on the worker's kernel lane when one is bound) and
-/// one la::LaneSolver solve over their factorizations. Jacobian
-/// evaluation, refactoring and events stay per lane, and every lane does
-/// its own operations in its own order, so its bits do not depend on the
-/// lanes beside it. A lane seated in a slot reuses the Jacobian engine
+/// iterating and one la::LaneSolver solve over their factorizations.
+/// Jacobian evaluation, refactoring and events stay per lane, and every
+/// lane does its own operations in its own order, so its bits do not
+/// depend on the lanes beside it. A lane seated in a slot reuses the Jacobian engine
 /// the slot's last BDF lane left.
 class MultistepStepper : public StepperBase<MultistepLane> {
  public:
   MultistepStepper(const Problem& pp, const SolverOptions& oo, Method method,
-                   std::size_t lane, TrajectorySink& sink, bool batched)
+                   std::size_t lane, TrajectorySink& sink)
       : StepperBase(pp, oo, method == Method::kAdamsPece ? "adams"
                                                          : to_string(method),
                     sink),
         method_(method),
-        lane_p_(pp),
+        lane_(lane),
+        base_(pp),
         ya_(pp.n) {
-    if (batched) {
-      // Every evaluation of the lane, the colored-FD Jacobian's batched
-      // call included, runs on this worker's kernel lane; one lane also
-      // keeps the Jacobian's color groups on this thread.
-      const Problem* base = &pp;
-      lane_p_.set_rhs([base, lane](double t, std::span<const double> y,
-                                   std::span<double> ydot) {
-        base->batch_rhs(lane, 1, &t, y.data(), ydot.data());
-      });
-      lane_p_.set_batch_rhs([base, lane](std::size_t, std::size_t nb,
-                                         const double* t, const double* y,
-                                         double* ydot) {
-        base->batch_rhs(lane, nb, t, y, ydot);
-      });
-      lane_p_.batch_lanes = 1;
-    }
     if (method != Method::kAdamsPece) {
       // One Jacobian plan serves every BDF segment.
-      if (!lane_p_.jac_plan) {
-        lane_p_.jac_plan = make_jac_plan(lane_p_);
+      if (!base_.jac_plan) {
+        base_.jac_plan = make_jac_plan(base_);
       }
-      bdf_lanes_.emplace(lane_p_, lane, batched);
+      bdf_lanes_.emplace(base_, lane);
     }
   }
 
@@ -1031,13 +979,13 @@ class MultistepStepper : public StepperBase<MultistepLane> {
     }
     L.seg = std::make_unique<Segment>();
     Segment& s = *L.seg;
-    s.p = lane_p_;
+    s.p = base_;
     s.p.t0 = L.t;
     s.p.y0 = L.y;
     if (bdf) {
       s.bdf.emplace(s.p, so, *bdf_lanes_, slot);
     } else {
-      s.adams.emplace(s.p, so);
+      s.adams.emplace(s.p, so, lane_);
     }
     L.seg_accepted = L.since_check = L.sigma_hits = L.easy_streak = 0;
     bool stopped = false;
@@ -1200,7 +1148,7 @@ class MultistepStepper : public StepperBase<MultistepLane> {
       while (st.t() > t_prev) {
         const EventHandler::Hit hit =
             L.events.check(t_prev, st.t(), state(st), method_name, st.stats(),
-                           [&] { return dense(s.p, st, t_prev, L.yprev); });
+                           [&] { return dense(st, t_prev, L.yprev); });
         if (!hit.fired) {
           return false;
         }
@@ -1224,23 +1172,24 @@ class MultistepStepper : public StepperBase<MultistepLane> {
   /// The Adams step has no continuous extension (the f history is
   /// rebuilt wholesale on restarts), so localization interpolates the
   /// jump with cubic Hermite from endpoint derivatives.
-  static DenseOutput dense(const Problem& sp, AdamsStepper& st, double t0,
+  static DenseOutput dense(AdamsStepper& st, double t0,
                            std::span<const double> y0) {
-    Vec f0(sp.n), f1(sp.n);
-    sp.rhs(t0, y0, f0);
-    sp.rhs(st.t(), st.y(), f1);
+    Vec f0(y0.size()), f1(y0.size());
+    st.rhs()(t0, y0, f0);
+    st.rhs()(st.t(), st.y(), f1);
     st.stats().rhs_calls += 2;
     return DenseOutput::hermite(t0, y0, f0, st.t(), st.y(), f1);
   }
 
   /// BDF localizes on its own history polynomial.
-  static DenseOutput dense(const Problem&, BdfStepper& st, double,
+  static DenseOutput dense(BdfStepper& st, double,
                            std::span<const double>) {
     return st.last_step_dense();
   }
 
   Method method_;
-  Problem lane_p_;  // the base problem, with the RHS on this worker's lane
+  std::size_t lane_;  // this worker's kernel lane
+  Problem base_;      // the base problem with every BDF segment's plan
   // The BDF lanes' block (every method but kAdamsPece), the lane slots of
   // a round's BDF lanes and their steppers.
   std::optional<BdfLanes> bdf_lanes_;
@@ -1345,24 +1294,23 @@ struct LaneLedger {
 /// Runs `f` on the stepper of `method`.
 template <typename F>
 void with_stepper(const Problem& p, Method method, const SolverOptions& o,
-                  std::size_t lane, TrajectorySink& sink, bool batched,
-                  F&& f) {
+                  std::size_t lane, TrajectorySink& sink, F&& f) {
   switch (method) {
     case Method::kExplicitEuler:
     case Method::kRk4: {
-      FixedStepper st(p, o, method, lane, sink, batched);
+      FixedStepper st(p, o, method, lane, sink);
       f(st);
       return;
     }
     case Method::kDopri5: {
-      Dopri5Stepper st(p, o, lane, sink, batched);
+      Dopri5Stepper st(p, o, lane, sink);
       f(st);
       return;
     }
     case Method::kAdamsPece:
     case Method::kBdf:
     case Method::kLsodaLike: {
-      MultistepStepper st(p, o, method, lane, sink, batched);
+      MultistepStepper st(p, o, method, lane, sink);
       f(st);
       return;
     }
@@ -1445,7 +1393,7 @@ SolverStats solve_one_lane(const Problem& p, Method method,
   obs::Span span(to_string(method), "ode");
   SolverStats stats;
   auto on_retire = [&](const LaneCore& L) { stats = L.stats; };
-  with_stepper(p, method, opts, 0, sink, /*batched=*/false, [&](auto& st) {
+  with_stepper(p, method, opts, 0, sink, [&](auto& st) {
     st.add(scenario, p.y0, on_retire);
     while (st.active() > 0) {
       poll_cancel(opts.cancel, st.method_name);
@@ -1515,10 +1463,9 @@ void solve_ensemble(const Problem& p, Method method,
   std::mutex err_mutex;
   std::exception_ptr first_error;
 
-  const bool batched = static_cast<bool>(p.batch_rhs);
   auto worker = [&](std::size_t w) {
     try {
-      with_stepper(base, method, opts, w, sink, batched, [&](auto& st) {
+      with_stepper(base, method, opts, w, sink, [&](auto& st) {
         run_batched_worker(st, method, ws, w, max_batch, spec, ledger);
       });
     } catch (...) {

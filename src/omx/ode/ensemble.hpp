@@ -7,7 +7,7 @@
 // parallelism of §3.2: each worker integrates a *batch* of scenarios in
 // SoA lockstep, so one tape decode (or one pass of compiled native code)
 // is amortized over the whole batch, and scenarios are dealt to workers
-// by the semi-dynamic LPT of §3.2.3 over the task pool's deques.
+// by the semi-dynamic LPT of §3.2.3.
 //
 // Semantics:
 //  * Every scenario keeps fully independent step control — its own t, h,
@@ -33,8 +33,7 @@
 //    lane with armed events walks to tend instead of counting dt steps.
 //  * kAdamsPece / kBdf / kLsodaLike run as lanes of one multistep
 //    stepper, up to max_batch of them per worker. Adams lanes step one
-//    at a time, each evaluating its own RHS (through the batched kernel
-//    at width 1 on the worker's kernel lane when one is bound). BDF
+//    at a time, each evaluating its own RHS at width 1. BDF
 //    lanes, kLsodaLike lanes in a BDF segment among them, keep their
 //    history and Newton state in one SoA lane block (ode::BdfLanes) and
 //    take each step attempt together: the predictor, residual, update
@@ -44,9 +43,13 @@
 //    structure with the lanes innermost. Jacobians, refactorizations
 //    and events stay per lane; a lane reuses its slot's Jacobian
 //    engine.
+//  * Every evaluation, a colored-FD Jacobian's included, is one call of
+//    the stepper's ode::LaneRhs: the batched kernel on the worker's
+//    kernel lane when Problem::batch_rhs is bound, else Problem::rhs
+//    lane by lane.
 //  * These lane steppers are the only implementation of the six
-//    methods: ode::solve runs the same stepper with one lane, calling
-//    p.rhs on the lane's own vectors.
+//    methods: ode::solve runs the same stepper with one lane, on kernel
+//    lane 0.
 #pragma once
 
 #include "omx/ode/solve.hpp"
@@ -92,8 +95,8 @@ void solve_ensemble(const Problem& p, Method method,
                     TrajectorySink& sink);
 
 namespace detail {
-/// ode::solve's path: the method's lane stepper with one lane, which
-/// evaluates p.rhs directly.
+/// ode::solve's path: the method's lane stepper with one lane, on
+/// kernel lane 0.
 SolverStats solve_one_lane(const Problem& p, Method method,
                            const SolverOptions& opts, TrajectorySink& sink,
                            std::uint32_t scenario);

@@ -171,19 +171,4 @@ class EventHandler {
   std::size_t fired_ = 0;
 };
 
-/// Conservative step re-seed after an event restart: the same d0/d1
-/// heuristic the dopri5 stepper uses at t0; the error weights are
-/// written into `w`.
-inline double event_restart_step(std::span<const double> y,
-                                 std::span<const double> f,
-                                 const Tolerances& tol, double span_fallback,
-                                 double hmax, std::span<double> w) {
-  error_weights(y, tol, w);
-  const double d0 = la::wrms_norm(y, w);
-  const double d1 = la::wrms_norm(f, w);
-  const double h = (d0 > 1e-5 && d1 > 1e-5) ? 0.01 * d0 / d1
-                                            : 1e-3 * span_fallback;
-  return std::min(h, hmax);
-}
-
 }  // namespace omx::ode

@@ -73,89 +73,66 @@ std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p) {
   return plan;
 }
 
-void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
+void colored_fd_jacobian(LaneRhs& f, const JacPlan& plan, double t,
                          std::span<const double> y, la::CsrMatrix& jac,
                          std::uint64_t& rhs_calls, FdScratch& scratch) {
-  const std::size_t n = p.n;
+  const std::size_t n = y.size();
   OMX_REQUIRE(jac.rows() == n && jac.cols() == n, "jacobian shape mismatch");
   OMX_REQUIRE(jac.values().size() == plan.pattern->nnz(),
               "jacobian values do not match the plan pattern");
 
   std::vector<double>& f0 = scratch.f0;
   f0.resize(n);
-  p.rhs(t, y, f0);
+  f(t, y, f0);
   ++rhs_calls;
 
+  // One call, one lane per color group: lane g carries the base state
+  // with all of group g's columns perturbed at once. Lane independence
+  // (problem.hpp) makes each lane bitwise the evaluation a one-group
+  // call would have done, while a batched kernel vectorizes across the
+  // groups. rhs_calls counts lanes, so the colors+1 evaluation ceiling
+  // stays comparable.
   const auto& groups = plan.coloring.groups;
-  std::span<double> values = jac.values();
-
-  // Each color group perturbs all its columns at once; its compressed
-  // differences scatter through the CSC view. Every equation depends on
-  // at most one perturbed column (that is what the distance-2 coloring
-  // guarantees), so each difference is bitwise what a one-column
-  // evaluation would have produced.
-  if (p.batch_rhs && groups.size() > 1) {
-    // One batched call, one lane per color group: lane g carries the
-    // base state with group g's columns perturbed. Lane independence
-    // (problem.hpp) makes each lane bitwise equal to the scalar
-    // evaluation the loop below would have done, while the kernel
-    // vectorizes across the groups. rhs_calls counts lanes so the
-    // colors+1 evaluation ceiling stays comparable.
-    const std::size_t ng = groups.size();
-    simd::aligned_vector<double>& ts = scratch.ts;
-    simd::aligned_vector<double>& y_soa = scratch.y_soa;
-    simd::aligned_vector<double>& f_soa = scratch.f_soa;
-    ts.assign(ng, t);
-    y_soa.resize(n * ng);
-    f_soa.resize(n * ng);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t g = 0; g < ng; ++g) {
-        y_soa[i * ng + g] = y[i];
-      }
-    }
+  const std::size_t ng = groups.size();
+  simd::aligned_vector<double>& ts = scratch.ts;
+  simd::aligned_vector<double>& y_soa = scratch.y_soa;
+  simd::aligned_vector<double>& f_soa = scratch.f_soa;
+  ts.assign(ng, t);
+  y_soa.resize(n * ng);
+  f_soa.resize(n * ng);
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t g = 0; g < ng; ++g) {
-      for (std::size_t j : groups[g]) {
-        y_soa[j * ng + g] = y[j] + fd_increment(y[j]);
-      }
+      y_soa[i * ng + g] = y[i];
     }
-    p.batch_rhs(0, ng, ts.data(), y_soa.data(), f_soa.data());
-    rhs_calls += ng;
-    for (std::size_t g = 0; g < ng; ++g) {
-      for (std::size_t j : groups[g]) {
-        const double inv = 1.0 / fd_increment(y[j]);
-        for (std::size_t k = plan.cols.col_ptr[j];
-             k < plan.cols.col_ptr[j + 1]; ++k) {
-          const std::size_t r = plan.cols.row_idx[k];
-          values[plan.cols.csr_pos[k]] = (f_soa[r * ng + g] - f0[r]) * inv;
-        }
-      }
-    }
-    return;
   }
-  std::vector<double>& yp = scratch.yp;
-  std::vector<double>& f1 = scratch.f1;
-  yp.assign(y.begin(), y.end());
-  f1.resize(n);
-  for (const auto& group : groups) {
-    for (std::size_t j : group) {
-      yp[j] = y[j] + fd_increment(y[j]);
+  for (std::size_t g = 0; g < ng; ++g) {
+    for (std::size_t j : groups[g]) {
+      y_soa[j * ng + g] = y[j] + fd_increment(y[j]);
     }
-    p.rhs(t, yp, f1);
-    ++rhs_calls;
-    for (std::size_t j : group) {
+  }
+  f(ng, ts.data(), y_soa.data(), f_soa.data());
+  rhs_calls += ng;
+
+  // Group g's compressed differences scatter through the CSC view. Every
+  // equation depends on at most one perturbed column of a group (that is
+  // what the distance-2 coloring guarantees), so each difference is
+  // bitwise what a one-column evaluation would have produced.
+  std::span<double> values = jac.values();
+  for (std::size_t g = 0; g < ng; ++g) {
+    for (std::size_t j : groups[g]) {
       const double inv = 1.0 / fd_increment(y[j]);
       for (std::size_t k = plan.cols.col_ptr[j]; k < plan.cols.col_ptr[j + 1];
            ++k) {
         const std::size_t r = plan.cols.row_idx[k];
-        values[plan.cols.csr_pos[k]] = (f1[r] - f0[r]) * inv;
+        values[plan.cols.csr_pos[k]] = (f_soa[r * ng + g] - f0[r]) * inv;
       }
-      yp[j] = y[j];
     }
   }
 }
 
-JacobianEngine::JacobianEngine(const Problem& p)
+JacobianEngine::JacobianEngine(const Problem& p, LaneRhs& f)
     : p_(p),
+      f_(f),
       plan_(p.jac_plan ? p.jac_plan : make_jac_plan(p)),
       jac_(plan_->pattern),
       m_(plan_->pattern) {}
@@ -183,7 +160,7 @@ void JacobianEngine::eval_jacobian(double t, std::span<const double> y,
     }
   } else {
     obs::Span span("jacobian_fd_colored", "ode");
-    colored_fd_jacobian(p_, *plan_, t, y, jac_, stats.rhs_calls, fd_);
+    colored_fd_jacobian(f_, *plan_, t, y, jac_, stats.rhs_calls, fd_);
   }
   ++stats.jac_calls;
 }

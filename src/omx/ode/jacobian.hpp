@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "omx/la/sparse.hpp"
-#include "omx/ode/problem.hpp"
+#include "omx/ode/lane_rhs.hpp"
 #include "omx/support/simd.hpp"
 
 namespace omx::ode {
@@ -65,15 +65,15 @@ std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p);
 
 /// colored_fd_jacobian's buffers, grown on first use and reused after.
 struct FdScratch {
-  std::vector<double> f0, f1, yp;
+  std::vector<double> f0;
   simd::aligned_vector<double> ts, y_soa, f_soa;
 };
 
 /// Colored compressed finite-difference Jacobian into CSR values:
-/// colors+1 RHS calls. With a bound batch_rhs the color groups are the
-/// lanes of one batched call; otherwise each group is one rhs call.
-/// Allocates nothing once `scratch` has grown to the problem.
-void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
+/// colors+1 RHS evaluations through `f`, the base point and then one call
+/// with one lane per color group. Allocates nothing once `scratch` (and
+/// `f`) have grown to the problem.
+void colored_fd_jacobian(LaneRhs& f, const JacPlan& plan, double t,
                          std::span<const double> y, la::CsrMatrix& jac,
                          std::uint64_t& rhs_calls, FdScratch& scratch);
 
@@ -81,7 +81,9 @@ void colored_fd_jacobian(const Problem& p, const JacPlan& plan, double t,
 /// Newton iteration, with the LSODA-style reuse/refresh policy.
 class JacobianEngine {
  public:
-  explicit JacobianEngine(const Problem& p);
+  /// Evaluates `p`'s Jacobian; a colored finite difference calls `f`,
+  /// which must outlive the engine.
+  JacobianEngine(const Problem& p, LaneRhs& f);
 
   /// True when the next prepare() evaluates the Jacobian (never
   /// evaluated, aged out, degradation or divergence flagged).
@@ -115,6 +117,7 @@ class JacobianEngine {
   void factorize(double beta_h);
 
   const Problem& p_;
+  LaneRhs& f_;
   std::shared_ptr<const JacPlan> plan_;
   la::CsrMatrix jac_;   // Jacobian values on the plan's pattern
   la::CsrMatrix m_;     // iteration matrix on the same pattern

@@ -41,8 +41,9 @@ using JacFn = support::FunctionRef<void(double t, std::span<const double> y,
                                         la::Matrix& jac)>;
 /// Batched RHS over `nb` scenarios in structure-of-arrays layout: state i
 /// of scenario j at y_soa[i*nb+j], output slot likewise, per-scenario
-/// time t[j]. `lane` selects a private workspace (the ensemble driver
-/// passes its worker index); calls on distinct lanes must be thread-safe.
+/// time t[j]. `lane` selects a private workspace (a solve_ensemble
+/// worker passes its index, ode::solve 0); calls on distinct lanes must
+/// be thread-safe.
 /// Lane results must be bitwise identical to a scalar rhs call on the
 /// same (t[j], y[:, j]) — see exec::RhsKernel::eval_batch.
 using BatchRhsFn = support::FunctionRef<void(
@@ -83,9 +84,11 @@ struct Problem {
   /// validate() rejects a mismatch against n.
   std::size_t rhs_arity = 0;
 
-  /// Optional batched RHS for ode::solve_ensemble; plain solve() ignores
-  /// it. When absent the ensemble driver falls back to lane-by-lane
-  /// scalar rhs calls (then `rhs` must be thread-safe if workers > 1).
+  /// Optional batched RHS. When bound, every solver evaluation goes
+  /// through it (ode::LaneRhs): solve() on kernel lane 0 at width 1,
+  /// each solve_ensemble worker on its own lane over its lane block.
+  /// When absent the solvers call `rhs` lane by lane (then `rhs` must be
+  /// thread-safe if workers > 1).
   BatchRhsFn batch_rhs;
   /// Arity declared by the bound batched kernel (0 = unknown); validate()
   /// rejects a mismatch against n, catching a batched kernel bound to a

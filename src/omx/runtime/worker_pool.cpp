@@ -190,9 +190,13 @@ void WorkerPool::eval(double t, std::span<const double> y,
   OMX_REQUIRE(y.size() == kernel_->n_state(), "state size mismatch");
   OMX_REQUIRE(ydot.size() == kernel_->n_out(), "ydot size mismatch");
 
-  obs::TraceBuffer& tb = obs::TraceBuffer::global();
-  if (tb.active()) {
-    tb.set_thread_name("supervisor");
+  // The store keeps thread names across start()s, so a thread is named
+  // on its first traced eval only, not once per eval under the store's
+  // mutex.
+  thread_local bool named = false;
+  if (!named && obs::TraceBuffer::global().active()) {
+    obs::TraceBuffer::global().set_thread_name("supervisor");
+    named = true;
   }
   obs::Span eval_span("rhs.eval", "runtime");
 

@@ -10,11 +10,10 @@ namespace omx::support::json {
 
 namespace {
 
-constexpr int kMaxDepth = 32;
-
 class Parser {
  public:
-  explicit Parser(std::string_view text) : s_(text) {}
+  Parser(std::string_view text, int max_depth)
+      : s_(text), max_depth_(max_depth) {}
 
   Value run() {
     Value v = parse_value(0);
@@ -62,7 +61,7 @@ class Parser {
   }
 
   Value parse_value(int depth) {
-    if (depth > kMaxDepth) {
+    if (depth > max_depth_) {
       fail("nesting too deep");
     }
     skip_ws();
@@ -211,31 +210,51 @@ class Parser {
     }
   }
 
+  /// Consumes a run of decimal digits; returns how many.
+  std::size_t digits() {
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() &&
+           std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0) {
+      ++pos_;
+    }
+    return pos_ - start;
+  }
+
+  bool accept(char c) {
+    if (pos_ < s_.size() && s_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  /// RFC 8259: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
   Value parse_number() {
     const std::size_t start = pos_;
-    if (peek() == '-') {
-      ++pos_;
+    const bool minus = accept('-');
+    const std::size_t int_digits = digits();
+    if (int_digits == 0) {
+      fail(minus ? "invalid number" : "invalid value");
     }
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("invalid value");
-    }
-    const std::string text(s_.substr(start, pos_ - start));
-    // RFC 8259: no leading zeros ("01" is two tokens, i.e. malformed).
-    const std::size_t digits = text[0] == '-' ? 1 : 0;
-    if (text.size() > digits + 1 && text[digits] == '0' &&
-        std::isdigit(static_cast<unsigned char>(text[digits + 1])) != 0) {
+    // No leading zeros ("01" is two tokens, i.e. malformed).
+    if (int_digits > 1 && s_[start + (minus ? 1 : 0)] == '0') {
       fail("leading zero in number");
     }
-    char* end = nullptr;
-    const double d = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !std::isfinite(d)) {
+    if (accept('.') && digits() == 0) {
       fail("invalid number");
+    }
+    if (accept('e') || accept('E')) {
+      if (!accept('+')) {
+        accept('-');
+      }
+      if (digits() == 0) {
+        fail("invalid number");
+      }
+    }
+    const std::string text(s_.substr(start, pos_ - start));
+    const double d = std::strtod(text.c_str(), nullptr);
+    if (!std::isfinite(d)) {
+      fail("number out of range");
     }
     Value v;
     v.type = Value::Type::kNumber;
@@ -244,6 +263,7 @@ class Parser {
   }
 
   std::string_view s_;
+  int max_depth_;
   std::size_t pos_ = 0;
 };
 
@@ -291,6 +311,8 @@ bool Value::get_bool(const std::string& key, bool fallback) const {
   return v->boolean;
 }
 
-Value parse(std::string_view text) { return Parser(text).run(); }
+Value parse(std::string_view text, int max_depth) {
+  return Parser(text, max_depth).run();
+}
 
 }  // namespace omx::support::json

@@ -42,8 +42,10 @@ class Value {
   bool get_bool(const std::string& key, bool fallback) const;
 };
 
-/// Parses one JSON document; throws omx::Error on any syntax error,
-/// trailing garbage, or nesting deeper than 32 levels.
-Value parse(std::string_view text);
+/// Parses one JSON document (RFC 8259 grammar); throws omx::Error on any
+/// syntax error, trailing garbage, a number outside the double range, or
+/// nesting deeper than `max_depth` levels. The protocol's 32 levels keep
+/// attacker-controlled recursion far from the stack guard.
+Value parse(std::string_view text, int max_depth = 32);
 
 }  // namespace omx::support::json

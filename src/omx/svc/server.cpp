@@ -35,6 +35,7 @@
 #include "omx/parser/parser.hpp"
 #include "omx/pipeline/pipeline.hpp"
 #include "omx/runtime/admission.hpp"
+#include "omx/support/hash.hpp"
 #include "omx/support/json.hpp"
 #include "omx/support/timer.hpp"
 
@@ -98,22 +99,6 @@ obs::Histogram& job_seconds_hist() {
 }
 
 // ----------------------------------------------------------------- misc
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 ode::Method parse_method(const std::string& s) {
   for (const ode::Method m :
@@ -732,7 +717,7 @@ void Server::Impl::handle_frame(const std::shared_ptr<Conn>& conn,
 
 std::shared_ptr<ModelEntry> Server::Impl::compile_model_payload(
     const std::string& json, bool& cached) {
-  const std::string key = "m" + hex16(fnv1a(json));
+  const std::string key = "m" + support::hex16(support::fnv1a(json));
   std::shared_ptr<ModelSlot> slot;
   {
     const std::lock_guard<std::mutex> lock(models_mutex);

@@ -121,7 +121,8 @@ TEST(ColoredFd, MatchesDenseFdOnHeatPde) {
   CsrMatrix colored(plan->pattern);
   std::uint64_t colored_calls = 0;
   ode::FdScratch scratch;
-  ode::colored_fd_jacobian(p, *plan, 0.0, y, colored, colored_calls, scratch);
+  ode::LaneRhs f(p, 0);
+  ode::colored_fd_jacobian(f, *plan, 0.0, y, colored, colored_calls, scratch);
   EXPECT_EQ(colored_calls,
             static_cast<std::uint64_t>(plan->coloring.num_colors) + 1);
 
@@ -843,7 +844,8 @@ TEST(ColoredFd, FullPatternMatchesDenseFdBitwise) {
     CsrMatrix colored(plan->pattern);
     std::uint64_t calls = 0;
     ode::FdScratch scratch;
-    ode::colored_fd_jacobian(q, *plan, 0.5, y, colored, calls, scratch);
+    ode::LaneRhs f(q, 0);
+    ode::colored_fd_jacobian(f, *plan, 0.5, y, colored, calls, scratch);
     EXPECT_EQ(calls, dense_calls);
     for (std::size_t i = 0; i < p.n; ++i) {
       for (std::size_t j = 0; j < p.n; ++j) {
@@ -891,6 +893,9 @@ TEST(StiffPath, LockstepWidthSweepMatchesSequentialBitwise) {
     std::string label;
     ode::Problem p;
     std::vector<std::vector<double>> y0;
+    // The sequential solves call the kernel's scalar entry (batch_rhs
+    // cleared), the ensemble its batched one.
+    bool scalar_sequential = false;
   };
   std::vector<Case> cases;
   pipeline::KernelOptions kopts;
@@ -923,6 +928,9 @@ TEST(StiffPath, LockstepWidthSweepMatchesSequentialBitwise) {
   cases.push_back({"heat n=32, colored FD",
                    colored.make_problem(colored_kernel, 0.0, 0.05),
                    heat_y0});
+  cases.push_back({"heat n=32, colored FD, scalar-entry sequential solves",
+                   colored.make_problem(colored_kernel, 0.0, 0.05), heat_y0,
+                   true});
   {
     // y' = -1000 (y - cos t) - sin t: no pattern, the full 1 x 1 one.
     ode::Problem p;
@@ -951,6 +959,9 @@ TEST(StiffPath, LockstepWidthSweepMatchesSequentialBitwise) {
       for (const std::vector<double>& y0 : c.y0) {
         ode::Problem p = c.p;
         p.y0 = y0;
+        if (c.scalar_sequential) {
+          p.batch_rhs = nullptr;
+        }
         want.push_back(ode::solve(p, m, o));
       }
       for (const std::size_t workers : {1, 2}) {
@@ -968,6 +979,71 @@ TEST(StiffPath, LockstepWidthSweepMatchesSequentialBitwise) {
                 << " workers, batch " << width << ", scenario " << i;
           }
         }
+      }
+    }
+  }
+}
+
+TEST(StiffPath, ScalarRhsColoredFdEnsembleMatchesSequentialBitwise) {
+  // A problem with only a scalar rhs: every evaluation, the colored-FD
+  // Jacobian's call over its color groups included, goes column by
+  // column through p.rhs, on two workers at once. Each lane's rows and
+  // counters must be exactly those of its own solve.
+  constexpr std::size_t n = 24;
+  ode::Problem p;
+  p.n = n;
+  // Nonlinear diffusion with a cubic sink and a forcing term.
+  p.set_rhs([](double t, std::span<const double> y, std::span<double> f) {
+    const std::size_t m = y.size();
+    for (std::size_t i = 0; i < m; ++i) {
+      const double left = i > 0 ? y[i - 1] : 0.0;
+      const double right = i + 1 < m ? y[i + 1] : 0.0;
+      f[i] = 400.0 * (left - 2.0 * y[i] + right) - y[i] * y[i] * y[i] +
+             std::cos(t + static_cast<double>(i));
+    }
+  });
+  std::vector<std::pair<std::size_t, std::size_t>> trips;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) trips.emplace_back(i, i - 1);
+    trips.emplace_back(i, i);
+    if (i + 1 < n) trips.emplace_back(i, i + 1);
+  }
+  p.sparsity = std::make_shared<SparsityPattern>(
+      SparsityPattern::from_triplets(n, n, std::move(trips)));
+  p.tend = 0.5;
+  ASSERT_FALSE(p.batch_rhs || p.jacobian || p.sparse_jacobian);
+  ASSERT_EQ(ode::make_jac_plan(p)->coloring.num_colors, 3);
+
+  std::vector<std::vector<double>> y0s;
+  for (std::size_t s = 0; s < 10; ++s) {
+    std::vector<double> y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] = (1.0 + 0.2 * static_cast<double>(s)) *
+             std::sin(0.3 * static_cast<double>((s + 1) * (i + 1)));
+    }
+    y0s.push_back(std::move(y));
+  }
+  for (const ode::Method m : {ode::Method::kBdf, ode::Method::kLsodaLike}) {
+    const ode::SolverOptions o;
+    std::vector<ode::Solution> want;
+    for (const std::vector<double>& y0 : y0s) {
+      ode::Problem q = p;
+      q.y0 = y0;
+      want.push_back(ode::solve(q, m, o));
+      ASSERT_GT(want.back().stats.jac_calls, 0u);
+    }
+    for (const std::size_t width : {1, 4}) {
+      ode::EnsembleSpec spec;
+      spec.initial_states = y0s;
+      spec.workers = 2;
+      spec.max_batch = width;
+      const ode::EnsembleResult r = ode::solve_ensemble(p, m, o, spec);
+      for (std::size_t i = 0; i < y0s.size(); ++i) {
+        const ode::Solution& got = r.solutions[i];
+        EXPECT_TRUE(same_rows(got, want[i]) &&
+                    same_stats(got.stats, want[i].stats))
+            << ode::to_string(m) << ", batch " << width << ", scenario "
+            << i;
       }
     }
   }

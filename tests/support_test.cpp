@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "omx/support/cli.hpp"
 #include "omx/support/diagnostics.hpp"
 #include "omx/support/interner.hpp"
@@ -163,6 +166,34 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(support::json::parse("{\"a\": 01}"), omx::Error);
   EXPECT_THROW(support::json::parse("[1, 2,]"), omx::Error);
   EXPECT_THROW(support::json::parse("\"\\x\""), omx::Error);
+}
+
+TEST(Json, NumbersFollowTheRfc8259Grammar) {
+  // strtod alone would take a sign, a bare fraction or a bare point.
+  for (const char* bad : {"+1", ".5", "1.", "-", "-.5", "1.e3", "1e", "1e+",
+                          "01", "-01", "0x10", "1e999", "[+1]", "[.5]"}) {
+    EXPECT_THROW(support::json::parse(bad), omx::Error) << bad;
+  }
+  const support::json::Value v =
+      support::json::parse("[0, -0, 0.5, -12.5e2, 1E+3, 1e-7, 10]");
+  ASSERT_EQ(v.array.size(), 7u);
+  const double want[] = {0.0, -0.0, 0.5, -1250.0, 1000.0, 1e-7, 10.0};
+  for (std::size_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(v.array[i].number, want[i]) << i;
+  }
+  EXPECT_TRUE(std::signbit(v.array[1].number));
+}
+
+TEST(Json, DepthCapIsTheCallersChoice) {
+  std::string deep;
+  for (int i = 0; i < 64; ++i) {
+    deep += "[";
+  }
+  for (int i = 0; i < 64; ++i) {
+    deep += "]";
+  }
+  EXPECT_THROW(support::json::parse(deep), omx::Error);
+  EXPECT_EQ(support::json::parse(deep, 64).array.size(), 1u);
 }
 
 TEST(Json, RejectsRunawayNesting) {
