@@ -1,13 +1,15 @@
 // Compile-path scaling: pipeline::compile_model per phase, plus the C++
 // emission of the default native kernel's one model form (the batched
 // serial body), on the 2-D bearing at N in {10, 40, 160} rollers. Cold
-// native builds of N=10, N=40 and N=160 (make_kernel(kNative) into a
-// fresh cache directory, host compiler included) are timed once each,
-// after the vector-math runtime object every kernel links has been built
-// once into a fresh shared cache (timed on its own as
-// compile.vmath_object_ms). The N=160 kernel's cost per lane at nb=8 and
-// nb=1 is reported too. Without a host compiler (or with the native
-// backend disabled) the native figures are skipped with a note.
+// native builds of the 3-axis servo (compile.servo.native_build_ms, the
+// size at which the link is a visible share) and of N=10, N=40 and
+// N=160 (make_kernel(kNative) into a fresh cache directory, host
+// compiler included) are timed once each, after the vector-math runtime
+// object every kernel links has been built once into a fresh shared
+// cache (timed on its own as compile.vmath_object_ms). The N=160
+// kernel's cost per lane at nb=8 and nb=1 is reported too. Without a
+// host compiler (or with the native backend disabled) the native figures
+// are skipped with a note.
 //
 // Per-phase times come from the pipeline's own spans, the ones omxbench
 // folds into flatten/analysis/cse/task_planning/tapes, recorded into the
@@ -33,6 +35,7 @@
 #include "omx/codegen/cpp_emit.hpp"
 #include "omx/models/bearing2d.hpp"
 #include "omx/models/oscillator.hpp"
+#include "omx/models/servo.hpp"
 #include "omx/obs/export.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/obs/trace.hpp"
@@ -225,6 +228,12 @@ int main() {
     metrics.gauge("compile.vmath_object_ms").set(object_ms);
     std::printf("vector-math runtime object: %.0f ms (built once)\n",
                 object_ms);
+    const double servo_ms =
+        cold_native_build_ms(pipeline::compile_model(models::build_servo));
+    if (servo_ms >= 0.0) {
+      metrics.gauge("compile.servo.native_build_ms").set(servo_ms);
+      std::printf("cold native build, servo: %.0f ms\n", servo_ms);
+    }
     for (const int rollers : kRollers) {
       const pipeline::CompiledModel cm =
           pipeline::compile_model([&](expr::Context& ctx) {

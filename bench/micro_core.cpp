@@ -67,7 +67,10 @@ void BM_Cse(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     codegen::CseOptions opts;
-    opts.temp_prefix = "b" + std::to_string(i++) + "$";
+    std::string prefix = "b";
+    prefix += std::to_string(i++);
+    prefix += '$';
+    opts.temp_prefix = std::move(prefix);
     benchmark::DoNotOptimize(
         codegen::eliminate_common_subexpressions(ctx, roots, opts));
   }

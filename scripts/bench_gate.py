@@ -377,7 +377,8 @@ def gate_compile(gate, current, baseline):
     for name in sorted(current):
         if (name.startswith("compile.n") and name != planning
                 and not name.endswith(".states")) \
-                or name == "compile.vmath_object_ms":
+                or name in ("compile.vmath_object_ms",
+                            "compile.servo.native_build_ms"):
             gate.report(name, current[name], baseline.get(name))
 
 

@@ -74,11 +74,11 @@ const std::string& compiler() {
   return cxx;
 }
 
-/// True if the host compiler accepts `flag`. Some toolchains (cross
-/// compilers, very old gcc) reject the tuning flags below, and the
-/// kernel must still build without them.
-bool accepts_flag(const std::string& cxx, const char* flag) {
-  const std::string probe = cxx + " " + flag +
+/// True if the host compiler accepts `flags` (each with a leading
+/// space). Some toolchains (cross compilers, very old gcc) reject the
+/// tuning flags below, and the kernel must still build without them.
+bool accepts_flags(const std::string& cxx, const std::string& flags) {
+  const std::string probe = cxx + flags +
                             " -x c++ -fsyntax-only /dev/null"
                             " > /dev/null 2>&1";
   return std::system(probe.c_str()) == 0;
@@ -95,16 +95,26 @@ bool accepts_flag(const std::string& cxx, const char* flag) {
 /// loop-max-datarefs-for-datadeps (default 1000) memory references, so a
 /// wide model's rhs_batch lane loop (one load per state, one store per
 /// derivative) silently stays scalar; the raised limit lets it
-/// vectorize and leaves narrower models' objects unchanged. clang
-/// rejects the gcc param and so builds without it.
+/// vectorize and leaves narrower models' objects unchanged. One probe
+/// tries all three; only when it fails (clang rejects the gcc param) is
+/// each flag probed on its own, and the kernel builds with those that
+/// pass.
 const std::string& tuning_flags() {
   static const std::string flags = [] {
+    constexpr const char* kTuning[] = {
+        " -march=native", " -mprefer-vector-width=512",
+        " --param=loop-max-datarefs-for-datadeps=100000"};
+    std::string all;
+    for (const char* flag : kTuning) {
+      all += flag;
+    }
+    if (accepts_flags(compiler(), all)) {
+      return all;
+    }
     std::string f;
-    for (const char* flag :
-         {"-march=native", "-mprefer-vector-width=512",
-          "--param=loop-max-datarefs-for-datadeps=100000"}) {
-      if (accepts_flag(compiler(), flag)) {
-        f += std::string(" ") + flag;
+    for (const char* flag : kTuning) {
+      if (accepts_flags(compiler(), flag)) {
+        f += flag;
       }
     }
     return f;
@@ -415,19 +425,29 @@ std::shared_ptr<NativeState> build_module(const std::string& source,
   if (!opts.extra_flags.empty()) {
     flags += " " + opts.extra_flags;
   }
+  // The kernel links no default library: neither the unit nor the
+  // runtime object calls into libstdc++, libgcc or libc (the crt files
+  // only hold weak references), so the driver is spared loading them.
+  // libm stays for the host functions without an omx_ form (tan, asin,
+  // acos, atan, sinh, cosh, atan2); an --as-needed link records it only
+  // when the unit calls one.
+  static const std::string link_mode = " -shared -nodefaultlibs";
+  static const std::string link_libs = " -lm";
   // The runtime object's key covers everything that shapes its code; the
-  // kernel's key covers its own source and the runtime it links.
+  // kernel's key covers its own source, the runtime it links and the
+  // link line, so a kernel linked another way is never served.
   static const std::string runtime = runtime_source();
   const std::string runtime_stem =
       "omx_vmath_" +
       support::hex16(support::fnv1a(runtime + "\x1f" + cxx + "\x1f" + flags));
   const std::string stem =
-      "omx_" + support::hex16(support::fnv1a(source + "\x1f" + runtime_stem));
+      "omx_" + support::hex16(support::fnv1a(source + "\x1f" + runtime_stem +
+                                             "\x1f" + link_mode + link_libs));
   const fs::path dir = cache_dir(opts);
   const fs::path so = dir / (stem + ".so");
   const fs::path shared = shared_cache_dir();
   const std::string link =
-      " " + shell_quote((shared / (runtime_stem + ".o")).string());
+      " " + shell_quote((shared / (runtime_stem + ".o")).string()) + link_libs;
 
   std::error_code ec;
   if (!fs::exists(so, ec)) {
@@ -445,7 +465,7 @@ std::shared_ptr<NativeState> build_module(const std::string& source,
   }
   static obs::Gauge& compile_seconds =
       obs::Registry::global().gauge("backend.compile_seconds");
-  switch (build_cached(dir, stem, ".so", source, " -shared" + flags, link,
+  switch (build_cached(dir, stem, ".so", source, link_mode + flags, link,
                        compile_seconds, why)) {
     case Build::kFailed:
       return nullptr;

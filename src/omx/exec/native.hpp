@@ -15,7 +15,11 @@
 // once per (compiler, flags, runtime text) into a PIC object in the
 // shared cache and linked into every kernel, so a cold build compiles
 // only the model. Each .so stays self-contained for dlopen and exports
-// only omx_abi_version, omx_n_state and omx_rhs_serial_batch. The unit
+// only omx_abi_version, omx_n_state and omx_rhs_serial_batch. Neither
+// the unit nor the runtime calls the C++ runtime or libc, so the .so step
+// links no default library (`-shared -nodefaultlibs <flags> -o <so>
+// <unit>.cpp <runtime>.o -lm`): a kernel depends on libm at most, for the
+// host functions without an omx_ form (tan, asin, ...). The unit
 // has no scalar serial form: the kernel's whole-system eval is rhs_batch
 // at nb=1, bitwise equal to a scalar evaluation. It has no parallel-task
 // form either, so the kernel has no run_task (has_tasks() is false) and

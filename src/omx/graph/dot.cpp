@@ -10,7 +10,9 @@ namespace {
 
 std::string label_of(const std::vector<std::string>& labels, NodeId n) {
   if (labels.empty()) {
-    return "n" + std::to_string(n);
+    std::string name = "n";
+    name += std::to_string(n);
+    return name;
   }
   return labels[n];
 }

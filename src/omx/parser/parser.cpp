@@ -355,7 +355,8 @@ class Parser {
     std::string s = expect(TokKind::kIdent).text;
     while (true) {
       if (accept(TokKind::kDot)) {
-        s += "." + expect(TokKind::kIdent).text;
+        s += '.';
+        s += expect(TokKind::kIdent).text;
       } else if (check(TokKind::kLBracket) &&
                  peek(1).kind == TokKind::kNumber &&
                  peek(2).kind == TokKind::kRBracket) {
@@ -365,7 +366,9 @@ class Parser {
         if (idx.number != static_cast<int>(idx.number)) {
           throw omx::Error("index must be an integer", idx.loc);
         }
-        s += "[" + std::to_string(static_cast<int>(idx.number)) + "]";
+        s += '[';
+        s += std::to_string(static_cast<int>(idx.number));
+        s += ']';
       } else {
         return s;
       }

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <dlfcn.h>
+#include <elf.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -929,6 +931,167 @@ TEST(NativeBackend, KernelObjectExportsOnlyItsEntryPoints) {
   }
   dlclose(handle);
   fs::remove_all(dir);
+}
+
+/// The DT_NEEDED entries of an ELF64 shared object: the libraries the
+/// dynamic loader maps in with it.
+std::vector<std::string> needed_libraries(const std::filesystem::path& so) {
+  std::ifstream in(so, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  Elf64_Ehdr eh{};
+  if (bytes.size() < sizeof(eh)) {
+    ADD_FAILURE() << so << " is not an ELF file";
+    return {};
+  }
+  std::memcpy(&eh, bytes.data(), sizeof(eh));
+  if (std::memcmp(eh.e_ident, ELFMAG, SELFMAG) != 0 ||
+      eh.e_ident[EI_CLASS] != ELFCLASS64 ||
+      eh.e_shoff + std::size_t{eh.e_shnum} * sizeof(Elf64_Shdr) >
+          bytes.size()) {
+    ADD_FAILURE() << so << " is not an ELF64 file";
+    return {};
+  }
+  const auto section = [&](std::size_t i) {
+    Elf64_Shdr sh{};
+    std::memcpy(&sh, bytes.data() + eh.e_shoff + i * sizeof(sh), sizeof(sh));
+    return sh;
+  };
+  std::vector<std::string> libs;
+  for (std::size_t i = 0; i < eh.e_shnum; ++i) {
+    const Elf64_Shdr dyn = section(i);
+    if (dyn.sh_type != SHT_DYNAMIC) {
+      continue;
+    }
+    if (dyn.sh_link >= eh.e_shnum ||
+        dyn.sh_offset + dyn.sh_size > bytes.size()) {
+      ADD_FAILURE() << so << " has a malformed dynamic section";
+      return {};
+    }
+    const Elf64_Shdr strtab = section(dyn.sh_link);
+    for (std::size_t off = 0; off + sizeof(Elf64_Dyn) <= dyn.sh_size;
+         off += sizeof(Elf64_Dyn)) {
+      Elf64_Dyn d{};
+      std::memcpy(&d, bytes.data() + dyn.sh_offset + off, sizeof(d));
+      if (d.d_tag == DT_NULL) {
+        break;
+      }
+      if (d.d_tag == DT_NEEDED) {
+        if (strtab.sh_offset + d.d_un.d_val >= bytes.size()) {
+          ADD_FAILURE() << so << " names a library outside its file";
+          return {};
+        }
+        libs.emplace_back(bytes.c_str() + strtab.sh_offset + d.d_un.d_val);
+      }
+    }
+  }
+  return libs;
+}
+
+TEST(NativeBackend, KernelObjectNeedsNoCxxRuntime) {
+  // The kernel link names no default library, so a kernel .so depends on
+  // libm at most: never on libstdc++, libgcc_s or libc. The kernels are
+  // built once as the toolchain links by default and once with
+  // -Wl,--no-as-needed, which stands in for a driver that does not pass
+  // --as-needed: there every library on the link line is recorded, so
+  // the line itself must name none of the three.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "omx-test-needed";
+  fs::remove_all(dir);
+  const pipeline::CompiledModel all = compile_all_functions();
+  const pipeline::CompiledModel ball = pipeline::compile_model(
+      [](expr::Context& ctx) { return models::build_bouncing_ball(ctx); });
+  for (const char* flags : {"", "-Wl,--no-as-needed"}) {
+    for (const pipeline::CompiledModel* cm : {&all, &ball}) {
+      pipeline::KernelOptions ko;
+      ko.native.cache_dir = dir.string();
+      ko.native.extra_flags = flags;
+      if (cm->make_kernel(Backend::kNative, ko).backend() !=
+          Backend::kNative) {
+        fs::remove_all(dir);
+        GTEST_SKIP() << "no host compiler; native backend unavailable";
+      }
+    }
+  }
+  std::size_t objects = 0;
+  std::size_t with_libm = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() != ".so") {
+      continue;
+    }
+    ++objects;
+    for (const std::string& lib : needed_libraries(e.path())) {
+      const bool libm = lib.rfind("libm.so", 0) == 0;
+      EXPECT_TRUE(libm) << e.path().filename() << " needs " << lib;
+      with_libm += libm ? 1 : 0;
+    }
+  }
+  fs::remove_all(dir);
+  EXPECT_EQ(objects, 4u);
+  // The all-functions kernel calls tan, asin, ... from the host libm, so
+  // at least its two builds record it.
+  EXPECT_GE(with_libm, 2u);
+}
+
+TEST(NativeBackend, TuningFlagsTakeOneProbeUnderGcc) {
+  // g++ accepts all three tuning flags, so the process probes them in
+  // one -fsyntax-only run, and the kernel builds with all three and
+  // links no default library. The backend reads the compiler once per
+  // process, so the wrapper is set before anything probes it; ctest runs
+  // each test in its own process.
+  namespace fs = std::filesystem;
+  if (std::system("command -v g++ > /dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "no g++ in PATH to wrap";
+  }
+  const fs::path dir = fs::temp_directory_path() / "omx-test-one-probe";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path cxx = dir / "cxx.sh";
+  {
+    std::ofstream script(cxx);
+    script << "#!/bin/sh\n"
+              "echo \"$@\" >> \"$0.calls\"\n"
+              "exec g++ \"$@\"\n";
+  }
+  fs::permissions(cxx, fs::perms::owner_all);
+  ::setenv("OMX_NATIVE_CXX", cxx.c_str(), 1);
+  ::setenv("OMX_NATIVE_CACHE_DIR", (dir / "shared").c_str(), 1);
+  const pipeline::CompiledModel cm =
+      pipeline::compile_model(models::build_oscillator);
+  pipeline::KernelOptions ko;
+  ko.native.cache_dir = (dir / "kernels").string();
+  const KernelInstance k = cm.make_kernel(Backend::kNative, ko);
+  ::unsetenv("OMX_NATIVE_CXX");
+  ::unsetenv("OMX_NATIVE_CACHE_DIR");
+  std::vector<std::string> calls;
+  {
+    std::ifstream log(dir / "cxx.sh.calls");
+    for (std::string line; std::getline(log, line);) {
+      calls.push_back(line);
+    }
+  }
+  fs::remove_all(dir);
+  if (calls.empty()) {
+    GTEST_SKIP() << "the host compiler was chosen before this test ran; "
+                    "run the test in its own process";
+  }
+  ASSERT_EQ(k.backend(), Backend::kNative);
+  std::size_t probes = 0;
+  std::size_t links = 0;
+  for (const std::string& call : calls) {
+    probes += call.find("-fsyntax-only") != std::string::npos ? 1 : 0;
+    if (call.find(" -shared ") != std::string::npos) {
+      ++links;
+      EXPECT_NE(call.find(" -nodefaultlibs "), std::string::npos) << call;
+      for (const char* flag :
+           {" -march=native", " -mprefer-vector-width=512",
+            " --param=loop-max-datarefs-for-datadeps=100000"}) {
+        EXPECT_NE(call.find(flag), std::string::npos) << flag;
+      }
+    }
+  }
+  EXPECT_EQ(probes, 1u);
+  EXPECT_EQ(links, 1u);
 }
 
 /// The native scalar eval at the start state (t = 0.1) followed by an

@@ -46,11 +46,16 @@ TEST(Interner, SurvivesManyInsertions) {
   // Regression guard for the stored-string_view stability issue: small
   // (SSO) strings must stay addressable across container growth.
   Interner in;
+  const auto name = [](int i) {
+    std::string s = "s";
+    s += std::to_string(i);
+    return s;
+  };
   for (int i = 0; i < 10000; ++i) {
-    in.intern("s" + std::to_string(i));
+    in.intern(name(i));
   }
   for (int i = 0; i < 10000; ++i) {
-    const std::string s = "s" + std::to_string(i);
+    const std::string s = name(i);
     EXPECT_EQ(in.find(s), static_cast<SymbolId>(i)) << s;
   }
 }
