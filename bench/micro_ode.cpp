@@ -2,7 +2,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
 
+#include "omx/la/sparse.hpp"
 #include "omx/ode/solve.hpp"
 
 namespace {
@@ -35,9 +37,12 @@ Problem stiff_tracking(bool with_jacobian = true) {
     f[0] = -1000.0 * (y[0] - std::cos(t)) - std::sin(t);
   });
   if (with_jacobian) {
-    p.set_jacobian([](double, std::span<const double>, omx::la::Matrix& j) {
-      j(0, 0) = -1000.0;
-    });
+    p.sparsity = std::make_shared<const omx::la::SparsityPattern>(
+        omx::la::SparsityPattern::dense(1));
+    p.set_sparse_jacobian(
+        [](double, std::span<const double>, omx::la::CsrMatrix& j) {
+          j.values()[0] = -1000.0;
+        });
   }
   p.t0 = 0.0;
   p.tend = 2.0;
@@ -55,12 +60,16 @@ Problem van_der_pol() {
     f[0] = y[1];
     f[1] = kMu * (1.0 - y[0] * y[0]) * y[1] - y[0];
   });
-  p.set_jacobian([](double, std::span<const double> y, omx::la::Matrix& j) {
-    j(0, 0) = 0.0;
-    j(0, 1) = 1.0;
-    j(1, 0) = -2.0 * kMu * y[0] * y[1] - 1.0;
-    j(1, 1) = kMu * (1.0 - y[0] * y[0]);
-  });
+  p.sparsity = std::make_shared<const omx::la::SparsityPattern>(
+      omx::la::SparsityPattern::dense(2));
+  p.set_sparse_jacobian(
+      [](double, std::span<const double> y, omx::la::CsrMatrix& jac) {
+        std::span<double> j = jac.values();  // row-major over dense(2)
+        j[0] = 0.0;
+        j[1] = 1.0;
+        j[2] = -2.0 * kMu * y[0] * y[1] - 1.0;
+        j[3] = kMu * (1.0 - y[0] * y[0]);
+      });
   p.t0 = 0.0;
   p.tend = 1000.0;
   p.y0 = {2.0, 0.0};

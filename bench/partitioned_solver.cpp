@@ -22,7 +22,7 @@
 // without a gate, the BDF stepper's cost per lane step in an ensemble
 // worker's lockstep lanes against the same lanes solved one by one.
 // Last, also without a gate, the full-pattern sparse LU against the
-// textbook dense LuFactors at n = 8, 16 and 32.
+// textbook dense LuFactors (the tests' oracle) at n = 8, 16 and 32.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -32,8 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "dense_oracle.hpp"
 #include "omx/analysis/partition.hpp"
-#include "omx/la/lu.hpp"
 #include "omx/model/flatten.hpp"
 #include "omx/models/heat1d.hpp"
 #include "omx/obs/export.hpp"
@@ -261,7 +261,7 @@ struct FullLuTimings {
 
 FullLuTimings time_full_lu(std::size_t n, bool pivoted) {
   using clock = std::chrono::steady_clock;
-  omx::la::Matrix d(n, n);
+  omx::oracle::Matrix d(n, n);
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -290,14 +290,14 @@ FullLuTimings time_full_lu(std::size_t n, bool pivoted) {
     }
     const auto t1 = clock::now();
     for (int rep = 0; rep < reps; ++rep) {
-      growth += omx::la::LuFactors(d).pivot_growth();
+      growth += omx::oracle::LuFactors(d).pivot_growth();
     }
     const auto t2 = clock::now();
     for (int rep = 0; rep < reps; ++rep) {
       lu.solve(b, x);
     }
     const auto t3 = clock::now();
-    const omx::la::LuFactors dense(d);
+    const omx::oracle::LuFactors dense(d);
     for (int rep = 0; rep < reps; ++rep) {
       dense.solve(b, x);
     }

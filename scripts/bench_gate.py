@@ -38,8 +38,9 @@ What is gated vs merely reported:
   for the tridiagonal stencil — because they are machine-independent.
   Absolute *_wall_s values are report-only, and so are the
   sparse.full.n<N>.* ratios of the full-pattern sparse LU over the
-  textbook dense LuFactors (refactor over construct plus factor, solve
-  over solve).
+  textbook dense LuFactors of the tests' oracle header
+  (tests/oracle/dense_oracle.hpp; refactor over construct plus factor,
+  solve over solve).
 * simd.native.batch*_over_scalar are same-machine per-call throughput
   ratios of the vectorized rhs_batch lanes over the scalar native entry
   point on the bearing model. The repo's >= 4x bar applies to the best

@@ -96,10 +96,6 @@ std::size_t SparsityPattern::upper_bandwidth() const {
   return b;
 }
 
-bool SparsityPattern::contains(std::size_t r, std::size_t c) const {
-  return find(r, c) != npos;
-}
-
 std::size_t SparsityPattern::find(std::size_t r, std::size_t c) const {
   OMX_REQUIRE(r < rows && c < cols, "pattern index out of range");
   const auto begin = col_idx.begin() + static_cast<std::ptrdiff_t>(row_ptr[r]);
@@ -205,34 +201,6 @@ double CsrMatrix::at(std::size_t r, std::size_t c) const {
   return k == SparsityPattern::npos ? 0.0 : values_[k];
 }
 
-void CsrMatrix::set_zero() {
-  std::fill(values_.begin(), values_.end(), 0.0);
-}
-
-Matrix CsrMatrix::to_dense() const {
-  Matrix m(rows(), cols());
-  for (std::size_t r = 0; r < rows(); ++r) {
-    for (std::size_t k = pattern_->row_ptr[r]; k < pattern_->row_ptr[r + 1];
-         ++k) {
-      m(r, pattern_->col_idx[k]) = values_[k];
-    }
-  }
-  return m;
-}
-
-void CsrMatrix::multiply(std::span<const double> x,
-                         std::span<double> y) const {
-  OMX_REQUIRE(x.size() == cols() && y.size() == rows(), "shape mismatch");
-  for (std::size_t r = 0; r < rows(); ++r) {
-    double acc = 0.0;
-    for (std::size_t k = pattern_->row_ptr[r]; k < pattern_->row_ptr[r + 1];
-         ++k) {
-      acc += values_[k] * x[pattern_->col_idx[k]];
-    }
-    y[r] = acc;
-  }
-}
-
 namespace {
 
 /// One L\U entry of a row under construction on the general path.
@@ -321,7 +289,7 @@ void SparseLu::factorize(const CsrMatrix& a) {
     const std::size_t imax = std::min(n_ - 1, k + bandwidth_);
 
     // Partial pivot over the band window — same strict-`>` rule as the
-    // dense LU (lu.hpp); structurally absent entries are exact zeros and
+    // textbook dense LU; structurally absent entries are exact zeros and
     // can never win, so the choice matches the dense scan bit-for-bit.
     std::size_t piv = k;
     double best = 0.0;

@@ -7,12 +7,12 @@
 //
 // Bitwise contract: SparseLu factors in the natural order and performs
 // exactly the same floating-point operations as the textbook dense LU
-// (lu.hpp, the tests' oracle) on the same matrix — structural zeros are
-// exact 0.0 in the dense path, so they can never win the strict-`>`
-// pivot search, their row updates are numerical no-ops, and fill values
-// are computed as `0.0 - m * u` just like the dense in-place update. So
-// a full pattern and a structural one give bit-for-bit identical
-// trajectories.
+// (the tests' oracle, tests/oracle/dense_oracle.hpp) on the same matrix
+// — structural zeros are exact 0.0 in the dense path, so they can never
+// win the strict-`>` pivot search, their row updates are numerical
+// no-ops, and fill values are computed as `0.0 - m * u` just like the
+// dense in-place update. So a full pattern and a structural one give
+// bit-for-bit identical trajectories.
 #pragma once
 
 #include <cstddef>
@@ -20,8 +20,6 @@
 #include <memory>
 #include <span>
 #include <vector>
-
-#include "omx/la/matrix.hpp"
 
 namespace omx::la {
 
@@ -46,7 +44,6 @@ struct SparsityPattern {
   /// max(j - i) over stored entries with j > i (0 when none).
   std::size_t upper_bandwidth() const;
 
-  bool contains(std::size_t r, std::size_t c) const;
   /// Index into col_idx (and any aligned value array) or npos.
   std::size_t find(std::size_t r, std::size_t c) const;
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -97,12 +94,6 @@ class CsrMatrix {
 
   /// Value at (r, c); exact 0.0 for entries outside the pattern.
   double at(std::size_t r, std::size_t c) const;
-
-  void set_zero();
-  Matrix to_dense() const;
-
-  /// y = A x.
-  void multiply(std::span<const double> x, std::span<double> y) const;
 
  private:
   std::shared_ptr<const SparsityPattern> pattern_;
@@ -157,7 +148,8 @@ class SparseLu {
   /// Nonzeros stored in the factors.
   std::size_t factor_nnz() const { return col_.size(); }
 
-  /// Same cheap near-singularity heuristic as the dense LU in lu.hpp.
+  /// Reciprocal condition estimate: smallest over largest pivot
+  /// magnitude (cheap, enough to detect near-singularity).
   double pivot_growth() const { return pivot_min_ / pivot_max_; }
 
  private:

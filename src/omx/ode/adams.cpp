@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "omx/la/norms.hpp"
 #include "omx/obs/trace.hpp"
 
 namespace omx::ode {

@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "omx/la/matrix.hpp"
 #include "omx/obs/registry.hpp"
 #include "omx/obs/trace.hpp"
 #include "omx/ode/adams.hpp"

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "omx/la/matrix.hpp"
 #include "omx/obs/trace.hpp"
 #include "omx/ode/sink.hpp"
 

@@ -20,41 +20,15 @@ constexpr std::size_t kSlowIters = 5;
 
 }  // namespace
 
-void finite_difference_jacobian(const RhsFn& rhs, double t,
-                                std::span<const double> y, la::Matrix& jac,
-                                std::uint64_t& rhs_calls) {
-  const std::size_t n = y.size();
-  OMX_REQUIRE(jac.rows() == n && jac.cols() == n, "jacobian shape mismatch");
-
-  std::vector<double> f0(n), f1(n), yp(y.begin(), y.end());
-  rhs(t, y, f0);
-  ++rhs_calls;
-
-  for (std::size_t j = 0; j < n; ++j) {
-    const double dj = fd_increment(y[j]);
-    const double saved = yp[j];
-    yp[j] = saved + dj;
-    rhs(t, yp, f1);
-    ++rhs_calls;
-    yp[j] = saved;
-    const double inv = 1.0 / dj;
-    for (std::size_t i = 0; i < n; ++i) {
-      jac(i, j) = (f1[i] - f0[i]) * inv;
-    }
-  }
-}
-
 std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p) {
+  OMX_REQUIRE(!p.sparsity || (p.sparsity->rows == p.n &&
+                               p.sparsity->cols == p.n),
+              "sparsity pattern shape does not match problem size");
   auto plan = std::make_shared<JacPlan>();
-  if (p.sparsity) {
-    OMX_REQUIRE(p.sparsity->rows == p.n && p.sparsity->cols == p.n,
-                "sparsity pattern shape does not match problem size");
-    plan->pattern =
-        std::make_shared<la::SparsityPattern>(p.sparsity->with_diagonal());
-    plan->coloring = la::color_columns(*plan->pattern);
-  } else {
-    plan->pattern =
-        std::make_shared<la::SparsityPattern>(la::SparsityPattern::dense(p.n));
+  plan->pattern = std::make_shared<la::SparsityPattern>(
+      p.sparsity ? p.sparsity->with_diagonal()
+                 : la::SparsityPattern::dense(p.n));
+  if (plan->pattern->nnz() == p.n * p.n) {
     // Every column shares every row, so the greedy coloring gives column
     // j color j; built directly, not in color_columns' O(n^3).
     plan->coloring.num_colors = static_cast<int>(p.n);
@@ -62,6 +36,8 @@ std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p) {
       plan->coloring.color.push_back(static_cast<int>(j));
       plan->coloring.groups.push_back({j});
     }
+  } else {
+    plan->coloring = la::color_columns(*plan->pattern);
   }
   plan->cols = la::columns(*plan->pattern);
 
@@ -139,25 +115,9 @@ JacobianEngine::JacobianEngine(const Problem& p, LaneRhs& f)
 
 void JacobianEngine::eval_jacobian(double t, std::span<const double> y,
                                    SolverStats& stats) {
-  if (p_.sparse_jacobian && p_.sparsity) {
+  if (p_.sparse_jacobian) {
     obs::Span span("jacobian_sparse", "ode");
     p_.sparse_jacobian(t, y, jac_);
-  } else if (p_.jacobian) {
-    // Evaluate dense into the engine's scratch and gather the pattern
-    // entries: the pattern is structural (or full), so it covers every
-    // possible nonzero.
-    obs::Span span("jacobian", "ode");
-    if (dense_.rows() != p_.n) {
-      dense_ = la::Matrix(p_.n, p_.n);
-    }
-    p_.jacobian(t, y, dense_);
-    const la::SparsityPattern& pat = *plan_->pattern;
-    std::span<double> jv = jac_.values();
-    for (std::size_t r = 0; r < pat.rows; ++r) {
-      for (std::size_t k = pat.row_ptr[r]; k < pat.row_ptr[r + 1]; ++k) {
-        jv[k] = dense_(r, pat.col_idx[k]);
-      }
-    }
   } else {
     obs::Span span("jacobian_fd_colored", "ode");
     colored_fd_jacobian(f_, *plan_, t, y, jac_, stats.rhs_calls, fd_);

@@ -12,8 +12,9 @@
 //    column is its own color: the n+1-call forward differences LSODA
 //    does internally, which the paper calls "usually very expensive"
 //    (§3.2.1).
-//  * Symbolic: a bound SparseJacFn evaluates the tape-compiled
-//    derivative directly, and a dense JacFn is gathered onto the pattern.
+//  * Analytic: the problem's SparseJacFn (the tape-compiled symbolic
+//    derivative, or a hand-written one over SparsityPattern::dense(n))
+//    writes the pattern's values directly.
 //
 // JacobianEngine owns the Jacobian values, the iteration matrix
 // M = I - beta*h*J, its la::SparseLu factorization, and the LSODA-style
@@ -42,13 +43,6 @@ inline double fd_increment(double yj, double typ = 1.0) {
   return yj < 0.0 ? -mag : mag;
 }
 
-/// Forward-difference dense Jacobian: J(:,j) = (f(y + e_j dj) - f(y)) / dj.
-/// Costs n+1 RHS evaluations. `rhs_calls` is incremented accordingly.
-/// colored_fd_jacobian over the full pattern reproduces it bit for bit.
-void finite_difference_jacobian(const RhsFn& rhs, double t,
-                                std::span<const double> y, la::Matrix& jac,
-                                std::uint64_t& rhs_calls);
-
 /// Prepared Jacobian plan, shared across Problem copies (ensemble lanes,
 /// kLsodaLike segments). Immutable once built.
 struct JacPlan {
@@ -60,7 +54,10 @@ struct JacPlan {
 };
 
 /// Builds the plan from p.sparsity, or from the full n x n pattern when
-/// the problem has none. Also publishes the jac.colors / jac.nnz gauges.
+/// the problem has none. A full pattern colors column j with color j (the
+/// greedy coloring's result, without its O(n^3) walk); any other goes
+/// through la::color_columns. Also publishes the jac.colors / jac.nnz
+/// gauges.
 std::shared_ptr<const JacPlan> make_jac_plan(const Problem& p);
 
 /// colored_fd_jacobian's buffers, grown on first use and reused after.
@@ -121,7 +118,6 @@ class JacobianEngine {
   std::shared_ptr<const JacPlan> plan_;
   la::CsrMatrix jac_;   // Jacobian values on the plan's pattern
   la::CsrMatrix m_;     // iteration matrix on the same pattern
-  la::Matrix dense_;    // a dense JacFn's output, gathered into jac_
   FdScratch fd_;        // the colored FD's buffers
   std::optional<la::SparseLu> lu_;
   bool have_jac_ = false;

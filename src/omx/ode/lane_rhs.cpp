@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "omx/la/matrix.hpp"
+#include "omx/la/norms.hpp"
 #include "omx/ode/lane_block.hpp"
 
 namespace omx::ode {

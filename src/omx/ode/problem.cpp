@@ -18,7 +18,6 @@ void publish_solver_stats(const SolverStats& stats) {
   static obs::Counter& switches = reg.counter("ode.method_switches");
   static obs::Counter& events_fired = reg.counter("ode.events_fired");
   static obs::Counter& events_terminal = reg.counter("ode.events_terminal");
-  static obs::Counter& jac_evaluations = reg.counter("jac.evaluations");
   static obs::Counter& jac_factorizations = reg.counter("jac.factorizations");
   static obs::Counter& jac_reuse_hits = reg.counter("jac.reuse_hits");
   solves.add();
@@ -30,7 +29,6 @@ void publish_solver_stats(const SolverStats& stats) {
   switches.add(stats.method_switches);
   events_fired.add(stats.events);
   events_terminal.add(stats.events_terminal);
-  jac_evaluations.add(stats.jac_calls);
   jac_factorizations.add(stats.jac_factorizations);
   jac_reuse_hits.add(stats.jac_reuse_hits);
 }
@@ -56,6 +54,11 @@ void Problem::validate() const {
     throw omx::Error("ODE problem: bound batched kernel arity (" +
                      std::to_string(batch_arity) +
                      ") does not match n = " + std::to_string(n));
+  }
+  if (sparse_jacobian && !sparsity) {
+    throw omx::Error(
+        "ODE problem: a sparse_jacobian needs its pattern in `sparsity` "
+        "(SparsityPattern::dense(n) for a dense one)");
   }
 }
 

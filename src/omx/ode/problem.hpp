@@ -3,14 +3,17 @@
 // An initial value problem y'(t) = f(y(t), t), y(t0) = y0. The RHS
 // callback is exactly the generated-and-parallelized function the paper
 // targets; the optional Jacobian callback corresponds to the "extra
-// function dedicated to computing the Jacobian" of §2.4/§3.2.1.
+// function dedicated to computing the Jacobian" of §2.4/§3.2.1. There is
+// one Jacobian form: a SparseJacFn filling the CSR values of the
+// problem's sparsity pattern. A hand-written dense Jacobian sets
+// `sparsity` to SparsityPattern::dense(n) and writes entry (i, j) at
+// values()[i * n + j].
 //
-// RhsFn/JacFn are non-owning support::FunctionRef views: one indirect
+// The callbacks are non-owning support::FunctionRef views: one indirect
 // call on the hot path, no type-erasure allocation. Long-lived kernels
 // (exec::RhsKernel from pipeline::CompiledModel::make_kernel) bind
-// directly; ad-hoc capturing lambdas go through Problem::set_rhs /
-// set_jacobian, which copy the callable into a keep-alive owned by the
-// Problem.
+// directly; ad-hoc capturing lambdas go through the set_* binders, which
+// copy the callable into a keep-alive owned by the Problem.
 #pragma once
 
 #include <atomic>
@@ -20,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "omx/la/matrix.hpp"
 #include "omx/support/diagnostics.hpp"
 #include "omx/support/function_ref.hpp"
 
@@ -36,9 +38,6 @@ struct EventSpec;  // ode/events.hpp: zero-crossing guards + resets
 
 using RhsFn = support::FunctionRef<void(double t, std::span<const double> y,
                                         std::span<double> ydot)>;
-/// Writes J(i,j) = d f_i / d y_j into `jac` (preallocated n x n).
-using JacFn = support::FunctionRef<void(double t, std::span<const double> y,
-                                        la::Matrix& jac)>;
 /// Batched RHS over `nb` scenarios in structure-of-arrays layout: state i
 /// of scenario j at y_soa[i*nb+j], output slot likewise, per-scenario
 /// time t[j]. `lane` selects a private workspace (a solve_ensemble
@@ -49,8 +48,8 @@ using JacFn = support::FunctionRef<void(double t, std::span<const double> y,
 using BatchRhsFn = support::FunctionRef<void(
     std::size_t lane, std::size_t nb, const double* t, const double* y_soa,
     double* ydot_soa)>;
-/// Writes the structurally nonzero Jacobian entries into `jac` (CSR
-/// values aligned with the pattern the matrix was built over).
+/// Writes J(i,j) = d f_i / d y_j for every entry of `jac`'s pattern
+/// into its CSR values (Problem::sparsity with the diagonal added).
 using SparseJacFn = support::FunctionRef<void(
     double t, std::span<const double> y, la::CsrMatrix& jac)>;
 
@@ -74,8 +73,7 @@ inline void poll_cancel(const std::atomic<bool>* cancel,
 
 struct Problem {
   std::size_t n = 0;
-  RhsFn rhs;       // non-owning; see set_rhs for owning binding
-  JacFn jacobian;  // optional; solvers fall back to finite differences
+  RhsFn rhs;  // non-owning; see set_rhs for owning binding
   double t0 = 0.0;
   double tend = 1.0;
   std::vector<double> y0;
@@ -104,9 +102,9 @@ struct Problem {
   /// directly (or via analysis::probe_sparsity). When absent the stiff
   /// solvers work on the full n x n pattern.
   std::shared_ptr<const la::SparsityPattern> sparsity;
-  /// Optional pattern-aligned symbolic Jacobian (CSR values only, in the
-  /// order of `sparsity` with the diagonal added); used in preference to
-  /// `jacobian` when `sparsity` is set, ignored otherwise.
+  /// Optional Jacobian (CSR values only, in the order of `sparsity` with
+  /// the diagonal added); needs `sparsity`, which validate() checks.
+  /// Without it the stiff solvers take colored finite differences.
   SparseJacFn sparse_jacobian;
   /// Prepared Jacobian plan (pattern + coloring). Built from `sparsity`
   /// (or the full pattern) when absent: once per solve_ensemble
@@ -133,13 +131,6 @@ struct Problem {
   }
 
   template <typename F>
-  void set_jacobian(F f) {
-    auto owned = std::make_shared<F>(std::move(f));
-    jacobian = JacFn(*owned);
-    jac_keepalive_ = std::move(owned);
-  }
-
-  template <typename F>
   void set_batch_rhs(F f) {
     auto owned = std::make_shared<F>(std::move(f));
     batch_rhs = BatchRhsFn(*owned);
@@ -158,7 +149,6 @@ struct Problem {
  private:
   // Shared so that copies of the Problem keep the bound callables alive.
   std::shared_ptr<void> rhs_keepalive_;
-  std::shared_ptr<void> jac_keepalive_;
   std::shared_ptr<void> batch_keepalive_;
   std::shared_ptr<void> sparse_jac_keepalive_;
 };
@@ -175,7 +165,7 @@ struct SolverStats {
   std::uint64_t rejected = 0;
   std::uint64_t newton_iters = 0;
   std::uint64_t method_switches = 0;
-  /// Iteration-matrix factorizations (dense or sparse LU).
+  /// Iteration-matrix factorizations.
   std::uint64_t jac_factorizations = 0;
   /// Factorizations that reused previously evaluated Jacobian values
   /// (beta*h changed but the Jacobian was still fresh — LSODA-style).

@@ -107,28 +107,9 @@ void CompiledModel::bind_symbolic_jacobian(ode::Problem& p) const {
   OMX_REQUIRE(sparse_jacobian_program.n_regs > 0,
               "jacobian program not built");
   // solve_ensemble evaluates copies of one Problem on several workers at
-  // once, so each thread evaluates in a register file and an output
-  // buffer of its own, reset from the program on every call (no
-  // allocation once they have grown).
+  // once, so each thread evaluates in a register file of its own, reset
+  // from the program on every call (no allocation once it has grown).
   const vm::Program* sp = &sparse_jacobian_program;
-  p.set_jacobian([sp, pattern = jac_sparsity](double t,
-                                              std::span<const double> y,
-                                              la::Matrix& jac) {
-    const std::size_t n = pattern->rows;
-    OMX_REQUIRE(jac.rows() == n && jac.cols() == n, "jacobian shape");
-    thread_local std::vector<double> vals;
-    vals.resize(sp->n_out);
-    thread_local vm::Workspace ws;
-    ws.reset(*sp);
-    vm::eval_rhs_serial(*sp, t, y, vals, ws);
-    std::fill(jac.data().begin(), jac.data().end(), 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t k = pattern->row_ptr[i]; k < pattern->row_ptr[i + 1];
-           ++k) {
-        jac(i, pattern->col_idx[k]) = vals[k];
-      }
-    }
-  });
   p.set_sparse_jacobian([sp](double t, std::span<const double> y,
                              la::CsrMatrix& jac) {
     OMX_REQUIRE(jac.pattern().nnz() == sp->n_out,

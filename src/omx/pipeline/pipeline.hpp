@@ -78,9 +78,9 @@ struct CompiledModel {
   ode::Problem make_problem(ode::RhsFn rhs, double t0, double tend) const;
 
   /// Binds the analytic Jacobian from `sparse_jacobian_program` into `p`
-  /// (owning: copies of `p` keep it alive), both as the sparse callback
-  /// and as the dense one, which scatters the structural nonzeros into
-  /// the zeroed n x n matrix. Requires build_jacobian.
+  /// as its sparse_jacobian (owning: copies of `p` keep it alive). It
+  /// fills the values of `jac_sparsity`, so `p.sparsity` must be this
+  /// model's `sparsity`, as make_problem sets it. Requires build_jacobian.
   void bind_symbolic_jacobian(ode::Problem& p) const;
 };
 

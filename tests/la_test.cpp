@@ -2,47 +2,38 @@
 
 #include <cmath>
 
-#include "omx/la/lu.hpp"
+#include "dense_oracle.hpp"
+#include "omx/la/norms.hpp"
 #include "omx/support/diagnostics.hpp"
 #include "omx/support/rng.hpp"
 
 namespace omx::la {
 namespace {
 
+using oracle::LuFactors;
+using oracle::Matrix;
+
+/// The n x n identity.
+Matrix identity(std::size_t n) {
+  Matrix m(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    m(i, i) = 1.0;
+  }
+  return m;
+}
+
 TEST(Matrix, IdentityAndIndexing) {
-  Matrix m = Matrix::identity(3);
+  Matrix m = identity(3);
   EXPECT_DOUBLE_EQ(m(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(m(0, 1), 0.0);
   m(1, 2) = 5.0;
   EXPECT_DOUBLE_EQ(m(1, 2), 5.0);
-}
-
-TEST(Matrix, MultiplyVector) {
-  Matrix m(2, 3);
-  m(0, 0) = 1; m(0, 1) = 2; m(0, 2) = 3;
-  m(1, 0) = 4; m(1, 1) = 5; m(1, 2) = 6;
-  const std::vector<double> x{1.0, 0.5, -1.0};
-  std::vector<double> y(2);
-  m.multiply(x, y);
-  EXPECT_DOUBLE_EQ(y[0], 1.0 + 1.0 - 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 4.0 + 2.5 - 6.0);
-}
-
-TEST(Matrix, Axpby) {
-  Matrix a(1, 2), b(1, 2);
-  a(0, 0) = 1.0; a(0, 1) = 2.0;
-  b(0, 0) = 10.0; b(0, 1) = 20.0;
-  a.axpby(2.0, 0.5, b);
-  EXPECT_DOUBLE_EQ(a(0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(a(0, 1), 14.0);
+  EXPECT_DOUBLE_EQ(m.data()[1 * 3 + 2], 5.0);  // row-major
 }
 
 TEST(VectorOps, NormsAndDot) {
   const std::vector<double> a{3.0, -4.0};
   EXPECT_DOUBLE_EQ(norm2(a), 5.0);
-  EXPECT_DOUBLE_EQ(norm_inf(a), 4.0);
-  const std::vector<double> b{1.0, 1.0};
-  EXPECT_DOUBLE_EQ(dot(a, b), -1.0);
 }
 
 TEST(VectorOps, WrmsNorm) {
@@ -84,7 +75,7 @@ TEST(Lu, SingularThrows) {
 }
 
 TEST(Lu, SolveAllowsAliasing) {
-  Matrix a = Matrix::identity(3);
+  Matrix a = identity(3);
   a(0, 2) = 1.0;
   LuFactors lu(a);
   std::vector<double> b{4.0, 5.0, 6.0};
@@ -110,8 +101,12 @@ TEST_P(LuProperty, RandomSystemsRoundTrip) {
   for (double& v : x_true) {
     v = rng.uniform(-10.0, 10.0);
   }
-  std::vector<double> b(n), x(n);
-  a.multiply(x_true, b);
+  std::vector<double> b(n, 0.0), x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      b[i] += a(i, j) * x_true[j];
+    }
+  }
   LuFactors lu(a);
   lu.solve(b, x);
   for (std::size_t i = 0; i < n; ++i) {

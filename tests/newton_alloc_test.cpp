@@ -7,11 +7,14 @@
 // LU (allocations counted by counting_allocator.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <vector>
 
 #include "counting_allocator.hpp"
+#include "dense_oracle.hpp"
 #include "omx/la/sparse.hpp"
 #include "omx/models/heat1d.hpp"
 #include "omx/obs/trace.hpp"
@@ -97,9 +100,8 @@ TEST(StiffPath, SteadyStateNewtonLoopAllocatesNothing) {
 }
 
 TEST(StiffPath, SteadyStateDenseNewtonLoopAllocatesNothing) {
-  // Four coupled states, a hand-written dense Jacobian and no pattern:
-  // the engine works on the full 4 x 4 pattern and gathers the JacFn's
-  // matrix from its own scratch.
+  // Four coupled states and a hand-written dense Jacobian over the full
+  // 4 x 4 pattern, written straight into the engine's values.
   ode::Problem p;
   p.n = 4;
   p.set_rhs([](double t, std::span<const double> y, std::span<double> f) {
@@ -108,24 +110,17 @@ TEST(StiffPath, SteadyStateDenseNewtonLoopAllocatesNothing) {
     f[2] = y[1] - 50.0 * y[2] + 0.1 * y[0] * y[3];
     f[3] = y[2] - 0.5 * y[3] - y[0] * y[1];
   });
-  p.set_jacobian([](double, std::span<const double> y, la::Matrix& j) {
-    j(0, 0) = -200.0;
-    j(0, 1) = y[3];
-    j(0, 2) = 0.0;
-    j(0, 3) = y[1];
-    j(1, 0) = 10.0;
-    j(1, 1) = -10.0 - 3.0 * y[1] * y[1];
-    j(1, 2) = 0.0;
-    j(1, 3) = 0.0;
-    j(2, 0) = 0.1 * y[3];
-    j(2, 1) = 1.0;
-    j(2, 2) = -50.0;
-    j(2, 3) = 0.1 * y[0];
-    j(3, 0) = -y[1];
-    j(3, 1) = -y[0];
-    j(3, 2) = 1.0;
-    j(3, 3) = -0.5;
-  });
+  p.sparsity = std::make_shared<const la::SparsityPattern>(
+      la::SparsityPattern::dense(4));
+  p.set_sparse_jacobian(
+      [](double, std::span<const double> y, la::CsrMatrix& jac) {
+        // Row-major over dense(4): entry (i, k) at i * 4 + k.
+        const double j[16] = {-200.0, y[3], 0.0, y[1],
+                              10.0, -10.0 - 3.0 * y[1] * y[1], 0.0, 0.0,
+                              0.1 * y[3], 1.0, -50.0, 0.1 * y[0],
+                              -y[1], -y[0], 1.0, -0.5};
+        std::copy(std::begin(j), std::end(j), jac.values().begin());
+      });
   p.tend = 100.0;
   p.y0 = {0.0, 1.0, 0.5, -1.0};
 
@@ -146,7 +141,7 @@ TEST(StiffPath, SteadyStateColoredFdNewtonLoopAllocatesNothing) {
     SCOPED_TRACE(batched ? "batched" : "one call per color group");
     ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 1.0);
     ASSERT_TRUE(p.sparsity && p.batch_rhs);
-    ASSERT_FALSE(p.jacobian || p.sparse_jacobian);
+    ASSERT_FALSE(p.sparse_jacobian);
     if (!batched) {
       p.batch_rhs = nullptr;
     }
@@ -160,12 +155,11 @@ TEST(StiffPath, SteadyStateColoredFdNewtonLoopAllocatesNothing) {
 }
 
 TEST(StiffPath, SteadyStateDenseSymbolicNewtonLoopAllocatesNothing) {
-  // The symbolic Jacobian over the full pattern: with the sparsity reset
-  // the engine evaluates the bound dense JacFn and gathers its matrix.
+  // The symbolic Jacobian over the full pattern: the structural tape's
+  // values scattered into the full n x n values on every refresh.
   pipeline::CompiledModel cm = compile_heat(32);
   ode::Problem p = cm.make_problem(exec::Backend::kInterp, 0.0, 1.0);
-  cm.bind_symbolic_jacobian(p);
-  p.sparsity.reset();
+  oracle::bind_full_pattern_jacobian(cm, p);
   ASSERT_EQ(ode::make_jac_plan(p)->pattern->nnz(), p.n * p.n);
 
   ode::SolverOptions opts;

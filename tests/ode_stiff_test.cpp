@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "omx/la/sparse.hpp"
 #include "omx/obs/trace.hpp"
 #include "omx/ode/solve.hpp"
 
@@ -31,9 +33,12 @@ Problem stiff_tracking(double tend) {
   p.set_rhs([](double t, std::span<const double> y, std::span<double> f) {
     f[0] = -1000.0 * (y[0] - std::cos(t)) - std::sin(t);
   });
-  p.set_jacobian([](double, std::span<const double>, la::Matrix& j) {
-    j(0, 0) = -1000.0;
-  });
+  p.sparsity = std::make_shared<const la::SparsityPattern>(
+      la::SparsityPattern::dense(1));
+  p.set_sparse_jacobian(
+      [](double, std::span<const double>, la::CsrMatrix& j) {
+        j.values()[0] = -1000.0;
+      });
   p.t0 = 0.0;
   p.tend = tend;
   p.y0 = {0.0};
@@ -48,12 +53,16 @@ Problem van_der_pol(double mu, double tend) {
     f[0] = y[1];
     f[1] = mu * (1.0 - y[0] * y[0]) * y[1] - y[0];
   });
-  p.set_jacobian([mu](double, std::span<const double> y, la::Matrix& j) {
-    j(0, 0) = 0.0;
-    j(0, 1) = 1.0;
-    j(1, 0) = -2.0 * mu * y[0] * y[1] - 1.0;
-    j(1, 1) = mu * (1.0 - y[0] * y[0]);
-  });
+  p.sparsity = std::make_shared<const la::SparsityPattern>(
+      la::SparsityPattern::dense(2));
+  p.set_sparse_jacobian(
+      [mu](double, std::span<const double> y, la::CsrMatrix& jac) {
+        std::span<double> j = jac.values();  // row-major over dense(2)
+        j[0] = 0.0;
+        j[1] = 1.0;
+        j[2] = -2.0 * mu * y[0] * y[1] - 1.0;
+        j[3] = mu * (1.0 - y[0] * y[0]);
+      });
   p.t0 = 0.0;
   p.tend = tend;
   p.y0 = {2.0, 0.0};
@@ -139,7 +148,7 @@ TEST(Bdf, AdaptiveTracksStiffProblem) {
 TEST(Bdf, AnalyticJacobianReducesRhsCalls) {
   const Problem with_jac = stiff_tracking(2.0);
   Problem without_jac = with_jac;
-  without_jac.jacobian = nullptr;
+  without_jac.sparse_jacobian = nullptr;
   SolverOptions o;
   o.bdf_max_order = 2;
   const Solution sj = solve(with_jac, Method::kBdf, o);

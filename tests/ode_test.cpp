@@ -12,6 +12,7 @@
 
 #include <algorithm>
 
+#include "omx/la/sparse.hpp"
 #include "omx/models/heat1d.hpp"
 #include "omx/models/hybrid.hpp"
 #include "omx/obs/trace.hpp"
@@ -278,9 +279,12 @@ Problem stiff_tracking(double tend) {
   p.set_rhs([](double t, std::span<const double> y, std::span<double> f) {
     f[0] = -1000.0 * (y[0] - std::cos(t)) - std::sin(t);
   });
-  p.set_jacobian([](double, std::span<const double>, la::Matrix& j) {
-    j(0, 0) = -1000.0;
-  });
+  p.sparsity = std::make_shared<const la::SparsityPattern>(
+      la::SparsityPattern::dense(1));
+  p.set_sparse_jacobian(
+      [](double, std::span<const double>, la::CsrMatrix& j) {
+        j.values()[0] = -1000.0;
+      });
   p.t0 = 0.0;
   p.tend = tend;
   p.y0 = {0.0};
@@ -452,6 +456,35 @@ TEST(ProblemValidate, RejectsBatchArityMismatch) {
   EXPECT_THROW(p.validate(), omx::Error);
   p.batch_arity = 1;
   p.validate();
+}
+
+TEST(ProblemValidate, RejectsSparseJacobianWithoutPattern) {
+  // A Jacobian's values are laid out on `sparsity`: without it the
+  // callback cannot be used, and the solve must say so instead of
+  // falling back to finite differences.
+  Problem p = decay();
+  p.set_sparse_jacobian(
+      [](double, std::span<const double>, la::CsrMatrix& j) {
+        j.values()[0] = -1.0;
+      });
+  try {
+    p.validate();
+    FAIL() << "expected omx::Error";
+  } catch (const omx::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("sparsity"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(solve(p, Method::kBdf, {}), omx::Error);
+  EnsembleSpec spec;
+  spec.initial_states = {{1.0}, {0.5}};
+  EXPECT_THROW(solve_ensemble(p, Method::kBdf, {}, spec), omx::Error);
+
+  p.sparsity = std::make_shared<const la::SparsityPattern>(
+      la::SparsityPattern::dense(1));
+  p.validate();
+  const Solution s = solve(p, Method::kBdf, {});
+  EXPECT_GT(s.stats.jac_calls, 0u);
+  EXPECT_NEAR(s.final_state()[0], std::exp(-2.0), 1e-3);
 }
 
 /// y' = -y until t = 0.5, then the RHS returns `poison`.

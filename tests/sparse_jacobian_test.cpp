@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "dense_oracle.hpp"
 #include "omx/analysis/sparsity.hpp"
-#include "omx/la/lu.hpp"
 #include "omx/la/sparse.hpp"
 #include "omx/models/heat1d.hpp"
 #include "omx/models/hybrid.hpp"
@@ -95,9 +95,9 @@ TEST(FdIncrement, DenseFdAccurateForLargeStates) {
     f[0] = y[0] * y[0];
   });
   p.y0 = {1e8};
-  la::Matrix jac(1, 1);
+  oracle::Matrix jac(1, 1);
   std::uint64_t calls = 0;
-  ode::finite_difference_jacobian(p.rhs, 0.0, p.y0, jac, calls);
+  oracle::finite_difference_jacobian(p.rhs, 0.0, p.y0, jac, calls);
   EXPECT_EQ(calls, 2u);
   EXPECT_NEAR(jac(0, 0), 2e8, 2e8 * 1e-7);
 }
@@ -126,9 +126,9 @@ TEST(ColoredFd, MatchesDenseFdOnHeatPde) {
   EXPECT_EQ(colored_calls,
             static_cast<std::uint64_t>(plan->coloring.num_colors) + 1);
 
-  la::Matrix dense(p.n, p.n);
+  oracle::Matrix dense(p.n, p.n);
   std::uint64_t dense_calls = 0;
-  ode::finite_difference_jacobian(p.rhs, 0.0, y, dense, dense_calls);
+  oracle::finite_difference_jacobian(p.rhs, 0.0, y, dense, dense_calls);
   EXPECT_EQ(dense_calls, static_cast<std::uint64_t>(p.n) + 1);
 
   // The compression is exact, not approximate: each equation reads at
@@ -141,26 +141,50 @@ TEST(ColoredFd, MatchesDenseFdOnHeatPde) {
   }
 }
 
+TEST(JacPlan, ExplicitFullPatternMatchesNoPatternPlan) {
+  // A hand-written dense Jacobian comes with SparsityPattern::dense(n):
+  // its plan must be the no-pattern one, whose direct "column j, color j"
+  // coloring is also what the greedy walk gives a full pattern.
+  ode::Problem none;
+  none.n = 8;
+  ode::Problem full = none;
+  full.sparsity = std::make_shared<SparsityPattern>(SparsityPattern::dense(8));
+  const std::shared_ptr<const ode::JacPlan> a = ode::make_jac_plan(none);
+  const std::shared_ptr<const ode::JacPlan> b = ode::make_jac_plan(full);
+  EXPECT_EQ(*a->pattern, *b->pattern);
+  EXPECT_EQ(a->coloring.num_colors, 8);
+  EXPECT_EQ(a->coloring.num_colors, b->coloring.num_colors);
+  EXPECT_EQ(a->coloring.color, b->coloring.color);
+  EXPECT_EQ(a->coloring.groups, b->coloring.groups);
+  const la::Coloring greedy = la::color_columns(*b->pattern);
+  EXPECT_EQ(greedy.color, b->coloring.color);
+  EXPECT_EQ(greedy.groups, b->coloring.groups);
+}
+
 // -- symbolic sparse Jacobian tape -------------------------------------------
 
-TEST(SparseJacobianTape, MatchesDenseTapeOnHeatPde) {
+TEST(SparseJacobianTape, MatchesDenseFdOnHeatPde) {
   pipeline::CompiledModel cm = compile_with_jacobian(heat_builder(12));
   ASSERT_GT(cm.sparse_jacobian_program.n_regs, 0u);
   ASSERT_TRUE(cm.jac_sparsity != nullptr);
   ode::Problem p = cm.make_problem(exec::Backend::kReference, 0.0, 1.0);
   cm.bind_symbolic_jacobian(p);
-  ASSERT_TRUE(p.jacobian);
   ASSERT_TRUE(p.sparse_jacobian);
 
   std::vector<double> y = p.y0;
-  la::Matrix dense(p.n, p.n);
-  p.jacobian(0.0, y, dense);
   CsrMatrix sparse(cm.jac_sparsity);
   p.sparse_jacobian(0.0, y, sparse);
+  oracle::Matrix fd(p.n, p.n);
+  std::uint64_t calls = 0;
+  oracle::finite_difference_jacobian(p.rhs, 0.0, y, fd, calls);
 
+  // Every entry, the ones outside the pattern (exact 0.0 on both sides:
+  // f_i does not read y_j there) included.
   for (std::size_t i = 0; i < p.n; ++i) {
     for (std::size_t j = 0; j < p.n; ++j) {
-      EXPECT_EQ(sparse.at(i, j), dense(i, j)) << "entry " << i << "," << j;
+      EXPECT_NEAR(sparse.at(i, j), fd(i, j),
+                  1e-6 * std::max(1.0, std::fabs(fd(i, j))))
+          << "entry " << i << "," << j;
     }
   }
 }
@@ -227,7 +251,7 @@ TEST(SparseLu, BitwiseIdenticalToDenseLuOnBandedMatrix) {
   const std::size_t n = 12;
   CsrMatrix a = tridiagonal_matrix(n);
   la::SparseLu sparse(a);
-  la::LuFactors dense(a.to_dense());
+  oracle::LuFactors dense(oracle::to_dense(a));
 
   std::vector<double> b(n), xs(n), xd(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -290,7 +314,7 @@ TEST(SparseLu, PathologicalFillStaysCorrectAndRcmReducesIt) {
   const std::size_t n = 16;
   CsrMatrix a = arrow_matrix(n);
   la::SparseLu natural(a);
-  la::LuFactors dense(a.to_dense());
+  oracle::LuFactors dense(oracle::to_dense(a));
 
   std::vector<double> b(n), xn(n), xd(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -307,8 +331,8 @@ TEST(SparseLu, PathologicalFillStaysCorrectAndRcmReducesIt) {
 
 // -- SparseLu::refactor vs a fresh factorization ----------------------------
 
-/// Solution of a x = b through `lu` (a SparseLu or LuFactors), with b
-/// fixed per size.
+/// Solution of a x = b through `lu` (a SparseLu or the oracle's
+/// LuFactors), with b fixed per size.
 template <typename Lu>
 std::vector<double> lu_solve(const Lu& lu) {
   std::vector<double> x(lu.size());
@@ -322,7 +346,7 @@ std::vector<double> lu_solve(const Lu& lu) {
 /// Factors the first of `value_sets` (each a full set of CSR values for
 /// `a`'s pattern), refactors one SparseLu through all of them, and checks
 /// every step against a freshly constructed SparseLu and the dense
-/// LuFactors, bitwise.
+/// oracle LuFactors, bitwise.
 void expect_refactor_matches_fresh(
     CsrMatrix a, const std::vector<std::vector<double>>& value_sets) {
   std::copy(value_sets.front().begin(), value_sets.front().end(),
@@ -340,7 +364,8 @@ void expect_refactor_matches_fresh(
     // A reused structure may keep fill whose multiplier is now zero.
     EXPECT_GE(lu.factor_nnz(), fresh.factor_nnz());
     EXPECT_EQ(lu.pivot_growth(), fresh.pivot_growth());
-    const std::vector<double> dense = lu_solve(la::LuFactors(a.to_dense()));
+    const std::vector<double> dense =
+        lu_solve(oracle::LuFactors(oracle::to_dense(a)));
     EXPECT_EQ(want, dense);
     EXPECT_EQ(got, want);
   }
@@ -632,7 +657,8 @@ TEST(SparseLu, SolveLanesMatchesPerLaneSolveBitwise) {
       CsrMatrix m(c.a.pattern_ptr());
       const std::vector<double> v = newton_values(c.a, c.scale);
       std::copy(v.begin(), v.end(), m.values().begin());
-      const la::Matrix d = m.to_dense();  // row-major: the full CSR order
+      // Row-major: the full CSR order.
+      const oracle::Matrix d = oracle::to_dense(m);
       std::copy(d.data().begin(), d.data().end(), full.values().begin());
     }
     const la::SparseLu other(full);
@@ -679,11 +705,11 @@ TEST(SparseLu, SolveLanesMatchesPerLaneSolveBitwise) {
 // -- dense vs sparse BDF trajectories ----------------------------------------
 
 TEST(StiffPath, DenseAndSparseBackendsBitwiseIdentical) {
-  // A problem without a pattern factors over the full one; the same
-  // problem over its structural pattern must step bit for bit alike.
-  // Both sides evaluate the same symbolic Jacobian: the structural side
-  // through its sparse tape, the full side (which ignores the sparse
-  // callback) gathered from the dense form.
+  // A problem over the full pattern and the same problem over its
+  // structural pattern must step bit for bit alike. Both sides evaluate
+  // the same symbolic Jacobian: the structural side through its sparse
+  // tape, the full side through that tape's values scattered into the
+  // full pattern's.
   pipeline::CompiledModel cm = compile_with_jacobian(heat_builder(24));
   ode::SolverOptions opts;
   opts.tol.rtol = 1e-7;
@@ -692,8 +718,7 @@ TEST(StiffPath, DenseAndSparseBackendsBitwiseIdentical) {
   ode::Solution dense_sol;
   {
     ode::Problem p = cm.make_problem(exec::Backend::kReference, 0.0, 0.25);
-    cm.bind_symbolic_jacobian(p);
-    p.sparsity.reset();
+    oracle::bind_full_pattern_jacobian(cm, p);
     ASSERT_EQ(ode::make_jac_plan(p)->pattern->nnz(), p.n * p.n);
     dense_sol = ode::solve(p, ode::Method::kBdf, opts);
   }
@@ -832,9 +857,9 @@ TEST(ColoredFd, FullPatternMatchesDenseFdBitwise) {
     }
   });
   const std::vector<double> y{0.3, -1.7, 2.5e3, -4.1e-2, 0.9};
-  la::Matrix dense(p.n, p.n);
+  oracle::Matrix dense(p.n, p.n);
   std::uint64_t dense_calls = 0;
-  ode::finite_difference_jacobian(p.rhs, 0.5, y, dense, dense_calls);
+  oracle::finite_difference_jacobian(p.rhs, 0.5, y, dense, dense_calls);
   for (const bool batched : {false, true}) {
     SCOPED_TRACE(batched ? "batched" : "one call per column");
     const ode::Problem q = batched ? with_batch_rhs(p) : p;
@@ -932,15 +957,17 @@ TEST(StiffPath, LockstepWidthSweepMatchesSequentialBitwise) {
                    colored.make_problem(colored_kernel, 0.0, 0.05), heat_y0,
                    true});
   {
-    // y' = -1000 (y - cos t) - sin t: no pattern, the full 1 x 1 one.
+    // y' = -1000 (y - cos t) - sin t over the full 1 x 1 pattern.
     ode::Problem p;
     p.n = 1;
     p.set_rhs([](double t, std::span<const double> y, std::span<double> f) {
       f[0] = -1000.0 * (y[0] - std::cos(t)) - std::sin(t);
     });
-    p.set_jacobian([](double, std::span<const double>, la::Matrix& j) {
-      j(0, 0) = -1000.0;
-    });
+    p.sparsity = std::make_shared<SparsityPattern>(SparsityPattern::dense(1));
+    p.set_sparse_jacobian(
+        [](double, std::span<const double>, CsrMatrix& j) {
+          j.values()[0] = -1000.0;
+        });
     p.tend = 1.0;
     cases.push_back({"stiff tracking", with_batch_rhs(p), track_y0});
   }
@@ -1011,7 +1038,7 @@ TEST(StiffPath, ScalarRhsColoredFdEnsembleMatchesSequentialBitwise) {
   p.sparsity = std::make_shared<SparsityPattern>(
       SparsityPattern::from_triplets(n, n, std::move(trips)));
   p.tend = 0.5;
-  ASSERT_FALSE(p.batch_rhs || p.jacobian || p.sparse_jacobian);
+  ASSERT_FALSE(p.batch_rhs || p.sparse_jacobian);
   ASSERT_EQ(ode::make_jac_plan(p)->coloring.num_colors, 3);
 
   std::vector<std::vector<double>> y0s;

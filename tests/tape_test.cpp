@@ -5,13 +5,13 @@
 
 #include <cmath>
 
+#include "dense_oracle.hpp"
 #include "omx/codegen/tape.hpp"
 #include "omx/model/flatten.hpp"
 #include "omx/vm/interp.hpp"
 #include "omx/models/bearing2d.hpp"
 #include "omx/models/hydro.hpp"
 #include "omx/models/servo.hpp"
-#include "omx/ode/jacobian.hpp"
 #include "omx/parser/parser.hpp"
 #include "omx/support/rng.hpp"
 
@@ -200,11 +200,11 @@ end)");
   std::vector<double> jbuf(jp.n_out, 0.0);
   vm::eval_rhs_serial(jp, 0.9, y, jbuf, ws);
 
-  la::Matrix fd(2, 2);
+  oracle::Matrix fd(2, 2);
   std::uint64_t calls = 0;
   auto ref_rhs = [&](double t, std::span<const double> yy,
                      std::span<double> yd) { f.eval_rhs(t, yy, yd); };
-  ode::finite_difference_jacobian(ref_rhs, 0.9, y, fd, calls);
+  oracle::finite_difference_jacobian(ref_rhs, 0.9, y, fd, calls);
   for (std::size_t i = 0; i < 2; ++i) {
     for (std::size_t k = pattern.row_ptr[i]; k < pattern.row_ptr[i + 1];
          ++k) {
