@@ -30,6 +30,7 @@
 #include "omx/pipeline/pipeline.hpp"
 #include "omx/support/cli.hpp"
 #include "omx/support/config.hpp"
+#include "omx/support/simd.hpp"
 
 namespace {
 
@@ -41,7 +42,8 @@ int usage(const char* argv0) {
                " [--recorder recorder.json]\n"
                "          [--metrics metrics.json]\n"
                "       %s --config   (list every OMX_* env knob and its\n"
-               "                      current value, then exit)\n",
+               "                      current value and the lane ops'\n"
+               "                      ISA, then exit)\n",
                argv0,
                argv0);
   return 2;
@@ -92,6 +94,8 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(argv[i], "--config") == 0) {
       std::fputs(config::describe().c_str(), stdout);
+      std::printf("lane isa: %s (%zu lanes)\n", simd::lane_isa(),
+                  simd::lane_width());
       return 0;
     } else if (std::strcmp(argv[i], "--model") == 0) {
       model = next("--model");

@@ -91,6 +91,9 @@ if ! cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"; then
   exit 1
 fi
 cmake --build "$BUILD_DIR" -j
+# The config header's last line, once there is a binary to ask: the ISA
+# build of the lane ops (simd::lane_isa()) that the tests below run.
+echo "lane isa:   $("$BUILD_DIR"/examples/trace_explorer --config | sed -n 's/^lane isa: //p')"
 
 if [[ $MODE == asan ]]; then
   echo "== tier-1 tests (ASan + UBSan, halt on error) =="

@@ -21,6 +21,7 @@
 #include "omx/ode/events.hpp"
 #include "omx/ode/jacobian.hpp"
 #include "omx/ode/lane_block.hpp"
+#include "omx/ode/lane_ops.hpp"
 #include "omx/ode/lane_rhs.hpp"
 #include "omx/sched/lpt.hpp"
 #include "omx/support/simd.hpp"
@@ -382,21 +383,18 @@ class FixedStepper : public BlockStepper<FixedLane> {
     eval(kY, kK1);
     double* y = blk_[kY];
     const double* h = h_.data();
-    double* c = c_.data();
     if (rk4_) {
       rk4_stages();
-      const double *k1 = blk_[kK1], *k2 = blk_[kK1 + 1], *k3 = blk_[kK1 + 2],
-                   *k4 = blk_[kK1 + 3];
+      double* c = c_.data();
       for (std::size_t j = 0; j < nb; ++j) {
         c[j] = h[j] / 6.0;
       }
-      for_lanes(n, nb, [&](std::size_t e, std::size_t j) {
-        y[e] += c[j] * (k1[e] + 2.0 * k2[e] + 2.0 * k3[e] + k4[e]);
-      });
+      lane_ops::rk4_update(n, nb, y, c, blk_[kK1], blk_[kK1 + 1],
+                           blk_[kK1 + 2], blk_[kK1 + 3]);
     } else {
-      const double* k1 = blk_[kK1];
-      for_lanes(n, nb,
-                [&](std::size_t e, std::size_t j) { y[e] += h[j] * k1[e]; });
+      // y += h k1, as (h 1) k1 == h k1.
+      const double one = 1.0, *k1 = blk_[kK1];
+      lane_ops::stage_sum(n, nb, y, y, h, &one, &k1, 1);
     }
     for (std::size_t j = 0; j < nb; ++j) {
       FixedLane& L = lanes_[j];
@@ -413,25 +411,20 @@ class FixedStepper : public BlockStepper<FixedLane> {
     const std::size_t nb = width(), n = p.n;
     const double* y = blk_[kY];
     const double* h = h_.data();
-    double* c = c_.data();
     double* tmp = blk_[kTmp];
     // k2 = f(t + h/2, y + h/2 k1), k3 = f(t + h/2, y + h/2 k2)
     for (std::size_t j = 0; j < nb; ++j) {
-      c[j] = 0.5 * h[j];
       ts_[j] = lanes_[j].t + 0.5 * h[j];
     }
+    const double half = 0.5, one = 1.0;
     for (const std::size_t s : {kK1, kK1 + 1}) {
       const double* ks = blk_[s];
-      for_lanes(n, nb, [&](std::size_t e, std::size_t j) {
-        tmp[e] = y[e] + c[j] * ks[e];
-      });
+      lane_ops::stage_sum(n, nb, tmp, y, h, &half, &ks, 1);
       eval(kTmp, s + 1);
     }
     // k4 = f(t + h, y + h k3)
     const double* k3 = blk_[kK1 + 2];
-    for_lanes(n, nb, [&](std::size_t e, std::size_t j) {
-      tmp[e] = y[e] + h[j] * k3[e];
-    });
+    lane_ops::stage_sum(n, nb, tmp, y, h, &one, &k3, 1);
     for (std::size_t j = 0; j < nb; ++j) {
       ts_[j] = lanes_[j].t + h[j];
     }
@@ -490,9 +483,9 @@ class FixedStepper : public BlockStepper<FixedLane> {
 };
 
 /// Dormand & Prince RK5(4)7M coefficients. Row s of `a` builds the input
-/// of stage k[s] at t + c[s] h; b (with b2 = 0) is the 5th-order
-/// solution, whose derivative is the FSAL stage k7; e = b5 - b4 weighs
-/// the error estimate (e2 = 0).
+/// of stage k[s] at t + c[s] h; b weighs k1, k3, k4, k5, k6 (b2 = 0) in
+/// the 5th-order solution, whose derivative is the FSAL stage k7; e =
+/// b5 - b4 weighs k1, k3, ..., k7 (e2 = 0) in the error estimate.
 struct Dopri5Tableau {
   static constexpr double c[6] = {0.0, 1.0 / 5, 3.0 / 10, 4.0 / 5, 8.0 / 9,
                                   1.0};
@@ -505,12 +498,11 @@ struct Dopri5Tableau {
       {9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176,
        -5103.0 / 18656},
   };
-  static constexpr double b1 = 35.0 / 384, b3 = 500.0 / 1113,
-                          b4 = 125.0 / 192, b5 = -2187.0 / 6784,
-                          b6 = 11.0 / 84;
-  static constexpr double e1 = 71.0 / 57600, e3 = -71.0 / 16695,
-                          e4 = 71.0 / 1920, e5 = -17253.0 / 339200,
-                          e6 = 22.0 / 525, e7 = -1.0 / 40;
+  static constexpr double b[5] = {35.0 / 384, 500.0 / 1113, 125.0 / 192,
+                                  -2187.0 / 6784, 11.0 / 84};
+  static constexpr double e[6] = {71.0 / 57600, -71.0 / 16695,
+                                  71.0 / 1920,  -17253.0 / 339200,
+                                  22.0 / 525,   -1.0 / 40};
 };
 
 struct Dopri5Lane : LaneCore {
@@ -560,22 +552,12 @@ class Dopri5Stepper : public BlockStepper<Dopri5Lane> {
     const double* y = blk_[kY];
     double* ytmp = blk_[kYtmp];
     const double* h = h_.data();
-    // Stages 2..6: ytmp = y + sum_r (h a[s][r]) k[r], accumulated term by
-    // term in r order.
+    // Stages 2..6: ytmp = y + sum_r (h a[s][r]) k[r], summed term by term
+    // in r order, one pass per stage.
+    const double* k[5] = {blk_[kK], blk_[kK + 1], blk_[kK + 2],
+                          blk_[kK + 3], blk_[kK + 4]};
     for (std::size_t s = 1; s < 6; ++s) {
-      for (std::size_t r = 0; r < s; ++r) {
-        const double a = T::a[s][r];
-        const double* kr = blk_[kK + r];
-        if (r == 0) {
-          for_lanes(n, nb, [&](std::size_t e, std::size_t j) {
-            ytmp[e] = y[e] + (h[j] * a) * kr[e];
-          });
-        } else {
-          for_lanes(n, nb, [&](std::size_t e, std::size_t j) {
-            ytmp[e] += (h[j] * a) * kr[e];
-          });
-        }
-      }
+      lane_ops::stage_sum(n, nb, ytmp, y, h, T::a[s], k, s);
       for (std::size_t j = 0; j < nb; ++j) {
         ts_[j] = lanes_[j].t + T::c[s] * h[j];
       }
@@ -583,13 +565,9 @@ class Dopri5Stepper : public BlockStepper<Dopri5Lane> {
     }
     // 5th-order solution (FSAL: k7 = f at the new point).
     {
-      const double *k1 = blk_[kK], *k3 = blk_[kK + 2], *k4 = blk_[kK + 3],
-                   *k5 = blk_[kK + 4], *k6 = blk_[kK + 5];
-      for_lanes(n, nb, [&](std::size_t e, std::size_t j) {
-        ytmp[e] = y[e] + h[j] * (T::b1 * k1[e] + T::b3 * k3[e] +
-                                 T::b4 * k4[e] + T::b5 * k5[e] +
-                                 T::b6 * k6[e]);
-      });
+      const double* kb[5] = {blk_[kK], blk_[kK + 2], blk_[kK + 3],
+                             blk_[kK + 4], blk_[kK + 5]};
+      lane_ops::combine5(n, nb, ytmp, y, h, T::b, kb);
     }
     for (std::size_t j = 0; j < nb; ++j) {
       ts_[j] = lanes_[j].t + h[j];
@@ -649,21 +627,12 @@ class Dopri5Stepper : public BlockStepper<Dopri5Lane> {
   /// over i in order per lane.
   void error_norms() {
     const std::size_t nb = width(), n = p.n;
-    const double *k1 = blk_[kK], *k3 = blk_[kK + 2], *k4 = blk_[kK + 3],
-                 *k5 = blk_[kK + 4], *k6 = blk_[kK + 5], *k7 = blk_[kK + 6];
-    const double* ytmp = blk_[kYtmp];
-    const double* h = h_.data();
+    const double* k[6] = {blk_[kK],     blk_[kK + 2], blk_[kK + 3],
+                          blk_[kK + 4], blk_[kK + 5], blk_[kK + 6]};
     double* acc = acc_.data();
-    const double atol = o.tol.atol, rtol = o.tol.rtol;
     std::fill_n(acc, nb, 0.0);
-    // Vectorized over the lanes only: each lane's sum runs along i.
-    for_lanes(n, nb, [&](std::size_t e, std::size_t j) {
-      const double yerr =
-          h[j] * (T::e1 * k1[e] + T::e3 * k3[e] + T::e4 * k4[e] +
-                  T::e5 * k5[e] + T::e6 * k6[e] + T::e7 * k7[e]);
-      const double q = yerr / (atol + rtol * std::fabs(ytmp[e]));
-      acc[j] += q * q;
-    });
+    lane_ops::error_sumsq(n, nb, acc, blk_[kYtmp], h_.data(), T::e, k,
+                          o.tol.atol, o.tol.rtol);
     for (std::size_t j = 0; j < nb; ++j) {
       acc[j] = std::sqrt(acc[j] / static_cast<double>(n));
     }

@@ -31,10 +31,14 @@ inline void scatter(std::span<const double> v, double* soa, std::size_t nb,
 }
 
 /// f(e, j) for every element e = i * nb + j of an n x nb lane block, the
-/// lane loop innermost, so a stage sum vectorizes over the lanes with
+/// lane loop innermost, so a lane loop vectorizes over the lanes with
 /// each element's operations unchanged. A width-1 block (ode::solve) is
 /// a plain vector walked by a plain loop: a forced vector loop's set-up
 /// costs more than it saves on the small systems single solves run.
+/// The explicit steppers' arithmetic goes through the lane ops
+/// (ode/lane_ops.cpp), whose per-ISA builds inline this walk at host
+/// width; called elsewhere (BDF's lane walks below), it runs at the
+/// library's baseline ISA.
 template <typename F>
 void for_lanes(std::size_t n, std::size_t nb, F&& f) {
   if (nb == 1) {

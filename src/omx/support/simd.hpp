@@ -1,7 +1,7 @@
 // Data-level parallelism support shared by the batch interpreter, the
 // ensemble engine and the exec backends.
 //
-// Two things live here:
+// Three things live here:
 //
 //  * OMX_PRAGMA_SIMD — the vectorization hint placed on SoA lane loops.
 //    It expands to `#pragma omp simd` when the compiler honors OpenMP
@@ -10,8 +10,18 @@
 //    so the pragma never changes per-lane arithmetic — it only changes
 //    how lanes are packed into hardware vectors. The pragma deliberately
 //    carries no `aligned` clause: row pointers (base + r*nb doubles) are
-//    only 64-byte aligned when nb is a multiple of kSimdDoubles, and
+//    only 64-byte aligned when nb is a multiple of kAlignDoubles, and
 //    tail-block compaction in the ensemble engine shrinks nb arbitrarily.
+//
+//  * lane_width() / lane_isa() — the running host's vector width and
+//    the instruction set of the ode lane ops (ode/lane_ops.cpp). The
+//    library builds for baseline x86-64 (SSE2, 2 lanes per instruction);
+//    the lane ops are built once more for AVX and for AVX-512F, and the
+//    build for lane_width() is picked once at run time, so the steppers'
+//    lane loops run at the width of the -march=native kernels. Every
+//    build gives the same bits because the library builds with
+//    -ffp-contract=off: without it the AVX-512F build would fuse
+//    multiply-adds.
 //
 //  * aligned_vector<T> — a std::vector whose storage is 64-byte aligned,
 //    used at every SoA allocation site (vm::BatchWorkspace, the interp
@@ -68,6 +78,20 @@ inline std::size_t lane_width() {
 #else
   return 1;
 #endif
+}
+
+/// The instruction set the ode lane ops run on this host, named from
+/// lane_width(): "avx512f", "avx", or "baseline" (the one the library was
+/// built for).
+inline const char* lane_isa() {
+  switch (lane_width()) {
+    case 8:
+      return "avx512f";
+    case 4:
+      return "avx";
+    default:
+      return "baseline";
+  }
 }
 
 /// Rounds `n` up to a multiple of `m` (m > 0).
